@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import doctrine as doctrine_mod
 from . import extraction, uwd
@@ -84,9 +82,8 @@ def _doctrines(args, triple):
 
 
 def _prefix(report: Report, tag: str) -> Report:
-    if tag:
-        for c in report.clauses:
-            c.clause = f"{tag}.{c.clause}"
+    for c in report.clauses:
+        c.clause = f"{tag}.{c.clause}"
     return report
 
 
@@ -114,37 +111,18 @@ def _guard_size(args) -> None:
 def cmd_verify(args) -> int:
     _guard_size(args)
     triple = _resolve_triple(args)
-    jobs = args.jobs or int(os.environ.get("DOCTRINA_JOBS", "1"))
 
     adequacy = check_adequate_triple(triple)
-    tasks = [
-        ("", lambda: SpanCategory(triple).check_triangles(args.max_size))
-    ]
+    report = Report().extend(adequacy)
+    report.extend(SpanCategory(triple).check_triangles(args.max_size))
     if adequacy.passed:
         for name, d in _doctrines(args, triple):
-            tasks.append(
-                (name, lambda d=d: doctrine_mod.check_doctrine(d, args.max_size))
-            )
-            tasks.append(
-                (
-                    f"{name}.double",
-                    lambda d=d: verify_pdot(PDot(d), args.max_size),
-                )
-            )
+            report.extend(_prefix(doctrine_mod.check_doctrine(d, args.max_size), name))
+            report.extend(_prefix(verify_pdot(PDot(d), args.max_size), f"{name}.double"))
     else:
         adequacy.clauses[0].note(
             "triple failed adequacy; fiber suites skipped on this configuration"
         )
-
-    report = Report().extend(adequacy)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(tag, pool.submit(fn)) for tag, fn in tasks]
-            for tag, fut in futures:
-                report.extend(_prefix(fut.result(), tag))
-    else:
-        for tag, fn in tasks:
-            report.extend(_prefix(fn(), tag))
     _emit(report, args)
     return 0 if report.passed else 1
 
@@ -207,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="both")
         p.add_argument("--triple", choices=sorted(TRIPLES), default="all-all")
         p.add_argument("--triple-file", help="JSON file describing a custom triple")
-        p.add_argument("--jobs", type=int, default=0,
-                       help="worker threads (default: DOCTRINA_JOBS or 1)")
         p.add_argument("--out", help="write the JSONL report to this path")
         p.add_argument("--summary", action="store_true",
                        help="print a human table instead of JSONL")

@@ -27,7 +27,9 @@ from .finset import (
     AdequateTriple,
     FinFn,
     FinSet,
+    all_functions,
     compose,
+    finsets,
     fn_product,
     functions,
     product,
@@ -91,7 +93,10 @@ class Doctrine:
             raise ValueError("span legs must share an apex")
         if not self.triple.right.contains(right):
             raise ClassViolation(f"no quantifier along {right}: not in R")
-        return self._make_span_action(left, right)
+        p1 = self.fiber(left.cod).carrier
+        p2 = self.fiber(right.cod).carrier
+        table = [self._act(left, right, s) for s in range(p1.size)]
+        return monotone_map(p1, p2, table)
 
     def act(self, left: FinFn, right: FinFn, pred: int) -> int:
         """Span action on a single predicate; never materialises a fiber,
@@ -115,11 +120,8 @@ class Doctrine:
     def _make_exists(self, f: FinFn) -> MonotoneMap:
         raise NotImplementedError
 
-    def _make_span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
-        return self.subst(left).then(self.exists(right))
-
     def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
-        return self.span_action(left, right).table[pred]
+        raise NotImplementedError
 
     def _pair(self, a: FinSet, b: FinSet, p: int, q: int) -> int:
         fib = self.fiber(product(a, b).prod)
@@ -142,12 +144,6 @@ class PowersetDoctrine(Doctrine):
     def _make_exists(self, f: FinFn) -> MonotoneMap:
         pa, pb = self.fiber(f.dom).carrier, self.fiber(f.cod).carrier
         return monotone_map(pa, pb, (image_mask(f, s) for s in range(pa.size)))
-
-    def _make_span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
-        p1 = self.fiber(left.cod).carrier
-        p2 = self.fiber(right.cod).carrier
-        table = [self._act(left, right, s) for s in range(p1.size)]
-        return monotone_map(p1, p2, table)
 
     def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
         out = 0
@@ -211,12 +207,6 @@ class TropicalDoctrine(Doctrine):
         )
         return monotone_map(pa, pb, table)
 
-    def _make_span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
-        p1 = self.fiber(left.cod).carrier
-        p2 = self.fiber(right.cod).carrier
-        table = [self._act(left, right, phi) for phi in range(p1.size)]
-        return monotone_map(p1, p2, table)
-
     def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
         cap = self.cap
         inf = cap + 1
@@ -278,21 +268,6 @@ def external_unit_map(d: Doctrine) -> MonotoneMap:
     )
 
 
-@dataclass(frozen=True)
-class ExternalMonoidal:
-    """The derived external structure of a doctrine, bundled for callers
-    that only need the lax monoidal view."""
-
-    doctrine: Doctrine
-
-    def laxator(self, a: FinSet, b: FinSet) -> MonotoneMap:
-        return external_laxator(self.doctrine, a, b)
-
-    @property
-    def unit(self) -> int:
-        return external_unit(self.doctrine)
-
-
 # ---------------------------------------------------------------------------
 # designated pullback squares
 
@@ -348,10 +323,7 @@ def generated_pullbacks(
     triple: AdequateTriple, max_size: int
 ) -> Iterator[PullbackSquare]:
     """All designated squares arising from cospans within the bound."""
-    objs = [
-        FinSet(n)
-        for n in range(1 if triple.nonempty_only else 0, max_size + 1)
-    ]
+    objs = list(finsets(max_size, triple.nonempty_only))
     for j in objs:
         for b in objs:
             for f in functions(b, j):
@@ -440,41 +412,43 @@ def check_frobenius(d: Doctrine, f: FinFn) -> Report:
     return rep
 
 
-def _universe_maps(triple: AdequateTriple, max_size: int) -> list[FinFn]:
-    objs = [
-        FinSet(n)
-        for n in range(1 if triple.nonempty_only else 0, max_size + 1)
-    ]
-    return [f for a in objs for b in objs for f in functions(a, b)]
+def _composable(fns: list[FinFn]) -> Iterator[tuple[FinFn, FinFn]]:
+    """Every pair (f, g) of the list with g composable after f, in list
+    order."""
+    by_dom: dict[FinSet, list[FinFn]] = {}
+    for g in fns:
+        by_dom.setdefault(g.dom, []).append(g)
+    return ((f, g) for f in fns for g in by_dom.get(f.cod, ()))
+
+
+def check_subst_functorial(d: Doctrine, max_size: int) -> Report:
+    """Substitution sends identities to identities and composites to
+    composites, exhaustively over the maps between sets up to the bound."""
+    t = d.triple
+    rep = Report()
+    fid = rep.clause("doctrine.subst-identity", "substitution sends identities to identities")
+    for a in finsets(max_size, t.nonempty_only):
+        fid.check(
+            d.subst(FinFn.identity(a)).table == tuple(range(d.fiber(a).carrier.size)),
+            f"A={a.size}",
+        )
+    fcomp = rep.clause("doctrine.subst-compose", "substitution is strictly functorial")
+    for f, g in _composable(list(all_functions(max_size, t.nonempty_only))):
+        fcomp.check(
+            d.subst(compose(f, g)) == d.subst(g).then(d.subst(f)),
+            f"f={f} g={g}",
+        )
+    return rep
 
 
 def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -> Report:
     """The whole doctrine law suite over the enumerated universe."""
     t = d.triple
     bound = t.universe if max_size is None else max_size
-    rep = Report()
-    fns = _universe_maps(t, bound)
+    rep = check_subst_functorial(d, bound)
+    fns = list(all_functions(bound, t.nonempty_only))
     r_fns = [f for f in fns if t.right.contains(f)]
-    objs = [
-        FinSet(n) for n in range(1 if t.nonempty_only else 0, bound + 1)
-    ]
-
-    fid = rep.clause("doctrine.subst-identity", "substitution sends identities to identities")
-    for a in objs:
-        fid.check(
-            d.subst(FinFn.identity(a)).table == tuple(range(d.fiber(a).carrier.size)),
-            f"A={a.size}",
-        )
-    fcomp = rep.clause("doctrine.subst-compose", "substitution is strictly functorial")
-    by_dom: dict[FinSet, list[FinFn]] = {}
-    for g in fns:
-        by_dom.setdefault(g.dom, []).append(g)
-    for f in fns:
-        for g in by_dom.get(f.cod, ()):
-            fcomp.check(
-                d.subst(compose(f, g)) == d.subst(g).then(d.subst(f)),
-                f"f={f} g={g}",
-            )
+    objs = list(finsets(bound, t.nonempty_only))
 
     strong = rep.clause(
         "doctrine.subst-strong", "substitution preserves tensor and unit"
@@ -499,15 +473,11 @@ def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -
                 f"A={a.size}",
             )
     ecomp = rep.clause("doctrine.exists-compose", "quantifiers compose strictly")
-    r_by_dom: dict[FinSet, list[FinFn]] = {}
-    for g in r_fns:
-        r_by_dom.setdefault(g.dom, []).append(g)
-    for f in r_fns:
-        for g in r_by_dom.get(f.cod, ()):
-            ecomp.check(
-                d.exists(compose(f, g)) == d.exists(f).then(d.exists(g)),
-                f"f={f} g={g}",
-            )
+    for f, g in _composable(r_fns):
+        ecomp.check(
+            d.exists(compose(f, g)) == d.exists(f).then(d.exists(g)),
+            f"f={f} g={g}",
+        )
 
     gal = rep.clause("doctrine.galois", "quantifier is left adjoint to substitution")
     for f in r_fns:
@@ -545,11 +515,8 @@ def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -
     lax = rep.clause(
         "doctrine.laxator-natural", "the external tensor map is natural"
     )
-    lax_bound = min(bound, 2)
-    small = [a for a in objs if a.size <= lax_bound]
-    small_fns = [f for f in fns if f.dom.size <= lax_bound and f.cod.size <= lax_bound]
-    for f in small_fns:
-        for g in small_fns:
+    for f in fns:
+        for g in fns:
             mu_cod = external_laxator(d, f.cod, g.cod)
             mu_dom = external_laxator(d, f.dom, g.dom)
             lhs = map_product(d.subst(f), d.subst(g)).then(mu_dom)
@@ -559,6 +526,7 @@ def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -
     sym = rep.clause(
         "doctrine.laxator-symmetric", "the external tensor map respects the symmetry"
     )
+    small = [a for a in objs if a.size <= 2]
     for a in small:
         for b in small:
             mu_ab = external_laxator(d, a, b)

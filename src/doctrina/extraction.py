@@ -15,11 +15,12 @@ from .errors import ClassViolation, NotAPullback
 from .finset import (
     FinFn,
     FinSet,
+    all_functions,
     bang,
     compose,
     diagonal,
+    finsets,
     fn_product,
-    functions,
     terminal,
 )
 from .doctrine import (
@@ -164,10 +165,8 @@ def roundtrip(d: Doctrine, max_size: int) -> Report:
     q = DoubleFunctorData(pdot)
     t = d.triple
     rep = Report()
-    objs = [
-        FinSet(n) for n in range(1 if t.nonempty_only else 0, max_size + 1)
-    ]
-    fns = [f for a in objs for b in objs for f in functions(a, b)]
+    objs = list(finsets(max_size, t.nonempty_only))
+    fns = list(all_functions(max_size, t.nonempty_only))
     r_fns = [f for f in fns if t.right.contains(f)]
 
     fib = rep.clause(

@@ -213,7 +213,9 @@ def leq_maps(f: MonotoneMap, g: MonotoneMap) -> Cell2:
 
 def iso_maps(f: MonotoneMap, g: MonotoneMap) -> bool:
     """Both inequality directions; by antisymmetry this is table equality."""
-    return leq_maps(f, g).holds and leq_maps(g, f).holds
+    if f.dom != g.dom or f.cod != g.cod:
+        raise ShapeMismatch("2-cells need parallel maps")
+    return f.table == g.table
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +344,12 @@ def trop_value_poset(cap: int) -> Poset:
 
 @lru_cache(maxsize=None)
 def trop_carrier(n: int, cap: int) -> Poset:
+    if n == 0:
+        return singleton_poset()
     p = trop_value_poset(cap)
-    out = p if n == 1 else None
-    if out is None:
-        if n == 0:
-            out = singleton_poset()
-        else:
-            out = p
-            for _ in range(n - 1):
-                out = product_poset(out, p)
+    out = p
+    for _ in range(n - 1):
+        out = product_poset(out, p)
     return out
 
 

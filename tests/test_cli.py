@@ -106,14 +106,6 @@ class TestVerify:
             assert rc == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_flag_same_report(self, capsys, tmp_path):
-        seq, par = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
-        run_main(["verify", "--fiber", "powerset", "--max-size", "1",
-                  "--out", str(seq)], capsys)
-        run_main(["verify", "--fiber", "powerset", "--max-size", "1",
-                  "--jobs", "4", "--out", str(par)], capsys)
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_custom_triple_file(self, capsys, tmp_path):
         spec = {"universe": 2, "left": "all", "right": "surj",
                 "nonempty_only": True}

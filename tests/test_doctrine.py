@@ -23,7 +23,7 @@ from doctrina.doctrine import (
     tropical_doctrine,
 )
 
-from mutants import SwappedAdjointDoctrine
+from mutants import PERTURBED, NonFunctorialDoctrine, SwappedAdjointDoctrine
 
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
@@ -207,7 +207,16 @@ class TestExternalMonoidal:
 
 class TestDoctrineSuite:
     def test_powerset_full_suite_size3(self, pow3):
-        assert check_doctrine(pow3, 3).passed
+        rep = check_doctrine(pow3, 3)
+        assert rep.passed
+        # every pair of the 60 maps between sets of size <= 3
+        assert rep.find("doctrine.laxator-natural").instances == 3600
+
+    def test_nonfunctorial_subst_caught_with_witness(self, triple2):
+        rep = check_doctrine(NonFunctorialDoctrine(triple2), 2)
+        comp = rep.find("doctrine.subst-compose")
+        assert not comp.passed
+        assert any(repr(PERTURBED) in w for w in comp.witnesses)
 
     def test_tropical_full_suite_size2(self, trop2k3):
         assert check_doctrine(trop2k3, 2).passed
