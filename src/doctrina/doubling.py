@@ -4,9 +4,12 @@ A span acts on predicates by substituting along its left leg and then
 quantifying along its right leg; a morphism of spans acts as a square
 between the induced maps.  Because the fibers are posets, every piece of
 coherence data collapses to a pair of pointwise inequalities, and the
-whole battery of coherence axioms reduces to map equalities.  The
-``verify_pdot`` suite runs each axiom as one clause over an enumerated
-universe and reports witnesses for anything that fails.
+whole battery of coherence axioms reduces to map equalities.  Each
+``PDot`` cell method returns its square as a ``QtCell`` whose ``holds``
+and ``invertible`` flags are the verdicts; nothing here raises on a
+failed law.  The ``verify_pdot`` suite records each axiom as one clause
+over an enumerated universe and reports witnesses for anything that
+fails.
 
 The loose functoriality clause (``compositor``) is quantifier-
 substitution commutation in disguise, and the laxator-commuter clause is
@@ -20,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    CellAbsent,
-    CoherenceFailure,
-    CommuterFailure,
-    NonFunctorial,
-    NotAPullback,
-)
+from .errors import NonFunctorial, NotAPullback
 from .finset import (
     FinFn,
     FinSet,
@@ -45,7 +42,7 @@ from .doctrine import (
     external_unit_map,
 )
 from .poskit import MonotoneMap, leq_maps, map_product, swap_map, singleton_poset
-from .report import Report
+from .report import Clause, Report
 from .spancat import Span, SpanCell, SpanCategory
 
 
@@ -80,6 +77,17 @@ def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
     return "shape"
 
 
+def _verdict(clause: Clause, ok: bool, qt: QtCell, where) -> None:
+    """Record one cell verdict.  Only a failure formats its witness: the
+    instance ``where()`` names and the first entry at which the square's
+    two composites differ."""
+    if ok:
+        clause.check(True)
+    else:
+        diff = _first_diff(qt.left.then(qt.bottom), qt.top.then(qt.right))
+        clause.check(False, f"{where()}: {diff}")
+
+
 @lru_cache(maxsize=None)
 def product_span(x: Span, y: Span) -> Span:
     return Span(fn_product(x.left, y.left), fn_product(x.right, y.right))
@@ -109,38 +117,29 @@ class PDot:
         return self._loose[x]
 
     def cell_image(self, cell: SpanCell) -> QtCell:
-        """The square a morphism of spans induces between loose images."""
-        qt = _qt_cell(
+        """The square a morphism of spans induces between loose images;
+        it is a genuine cell when ``holds``."""
+        return _qt_cell(
             top=self.loose_image(cell.dst),
             bottom=self.loose_image(cell.src),
             left=self.d.subst(cell.tight_left),
             right=self.d.subst(cell.tight_right),
         )
-        if not qt.holds:
-            raise CellAbsent(f"mandatory direction failed for {cell}")
-        return qt
 
     # -- structure cells --------------------------------------------------
 
     def compositor(self, x: Span, y: Span) -> QtCell:
-        """Image of a composite against the composite of images: equal."""
+        """Image of a composite against the composite of images; loose
+        functoriality is ``invertible``."""
         composite = self.cat.loose_compose(x, y)
         lhs = self.loose_image(composite)
         rhs = self.loose_image(x).then(self.loose_image(y))
-        qt = _qt_cell(lhs, rhs, MonotoneMap.identity(lhs.dom), MonotoneMap.identity(lhs.cod))
-        if not qt.invertible:
-            raise CoherenceFailure(
-                f"loose functoriality failed on {x} ; {y}: {_first_diff(lhs, rhs)}"
-            )
-        return qt
+        return _qt_cell(lhs, rhs, MonotoneMap.identity(lhs.dom), MonotoneMap.identity(lhs.cod))
 
     def unitor(self, a: FinSet) -> QtCell:
         m = self.loose_image(Span.identity(a))
         ident = MonotoneMap.identity(self.d.fiber(a).carrier)
-        qt = _qt_cell(m, ident, MonotoneMap.identity(m.dom), MonotoneMap.identity(m.cod))
-        if not qt.invertible:
-            raise CoherenceFailure(f"identity span image is not the identity on {a}")
-        return qt
+        return _qt_cell(m, ident, MonotoneMap.identity(m.dom), MonotoneMap.identity(m.cod))
 
     def laxator_domain(self, x: Span, y: Span) -> bool:
         """The class condition under which the laxator must be invertible:
@@ -153,39 +152,27 @@ class PDot:
         )
 
     def laxator_cell(self, x: Span, y: Span) -> QtCell:
+        """The laxator square exists when ``holds``; it is the commuter
+        the theory guarantees on ``laxator_domain`` when ``invertible``."""
         top = map_product(self.loose_image(x), self.loose_image(y))
         left = external_laxator(self.d, x.source, y.source)
         right = external_laxator(self.d, x.target, y.target)
         bottom = self.loose_image(product_span(x, y))
-        qt = _qt_cell(top, bottom, left, right)
-        if not qt.holds:
-            raise CellAbsent(f"laxator square missing on {x} , {y}")
-        if self.laxator_domain(x, y) and not qt.invertible:
-            raise CommuterFailure(
-                f"laxator not invertible on guaranteed pair {x} , {y}: "
-                f"{_first_diff(left.then(bottom), top.then(right))}"
-            )
-        return qt
+        return _qt_cell(top, bottom, left, right)
 
     def unit_cell(self) -> QtCell:
         one = terminal()
         i0 = external_unit_map(self.d)
         top = MonotoneMap.identity(singleton_poset())
         bottom = self.loose_image(Span.identity(one))
-        qt = _qt_cell(top, bottom, i0, i0)
-        if not qt.invertible:
-            raise CoherenceFailure("unit cell is not an equality")
-        return qt
+        return _qt_cell(top, bottom, i0, i0)
 
     def symmetry_cell(self, x: Span, y: Span) -> QtCell:
         top = map_product(self.loose_image(x), self.loose_image(y))
         bottom = map_product(self.loose_image(y), self.loose_image(x))
         left = swap_map(self.loose_image(x).dom, self.loose_image(y).dom)
         right = swap_map(self.loose_image(x).cod, self.loose_image(y).cod)
-        qt = _qt_cell(top, bottom, left, right)
-        if not qt.invertible:
-            raise CoherenceFailure(f"symmetry square is not an equality on {x} , {y}")
-        return qt
+        return _qt_cell(top, bottom, left, right)
 
 
 def mu_proof_squares(x: Span, y: Span) -> list[PullbackSquare]:
@@ -219,14 +206,19 @@ def mu_proof_squares(x: Span, y: Span) -> list[PullbackSquare]:
 def verify_pdot(pdot: PDot, max_size: int) -> Report:
     """Run every coherence clause over the enumerated universe.
 
+    Each verdict is the ``holds`` or ``invertible`` flag of a ``QtCell``,
+    so a broken doctrine yields failing clauses, never an exception.
     Tight images are substitutions, so tight functoriality and laxator
     naturality are doctrine laws, carried by ``doctrine.subst-identity``,
     ``doctrine.subst-compose`` and ``doctrine.laxator-natural`` in
-    ``check_doctrine``.  Map-level clauses (unitors, laxator unitality,
-    symmetry naturality) scale with ``max_size``.  The clauses quadratic
-    in spans or cells run over the universe at ``min(max_size, 2)``,
-    which is the bound at which those properties are stated; each such
-    clause carries the bound in a note.
+    ``check_doctrine``.  Pasting cells needs no clause of its own: a
+    vertically pasted image has composites of tight images for its sides
+    (``doctrine.subst-compose``), a horizontally pasted one composites of
+    loose images (``pdot.compositor``).  Map-level clauses (unitors,
+    laxator unitality, symmetry naturality) scale with ``max_size``.  The
+    clauses quadratic in spans or cells run over the universe at
+    ``min(max_size, 2)``, which is the bound at which those properties
+    are stated; each such clause carries the bound in a note.
     """
     rep = Report()
     d = pdot.d
@@ -238,10 +230,8 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
 
     unitor = rep.clause("pdot.unitor", "identity spans map to identity maps")
     for a in objs:
-        try:
-            unitor.check(pdot.unitor(a).invertible, f"A={a.size}")
-        except CoherenceFailure as e:
-            unitor.check(False, str(e))
+        qt = pdot.unitor(a)
+        _verdict(unitor, qt.invertible, qt, lambda: f"A={a.size}")
 
     comp = rep.clause(
         "pdot.compositor",
@@ -254,10 +244,8 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         (x, y) for x in spans for y in by_source.get(x.target, ())
     ]
     for x, y in composable:
-        try:
-            comp.check(pdot.compositor(x, y).invertible, f"{x} ; {y}")
-        except CoherenceFailure as e:
-            comp.check(False, str(e))
+        qt = pdot.compositor(x, y)
+        _verdict(comp, qt.invertible, qt, lambda: f"{x} ; {y}")
     comp.note(f"span universe bounded at {pair_bound}")
 
     assoc = rep.clause(
@@ -279,8 +267,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         unital.check(left_unit == x and right_unit == x, f"{x}")
 
     # A cell's induced square depends only on its boundary (the apex map
-    # never enters the image), so every pasting check is performed once
-    # per distinct boundary pair; repeats would be identical computations.
+    # never enters the image), so each distinct boundary is checked once.
     exist = rep.clause(
         "pdot.cell-existence", "every span morphism induces a genuine square"
     )
@@ -289,91 +276,10 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         reps_by_boundary.setdefault(
             (c.src, c.dst, c.tight_left, c.tight_right), c
         )
-    images: dict[tuple, QtCell] = {}
-    failed_boundaries: set[tuple] = set()
-    for key, c in reps_by_boundary.items():
-        try:
-            images[key] = pdot.cell_image(c)
-            exist.check(True)
-        except CellAbsent as e:
-            failed_boundaries.add(key)
-            exist.check(False, str(e))
+    for c in reps_by_boundary.values():
+        qt = pdot.cell_image(c)
+        _verdict(exist, qt.holds, qt, lambda: f"{c}")
     exist.note(f"distinct boundaries: {len(reps_by_boundary)}")
-
-    cells = list(reps_by_boundary.values())
-
-    def boundary(c: SpanCell) -> tuple:
-        return (c.src, c.dst, c.tight_left, c.tight_right)
-
-    # The boundary of a pasted image is forced elementwise: its tights
-    # are composites of tights (tight functoriality: doctrine.subst-compose
-    # in check_doctrine, and the PDot construction guard) and its loose
-    # sides are composites of loose images (pdot.compositor, exhaustive
-    # above).  Those equalities are the pasting boundary equality,
-    # instance for instance; the two clauses below drive the pasting code
-    # path itself on a deterministic stride sample of actual cell pairs.
-    vpaste = rep.clause(
-        "pdot.cell-vertical",
-        "images of vertically pasted cells have the pasted boundaries",
-    )
-    by_src: dict[Span, list[SpanCell]] = {}
-    for c in cells:
-        by_src.setdefault(c.src, []).append(c)
-    sampled = 0
-    seen = 0
-    for a in cells:
-        if failed_boundaries and boundary(a) in failed_boundaries:
-            continue
-        for b in by_src.get(a.dst, ()):
-            if failed_boundaries and boundary(b) in failed_boundaries:
-                continue
-            seen += 1
-            if seen % 271 != 1:
-                continue
-            ab = cat.cell_vcompose(a, b)
-            qa, qb = images[boundary(a)], images[boundary(b)]
-            qab = pdot.cell_image(ab)
-            ok = (
-                qab.top == qb.top
-                and qab.bottom == qa.bottom
-                and qab.left == qb.left.then(qa.left)
-                and qab.right == qb.right.then(qa.right)
-            )
-            vpaste.check(ok, f"{a} over {b}")
-            sampled += 1
-    vpaste.note(f"explicit pastings sampled: {sampled} of {seen} pairs")
-
-    hpaste = rep.clause(
-        "pdot.cell-horizontal",
-        "images of horizontally pasted cells compose along the compositor",
-    )
-    by_corner: dict[tuple, list[SpanCell]] = {}
-    for c in cells:
-        by_corner.setdefault((c.src.source, c.dst.source, c.tight_left), []).append(c)
-    sampled = 0
-    seen = 0
-    for a in cells:
-        if failed_boundaries and boundary(a) in failed_boundaries:
-            continue
-        key = (a.src.target, a.dst.target, a.tight_right)
-        for b in by_corner.get(key, ()):
-            if failed_boundaries and boundary(b) in failed_boundaries:
-                continue
-            seen += 1
-            if seen % 1543 != 1:
-                continue
-            ab = cat.cell_hcompose(a, b)
-            qa, qb = images[boundary(a)], images[boundary(b)]
-            qab = pdot.cell_image(ab)
-            ok = (
-                qab.top == qa.top.then(qb.top)
-                and qab.bottom == qa.bottom.then(qb.bottom)
-                and qab.left == qa.left
-                and qab.right == qb.right
-            )
-            hpaste.check(ok, f"{a} beside {b}")
-            sampled += 1
-    hpaste.note(f"explicit pastings sampled: {sampled} of {seen} pairs")
 
     lax_exist = rep.clause(
         "pdot.laxator-cell", "the laxator square exists on every span pair"
@@ -386,18 +292,10 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     off_domain_total = 0
     for x in spans:
         for y in spans:
-            try:
-                qt = pdot.laxator_cell(x, y)
-            except CellAbsent as e:
-                lax_exist.check(False, str(e))
-                continue
-            except CommuterFailure as e:
-                lax_exist.check(True)
-                lax_comm.check(False, str(e))
-                continue
-            lax_exist.check(True)
+            qt = pdot.laxator_cell(x, y)
+            _verdict(lax_exist, qt.holds, qt, lambda: f"{x} , {y}")
             if pdot.laxator_domain(x, y):
-                lax_comm.check(qt.invertible, f"{x} , {y}")
+                _verdict(lax_comm, qt.invertible, qt, lambda: f"{x} , {y}")
             else:
                 off_domain_total += 1
                 if not qt.invertible:
@@ -463,18 +361,14 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
                     bc_clause.check(False, f"{x} , {y}: {e}")
 
     unit_c = rep.clause("pdot.unit-cell", "the unit square is an equality")
-    try:
-        unit_c.check(pdot.unit_cell().invertible, "unit")
-    except CoherenceFailure as e:
-        unit_c.check(False, str(e))
+    qt = pdot.unit_cell()
+    _verdict(unit_c, qt.invertible, qt, lambda: "unit")
 
     sym_c = rep.clause("pdot.symmetry-cell", "the symmetry square is an equality")
     for x in spans:
         for y in spans:
-            try:
-                sym_c.check(pdot.symmetry_cell(x, y).invertible, f"{x} , {y}")
-            except CoherenceFailure as e:
-                sym_c.check(False, str(e))
+            qt = pdot.symmetry_cell(x, y)
+            _verdict(sym_c, qt.invertible, qt, lambda: f"{x} , {y}")
 
     sym_nat = rep.clause(
         "pdot.symmetry-naturality", "swapping factors is natural in both slots"

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all doctrina modules."""
+"""Exception hierarchy shared by all doctrina modules.
+
+These are errors of use: malformed input, or an operation applied
+outside its domain.  A law that fails on well-formed input is never an
+exception; it is a failing clause of a ``Report``.  ``NonFunctorial`` is
+the one refusal of data: the double extension is not built at all over a
+substitution that is not strictly functorial.
+"""
 
 
 class DoctrinaError(Exception):
@@ -39,18 +46,6 @@ class ContextMismatch(DoctrinaError):
 
 class NotAPullback(DoctrinaError):
     """A square handed to a Beck-Chevalley check is not a designated pullback."""
-
-
-class CellAbsent(DoctrinaError):
-    """The mandatory direction of a constructed square failed to hold."""
-
-
-class CoherenceFailure(DoctrinaError):
-    """A coherence equality (compositor, unitor, unit, symmetry) failed."""
-
-
-class CommuterFailure(DoctrinaError):
-    """A laxator component failed to be invertible on its guaranteed domain."""
 
 
 class NonFunctorial(DoctrinaError):

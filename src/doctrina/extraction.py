@@ -180,11 +180,13 @@ def roundtrip(d: Doctrine, max_size: int) -> Report:
             f"A={a.size}",
         )
 
+    # recovered as the companion span's loose image: ``tight`` is
+    # ``subst`` itself, so comparing it would prove nothing
     sub = rep.clause(
         "roundtrip.subst", "recovered substitution equals the source substitution"
     )
     for f in fns:
-        sub.check(q.tight(f) == d.subst(f), f"f={f}")
+        sub.check(q.loose(companion_span(f)) == d.subst(f), f"f={f}")
 
     qua = rep.clause(
         "roundtrip.exists", "recovered quantifier equals the source quantifier"

@@ -307,13 +307,18 @@ def _labelled(labels: list, types: TypeAssignment) -> LabelledFinSet:
     return LabelledFinSet(FinSet(len(labels)), tuple(labels))
 
 
+_HEX = frozenset("0123456789abcdefABCDEF")
+
+
 def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     """Parse the diagram/system interchange dictionary.
 
     Top-level keys: labels, domains, diagrams, systems.  Relational data
-    is a hex bitmask over the denoted product; cost data is an array with
-    "inf" for infinity.  Arrays are 0-indexed, row-major, port 0 most
-    significant.
+    is a hex bitmask over the denoted product, with no bit beyond it;
+    cost data is an array of natural numbers (saturating above the cap)
+    with "inf" for infinity.  Arrays are 0-indexed, row-major, port 0
+    most significant.  Anything else raises ``ValueError``; each check is
+    one pass over the data as given.
     """
     labels = doc.get("labels", [])
     domains = doc.get("domains", {})
@@ -336,12 +341,25 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
         ctx = _labelled(spec["context"], types)
         semantics = spec["semantics"]
         data = spec["data"]
+        n = denote(ctx, types).size
         if semantics == "rel":
+            if not isinstance(data, str) or not data or not set(data) <= _HEX:
+                raise ValueError(f"system {name}: data {data!r} is not a hex mask")
             pred = int(data, 16)
+            if pred >> n:
+                raise ValueError(f"system {name}: mask {data} has bits beyond {n} tuples")
         elif semantics == "trop":
             inf = cap + 1
-            vals = [inf if v == "inf" else min(int(v), inf) for v in data]
-            n = denote(ctx, types).size
+            vals = []
+            for v in data:
+                if v == "inf":
+                    vals.append(inf)
+                elif type(v) is int and v >= 0:
+                    vals.append(min(v, inf))
+                else:
+                    raise ValueError(
+                        f"system {name}: cost {v!r} is neither a natural number nor \"inf\""
+                    )
             if len(vals) != n:
                 raise ValueError(f"system {name}: expected {n} costs, got {len(vals)}")
             pred = trop_index(vals, cap)

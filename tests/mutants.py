@@ -48,3 +48,20 @@ class NonFunctorialDoctrine(PowersetDoctrine):
             top = good.cod.size - 1
             return monotone_map(good.dom, good.cod, (top,) * good.dom.size)
         return good
+
+
+class DroppedApexDoctrine(PowersetDoctrine):
+    """Span action that ignores the last apex element once the apex has
+    three or more.  Substitution and quantifiers stay intact, so every
+    doctrine law holds and the double extension builds; but loose
+    composites and product spans, the only spans that large at bound 2,
+    lose loose functoriality, and a companion span over a 3-element set
+    no longer acts as substitution."""
+
+    def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
+        n = left.dom.size
+        out = 0
+        for a in range(n - 1 if n >= 3 else n):
+            if (pred >> left.table[a]) & 1:
+                out |= 1 << right.table[a]
+        return out

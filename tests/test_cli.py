@@ -53,6 +53,20 @@ class TestEval:
         assert rc == 2
         assert "error" in err
 
+    def test_negative_mask_exit_2(self, capsys, tmp_path):
+        doc = json.loads((DATA / "uwd_corpus.json").read_text())
+        doc["systems"]["join-input"]["data"] = "-1"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run_main(
+            ["eval", "--input", str(bad), "--diagram", "relational-composition",
+             "--system", "join-input"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert "not a hex mask" in err
+
     def test_unknown_diagram_exit_2(self, capsys):
         rc, _, _ = run_main(
             ["eval", "--input", CORPUS, "--diagram", "nope", "--system",

@@ -4,6 +4,7 @@ from doctrina.errors import ClassViolation, NotAPullback
 from doctrina.finset import (
     FinFn,
     FinSet,
+    finsets,
     functions,
     surjection_triple,
     trivial_triple,
@@ -194,15 +195,18 @@ class TestExternalMonoidal:
         assert external_unit(pow2) == 1  # the full subset of the point
         assert external_unit(trop2) == 0  # the zero cost
 
-    def test_pair_predicate_matches_laxator(self, pow2, trop2):
-        for d in (pow2, trop2):
-            a, b = FinSet(2), FinSet(1)
-            mu = external_laxator(d, a, b)
-            na = d.fiber(a).carrier.size
-            nb = d.fiber(b).carrier.size
-            for p in range(na):
-                for q in range(nb):
-                    assert d.pair_predicate(a, b, p, q) == mu.table[p * nb + q]
+    def test_pair_predicate_matches_laxator(self, pow2, trop2, trop2k3):
+        # uwd.tensor_systems tensors through pair_predicate, the law suites
+        # through external_laxator: the two must agree entry for entry
+        for d in (pow2, trop2, trop2k3):
+            for a in finsets(2):
+                for b in finsets(2):
+                    mu = external_laxator(d, a, b)
+                    na = d.fiber(a).carrier.size
+                    nb = d.fiber(b).carrier.size
+                    for p in range(na):
+                        for q in range(nb):
+                            assert d.pair_predicate(a, b, p, q) == mu.table[p * nb + q]
 
 
 class TestDoctrineSuite:

@@ -1,6 +1,6 @@
 import pytest
 
-from doctrina.errors import CommuterFailure, NonFunctorial
+from doctrina.errors import NonFunctorial
 from doctrina.finset import (
     FinFn,
     FinSet,
@@ -9,7 +9,12 @@ from doctrina.finset import (
     trivial_triple,
 )
 from doctrina.poskit import trop_index, trop_values
-from doctrina.doctrine import check_beck_chevalley, powerset_doctrine, tropical_doctrine
+from doctrina.doctrine import (
+    check_beck_chevalley,
+    check_doctrine,
+    powerset_doctrine,
+    tropical_doctrine,
+)
 from doctrina.doubling import (
     PDot,
     mu_proof_squares,
@@ -17,9 +22,16 @@ from doctrina.doubling import (
     search_offdomain_witness,
     verify_pdot,
 )
+from doctrina.extraction import roundtrip
+from doctrina.report import Report
 from doctrina.spancat import Span, SpanCell
 
-from mutants import BrokenTensorDoctrine, NonFunctorialDoctrine
+from mutants import (
+    BrokenTensorDoctrine,
+    DroppedApexDoctrine,
+    NonFunctorialDoctrine,
+    SwappedAdjointDoctrine,
+)
 
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
@@ -185,12 +197,38 @@ class TestVerifySuite:
         # a non-surjective right leg: the constant-unit tensor makes the
         # joint predicate full, whose image is then a strict subset
         span = Span(FinFn.identity(FinSet(1)), FinFn(FinSet(1), FinSet(2), (0,)))
-        with pytest.raises(CommuterFailure):
-            bad.laxator_cell(span, span)
+        assert bad.laxator_domain(span, span)
+        assert not bad.laxator_cell(span, span).invertible
+
+    def test_dropped_apex_fails_compositor(self, triple2):
+        # only loose composites and product spans reach a 3-element apex
+        rep = verify_pdot(PDot(DroppedApexDoctrine(triple2)), 2)
+        comp = rep.find("pdot.compositor")
+        assert not comp.passed
+        assert " ; " in comp.witnesses[0] and ": at " in comp.witnesses[0]
 
     def test_nonfunctorial_subst_refused(self, triple2):
         with pytest.raises(NonFunctorial):
             PDot(NonFunctorialDoctrine(triple2))
+
+
+SUITES = {
+    "check_doctrine": lambda d: check_doctrine(d, 2),
+    "verify_pdot": lambda d: verify_pdot(PDot(d), 2),
+    "roundtrip": lambda d: roundtrip(d, 2),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("mutant", [BrokenTensorDoctrine, SwappedAdjointDoctrine])
+def test_broken_doctrines_get_reports(mutant, suite, triple2):
+    rep = SUITES[suite](mutant(triple2))
+    assert isinstance(rep, Report)
+    if mutant is SwappedAdjointDoctrine and suite == "verify_pdot":
+        # the wrong adjoint still makes a strict, coherent double extension
+        assert rep.passed
+    else:
+        assert not rep.passed
 
 
 class TestOffDomainSearch:

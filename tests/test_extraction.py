@@ -6,6 +6,7 @@ from doctrina.finset import (
     FinSet,
     surjection_triple,
     terminal,
+    trivial_triple,
 )
 from doctrina.doctrine import (
     check_frobenius,
@@ -23,7 +24,7 @@ from doctrina.extraction import (
 )
 from doctrina.poskit import MonoPoset
 
-from mutants import NonFunctorialDoctrine
+from mutants import DroppedApexDoctrine, NonFunctorialDoctrine
 
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
@@ -132,3 +133,12 @@ class TestRoundTrip:
     def test_perturbed_subst_refused_at_construction(self, triple2):
         with pytest.raises(NonFunctorial):
             roundtrip(NonFunctorialDoctrine(triple2), 2)
+
+    def test_subst_recovered_through_companion_span(self):
+        # the mutant's span action drops an apex element only on 3-element
+        # apexes, so companion spans over 3-element sets stop acting as
+        # substitution while substitution itself stays intact
+        rep = roundtrip(DroppedApexDoctrine(trivial_triple(3)), 3)
+        sub = rep.find("roundtrip.subst")
+        assert not sub.passed
+        assert sub.witnesses[0].startswith("f=FinFn(3->")

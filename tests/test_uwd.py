@@ -355,6 +355,44 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             load_corpus(doc)
 
+    @pytest.mark.parametrize(
+        "semantics, data",
+        [
+            ("rel", "-1"),  # int(..., 16) would read predicate -1
+            ("rel", "ff"),  # bits beyond the 2-tuple product
+            ("rel", "0x3"),
+            ("rel", ""),
+            ("trop", [-3, 1]),  # would wrap round to [2, 1]
+            ("trop", [1.5, 1]),  # would truncate to [1, 1]
+            ("trop", [True, 1]),
+            ("trop", ["1", 1]),
+        ],
+        ids=["negative-mask", "mask-overflow", "hex-prefix", "empty-mask",
+             "negative-cost", "fractional-cost", "boolean-cost", "string-cost"],
+    )
+    def test_malformed_data_rejected(self, semantics, data):
+        doc = {
+            "labels": ["w"], "domains": {"w": 2}, "diagrams": {},
+            "systems": {"x": {"context": ["w"], "semantics": semantics, "data": data}},
+        }
+        with pytest.raises(ValueError):
+            load_corpus(doc)
+
+    def test_boundary_data_accepted(self):
+        doc = {
+            "labels": ["w"], "domains": {"w": 2}, "diagrams": {},
+            "systems": {
+                "full": {"context": ["w"], "semantics": "rel", "data": "3"},
+                "big": {"context": ["w"], "semantics": "trop", "data": [0, 7]},
+            },
+        }
+        corpus = load_corpus(doc, cap=3)
+        full, _ = corpus.systems["full"]
+        big, _ = corpus.systems["big"]
+        assert full.predicate == 3
+        # costs above the cap saturate to infinity
+        assert format_predicate(big, "trop", corpus.types, 3) == '[0, "inf"]'
+
     def test_format_predicate_roundtrip(self):
         ctx = LabelledFinSet.of("w")
         sys = System(ctx, trop_pred({(0,): 2, (1,): 4}, ctx, TYPES, 3))
