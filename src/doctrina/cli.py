@@ -39,6 +39,23 @@ TRIPLES = {
 }
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; ``true``, ``2.9`` and ``"2"`` are not sizes."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_map(m) -> FinFn:
+    if not isinstance(m, dict) or not isinstance(m.get("table"), list):
+        raise ValueError(f"explicit map needs dom, cod and a table list: {json.dumps(m)}")
+    return FinFn(
+        FinSet(_json_int(m.get("dom"), "explicit map dom")),
+        FinSet(_json_int(m.get("cod"), "explicit map cod")),
+        tuple(_json_int(v, "explicit map table entry") for v in m["table"]),
+    )
+
+
 def _class_from_spec(spec) -> MorClass:
     if spec == "all":
         return MorClass.all()
@@ -46,23 +63,28 @@ def _class_from_spec(spec) -> MorClass:
         return MorClass.injections()
     if spec == "surj":
         return MorClass.surjections()
-    if isinstance(spec, dict) and "explicit" in spec:
-        maps = [
-            FinFn(FinSet(m["dom"]), FinSet(m["cod"]), tuple(m["table"]))
-            for m in spec["explicit"]
-        ]
-        return MorClass.explicit(maps)
+    if isinstance(spec, dict) and isinstance(spec.get("explicit"), list):
+        return MorClass.explicit(_json_map(m) for m in spec["explicit"])
     raise ValueError(f"bad class spec {spec!r}")
 
 
 def load_triple_file(path: str) -> AdequateTriple:
+    """Decode a triple file; a value of the wrong JSON type is an error,
+    never coerced."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("triple file must hold a JSON object")
+    nonempty_only = doc.get("nonempty_only", False)
+    if not isinstance(nonempty_only, bool):
+        raise ValueError(
+            f"nonempty_only must be true or false, got {json.dumps(nonempty_only)}"
+        )
     return AdequateTriple(
-        universe=int(doc.get("universe", 3)),
+        universe=_json_int(doc.get("universe", 3), "universe"),
         left=_class_from_spec(doc.get("left", "all")),
         right=_class_from_spec(doc.get("right", "all")),
-        nonempty_only=bool(doc.get("nonempty_only", False)),
+        nonempty_only=nonempty_only,
     )
 
 

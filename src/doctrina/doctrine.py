@@ -378,13 +378,15 @@ def check_beck_chevalley(d: Doctrine, sq: PullbackSquare) -> Report:
         lhs = d.exists(sq.bottom).then(d.subst(sq.right))
         rhs = d.subst(sq.left).then(d.exists(sq.top))
         c = rep.clause("beck-chevalley.bottom", "substitution after quantifying the base map")
-        c.check(iso_maps(lhs, rhs), f"square {sq}")
+        ok = iso_maps(lhs, rhs)
+        c.check(ok, "" if ok else f"square {sq}")
         checked = True
     if d.triple.right.contains(sq.right):
         lhs = d.exists(sq.right).then(d.subst(sq.bottom))
         rhs = d.subst(sq.top).then(d.exists(sq.left))
         c = rep.clause("beck-chevalley.right", "substitution after quantifying the fibre map")
-        c.check(iso_maps(lhs, rhs), f"square {sq}")
+        ok = iso_maps(lhs, rhs)
+        c.check(ok, "" if ok else f"square {sq}")
         checked = True
     if not checked:
         raise NotAPullback("no quantifiable leg in the square")

@@ -77,15 +77,21 @@ def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
     return "shape"
 
 
-def _verdict(clause: Clause, ok: bool, qt: QtCell, where) -> None:
-    """Record one cell verdict.  Only a failure formats its witness: the
-    instance ``where()`` names and the first entry at which the square's
-    two composites differ."""
+def _check(clause: Clause, ok: bool, witness) -> None:
+    """Record one verdict; only a failure formats its witness ``witness()``."""
     if ok:
         clause.check(True)
     else:
-        diff = _first_diff(qt.left.then(qt.bottom), qt.top.then(qt.right))
-        clause.check(False, f"{where()}: {diff}")
+        clause.check(False, witness())
+
+
+def _verdict(clause: Clause, ok: bool, qt: QtCell, where) -> None:
+    """Record one cell verdict; a failure's witness is the instance
+    ``where()`` names and the first entry at which the square's two
+    composites differ."""
+    _check(clause, ok, lambda: (
+        f"{where()}: {_first_diff(qt.left.then(qt.bottom), qt.top.then(qt.right))}"
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -94,13 +100,15 @@ def product_span(x: Span, y: Span) -> Span:
 
 
 class PDot:
-    """The double extension of a doctrine, with cached loose images."""
+    """The double extension of a doctrine, with cached loose images and
+    loose composites."""
 
     def __init__(self, doctrine: Doctrine):
         self.d = doctrine
         self.triple = doctrine.triple
         self.cat = SpanCategory(doctrine.triple)
         self._loose: dict[Span, MonotoneMap] = {}
+        self._composite: dict[tuple[Span, Span], Span] = {}
         # strictly functorial substitution is a construction precondition,
         # probed on the sets the pasting clauses range over
         probe = check_subst_functorial(doctrine, min(2, doctrine.triple.universe))
@@ -109,6 +117,16 @@ class PDot:
                 raise NonFunctorial(f"{c.clause} fails at {c.witnesses[0]}")
 
     # -- images ---------------------------------------------------------
+
+    def composite(self, x: Span, y: Span) -> Span:
+        """The loose composite ``x ; y``, computed once per pair.  The
+        pairs the clauses compose more than once are the composable pairs
+        of the span universe and their composites with a third span."""
+        key = (x, y)
+        xy = self._composite.get(key)
+        if xy is None:
+            xy = self._composite[key] = self.cat.loose_compose(x, y)
+        return xy
 
     def loose_image(self, x: Span) -> MonotoneMap:
         """Substitute along the left leg, quantify along the right."""
@@ -131,8 +149,7 @@ class PDot:
     def compositor(self, x: Span, y: Span) -> QtCell:
         """Image of a composite against the composite of images; loose
         functoriality is ``invertible``."""
-        composite = self.cat.loose_compose(x, y)
-        lhs = self.loose_image(composite)
+        lhs = self.loose_image(self.composite(x, y))
         rhs = self.loose_image(x).then(self.loose_image(y))
         return _qt_cell(lhs, rhs, MonotoneMap.identity(lhs.dom), MonotoneMap.identity(lhs.cod))
 
@@ -253,10 +270,12 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         "the two bracketings of a triple composite have equal images",
     )
     for x, y in composable:
+        xy = pdot.composite(x, y)
         for z in by_source.get(y.target, ()):
-            lhs = pdot.loose_image(cat.loose_compose(cat.loose_compose(x, y), z))
-            rhs = pdot.loose_image(cat.loose_compose(x, cat.loose_compose(y, z)))
-            assoc.check(lhs == rhs, f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
+            lhs = pdot.loose_image(pdot.composite(xy, z))
+            rhs = pdot.loose_image(pdot.composite(x, pdot.composite(y, z)))
+            _check(assoc, lhs == rhs,
+                   lambda: f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
 
     unital = rep.clause(
         "pdot.double-unital", "identity spans are strict units for composition"
@@ -264,7 +283,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     for x in spans:
         left_unit = cat.loose_compose(Span.identity(x.source), x)
         right_unit = cat.loose_compose(x, Span.identity(x.target))
-        unital.check(left_unit == x and right_unit == x, f"{x}")
+        _check(unital, left_unit == x and right_unit == x, lambda: f"{x}")
 
     # A cell's induced square depends only on its boundary (the apex map
     # never enters the image), so each distinct boundary is checked once.
@@ -335,13 +354,15 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
             probe = ids_left and (x.is_identity or x2.is_identity)
             if not probe and seen % 53 != 1:
                 continue
+            # the left side composes product spans that recur in no other
+            # instance, so it bypasses the composite cache
             lhs = pdot.loose_image(
                 cat.loose_compose(product_span(a, x), product_span(a2, x2))
             )
             rhs = pdot.loose_image(
-                product_span(cat.loose_compose(a, a2), cat.loose_compose(x, x2))
+                product_span(pdot.composite(a, a2), pdot.composite(x, x2))
             )
-            lax_comp.check(lhs == rhs, f"{a};{a2} with {x};{x2}")
+            _check(lax_comp, lhs == rhs, lambda: f"{a};{a2} with {x};{x2}")
             sampled += 1
     lax_comp.note(f"pair-pairs sampled: {sampled} of {seen}")
 
@@ -356,7 +377,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
             for sq in mu_proof_squares(x, y):
                 try:
                     sub = check_beck_chevalley(d, sq)
-                    bc_clause.check(sub.passed, f"{x} , {y}: {sq}")
+                    _check(bc_clause, sub.passed, lambda: f"{x} , {y}: {sq}")
                 except NotAPullback as e:
                     bc_clause.check(False, f"{x} , {y}: {e}")
 

@@ -16,7 +16,7 @@ canonically isomorphic:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -41,19 +41,28 @@ class FinSet:
         return f"FinSet({self.size})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinFn:
-    """A function between finite sets, tabulated as a tuple of cod-indices."""
+    """A function between finite sets, tabulated as a tuple of cod-indices.
+
+    Functions key every cache in the package, so the hash of the fields is
+    computed once, at construction.
+    """
 
     dom: FinSet
     cod: FinSet
     table: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.table) != self.dom.size:
             raise ValueError("table length does not match domain size")
         if self.table and (min(self.table) < 0 or max(self.table) >= self.cod.size):
             raise ValueError("table entry outside codomain")
+        object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.table)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __call__(self, i: int) -> int:
         return self.table[i]

@@ -11,8 +11,10 @@ that boolean, and an invertible cell is one that holds both ways.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 from .errors import ShapeMismatch
 from .finset import FinFn
@@ -132,7 +134,7 @@ def product_poset(a: Poset, b: Poset) -> Poset:
     return Poset(size, tuple(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotoneMap:
     """An order-preserving map, tabulated on indices.
 
@@ -148,7 +150,7 @@ class MonotoneMap:
     def __post_init__(self) -> None:
         if len(self.table) != self.dom.size:
             raise ValueError("table length does not match domain size")
-        if any(not 0 <= v < self.cod.size for v in self.table):
+        if self.table and (min(self.table) < 0 or max(self.table) >= self.cod.size):
             raise ValueError("table entry outside codomain")
 
     def __call__(self, i: int) -> int:
@@ -222,30 +224,50 @@ def iso_maps(f: MonotoneMap, g: MonotoneMap) -> bool:
 # monoidal posets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonoPoset:
     """A symmetric monoidal poset; coherence is property, not data.
 
-    The tensor is tabulated row-major over carrier pairs;
-    ``tensor_map()`` wraps it as a monotone map on demand (sensible only
-    for carriers small enough to materialise the product order).
+    ``tensor(i, j)`` is computed on the first ``mul`` of the pair, checked
+    to lie in the carrier, and memoised: a fiber over a product is large,
+    and the law suites read a sliver of its tensor.  ``tensor_table``
+    and ``tensor_map()`` materialise all of it, row-major over carrier
+    pairs (sensible only for carriers small enough to materialise the
+    product order).
     """
 
     carrier: Poset
-    tensor_table: tuple[int, ...]
+    tensor: Callable[[int, int], int]
     unit: int
+    _memo: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.carrier.size
-        if len(self.tensor_table) != n * n:
-            raise ShapeMismatch("tensor table is not carrier x carrier")
-        if any(not 0 <= v < n for v in self.tensor_table):
-            raise ValueError("tensor entry outside carrier")
-        if not 0 <= self.unit < n:
+        if not 0 <= self.unit < self.carrier.size:
             raise ValueError("unit outside carrier")
 
+    @staticmethod
+    def tabulated(carrier: Poset, table, unit: int) -> "MonoPoset":
+        """The monoidal poset whose tensor is the row-major ``table``."""
+        n = carrier.size
+        if len(table) != n * n:
+            raise ShapeMismatch("tensor table is not carrier x carrier")
+        return MonoPoset(carrier, lambda i, j: table[i * n + j], unit)
+
     def mul(self, i: int, j: int) -> int:
-        return self.tensor_table[i * self.carrier.size + j]
+        n = self.carrier.size
+        k = i * n + j
+        v = self._memo.get(k)
+        if v is None:
+            v = self.tensor(i, j)
+            if not 0 <= v < n:
+                raise ValueError("tensor entry outside carrier")
+            self._memo[k] = v
+        return v
+
+    @property
+    def tensor_table(self) -> tuple[int, ...]:
+        n = self.carrier.size
+        return tuple(self.mul(i, j) for i in range(n) for j in range(n))
 
     def tensor_map(self) -> MonotoneMap:
         return MonotoneMap(
@@ -293,11 +315,7 @@ def check_mono_poset(m: MonoPoset) -> Report:
 def powerset_fiber(n: int) -> MonoPoset:
     """Subsets of an n-set under intersection, unit the full set."""
     carrier = subset_lattice(n)
-    size = carrier.size
-    table = tuple(
-        (k // size) & (k % size) for k in range(size * size)
-    )
-    return MonoPoset(carrier, table, size - 1)
+    return MonoPoset(carrier, operator.and_, carrier.size - 1)
 
 
 def subset_elements(mask: int, n: int) -> tuple[int, ...]:
@@ -381,13 +399,11 @@ def trop_all_values(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
 def tropical_fiber(n: int, cap: int) -> MonoPoset:
     """Predicates valued in the truncated min-plus chain, ordered
     pointwise; tensor is pointwise saturating addition, unit constant 0."""
-    carrier = trop_carrier(n, cap)
-    size = carrier.size
     decode = trop_all_values(n, cap)
-    table = []
-    for i in range(size):
-        a = decode[i]
-        for j in range(size):
-            b = decode[j]
-            table.append(trop_index((trop_add(x, y, cap) for x, y in zip(a, b)), cap))
-    return MonoPoset(carrier, tuple(table), 0)
+
+    def tensor(i: int, j: int) -> int:
+        return trop_index(
+            (trop_add(x, y, cap) for x, y in zip(decode[i], decode[j])), cap
+        )
+
+    return MonoPoset(trop_carrier(n, cap), tensor, 0)

@@ -17,7 +17,7 @@ but composites never carry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .errors import BoundaryMismatch, ClassViolation, ObjMismatch
@@ -33,16 +33,21 @@ from .finset import (
 from .report import Report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
-    """A loose arrow source <- apex -> target."""
+    """A loose arrow source <- apex -> target; hashed once, like ``FinFn``."""
 
     left: FinFn
     right: FinFn
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.left.dom != self.right.dom:
             raise ValueError("span legs must share an apex")
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def apex(self) -> FinSet:

@@ -11,8 +11,7 @@ class BrokenTensorDoctrine(PowersetDoctrine):
 
     def _make_fiber(self, a: FinSet) -> MonoPoset:
         good = powerset_fiber(a.size)
-        n = good.carrier.size
-        return MonoPoset(good.carrier, (good.unit,) * (n * n), good.unit)
+        return MonoPoset(good.carrier, lambda i, j: good.unit, good.unit)
 
 
 class SwappedAdjointDoctrine(PowersetDoctrine):

@@ -1,9 +1,13 @@
+import hashlib
 import json
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from doctrina.cli import load_triple_file, main
+from doctrina.finset import FinFn, FinSet
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = str(DATA / "uwd_corpus.json")
@@ -77,6 +81,17 @@ class TestEval:
 
 
 class TestVerify:
+    def test_powerset_size_2_report_bytes(self, capsys):
+        # pinned bytes: caching composites and formatting witnesses only
+        # on failure must leave the report as it was
+        rc, out, _ = run_main(
+            ["verify", "--fiber", "powerset", "--max-size", "2"], capsys
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8b6bfd43fd21894e1646edb5936d151c410cb019d8b6caa6c414234349df4d69"
+        )
+
     def test_powerset_size_2_passes(self, capsys):
         rc, out, _ = run_main(
             ["verify", "--fiber", "powerset", "--max-size", "2", "--summary"],
@@ -133,6 +148,39 @@ class TestVerify:
             capsys,
         )
         assert rc == 0
+
+    def test_explicit_triple_file(self, tmp_path):
+        spec = {"universe": 1, "right": {"explicit": [
+            {"dom": 0, "cod": 0, "table": []},
+            {"dom": 1, "cod": 1, "table": [0]},
+        ]}}
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(spec))
+        t = load_triple_file(str(path))
+        assert t.left.kind == "all"
+        assert t.right.members == {
+            FinFn(FinSet(0), FinSet(0), ()), FinFn(FinSet(1), FinSet(1), (0,)),
+        }
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"universe": 1, "nonempty_only": "false"},
+         'nonempty_only must be true or false, got "false"'),
+        ({"universe": 2.9}, "universe must be an integer, got 2.9"),
+        ({"universe": True}, "universe must be an integer, got true"),
+        ({"universe": 1, "left": {"explicit": [{"dom": 1, "cod": 1, "table": [0.0]}]}},
+         "explicit map table entry must be an integer, got 0.0"),
+    ], ids=["nonempty-string", "universe-float", "universe-bool", "table-float"])
+    def test_mistyped_triple_file_exit_2(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(spec))
+        rc, out, err = run_main(
+            ["verify", "--fiber", "powerset", "--max-size", "1",
+             "--triple-file", str(path)],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert message in err
 
 
 class TestRoundtripCommand:

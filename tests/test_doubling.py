@@ -36,6 +36,20 @@ from mutants import (
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
 
+# first witnesses of DroppedApexDoctrine at bound 2, pinned because
+# witnesses are formatted only on failure, apart from the checks
+DROPPED_ASSOC_WITNESS = (
+    "Span(FinFn(2->2:[0, 1]), FinFn(2->1:[0, 0])) ; "
+    "Span(FinFn(2->1:[0, 0]), FinFn(2->2:[0, 1])) ; "
+    "Span(FinFn(2->2:[1, 0]), FinFn(2->2:[0, 1])): at 2: 2 vs 1"
+)
+DROPPED_LAX_COMP_WITNESS = (
+    "Span(FinFn(1->1:[0]), FinFn(1->2:[0]));"
+    "Span(FinFn(2->2:[0, 0]), FinFn(2->2:[1, 0])) with "
+    "Span(FinFn(2->2:[0, 1]), FinFn(2->2:[0, 1]));"
+    "Span(FinFn(2->2:[1, 0]), FinFn(2->1:[0, 0]))"
+)
+
 
 @pytest.fixture(scope="module")
 def ppow(pow2):
@@ -45,6 +59,11 @@ def ppow(pow2):
 @pytest.fixture(scope="module")
 def ptrop(trop2):
     return PDot(trop2)
+
+
+@pytest.fixture(scope="module")
+def dropped_apex_report(triple2):
+    return verify_pdot(PDot(DroppedApexDoctrine(triple2)), 2)
 
 
 class TestLooseImage:
@@ -109,6 +128,16 @@ class TestCompositor:
         comp = cat.companion_of(CONST21).span
         conj = cat.conjoint_of(CONST21).span
         assert ptrop.compositor(comp, conj).invertible
+
+    def test_cached_composite_is_loose_compose(self, pow2):
+        pdot = PDot(pow2)
+        spans = list(pdot.cat.enumerate_spans(2))
+        pairs = [(x, y) for x in spans for y in spans if x.target == y.source]
+        assert len(pairs) == 971
+        for x, y in pairs:
+            xy = pdot.composite(x, y)
+            assert xy == pdot.cat.loose_compose(x, y)
+            assert pdot.composite(x, y) is xy
 
     def test_functorial_on_all_pairs(self, ppow):
         spans = list(ppow.cat.enumerate_spans(2))
@@ -200,12 +229,20 @@ class TestVerifySuite:
         assert bad.laxator_domain(span, span)
         assert not bad.laxator_cell(span, span).invertible
 
-    def test_dropped_apex_fails_compositor(self, triple2):
+    def test_dropped_apex_fails_compositor(self, dropped_apex_report):
         # only loose composites and product spans reach a 3-element apex
-        rep = verify_pdot(PDot(DroppedApexDoctrine(triple2)), 2)
-        comp = rep.find("pdot.compositor")
+        comp = dropped_apex_report.find("pdot.compositor")
         assert not comp.passed
         assert " ; " in comp.witnesses[0] and ": at " in comp.witnesses[0]
+
+    def test_dropped_apex_pasting_witnesses(self, dropped_apex_report):
+        assoc = dropped_apex_report.find("pdot.double-assoc")
+        lax = dropped_apex_report.find("pdot.laxator-compositional")
+        assert (assoc.instances, assoc.failures) == (22739, 12)
+        assert (lax.instances, lax.failures) == (24550, 190)
+        assert assoc.witnesses[0] == DROPPED_ASSOC_WITNESS
+        assert lax.witnesses[0] == DROPPED_LAX_COMP_WITNESS
+        assert dropped_apex_report.find("pdot.double-unital").passed
 
     def test_nonfunctorial_subst_refused(self, triple2):
         with pytest.raises(NonFunctorial):

@@ -84,7 +84,7 @@ class TestTensorRecovery:
 
     def test_recovered_tensor_passes_monoid_laws(self, qpow, pow2):
         a = FinSet(2)
-        recovered = MonoPoset(
+        recovered = MonoPoset.tabulated(
             pow2.fiber(a).carrier,
             tensor_from_laxator(qpow, a).table,
             unit_from_I(qpow, a),

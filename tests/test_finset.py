@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from doctrina.finset import (
     FinFn,
     FinSet,
     MorClass,
+    all_functions,
     bang,
     check_adequate_triple,
     compose,
@@ -48,6 +51,27 @@ def quotient_oracle(f, g):
             blocks.remove(bv)
             blocks.append(bu | bv)
     return [frozenset(b) for b in blocks]
+
+
+class TestValueSemantics:
+    def test_equal_functions_built_apart_hash_equal(self):
+        for f in all_functions(2):
+            g = FinFn(FinSet(f.dom.size), FinSet(f.cod.size), tuple(list(f.table)))
+            assert g is not f and g == f and hash(g) == hash(f)
+            assert {f, g} == {f}
+
+    def test_cached_hash_is_the_field_hash(self):
+        # the hash a frozen dataclass would compute, so set and dict
+        # orders, and the reports built from them, are unchanged
+        f = FinFn(FinSet(2), FinSet(3), (2, 0))
+        assert hash(f) == hash((f.dom, f.cod, f.table))
+
+    def test_frozen_and_slotted(self):
+        f = FinFn.identity(FinSet(2))
+        for attr in ("table", "_hash"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, attr, ())
+        assert not hasattr(f, "__dict__")
 
 
 class TestCompose:

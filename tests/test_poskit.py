@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -79,6 +80,17 @@ class TestMonotoneMap:
         with pytest.raises(ShapeMismatch):
             MonotoneMap.identity(chain(2)).then(MonotoneMap.identity(chain(3)))
 
+    @pytest.mark.parametrize("table", [(0, 2), (-1, 0), (0,)])
+    def test_table_outside_codomain_or_short(self, table):
+        with pytest.raises(ValueError):
+            MonotoneMap(chain(2), chain(2), table)
+
+    def test_frozen_and_slotted(self):
+        m = MonotoneMap.identity(chain(2))
+        with pytest.raises(FrozenInstanceError):
+            m.table = (0, 0)
+        assert not hasattr(m, "__dict__")
+
 
 class TestCell2:
     def test_equal_maps_hold_both_ways(self):
@@ -148,7 +160,7 @@ class TestMonoPosets:
     def test_broken_tensor_reported_with_witness(self):
         good = powerset_fiber(1)
         # non-monotone tensor: swap the order on the second argument
-        bad = MonoPoset(good.carrier, (1, 0, 0, 1), good.unit)
+        bad = MonoPoset.tabulated(good.carrier, (1, 0, 0, 1), good.unit)
         rep = check_mono_poset(bad)
         assert not rep.passed
         assert any(c.witnesses for c in rep.clauses if not c.passed)
@@ -162,6 +174,40 @@ class TestMonoPosets:
     def test_tensor_map_is_monotone(self):
         assert powerset_fiber(2).tensor_map().is_monotone()
         assert tropical_fiber(1, 2).tensor_map().is_monotone()
+
+    def test_tensor_entry_computed_once_on_first_mul(self):
+        calls = []
+
+        def meet(i, j):
+            calls.append((i, j))
+            return i & j
+
+        m = MonoPoset(subset_lattice(2), meet, 3)
+        assert m.mul(1, 2) == 0 and m.mul(1, 2) == 0
+        assert calls == [(1, 2)]
+        # the whole table is still there to see, each entry computed once
+        assert m.tensor_table == powerset_fiber(2).tensor_table
+        assert len(calls) == 16
+
+    def test_tensor_entry_outside_carrier_rejected_on_mul(self):
+        m = MonoPoset(chain(2), lambda i, j: i + j, 0)
+        assert m.mul(0, 1) == 1
+        with pytest.raises(ValueError):
+            m.mul(1, 1)
+
+    def test_tabulated_shape_checked(self):
+        with pytest.raises(ShapeMismatch):
+            MonoPoset.tabulated(chain(2), (0, 0, 0), 0)
+
+    def test_tropical_tensor_is_pointwise_saturating_sum(self):
+        cap = 3
+        fib = tropical_fiber(2, cap)
+        decode = trop_all_values(2, cap)
+        expect = tuple(
+            trop_index(tuple(trop_add(x, y, cap) for x, y in zip(a, b)), cap)
+            for a in decode for b in decode
+        )
+        assert fib.tensor_table == expect
 
 
 class TestTropical:

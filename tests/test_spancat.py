@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from doctrina.errors import BoundaryMismatch, ClassViolation, ObjMismatch
@@ -26,6 +28,24 @@ def brute_span_count(max_size, nonempty=False):
             for q in range(lo, max_size + 1):
                 total += p ** s * q ** s
     return total
+
+
+class TestSpanValues:
+    def test_equal_spans_built_apart_hash_equal(self, cat):
+        for x in cat.enumerate_spans(1):
+            y = Span(
+                FinFn(x.apex, x.source, tuple(x.left.table)),
+                FinFn(x.apex, x.target, tuple(x.right.table)),
+            )
+            assert y is not x and y == x and hash(y) == hash(x)
+            assert hash(x) == hash((x.left, x.right))
+
+    def test_frozen_and_slotted(self):
+        x = Span.identity(FinSet(2))
+        for attr in ("left", "_hash"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, attr, None)
+        assert not hasattr(x, "__dict__")
 
 
 class TestLooseComposition:
