@@ -49,7 +49,6 @@ from .poskit import (
     product_poset,
     singleton_poset,
     swap_map,
-    trop_add,
     trop_all_values,
     trop_index,
     trop_values,
@@ -221,9 +220,11 @@ class TropicalDoctrine(Doctrine):
 
     def _pair(self, a: FinSet, b: FinSet, p: int, q: int) -> int:
         cap = self.cap
+        inf = cap + 1
         pv = trop_values(p, a.size, cap)
         qv = trop_values(q, b.size, cap)
-        vals = [trop_add(x, y, cap) for x in pv for y in qv]
+        # min(x + y, inf) is trop_add on 0..inf, without a call per entry
+        vals = [min(x + y, inf) for x in pv for y in qv]
         return trop_index(vals, cap)
 
 

@@ -41,7 +41,14 @@ from .doctrine import (
     external_laxator,
     external_unit_map,
 )
-from .poskit import MonotoneMap, leq_maps, map_product, swap_map, singleton_poset
+from .poskit import (
+    MonotoneMap,
+    iso_maps,
+    leq_maps,
+    map_product,
+    singleton_poset,
+    swap_map,
+)
 from .report import Clause, Report
 from .spancat import Span, SpanCell, SpanCategory
 
@@ -66,8 +73,10 @@ class QtCell:
 
 def _qt_cell(top, bottom, left, right) -> QtCell:
     lower, upper = left.then(bottom), top.then(right)
-    holds = leq_maps(lower, upper).holds
-    return QtCell(top, bottom, left, right, holds, lower.table == upper.table)
+    # equal tables hold by reflexivity; only unequal ones need the pointwise pass
+    invertible = iso_maps(lower, upper)
+    holds = invertible or leq_maps(lower, upper).holds
+    return QtCell(top, bottom, left, right, holds, invertible)
 
 
 def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:

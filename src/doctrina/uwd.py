@@ -349,6 +349,8 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
             if pred >> n:
                 raise ValueError(f"system {name}: mask {data} has bits beyond {n} tuples")
         elif semantics == "trop":
+            if not isinstance(data, list):
+                raise ValueError(f"system {name}: cost data {data!r} is not an array")
             inf = cap + 1
             vals = []
             for v in data:

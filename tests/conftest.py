@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from doctrina.finset import trivial_triple, surjection_triple
 from doctrina.doctrine import powerset_doctrine, tropical_doctrine
+
+# The same examples on every run, and no per-example deadline: a case
+# with a large vector may take longer than Hypothesis' 200 ms default.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 import itertools
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
 
 from doctrina.errors import ShapeMismatch
 from doctrina.finset import FinFn, FinSet
@@ -210,6 +210,23 @@ class TestMonoPosets:
         assert fib.tensor_table == expect
 
 
+def digit_loop_index(values, cap):
+    """The codec's reference: one multiply-add per value."""
+    idx = 0
+    for v in values:
+        idx = idx * (cap + 2) + v
+    return idx
+
+
+def digit_loop_values(idx, n, cap):
+    """The codec's reference: one divmod per value, least significant first."""
+    out = []
+    for _ in range(n):
+        idx, v = divmod(idx, cap + 2)
+        out.append(v)
+    return tuple(reversed(out))
+
+
 class TestTropical:
     def test_value_chain_zero_is_top(self):
         p = trop_value_poset(3)
@@ -229,10 +246,42 @@ class TestTropical:
                 trop_add(x, y, cap), trop_add(x, z, cap)
             )
 
-    @given(st.integers(1, 4), st.integers(1, 3), st.data())
-    def test_index_roundtrip(self, cap, n, data):
-        vals = tuple(data.draw(st.integers(0, cap + 1)) for _ in range(n))
-        assert trop_values(trop_index(vals, cap), n, cap) == vals
+    def test_inline_saturating_add_is_trop_add(self):
+        for cap in range(1, 7):
+            for x, y in itertools.product(range(cap + 2), repeat=2):
+                assert min(x + y, cap + 1) == trop_add(x, y, cap)
+
+    def test_index_roundtrip(self):
+        # every length across the leaf, split and encode-loop thresholds,
+        # as a tuple, a list and an iterator
+        for cap in range(1, 7):
+            rng = random.Random(cap)
+            for n in range(301):
+                vals = tuple(rng.randrange(cap + 2) for _ in range(n))
+                idx = digit_loop_index(vals, cap)
+                assert trop_index(vals, cap) == idx
+                assert trop_index(list(vals), cap) == idx
+                assert trop_index(iter(vals), cap) == idx
+                assert trop_values(idx, n, cap) == vals
+                top = (cap + 2) ** n - 1
+                assert trop_values(top, n, cap) == digit_loop_values(top, n, cap)
+
+    @pytest.mark.parametrize("n", [3**8, 3**9])
+    def test_long_vectors_match_digit_loop(self, n):
+        rng = random.Random(n)
+        vals = tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(n))
+        idx = digit_loop_index(vals, 3)
+        assert trop_index(vals, 3) == idx
+        assert trop_values(idx, n, 3) == vals
+
+    @pytest.mark.parametrize(
+        "idx, n", [(-1, 2), (25, 2), (-1, 40), (5**40, 40)],
+        ids=["negative", "past-end", "negative-split", "past-end-split"],
+    )
+    def test_values_reject_index_out_of_range(self, idx, n):
+        # a per-digit loop would wrap: (4, 4) for -1, (0, 0) for 25
+        with pytest.raises(ValueError):
+            trop_values(idx, n, 3)
 
     def test_all_values_table(self):
         assert trop_all_values(2, 1)[0] == (0, 0)

@@ -1,6 +1,9 @@
+import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from doctrina.errors import BoundaryMismatch, ContextMismatch, LabelClash
 from doctrina.finset import FinFn, FinSet, LabelledFinSet, trivial_triple
@@ -322,7 +325,90 @@ class TestOracleAgreement:
             assert functoriality_check(host, filler, trop_sys, d_trop, types).passed
 
 
+class TestLargeQuery:
+    def test_tropical_path_query_against_oracle(self):
+        # k = 5 binary boxes on a path of 6 junctions of domain 3: the
+        # joint predicate has 3**10 = 59,049 entries
+        k, cap = 5, 3
+        types = TypeAssignment({"v": 3})
+        rng = random.Random(5)
+        pair = LabelledFinSet.of("v", "v")
+        boxes = [
+            {t: rng.choice((0, 0, 1, 2, 3, 4)) for t in itertools.product(range(3), repeat=2)}
+            for _ in range(k)
+        ]
+        joint = System(pair, trop_pred(boxes[0], pair, types, cap))
+        for costs in boxes[1:]:
+            box = System(pair, trop_pred(costs, pair, types, cap))
+            joint = tensor_systems(joint, box, D_TROP, types)
+        junctions = LabelledFinSet.of(*["v"] * (k + 1))
+        outer = LabelledFinSet.of("v", "v")
+        w = UwdDiagram(
+            joint.context, junctions, outer,
+            FinFn(joint.context.base, junctions.base,
+                  tuple(j for b in range(k) for j in (b, b + 1))),
+            FinFn(outer.base, junctions.base, (0, k)),
+        )
+        got = evaluate(w, joint, D_TROP, types)
+        # the oracle's joint costs come from the box dicts, not the codec
+        joint_costs = {
+            t: min(sum(boxes[b][t[2 * b:2 * b + 2]] for b in range(k)), cap + 1)
+            for t in itertools.product(range(3), repeat=2 * k)
+        }
+        want = tropical_oracle(w, joint_costs, types, cap)
+        assert trop_costs(got.predicate, outer, types, cap) == want
+        assert len(set(want.values())) > 1
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 9),
+    st.floats(-2, 9, allow_nan=False, allow_infinity=False),
+    st.just("inf"),
+    st.text("0123456789abcdefx-", max_size=3),
+)
+DOMAINS = {"w": 2, "v": 3}
+
+
+@st.composite
+def system_specs(draw):
+    """A system spec whose data is, half the time, a mask or a cost array
+    sized for its context (masks may overflow), and any JSON value or
+    array otherwise."""
+    context = draw(st.lists(st.sampled_from(sorted(DOMAINS)), max_size=2))
+    n = 1
+    for lab in context:
+        n *= DOMAINS[lab]
+    semantics = draw(st.sampled_from(["rel", "trop"]))
+    if not draw(st.booleans()):
+        data = draw(st.one_of(JSON_VALUES, st.lists(JSON_VALUES, max_size=9)))
+    elif semantics == "rel":
+        data = format(draw(st.integers(0, 2**n + 1)), "x")
+    else:
+        data = draw(st.lists(st.one_of(st.integers(0, 6), st.just("inf")),
+                             min_size=n, max_size=n))
+    return {"context": context, "semantics": semantics, "data": data}
+
+
 class TestFileFormat:
+    @given(spec=system_specs())
+    def test_load_corpus_rejects_or_roundtrips(self, spec):
+        def doc(data):
+            return {
+                "labels": sorted(DOMAINS), "domains": DOMAINS, "diagrams": {},
+                "systems": {"x": dict(spec, data=data)},
+            }
+
+        try:
+            corpus = load_corpus(doc(spec["data"]), cap=3)
+        except ValueError:
+            return
+        sys, semantics = corpus.systems["x"]
+        text = format_predicate(sys, semantics, corpus.types, 3)
+        again = load_corpus(doc(text if semantics == "rel" else json.loads(text)), cap=3)
+        assert again.systems["x"][0].predicate == sys.predicate
+
     def test_load_corpus_file(self):
         import pathlib
 
@@ -366,9 +452,12 @@ class TestFileFormat:
             ("trop", [1.5, 1]),  # would truncate to [1, 1]
             ("trop", [True, 1]),
             ("trop", ["1", 1]),
+            ("trop", 5),  # iterating a non-array would raise TypeError
+            ("trop", None),
         ],
         ids=["negative-mask", "mask-overflow", "hex-prefix", "empty-mask",
-             "negative-cost", "fractional-cost", "boolean-cost", "string-cost"],
+             "negative-cost", "fractional-cost", "boolean-cost", "string-cost",
+             "scalar-costs", "null-costs"],
     )
     def test_malformed_data_rejected(self, semantics, data):
         doc = {
