@@ -181,9 +181,9 @@ def cmd_eval(args) -> int:
             expect = uwd.relational_oracle(w, members, corpus.types)
             got = uwd.rel_tuples(result.predicate, result.context, corpus.types)
         else:
-            costs = uwd.trop_costs(system.predicate, system.context, corpus.types, args.k)
+            costs = uwd.trop_costs(system.predicate, system.context, corpus.types)
             expect = uwd.tropical_oracle(w, costs, corpus.types, args.k)
-            got = uwd.trop_costs(result.predicate, result.context, corpus.types, args.k)
+            got = uwd.trop_costs(result.predicate, result.context, corpus.types)
         if got != expect:
             print(f"oracle mismatch: expected {expect!r}, got {got!r}", file=sys.stderr)
             return 3

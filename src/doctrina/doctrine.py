@@ -10,6 +10,12 @@ every function in the right class.  Two concrete instances are provided:
   min-plus chain, substitution is precomposition, quantification takes
   the minimum over each fibre (infinity over an empty fibre).
 
+Fibers, substitution and quantifiers work on carrier indices.  The span
+action ``act`` and the external tensor ``pair_predicate`` work on the
+predicate's own value (a bitmask, a cost tuple), so that evaluation
+never builds a fiber; ``carrier_values``/``carrier_indices`` convert
+between the two.
+
 The checkers at the bottom verify, exhaustively over a finite universe,
 every law the theory demands: functoriality, strong monoidality of
 substitution, the Galois biconditional, comonoidality of the quantifier,
@@ -19,8 +25,9 @@ equalities.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ClassViolation, NotAPullback
 from .finset import (
@@ -51,7 +58,6 @@ from .poskit import (
     swap_map,
     trop_all_values,
     trop_index,
-    trop_values,
     tropical_fiber,
 )
 from .report import Report
@@ -94,21 +100,32 @@ class Doctrine:
             raise ClassViolation(f"no quantifier along {right}: not in R")
         p1 = self.fiber(left.cod).carrier
         p2 = self.fiber(right.cod).carrier
-        table = [self._act(left, right, s) for s in range(p1.size)]
-        return monotone_map(p1, p2, table)
+        images = [self._act(left, right, v) for v in self.carrier_values(left.cod)]
+        return monotone_map(p1, p2, self.carrier_indices(right.cod, images))
 
-    def act(self, left: FinFn, right: FinFn, pred: int) -> int:
-        """Span action on a single predicate; never materialises a fiber,
-        so the feet may be denoted products of arbitrary size."""
+    def act(self, left: FinFn, right: FinFn, pred):
+        """Span action on a single predicate value (see ``carrier_values``);
+        never materialises a fiber, so the feet may be denoted products
+        of arbitrary size."""
         if left.dom != right.dom:
             raise ValueError("span legs must share an apex")
         if not self.triple.right.contains(right):
             raise ClassViolation(f"no quantifier along {right}: not in R")
         return self._act(left, right, pred)
 
-    def pair_predicate(self, a: FinSet, b: FinSet, p: int, q: int) -> int:
-        """The external tensor of two predicates, pointwise."""
+    def pair_predicate(self, a: FinSet, b: FinSet, p, q):
+        """The external tensor of two predicate values, pointwise."""
         return self._pair(a, b, p, q)
+
+    def carrier_values(self, a: FinSet) -> Sequence:
+        """The predicate value of every element of the fiber over ``a``, in
+        carrier order: the values ``act`` and ``pair_predicate`` work on.
+        A subset's element index is its bitmask."""
+        return range(self.fiber(a).carrier.size)
+
+    def carrier_indices(self, a: FinSet, values: list) -> list[int]:
+        """Inverse of ``carrier_values``: the element of each value."""
+        return values
 
     def _make_fiber(self, a: FinSet) -> MonoPoset:
         raise NotImplementedError
@@ -119,15 +136,11 @@ class Doctrine:
     def _make_exists(self, f: FinFn) -> MonotoneMap:
         raise NotImplementedError
 
-    def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
+    def _act(self, left: FinFn, right: FinFn, pred):
         raise NotImplementedError
 
-    def _pair(self, a: FinSet, b: FinSet, p: int, q: int) -> int:
-        fib = self.fiber(product(a, b).prod)
-        return fib.mul(
-            self.subst(product(a, b).pa).table[p],
-            self.subst(product(a, b).pb).table[q],
-        )
+    def _pair(self, a: FinSet, b: FinSet, p, q):
+        raise NotImplementedError
 
 
 class PowersetDoctrine(Doctrine):
@@ -173,6 +186,10 @@ class TropicalDoctrine(Doctrine):
             raise ValueError("cap must be at least 1")
         super().__init__(triple)
         self.cap = cap
+        # min(x + y, cap + 1) is trop_add on 0..cap + 1, tabulated
+        self._add_rows = tuple(
+            tuple(min(x + y, cap + 1) for y in range(cap + 2)) for x in range(cap + 2)
+        )
 
     def _make_fiber(self, a: FinSet) -> MonoPoset:
         return tropical_fiber(a.size, self.cap)
@@ -206,26 +223,29 @@ class TropicalDoctrine(Doctrine):
         )
         return monotone_map(pa, pb, table)
 
-    def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
-        cap = self.cap
-        inf = cap + 1
-        src = trop_values(pred, left.cod.size, cap)
-        vals = [inf] * right.cod.size
-        lt, rt = left.table, right.table
-        for a in range(left.dom.size):
-            v = src[lt[a]]
-            if v < vals[rt[a]]:
-                vals[rt[a]] = v
-        return trop_index(vals, cap)
+    def carrier_values(self, a: FinSet) -> Sequence[tuple[int, ...]]:
+        return trop_all_values(a.size, self.cap)
 
-    def _pair(self, a: FinSet, b: FinSet, p: int, q: int) -> int:
+    def carrier_indices(self, a: FinSet, values: list) -> list[int]:
         cap = self.cap
-        inf = cap + 1
-        pv = trop_values(p, a.size, cap)
-        qv = trop_values(q, b.size, cap)
-        # min(x + y, inf) is trop_add on 0..inf, without a call per entry
-        vals = [min(x + y, inf) for x in pv for y in qv]
-        return trop_index(vals, cap)
+        return [trop_index(v, cap) for v in values]
+
+    def _act(self, left: FinFn, right: FinFn, pred: tuple[int, ...]) -> tuple[int, ...]:
+        vals = [self.cap + 1] * right.cod.size
+        for i, j in zip(left.table, right.table):
+            v = pred[i]
+            if v < vals[j]:
+                vals[j] = v
+        return tuple(vals)
+
+    def _pair(
+        self, a: FinSet, b: FinSet, p: tuple[int, ...], q: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        # row x of the addition table, read at every entry of q, is the
+        # block of the joint under an entry x of p
+        rows = self._add_rows
+        blocks = {x: tuple(map(rows[x].__getitem__, q)) for x in set(p)}
+        return tuple(itertools.chain.from_iterable(map(blocks.__getitem__, p)))
 
 
 def powerset_doctrine(triple: AdequateTriple) -> PowersetDoctrine:

@@ -426,19 +426,19 @@ def search_offdomain_witness(pdot: PDot, max_size: int) -> str | None:
     images = {x: pdot.loose_image(x) for x in spans}
     for x in spans:
         imx = images[x]
+        xs, xt = d.carrier_values(x.source), d.carrier_values(x.target)
         for y in spans:
             if pdot.laxator_domain(x, y):
                 continue
             imy = images[y]
+            ys, yt = d.carrier_values(y.source), d.carrier_values(y.target)
             big = product_span(x, y)
             for s in range(imx.dom.size):
-                ims = imx.table[s]
+                ims = xt[imx.table[s]]
                 for t in range(imy.dom.size):
-                    joint = d.pair_predicate(x.source, y.source, s, t)
+                    joint = d.pair_predicate(x.source, y.source, xs[s], ys[t])
                     lhs = d.act(big.left, big.right, joint)
-                    rhs = d.pair_predicate(
-                        x.target, y.target, ims, imy.table[t]
-                    )
+                    rhs = d.pair_predicate(x.target, y.target, ims, yt[imy.table[t]])
                     if lhs != rhs:
                         return f"{x} , {y} at ({s}, {t})"
     return None

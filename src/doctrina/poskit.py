@@ -372,13 +372,11 @@ def trop_carrier(n: int, cap: int) -> Poset:
 
 
 # The codec: an index is the base-(cap + 2) numeral of its values, first
-# slot most significant.  Decode reads leaves of ``_leaf_width(cap)``
-# digits from ``trop_all_values(width, cap)``, the widest table of at most
-# _LEAF_ROWS rows (3,125 rows of five digits at cap 3).  Encode takes
-# one multiply-add per value up to _LOOP_DIGITS values, where that
-# quadratic loop is still the faster one (measured at cap 3).
+# slot most significant.  Only the law suites use it, on fibers over
+# small sets; evaluation carries cost tuples.  Decoding up to
+# ``_leaf_width(cap)`` values is one lookup in ``trop_all_values``, whose
+# table has at most _LEAF_ROWS rows (3,125 rows of five values at cap 3).
 _LEAF_ROWS = 4096
-_LOOP_DIGITS = 400
 
 
 @lru_cache(maxsize=None)
@@ -390,84 +388,38 @@ def _leaf_width(cap: int) -> int:
     return width
 
 
-@lru_cache(maxsize=None)
-def _radix(cap: int, digits: int) -> int:
-    return (cap + 2) ** digits
-
-
 def trop_index(values, cap: int) -> int:
-    """Row-major index of a value tuple, first slot most significant.
-
-    An iterator, or a sequence of at most _LOOP_DIGITS values, takes one
-    multiply-add per value.  A longer sequence is combined in adjacent
-    pairs, level by level from the least significant end, at radix
-    (cap + 2) ** 2**level: O(M(N) log N) for N digits, with M CPython's
-    Karatsuba multiplication, instead of N^2.
-    """
+    """Row-major index of a value tuple, first slot most significant."""
     base = cap + 2
-    if not hasattr(values, "__len__") or len(values) <= _LOOP_DIGITS:
-        idx = 0
-        for v in values:
-            idx = idx * base + v
-        return idx
-    groups = list(values)
-    digits = 1
-    while len(groups) > 1:
-        radix = _radix(cap, digits)
-        odd = len(groups) % 2  # an unpaired group stays most significant
-        groups[odd:] = [
-            hi * radix + lo for hi, lo in zip(groups[odd::2], groups[odd + 1::2])
-        ]
-        digits *= 2
-    return groups[0]
+    idx = 0
+    for v in values:
+        idx = idx * base + v
+    return idx
 
 
 def trop_values(idx: int, n: int, cap: int) -> tuple[int, ...]:
-    """The n values whose ``trop_index`` is ``idx``.
-
-    Up to one leaf (n <= ``_leaf_width(cap)``) this is one lookup in
-    ``trop_all_values(n, cap)``.  A longer index is split by ``divmod``
-    into halves of width * 2**level digits, level by level, and each leaf
-    is looked up in the leaf table: N / width lookups, and divisions
-    costing about twice the top split.  That is still quadratic in
-    CPython 3.11, but in 30-bit machine words (about 13 digits each at
-    cap 3), where a divmod per value would cost N times the index's words.
-    Raises ``ValueError`` for ``idx`` outside ``[0, (cap + 2) ** n)``.
-    """
-    width = _leaf_width(cap)
-    if n <= width:
+    """The n values whose ``trop_index`` is ``idx``: one lookup in
+    ``trop_all_values(n, cap)`` up to ``_leaf_width(cap)`` values, one
+    ``divmod`` per value beyond.  Raises ``ValueError`` for ``idx``
+    outside ``[0, (cap + 2) ** n)``."""
+    base = cap + 2
+    if n <= _leaf_width(cap):
         table = trop_all_values(n, cap)
         if not 0 <= idx < len(table):
             raise ValueError(f"index {idx} outside the {len(table)} values of {n} slots")
         return table[idx]
-    counts = [-(-n // width)]  # groups per level, leaves first
-    while counts[-1] > 1:
-        counts.append((counts[-1] + 1) // 2)
-    counts.pop()
-    groups = [idx]
-    while counts:
-        odd = counts.pop() % 2  # an unpaired group stays most significant
-        radix = _radix(cap, width << len(counts))
-        split = groups[:odd]
-        for g in groups[odd:]:
-            split.extend(divmod(g, radix))
-        groups = split
-    # the most significant leaf is the quotient of idx by the radix of all
-    # the other leaves, so it alone carries the range check
-    top = trop_all_values(n - (len(groups) - 1) * width, cap)
-    if not 0 <= groups[0] < len(top):
-        raise ValueError(f"index outside the {cap + 2}**{n} values of {n} slots")
-    leaf = trop_all_values(width, cap)
-    return top[groups[0]] + tuple(
-        itertools.chain.from_iterable(leaf[g] for g in groups[1:])
-    )
+    if not 0 <= idx < base**n:
+        raise ValueError(f"index outside the {base}**{n} values of {n} slots")
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        idx, out[i] = divmod(idx, base)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def trop_all_values(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
     """Decoded value tuples for every carrier index, in index order (the
-    row-major order of ``itertools.product``); also the codec's leaf
-    table."""
+    row-major order of ``itertools.product``)."""
     return tuple(itertools.product(range(cap + 2), repeat=n))
 
 

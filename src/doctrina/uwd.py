@@ -9,8 +9,12 @@ that evaluation does not care whether you nest first or evaluate first.
 
 Value domains for the port types are supplied by a ``TypeAssignment``;
 contexts denote as row-major products with port 0 most significant.
-Relational predicates travel as subset bitmasks (hex in files), cost
-predicates as arrays over the denoted product ("inf" for infinity).
+A system carries its predicate as the doctrine's own value: a relational
+predicate is an ``int`` subset bitmask, a min-plus predicate a
+``tuple`` of costs over the denoted product (``cap + 1`` for infinity).
+Files carry the same data as a hex mask or a cost array with "inf".
+Nothing on the evaluation path encodes a predicate as an element index
+of a fiber; only the law suites do (``Doctrine.carrier_indices``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Iterable, Mapping
 
 from .errors import BoundaryMismatch, ContextMismatch, LabelClash
 from .finset import FinFn, FinSet, LabelledFinSet, compose, pushout
-from .poskit import trop_index, trop_values
 from .doctrine import Doctrine
 from .report import Report
 
@@ -78,13 +81,24 @@ def reindex(
     types: TypeAssignment,
 ) -> FinFn:
     """The value-level map induced by a port map src -> dst, running
-    contravariantly from assignments on dst to assignments on src."""
-    dden, sden = denote(dst, types), denote(src, types)
-    table = []
-    for j in range(dden.size):
-        vals = index_tuple(j, dst, types)
-        table.append(tuple_index((vals[ports.table[p]] for p in range(src.base.size)), src, types))
-    return FinFn(dden, sden, tuple(table))
+    contravariantly from assignments on dst to assignments on src.
+
+    An assignment v on dst goes to the src index sum over src ports p of
+    v[ports(p)] * stride(p), where stride(p) is the product of the
+    domains of the src ports after p.  Grouped by dst port, port j adds
+    v[j] times the summed strides of the src ports on it, so the table is
+    built by expanding those terms row-major over the dst ports."""
+    sizes = [types.size(lab) for lab in dst.labels]
+    strides = [0] * len(sizes)
+    stride = 1
+    for p in reversed(range(src.base.size)):
+        strides[ports.table[p]] += stride
+        stride *= types.size(src.labels[p])
+    table = [0]
+    for n, c in zip(sizes, strides):
+        offsets = [v * c for v in range(n)]
+        table = [t + o for t in table for o in offsets]
+    return FinFn(denote(dst, types), FinSet(stride), tuple(table))
 
 
 @dataclass(frozen=True)
@@ -127,10 +141,11 @@ def identity_diagram(ctx: LabelledFinSet) -> UwdDiagram:
 
 @dataclass
 class System:
-    """A context plus a predicate index in the fiber over its denotation."""
+    """A context plus a predicate over its denotation, as the doctrine's
+    value: a subset bitmask (relational) or a cost tuple (min-plus)."""
 
     context: LabelledFinSet
-    predicate: int
+    predicate: int | tuple[int, ...]
 
 
 def evaluate(w: UwdDiagram, sys: System, d: Doctrine, types: TypeAssignment) -> System:
@@ -237,24 +252,20 @@ def rel_mask(tuples: Iterable[tuple], ctx: LabelledFinSet, types: TypeAssignment
 
 
 def trop_costs(
-    index: int, ctx: LabelledFinSet, types: TypeAssignment, cap: int
+    values: tuple[int, ...], ctx: LabelledFinSet, types: TypeAssignment
 ) -> dict[tuple, int]:
-    n = denote(ctx, types).size
-    values = trop_values(index, n, cap)
-    return {
-        index_tuple(i, ctx, types): values[i] for i in range(n)
-    }
+    return dict(zip(all_tuples(ctx, types), values, strict=True))
 
 
 def trop_pred(
     costs: Mapping[tuple, int], ctx: LabelledFinSet, types: TypeAssignment, cap: int
-) -> int:
+) -> tuple[int, ...]:
     inf = cap + 1
     n = denote(ctx, types).size
     values = [inf] * n
     for t, v in costs.items():
         values[tuple_index(t, ctx, types)] = min(v, inf)
-    return trop_index(values, cap)
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +312,11 @@ class Corpus:
     systems: dict[str, tuple[System, str]]  # name -> (system, semantics)
 
 
-def _labelled(labels: list, types: TypeAssignment) -> LabelledFinSet:
+def _labelled(labels: list, types: TypeAssignment, what: str) -> LabelledFinSet:
+    """A label list from a file; a string is not one (``"wv"`` would read
+    as the labels ``w``, ``v``)."""
+    if not isinstance(labels, list):
+        raise ValueError(f"{what} {json.dumps(labels)} is not a list of labels")
     for lab in labels:
         types.size(lab)  # raises on unknown labels
     return LabelledFinSet(FinSet(len(labels)), tuple(labels))
@@ -329,16 +344,22 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
 
     diagrams: dict[str, UwdDiagram] = {}
     for name, spec in doc.get("diagrams", {}).items():
-        inner = _labelled(spec["inner"], types)
-        junctions = _labelled(spec["junctions"], types)
-        outer = _labelled(spec["outer"], types)
-        f = FinFn(inner.base, junctions.base, tuple(spec["f"]))
-        g = FinFn(outer.base, junctions.base, tuple(spec["g"]))
-        diagrams[name] = UwdDiagram(inner, junctions, outer, f, g)
+        inner = _labelled(spec["inner"], types, f"diagram {name}: inner")
+        junctions = _labelled(spec["junctions"], types, f"diagram {name}: junctions")
+        outer = _labelled(spec["outer"], types, f"diagram {name}: outer")
+        legs = []
+        for leg, ports in (("f", inner), ("g", outer)):
+            table = spec[leg]
+            if not isinstance(table, list) or any(type(j) is not int for j in table):
+                raise ValueError(
+                    f"diagram {name}: {leg} {json.dumps(table)} is not a list of junctions"
+                )
+            legs.append(FinFn(ports.base, junctions.base, tuple(table)))
+        diagrams[name] = UwdDiagram(inner, junctions, outer, *legs)
 
     systems: dict[str, tuple[System, str]] = {}
     for name, spec in doc.get("systems", {}).items():
-        ctx = _labelled(spec["context"], types)
+        ctx = _labelled(spec["context"], types, f"system {name}: context")
         semantics = spec["semantics"]
         data = spec["data"]
         n = denote(ctx, types).size
@@ -364,7 +385,7 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
                     )
             if len(vals) != n:
                 raise ValueError(f"system {name}: expected {n} costs, got {len(vals)}")
-            pred = trop_index(vals, cap)
+            pred = tuple(vals)
         else:
             raise ValueError(f"system {name}: unknown semantics {semantics!r}")
         systems[name] = (System(ctx, pred), semantics)
@@ -380,6 +401,4 @@ def format_predicate(sys: System, semantics: str, types: TypeAssignment, cap: in
     """Render a result the way files carry it: hex mask or cost array."""
     if semantics == "rel":
         return format(sys.predicate, "x")
-    n = denote(sys.context, types).size
-    vals = trop_values(sys.predicate, n, cap)
-    return json.dumps(["inf" if v > cap else v for v in vals])
+    return json.dumps(["inf" if v > cap else v for v in sys.predicate])

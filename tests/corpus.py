@@ -3,7 +3,6 @@
 import random
 
 from doctrina.finset import FinFn, FinSet, LabelledFinSet
-from doctrina.poskit import trop_index
 from doctrina.uwd import System, TypeAssignment, UwdDiagram, denote
 
 LABELS = ("a", "b", "c")
@@ -58,8 +57,7 @@ def random_rel_system(rng: random.Random, ctx, types) -> System:
 
 def random_trop_system(rng: random.Random, ctx, types, cap: int) -> System:
     n = denote(ctx, types).size
-    vals = [rng.randint(0, cap + 1) for _ in range(n)]
-    return System(ctx, trop_index(vals, cap))
+    return System(ctx, tuple(rng.randint(0, cap + 1) for _ in range(n)))
 
 
 def build_corpus(seed: int = 20250809, singles: int = 30, pairs: int = 15, cap: int = 3):

@@ -228,9 +228,9 @@ def test_criterion_09_uwd_corpus(verdict):
         rel_checked += 1
         got_t = evaluate(w, trop_sys, d_trop, types)
         want_t = tropical_oracle(
-            w, trop_costs(trop_sys.predicate, w.inner, types, 3), types, 3
+            w, trop_costs(trop_sys.predicate, w.inner, types), types, 3
         )
-        assert trop_costs(got_t.predicate, got_t.context, types, 3) == want_t
+        assert trop_costs(got_t.predicate, got_t.context, types) == want_t
         trop_checked += 1
     for types, host, filler, rel_sys, trop_sys in nested:
         d_rel = powerset_doctrine(trivial_triple(3))

@@ -71,6 +71,41 @@ class TestEval:
         assert out == ""
         assert "not a hex mask" in err
 
+    def test_context_string_exit_2(self, capsys, tmp_path):
+        doc = json.loads((DATA / "uwd_corpus.json").read_text())
+        doc["systems"]["diagonal-pair"]["context"] = "ww"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run_main(
+            ["eval", "--input", str(bad), "--diagram", "identity-pair",
+             "--system", "diagonal-pair"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert "not a list of labels" in err
+
+    def test_costs_above_254_pass_through(self, capsys, tmp_path):
+        # cost vectors carry plain ints: a cap of 300 is no bound; output
+        # recorded from the integer-index implementation
+        doc = {
+            "labels": ["w"], "domains": {"w": 2},
+            "diagrams": {"swap": {"inner": ["w", "w"], "junctions": ["w", "w"],
+                                  "outer": ["w", "w"], "f": [0, 1], "g": [1, 0]}},
+            "systems": {"costs": {"context": ["w", "w"], "semantics": "trop",
+                                  "data": [280, 299, 260, 500]}},
+        }
+        path = tmp_path / "cap300.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_main(
+            ["eval", "--input", str(path), "--diagram", "swap", "--system", "costs",
+             "--k", "300", "--check"],
+            capsys,
+        )
+        assert rc == 0
+        assert json.loads(out) == [280, 260, 299, "inf"]
+        assert "oracle: match" in err
+
     def test_unknown_diagram_exit_2(self, capsys):
         rc, _, _ = run_main(
             ["eval", "--input", CORPUS, "--diagram", "nope", "--system",

@@ -6,6 +6,7 @@ from doctrina.finset import (
     FinSet,
     finsets,
     functions,
+    product,
     surjection_triple,
     trivial_triple,
 )
@@ -196,17 +197,23 @@ class TestExternalMonoidal:
         assert external_unit(trop2) == 0  # the zero cost
 
     def test_pair_predicate_matches_laxator(self, pow2, trop2, trop2k3):
-        # uwd.tensor_systems tensors through pair_predicate, the law suites
-        # through external_laxator: the two must agree entry for entry
+        # uwd.tensor_systems tensors values through pair_predicate, the law
+        # suites carrier indices through external_laxator: the two must
+        # agree entry for entry across carrier_values/carrier_indices
         for d in (pow2, trop2, trop2k3):
             for a in finsets(2):
                 for b in finsets(2):
                     mu = external_laxator(d, a, b)
-                    na = d.fiber(a).carrier.size
-                    nb = d.fiber(b).carrier.size
-                    for p in range(na):
-                        for q in range(nb):
-                            assert d.pair_predicate(a, b, p, q) == mu.table[p * nb + q]
+                    va, vb = d.carrier_values(a), d.carrier_values(b)
+                    joints = [d.pair_predicate(a, b, p, q) for p in va for q in vb]
+                    assert d.carrier_indices(product(a, b).prod, joints) == list(mu.table)
+
+    def test_carrier_indices_invert_values(self, pow2, trop2, trop2k3):
+        for d in (pow2, trop2, trop2k3):
+            for a in finsets(3):
+                values = list(d.carrier_values(a))
+                assert len(values) == d.fiber(a).carrier.size
+                assert d.carrier_indices(a, values) == list(range(len(values)))
 
 
 class TestDoctrineSuite:

@@ -22,6 +22,7 @@ from doctrina.uwd import (
     index_tuple,
     load_corpus,
     load_corpus_file,
+    reindex,
     rel_mask,
     rel_tuples,
     relational_oracle,
@@ -114,7 +115,7 @@ class TestEvaluate:
                         costs[(x, y, y2, z)] = min(r + s, 4)
         pred = trop_pred(costs, w.inner, TYPES, 3)
         out = evaluate(w, System(w.inner, pred), D_TROP, TYPES)
-        got = trop_costs(out.predicate, out.context, TYPES, 3)
+        got = trop_costs(out.predicate, out.context, TYPES)
         assert got[(0, 0)] == 3
         assert all(v == 4 for t, v in got.items() if t != (0, 0))
 
@@ -271,7 +272,7 @@ class TestFunctoriality:
         }
         pred = trop_pred(costs, w.inner, TYPES, 3)
         out = evaluate(w, System(w.inner, pred), D_TROP, TYPES)
-        got = trop_costs(out.predicate, out.context, TYPES, 3)
+        got = trop_costs(out.predicate, out.context, TYPES)
         for x in range(2):
             for z in range(2):
                 want = min(min(r[x][y] + s[y][z] for y in range(2)), 4)
@@ -302,6 +303,45 @@ class TestMonoidality:
         assert joint.predicate == separate.predicate
 
 
+def reindex_by_entry(ports, src, dst, types) -> FinFn:
+    """``reindex`` by its definition: decode each dst assignment, read the
+    value of every src port's junction, encode."""
+    table = []
+    for j in range(denote(dst, types).size):
+        vals = index_tuple(j, dst, types)
+        table.append(tuple_index([vals[k] for k in ports.table], src, types))
+    return FinFn(denote(dst, types), denote(src, types), tuple(table))
+
+
+@st.composite
+def port_maps(draw):
+    """A label-preserving port map src -> dst over domains 0..3: ports may
+    share a junction, and junctions may be hit by no port."""
+    domains = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    types = TypeAssignment({f"t{i}": n for i, n in enumerate(domains)})
+    dst = draw(st.lists(st.sampled_from(sorted(types.domains)), max_size=4))
+    table = draw(st.lists(st.integers(0, len(dst) - 1), max_size=5)) if dst else []
+    src = LabelledFinSet.of(*(dst[j] for j in table))
+    dst = LabelledFinSet.of(*dst)
+    return FinFn(src.base, dst.base, tuple(table)), src, dst, types
+
+
+class TestReindex:
+    @given(case=port_maps())
+    def test_strides_match_entry_definition(self, case):
+        assert reindex(*case) == reindex_by_entry(*case)
+
+    def test_repeated_and_unhit_junctions(self):
+        # ports 0 and 2 share junction 1; junction 0 (domain 3) is unhit
+        types = TypeAssignment({"w": 2, "v": 3})
+        dst = LabelledFinSet.of("v", "w", "v")
+        src = LabelledFinSet.of("w", "v", "w")
+        case = (FinFn(src.base, dst.base, (1, 2, 1)), src, dst, types)
+        got = reindex(*case)
+        assert got == reindex_by_entry(*case)
+        assert got.table == (0, 2, 4, 7, 9, 11) * 3  # junction 0 changes nothing
+
+
 class TestOracleAgreement:
     def test_corpus_relational_and_tropical(self):
         single, nested = build_corpus(singles=12, pairs=6)
@@ -315,9 +355,9 @@ class TestOracleAgreement:
             assert rel_tuples(got.predicate, got.context, types) == want
             got_t = evaluate(w, trop_sys, d_trop, types)
             want_t = tropical_oracle(
-                w, trop_costs(trop_sys.predicate, w.inner, types, 3), types, 3
+                w, trop_costs(trop_sys.predicate, w.inner, types), types, 3
             )
-            assert trop_costs(got_t.predicate, got_t.context, types, 3) == want_t
+            assert trop_costs(got_t.predicate, got_t.context, types) == want_t
         for types, host, filler, rel_sys, trop_sys in nested:
             d_rel = powerset_doctrine(trivial_triple(3))
             d_trop = tropical_doctrine(trivial_triple(3), 3)
@@ -356,7 +396,7 @@ class TestLargeQuery:
             for t in itertools.product(range(3), repeat=2 * k)
         }
         want = tropical_oracle(w, joint_costs, types, cap)
-        assert trop_costs(got.predicate, outer, types, cap) == want
+        assert trop_costs(got.predicate, outer, types) == want
         assert len(set(want.values())) > 1
 
 
@@ -430,6 +470,36 @@ class TestFileFormat:
     def test_missing_domain_rejected(self):
         with pytest.raises(ValueError):
             load_corpus({"labels": ["w"], "domains": {}})
+
+    @pytest.mark.parametrize("field", ["context", "inner", "junctions", "outer"])
+    def test_label_string_rejected(self, field):
+        # "wv" must not load as the labels w, v
+        doc = {
+            "labels": ["w", "v"], "domains": {"w": 2, "v": 3},
+            "diagrams": {"d": {"inner": ["w", "v"], "junctions": ["w", "v"],
+                               "outer": ["w", "v"], "f": [0, 1], "g": [0, 1]}},
+            "systems": {"x": {"context": ["w", "v"], "semantics": "rel", "data": "1"}},
+        }
+        load_corpus(doc)
+        spec = doc["systems"]["x"] if field == "context" else doc["diagrams"]["d"]
+        spec[field] = "wv"
+        with pytest.raises(ValueError, match="not a list of labels"):
+            load_corpus(doc)
+
+    @pytest.mark.parametrize(
+        "field, table", [("f", "01"), ("g", [0.0]), ("f", None)],
+        ids=["string-f", "float-g", "null-f"],
+    )
+    def test_port_map_not_int_list_rejected(self, field, table):
+        doc = {
+            "labels": ["w"], "domains": {"w": 2},
+            "diagrams": {"d": {"inner": ["w", "w"], "junctions": ["w", "w"],
+                               "outer": ["w"], "f": [0, 1], "g": [0]}},
+        }
+        load_corpus(doc)
+        doc["diagrams"]["d"][field] = table
+        with pytest.raises(ValueError, match="not a list of junctions"):
+            load_corpus(doc)
 
     def test_cost_array_length_checked(self):
         doc = {
