@@ -90,7 +90,10 @@ def load_triple_file(path: str) -> AdequateTriple:
 
 def _resolve_triple(args) -> AdequateTriple:
     if getattr(args, "triple_file", None):
-        return load_triple_file(args.triple_file)
+        triple = load_triple_file(args.triple_file)
+        # the adequacy check enumerates up to the file's own universe
+        _guard("triple-file universe", triple.universe, args.force)
+        return triple
     return TRIPLES[args.triple](max(args.max_size, 1))
 
 
@@ -120,12 +123,16 @@ def _emit(report: Report, args) -> None:
         print(payload)
 
 
-def _guard_size(args) -> None:
-    if args.max_size > MAX_UNGUARDED_SIZE and not args.force:
+def _guard(what: str, size: int, force: bool) -> None:
+    if size > MAX_UNGUARDED_SIZE and not force:
         raise ValueError(
-            f"max-size {args.max_size} above the cost guard "
+            f"{what} {size} above the cost guard "
             f"({MAX_UNGUARDED_SIZE}); rerun with --force"
         )
+
+
+def _guard_size(args) -> None:
+    _guard("max-size", args.max_size, args.force)
     if args.max_size < 1:
         raise ValueError("max-size must be at least 1")
 
@@ -211,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--summary", action="store_true",
                        help="print a human table instead of JSONL")
         p.add_argument("--force", action="store_true",
-                       help="allow max-size beyond the cost guard")
+                       help="allow max-size or a triple-file universe "
+                            "beyond the cost guard")
 
     pv = sub.add_parser("verify", help="run the law suites")
     common(pv)

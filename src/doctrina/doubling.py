@@ -15,7 +15,11 @@ The loose functoriality clause (``compositor``) is quantifier-
 substitution commutation in disguise, and the laxator-commuter clause is
 the projection formula in disguise; both are checked as outright map
 equalities on the domains where the theory guarantees them, and recorded
-as empirical verdicts outside those domains.
+as empirical verdicts outside those domains.  The symmetry clause is the
+image of the square that swaps the factors of a product span, so it
+rests on the span action; identities that hold whatever the doctrine
+(swap naturality, strict units of span composition) are tested with
+the layer that makes them true.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ from .errors import NonFunctorial, NotAPullback
 from .finset import (
     FinFn,
     FinSet,
-    all_functions,
     compose,  # noqa: F401  (perfbench's tracer tests patch this binding)
     fn_product,
     product,
+    swap_fn,
     terminal,
 )
 from .doctrine import (
@@ -47,7 +51,6 @@ from .poskit import (
     leq_maps,
     map_product,
     singleton_poset,
-    swap_map,
 )
 from .report import Clause, Report
 from .spancat import Span, SpanCell, SpanCategory
@@ -194,11 +197,15 @@ class PDot:
         return _qt_cell(top, bottom, i0, i0)
 
     def symmetry_cell(self, x: Span, y: Span) -> QtCell:
-        top = map_product(self.loose_image(x), self.loose_image(y))
-        bottom = map_product(self.loose_image(y), self.loose_image(x))
-        left = swap_map(self.loose_image(x).dom, self.loose_image(y).dom)
-        right = swap_map(self.loose_image(x).cod, self.loose_image(y).cod)
-        return _qt_cell(top, bottom, left, right)
+        """The image of the span symmetry square: ``L(y ⊗ x)`` against
+        ``L(x ⊗ y)``, joined by substitution along the swaps of the feet.
+        A symmetric lax functor makes it ``invertible``."""
+        return _qt_cell(
+            top=self.loose_image(product_span(y, x)),
+            bottom=self.loose_image(product_span(x, y)),
+            left=self.d.subst(swap_fn(x.source, y.source)),
+            right=self.d.subst(swap_fn(x.target, y.target)),
+        )
 
 
 def mu_proof_squares(x: Span, y: Span) -> list[PullbackSquare]:
@@ -240,11 +247,14 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     ``check_doctrine``.  Pasting cells needs no clause of its own: a
     vertically pasted image has composites of tight images for its sides
     (``doctrine.subst-compose``), a horizontally pasted one composites of
-    loose images (``pdot.compositor``).  Map-level clauses (unitors,
-    laxator unitality, symmetry naturality) scale with ``max_size``.  The
-    clauses quadratic in spans or cells run over the universe at
-    ``min(max_size, 2)``, which is the bound at which those properties
-    are stated; each such clause carries the bound in a note.
+    loose images (``pdot.compositor``).  Only laws some doctrine can fail
+    are clauses: strict units of loose composition (pullback along an
+    identity) and swap naturality (``map_product`` and ``swap_map``) hold
+    for any doctrine and are tested with ``spancat`` and ``poskit``.  The
+    map-level clauses (unitor, laxator unitality) scale with
+    ``max_size``.  The clauses quadratic in spans or cells run over the
+    universe at ``min(max_size, 2)``, which is the bound at which those
+    properties are stated; each such clause carries the bound in a note.
     """
     rep = Report()
     d = pdot.d
@@ -252,7 +262,6 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     pair_bound = min(max_size, 2)
     spans = list(cat.enumerate_spans(pair_bound))
     objs = list(cat.objects(max_size))
-    fns = list(all_functions(max_size, pdot.triple.nonempty_only))
 
     unitor = rep.clause("pdot.unitor", "identity spans map to identity maps")
     for a in objs:
@@ -285,14 +294,6 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
             rhs = pdot.loose_image(pdot.composite(x, pdot.composite(y, z)))
             _check(assoc, lhs == rhs,
                    lambda: f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
-
-    unital = rep.clause(
-        "pdot.double-unital", "identity spans are strict units for composition"
-    )
-    for x in spans:
-        left_unit = cat.loose_compose(Span.identity(x.source), x)
-        right_unit = cat.loose_compose(x, Span.identity(x.target))
-        _check(unital, left_unit == x and right_unit == x, lambda: f"{x}")
 
     # A cell's induced square depends only on its boundary (the apex map
     # never enters the image), so each distinct boundary is checked once.
@@ -344,7 +345,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
             qt = pdot.laxator_cell(Span.identity(a), Span.identity(b))
             mu = external_laxator(d, a, b)
             lax_unit.check(
-                qt.invertible and qt.left == mu and qt.top.then(qt.right) == mu,
+                qt.invertible and qt.top.then(qt.right) == mu,
                 f"A={a.size} B={b.size}",
             )
 
@@ -399,16 +400,6 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         for y in spans:
             qt = pdot.symmetry_cell(x, y)
             _verdict(sym_c, qt.invertible, qt, lambda: f"{x} , {y}")
-
-    sym_nat = rep.clause(
-        "pdot.symmetry-naturality", "swapping factors is natural in both slots"
-    )
-    for f in fns:
-        for g in fns:
-            pf, pg = d.subst(f), d.subst(g)
-            lhs = map_product(pf, pg).then(swap_map(pf.cod, pg.cod))
-            rhs = swap_map(pf.dom, pg.dom).then(map_product(pg, pf))
-            sym_nat.check(lhs == rhs, f"f={f} g={g}")
 
     return rep
 

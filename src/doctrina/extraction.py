@@ -21,7 +21,6 @@ from .finset import (
     diagonal,
     finsets,
     fn_product,
-    terminal,
 )
 from .doctrine import (
     Doctrine,
@@ -217,8 +216,4 @@ def roundtrip(d: Doctrine, max_size: int) -> Report:
         direct = check_frobenius(d, f)
         fro.check(via.passed == direct.passed and via.passed, f"f={f}")
 
-    ext = rep.clause(
-        "roundtrip.unit-object", "the external unit is the terminal fiber's unit"
-    )
-    ext.check(q.unit0() == d.fiber(terminal()).unit, "unit")
     return rep

@@ -211,10 +211,6 @@ def product(a: FinSet, b: FinSet) -> Product:
     return Product(prod, pa, pb)
 
 
-def pair_index(i: int, j: int, b: FinSet) -> int:
-    return i * b.size + j
-
-
 @lru_cache(maxsize=None)
 def fn_product(f: FinFn, g: FinFn) -> FinFn:
     """The map f x g between row-major products."""
@@ -353,15 +349,6 @@ class AdequateTriple:
 
     def objects(self) -> Iterator[FinSet]:
         return finsets(self.universe, self.nonempty_only)
-
-    def maps(self, a: FinSet, b: FinSet) -> Iterator[FinFn]:
-        return functions(a, b)
-
-    def left_maps(self, a: FinSet, b: FinSet) -> Iterator[FinFn]:
-        return (f for f in functions(a, b) if self.left.contains(f))
-
-    def right_maps(self, a: FinSet, b: FinSet) -> Iterator[FinFn]:
-        return (f for f in functions(a, b) if self.right.contains(f))
 
 
 def trivial_triple(universe: int = 3) -> AdequateTriple:

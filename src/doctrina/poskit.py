@@ -318,10 +318,6 @@ def powerset_fiber(n: int) -> MonoPoset:
     return MonoPoset(carrier, operator.and_, carrier.size - 1)
 
 
-def subset_elements(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if (mask >> i) & 1)
-
-
 def preimage_mask(f: FinFn, mask: int) -> int:
     out = 0
     for a, b in enumerate(f.table):
@@ -373,19 +369,7 @@ def trop_carrier(n: int, cap: int) -> Poset:
 
 # The codec: an index is the base-(cap + 2) numeral of its values, first
 # slot most significant.  Only the law suites use it, on fibers over
-# small sets; evaluation carries cost tuples.  Decoding up to
-# ``_leaf_width(cap)`` values is one lookup in ``trop_all_values``, whose
-# table has at most _LEAF_ROWS rows (3,125 rows of five values at cap 3).
-_LEAF_ROWS = 4096
-
-
-@lru_cache(maxsize=None)
-def _leaf_width(cap: int) -> int:
-    base = cap + 2
-    width = 1
-    while base ** (width + 1) <= _LEAF_ROWS:
-        width += 1
-    return width
+# small sets; evaluation carries cost tuples.
 
 
 def trop_index(values, cap: int) -> int:
@@ -398,16 +382,10 @@ def trop_index(values, cap: int) -> int:
 
 
 def trop_values(idx: int, n: int, cap: int) -> tuple[int, ...]:
-    """The n values whose ``trop_index`` is ``idx``: one lookup in
-    ``trop_all_values(n, cap)`` up to ``_leaf_width(cap)`` values, one
-    ``divmod`` per value beyond.  Raises ``ValueError`` for ``idx``
-    outside ``[0, (cap + 2) ** n)``."""
+    """The n values whose ``trop_index`` is ``idx``, one ``divmod`` per
+    value.  Raises ``ValueError`` for ``idx`` outside
+    ``[0, (cap + 2) ** n)``."""
     base = cap + 2
-    if n <= _leaf_width(cap):
-        table = trop_all_values(n, cap)
-        if not 0 <= idx < len(table):
-            raise ValueError(f"index {idx} outside the {len(table)} values of {n} slots")
-        return table[idx]
     if not 0 <= idx < base**n:
         raise ValueError(f"index outside the {base}**{n} values of {n} slots")
     out = [0] * n

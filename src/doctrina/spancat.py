@@ -115,18 +115,15 @@ class SpanCell:
         return SpanCell(Span.identity(f.dom), Span.identity(f.cod), f, f, f)
 
 
-class CompanionData(NamedTuple):
+class SnakeData(NamedTuple):
+    """The companion (``companion``) or conjoint of a tight arrow: its
+    one-legged span with the unit and counit cells."""
+
     tight: FinFn
     span: Span
     unit: SpanCell
     counit: SpanCell
-
-
-class ConjointData(NamedTuple):
-    tight: FinFn
-    span: Span
-    unit: SpanCell
-    counit: SpanCell
+    companion: bool
 
 
 class SpanCategory:
@@ -190,7 +187,7 @@ class SpanCategory:
 
     # -- companions and conjoints --------------------------------------
 
-    def companion_of(self, f: FinFn) -> CompanionData:
+    def companion_of(self, f: FinFn) -> SnakeData:
         if not self.triple.left.contains(f):
             raise ClassViolation(f"{f} is not in L, no companion")
         a, b = f.dom, f.cod
@@ -201,9 +198,9 @@ class SpanCategory:
         counit = SpanCell(
             span, Span.identity(b), FinFn.identity(b), f, f
         )
-        return CompanionData(f, span, unit, counit)
+        return SnakeData(f, span, unit, counit, companion=True)
 
-    def conjoint_of(self, f: FinFn) -> ConjointData:
+    def conjoint_of(self, f: FinFn) -> SnakeData:
         if not self.triple.right.contains(f):
             raise ClassViolation(f"{f} is not in R, no conjoint")
         a, b = f.dom, f.cod
@@ -214,15 +211,15 @@ class SpanCategory:
         counit = SpanCell(
             span, Span.identity(b), f, FinFn.identity(b), f
         )
-        return ConjointData(f, span, unit, counit)
+        return SnakeData(f, span, unit, counit, companion=False)
 
-    def verify_triangles(self, data) -> bool:
+    def verify_triangles(self, data: SnakeData) -> bool:
         """Both pasting identities, as literal cell equalities."""
         f = data.tight
         snake_v = self.cell_vcompose(data.unit, data.counit)
         if snake_v != SpanCell.tight_identity(f):
             return False
-        if isinstance(data, CompanionData):
+        if data.companion:
             snake_h = self.cell_hcompose(data.counit, data.unit)
         else:
             snake_h = self.cell_hcompose(data.unit, data.counit)

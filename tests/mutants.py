@@ -64,3 +64,20 @@ class DroppedApexDoctrine(PowersetDoctrine):
             if (pred >> left.table[a]) & 1:
                 out |= 1 << right.table[a]
         return out
+
+
+class SkippedApexDoctrine(PowersetDoctrine):
+    """Span action that ignores apex element 1 once the apex has three or
+    more.  Unlike the last element, element 1 of a product apex is not
+    fixed by the swap, so the images of ``x ⊗ y`` and ``y ⊗ x`` no longer
+    agree across the symmetry: the symmetry axiom fails."""
+
+    def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
+        n = left.dom.size
+        out = 0
+        for a in range(n):
+            if a == 1 and n >= 3:
+                continue
+            if (pred >> left.table[a]) & 1:
+                out |= 1 << right.table[a]
+        return out

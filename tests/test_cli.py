@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from doctrina.cli import load_triple_file, main
-from doctrina.finset import FinFn, FinSet
+from doctrina.errors import DoctrinaError
+from doctrina.finset import AdequateTriple, FinFn, FinSet, MorClass
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = str(DATA / "uwd_corpus.json")
@@ -124,7 +126,7 @@ class TestVerify:
         )
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "8b6bfd43fd21894e1646edb5936d151c410cb019d8b6caa6c414234349df4d69"
+            "59bbe32e203ec94f5bdd0e51b6f7a5dedb302eeb400d201baf34ecd4e802e9ec"
         )
 
     def test_powerset_size_2_passes(self, capsys):
@@ -157,6 +159,20 @@ class TestVerify:
     def test_size_guard_exit_2(self, capsys):
         rc, _, err = run_main(["verify", "--max-size", "5"], capsys)
         assert rc == 2
+        assert "force" in err
+
+    @pytest.mark.parametrize("command", ["verify", "roundtrip"])
+    def test_triple_file_universe_guarded(self, capsys, tmp_path, command):
+        # the adequacy check would enumerate up to the file's universe,
+        # whatever --max-size says
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps({"universe": 5}))
+        rc, out, err = run_main(
+            [command, "--max-size", "1", "--triple-file", str(path)], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert "triple-file universe 5 above the cost guard" in err
         assert "force" in err
 
     def test_report_bytes_deterministic(self, capsys, tmp_path):
@@ -216,6 +232,66 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert message in err
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(["all", "inj", "surj", "explicit", "2"]),
+    st.text(max_size=3),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+SIZES = st.integers(-1, 3) | JSON_VALUES
+# a well-typed map, which its table may still make ill-formed, or not
+EXPLICIT_MAPS = st.fixed_dictionaries({
+    "dom": st.integers(0, 2),
+    "cod": st.integers(0, 2),
+    "table": st.lists(st.integers(-1, 2), max_size=2),
+}) | st.fixed_dictionaries({
+    "dom": SIZES,
+    "cod": SIZES,
+    "table": st.lists(st.integers(-1, 3), max_size=3) | JSON_VALUES,
+}) | JSON_VALUES
+CLASS_SPECS = (
+    st.sampled_from(["all", "inj", "surj"])
+    | st.fixed_dictionaries({"explicit": st.lists(EXPLICIT_MAPS, max_size=3)})
+    | JSON_VALUES
+)
+TRIPLE_OBJECTS = st.fixed_dictionaries({}, optional={
+    "universe": SIZES,
+    "left": CLASS_SPECS,
+    "right": CLASS_SPECS,
+    "nonempty_only": st.booleans() | JSON_VALUES,
+})
+# documents shaped like a triple file three times in four, any JSON otherwise
+TRIPLE_DOCS = st.one_of(TRIPLE_OBJECTS, TRIPLE_OBJECTS, TRIPLE_OBJECTS, JSON_VALUES)
+
+
+@pytest.fixture(scope="module")
+def triple_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "triple.json"
+
+
+@given(doc=TRIPLE_DOCS)
+def test_load_triple_file_loads_or_rejects(doc, triple_path):
+    """Any JSON document either loads as a well-typed triple or is
+    rejected with the errors the CLI turns into exit 2."""
+    triple_path.write_text(json.dumps(doc))
+    try:
+        t = load_triple_file(str(triple_path))
+    except (ValueError, DoctrinaError):
+        return
+    assert isinstance(t, AdequateTriple)
+    assert type(t.universe) is int and type(t.nonempty_only) is bool
+    assert isinstance(t.left, MorClass) and isinstance(t.right, MorClass)
 
 
 class TestRoundtripCommand:

@@ -30,6 +30,7 @@ from mutants import (
     BrokenTensorDoctrine,
     DroppedApexDoctrine,
     NonFunctorialDoctrine,
+    SkippedApexDoctrine,
     SwappedAdjointDoctrine,
 )
 
@@ -242,7 +243,16 @@ class TestVerifySuite:
         assert (lax.instances, lax.failures) == (24550, 190)
         assert assoc.witnesses[0] == DROPPED_ASSOC_WITNESS
         assert lax.witnesses[0] == DROPPED_LAX_COMP_WITNESS
-        assert dropped_apex_report.find("pdot.double-unital").passed
+
+    def test_skipped_apex_fails_symmetry(self, triple2, dropped_apex_report):
+        # the dropped apex element (last, last) is fixed by the swap, so
+        # only a mutant that breaks an unfixed element fails the axiom
+        sym = verify_pdot(PDot(SkippedApexDoctrine(triple2)), 2).find(
+            "pdot.symmetry-cell"
+        )
+        assert (sym.instances, sym.failures) == (1849, 256)
+        assert " , " in sym.witnesses[0] and ": at " in sym.witnesses[0]
+        assert dropped_apex_report.find("pdot.symmetry-cell").passed
 
     def test_nonfunctorial_subst_refused(self, triple2):
         with pytest.raises(NonFunctorial):

@@ -147,6 +147,24 @@ class TestProductPoset:
             product_poset(a, b)
         )
 
+    def test_swap_is_natural(self):
+        # every monotone map among a chain and a non-chain of another size,
+        # so a slip between the two factors' sizes or orders shows
+        posets = (chain(2), subset_lattice(2))
+        maps = [
+            m
+            for p in posets
+            for q in posets
+            for table in itertools.product(range(q.size), repeat=p.size)
+            if (m := MonotoneMap(p, q, table)).is_monotone()
+        ]
+        assert len(maps) == 3 + 9 + 6 + 36
+        for f in maps:
+            for g in maps:
+                assert map_product(f, g).then(swap_map(f.cod, g.cod)) == swap_map(
+                    f.dom, g.dom
+                ).then(map_product(g, f))
+
 
 class TestMonoPosets:
     def test_powerset_fiber_laws(self):

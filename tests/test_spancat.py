@@ -255,6 +255,15 @@ class TestCompanionsConjoints:
         assert data.span.left == f
         assert cat.verify_triangles(data)
 
+    def test_flag_orders_horizontal_snake(self, cat):
+        # pasted in the other order, the horizontal snake does not compose
+        for data in (
+            cat.companion_of(FinFn(FinSet(1), FinSet(2), (1,))),
+            cat.conjoint_of(FinFn(FinSet(2), FinSet(1), (0, 0))),
+        ):
+            with pytest.raises(BoundaryMismatch):
+                cat.verify_triangles(data._replace(companion=not data.companion))
+
     def test_all_triangles_up_to_three(self, cat):
         rep = cat.check_triangles(3)
         assert rep.passed
