@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 
 from . import doctrine as doctrine_mod
 from . import extraction, uwd
@@ -91,8 +92,11 @@ def load_triple_file(path: str) -> AdequateTriple:
 def _resolve_triple(args) -> AdequateTriple:
     if getattr(args, "triple_file", None):
         triple = load_triple_file(args.triple_file)
-        # the adequacy check enumerates up to the file's own universe
+        # the adequacy check enumerates up to the file's own universe;
+        # roundtrip runs no adequacy check, so the lower bound is here too
         _guard("triple-file universe", triple.universe, args.force)
+        if triple.universe < 1:
+            raise ValueError("universe bound must be at least 1")
         return triple
     return TRIPLES[args.triple](max(args.max_size, 1))
 
@@ -166,6 +170,29 @@ def cmd_roundtrip(args) -> int:
     return 0 if report.passed else 1
 
 
+class _CostView(Mapping):
+    """``uwd.trop_costs`` as a read-only view: the cost of a value tuple
+    is looked up in the cost vector when asked for, so the oracle reads
+    the entries it needs without a dict over the whole product."""
+
+    def __init__(self, values, ctx, types):
+        self.values, self.ctx, self.types = values, ctx, types
+        self.sizes = [types.size(lab) for lab in ctx.labels]
+
+    def __getitem__(self, t):
+        if len(t) != len(self.sizes) or not all(
+            0 <= v < n for v, n in zip(t, self.sizes)
+        ):
+            raise KeyError(t)
+        return self.values[uwd.tuple_index(t, self.ctx, self.types)]
+
+    def __iter__(self):
+        return uwd.all_tuples(self.ctx, self.types)
+
+    def __len__(self):
+        return len(self.values)
+
+
 def cmd_eval(args) -> int:
     corpus = uwd.load_corpus_file(args.input, cap=args.k)
     if args.diagram not in corpus.diagrams:
@@ -188,7 +215,7 @@ def cmd_eval(args) -> int:
             expect = uwd.relational_oracle(w, members, corpus.types)
             got = uwd.rel_tuples(result.predicate, result.context, corpus.types)
         else:
-            costs = uwd.trop_costs(system.predicate, system.context, corpus.types)
+            costs = _CostView(system.predicate, system.context, corpus.types)
             expect = uwd.tropical_oracle(w, costs, corpus.types, args.k)
             got = uwd.trop_costs(result.predicate, result.context, corpus.types)
         if got != expect:

@@ -58,6 +58,7 @@ from .poskit import (
     swap_map,
     trop_all_values,
     trop_index,
+    trop_index_table,
     tropical_fiber,
 )
 from .report import Report
@@ -227,8 +228,7 @@ class TropicalDoctrine(Doctrine):
         return trop_all_values(a.size, self.cap)
 
     def carrier_indices(self, a: FinSet, values: list) -> list[int]:
-        cap = self.cap
-        return [trop_index(v, cap) for v in values]
+        return list(map(trop_index_table(a.size, self.cap).__getitem__, values))
 
     def _act(self, left: FinFn, right: FinFn, pred: tuple[int, ...]) -> tuple[int, ...]:
         vals = [self.cap + 1] * right.cod.size

@@ -157,10 +157,8 @@ class MonotoneMap:
         return self.table[i]
 
     def is_monotone(self) -> bool:
-        return all(
-            self.cod.le(self.table[i], self.table[j])
-            for i, j in cover_pairs(self.dom)
-        )
+        leq, t = self.cod.leq, self.table
+        return all((leq[t[i]] >> t[j]) & 1 for i, j in cover_pairs(self.dom))
 
     @staticmethod
     def identity(p: Poset) -> "MonotoneMap":
@@ -399,6 +397,12 @@ def trop_all_values(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
     """Decoded value tuples for every carrier index, in index order (the
     row-major order of ``itertools.product``)."""
     return tuple(itertools.product(range(cap + 2), repeat=n))
+
+
+@lru_cache(maxsize=None)
+def trop_index_table(n: int, cap: int) -> dict[tuple[int, ...], int]:
+    """``trop_index`` of every value tuple of n slots, as one lookup."""
+    return {v: i for i, v in enumerate(trop_all_values(n, cap))}
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
 """Deliberately broken doctrines for the negative-control tests."""
 
-from doctrina.finset import FinFn, FinSet
+from doctrina.finset import FinFn, FinSet, product
 from doctrina.poskit import MonoPoset, monotone_map, powerset_fiber
 from doctrina.doctrine import PowersetDoctrine
 
@@ -81,3 +81,23 @@ class SkippedApexDoctrine(PowersetDoctrine):
             if (pred >> left.table[a]) & 1:
                 out |= 1 << right.table[a]
         return out
+
+
+SATURATED = product(FinSet(2), FinSet(2)).pa
+
+
+class SaturatedProjectionDoctrine(PowersetDoctrine):
+    """Quantifier along the first projection 2 x 2 -> 2 sends every
+    nonempty predicate to the full set.  It stays monotone and
+    substitution is untouched, so the double extension builds and the
+    span action is sound; but Beck-Chevalley fails around the proof
+    squares that base-change along that projection."""
+
+    def _make_exists(self, f: FinFn):
+        good = super()._make_exists(f)
+        if f == SATURATED:
+            top = good.cod.size - 1
+            return monotone_map(
+                good.dom, good.cod, (0,) + (top,) * (good.dom.size - 1)
+            )
+        return good

@@ -1,12 +1,16 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from doctrina import uwd
 from doctrina.cli import load_triple_file, main
 from doctrina.errors import DoctrinaError
 from doctrina.finset import AdequateTriple, FinFn, FinSet, MorClass
@@ -117,6 +121,71 @@ class TestEval:
         assert rc == 2
 
 
+def path_query_doc(k: int, cap: int = 3, seed: int = 5) -> dict:
+    """k binary min-plus boxes on a path of k + 1 junctions of domain 3,
+    given as their joint cost array, read back at the two ends."""
+    rng = random.Random(seed)
+    boxes = [
+        {t: rng.choice((0, 0, 1, 2, 3, 4)) for t in itertools.product(range(3), repeat=2)}
+        for _ in range(k)
+    ]
+    costs = [
+        sum(boxes[b][t[2 * b:2 * b + 2]] for b in range(k))
+        for t in itertools.product(range(3), repeat=2 * k)
+    ]
+    return {
+        "labels": ["v"],
+        "domains": {"v": 3},
+        "diagrams": {"path": {
+            "inner": ["v"] * (2 * k),
+            "junctions": ["v"] * (k + 1),
+            "outer": ["v", "v"],
+            "f": [j for b in range(k) for j in (b, b + 1)],
+            "g": [0, k],
+        }},
+        "systems": {"boxes": {
+            "context": ["v"] * (2 * k),
+            "semantics": "trop",
+            "data": ["inf" if c > cap else c for c in costs],
+        }},
+    }
+
+
+class TestEvalCheckPathQuery:
+    @pytest.fixture(scope="class")
+    def path5(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("path") / "path5.json"
+        path.write_text(json.dumps(path_query_doc(5)))
+        return str(path)
+
+    def test_oracle_match(self, capsys, path5):
+        rc, out, err = run_main(
+            ["eval", "--input", path5, "--diagram", "path", "--system", "boxes",
+             "--check"],
+            capsys,
+        )
+        assert rc == 0
+        assert err == "oracle: match\n"
+        assert len(set(json.loads(out))) > 1
+
+    def test_perturbed_result_exit_3(self, capsys, monkeypatch, path5):
+        evaluate = uwd.evaluate
+
+        def perturbed(*args):
+            got = evaluate(*args)
+            first = (got.predicate[0] + 1) % 5
+            return dataclasses.replace(got, predicate=(first,) + got.predicate[1:])
+
+        monkeypatch.setattr(uwd, "evaluate", perturbed)
+        rc, _, err = run_main(
+            ["eval", "--input", path5, "--diagram", "path", "--system", "boxes",
+             "--check"],
+            capsys,
+        )
+        assert rc == 3
+        assert err.startswith("oracle mismatch")
+
+
 class TestVerify:
     def test_powerset_size_2_report_bytes(self, capsys):
         # pinned bytes: caching composites and formatting witnesses only
@@ -174,6 +243,20 @@ class TestVerify:
         assert out == ""
         assert "triple-file universe 5 above the cost guard" in err
         assert "force" in err
+
+    @pytest.mark.parametrize("command", ["verify", "roundtrip"])
+    @pytest.mark.parametrize("universe", [0, -1])
+    def test_triple_file_universe_below_one_exit_2(
+        self, capsys, tmp_path, command, universe
+    ):
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps({"universe": universe}))
+        rc, out, err = run_main(
+            [command, "--max-size", "1", "--triple-file", str(path)], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == "error: universe bound must be at least 1\n"
 
     def test_report_bytes_deterministic(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from doctrina.errors import NonFunctorial
@@ -17,6 +19,7 @@ from doctrina.doctrine import (
 )
 from doctrina.doubling import (
     PDot,
+    lax_comp_sample,
     mu_proof_squares,
     product_span,
     search_offdomain_witness,
@@ -24,12 +27,13 @@ from doctrina.doubling import (
 )
 from doctrina.extraction import roundtrip
 from doctrina.report import Report
-from doctrina.spancat import Span, SpanCell
+from doctrina.spancat import Span, SpanCategory, SpanCell
 
 from mutants import (
     BrokenTensorDoctrine,
     DroppedApexDoctrine,
     NonFunctorialDoctrine,
+    SaturatedProjectionDoctrine,
     SkippedApexDoctrine,
     SwappedAdjointDoctrine,
 )
@@ -49,6 +53,16 @@ DROPPED_LAX_COMP_WITNESS = (
     "Span(FinFn(2->2:[0, 0]), FinFn(2->2:[1, 0])) with "
     "Span(FinFn(2->2:[0, 1]), FinFn(2->2:[0, 1]));"
     "Span(FinFn(2->2:[1, 0]), FinFn(2->1:[0, 0]))"
+)
+SATURATED_BC_WITNESS = (
+    "Span(FinFn(1->1:[0]), FinFn(1->2:[0])) , "
+    "Span(FinFn(0->0:[]), FinFn(0->2:[])): "
+    "PullbackSquare(top=FinFn(2->4:[0, 1]), left=FinFn(2->1:[0, 0]), "
+    "right=FinFn(4->2:[0, 0, 1, 1]), bottom=FinFn(1->2:[0]))"
+)
+# sha256 of the tropical (cap 2) report at bound 2
+TROPICAL_REPORT_SHA256 = (
+    "3337936d630856ed4944762c3e8687e8097126450df9a6baab68730421688082"
 )
 
 
@@ -213,7 +227,10 @@ class TestVerifySuite:
         assert "pdot.laxator-commuter" in names
 
     def test_tropical_all_clauses(self, ptrop):
-        assert verify_pdot(ptrop, 2).passed
+        rep = verify_pdot(ptrop, 2)
+        assert rep.passed
+        digest = hashlib.sha256(rep.to_jsonl().encode()).hexdigest()
+        assert digest == TROPICAL_REPORT_SHA256
 
     def test_broken_tensor_caught_in_laxator_clause(self, triple2):
         bad = PDot(BrokenTensorDoctrine(triple2))
@@ -254,9 +271,44 @@ class TestVerifySuite:
         assert " , " in sym.witnesses[0] and ": at " in sym.witnesses[0]
         assert dropped_apex_report.find("pdot.symmetry-cell").passed
 
+    def test_saturated_projection_fails_bc_squares(self, triple2):
+        # the quantifier is read only by the proof squares, so they are
+        # the one clause that fails; squares recur across pairs, and every
+        # (pair, square) instance still counts and gets its own witness
+        rep = verify_pdot(PDot(SaturatedProjectionDoctrine(triple2)), 2)
+        bc = rep.find("pdot.laxator-bc-squares")
+        assert (bc.instances, bc.failures) == (5547, 544)
+        assert bc.witnesses[0] == SATURATED_BC_WITNESS
+        assert len(set(bc.witnesses)) == len(bc.witnesses) == 5
+        assert [c.clause for c in rep.clauses if not c.passed] == [
+            "pdot.laxator-bc-squares"
+        ]
+
     def test_nonfunctorial_subst_refused(self, triple2):
         with pytest.raises(NonFunctorial):
             PDot(NonFunctorialDoctrine(triple2))
+
+
+def _old_lax_comp_walk(composable):
+    """The sampling rule as a filter over the row-major walk of every pair
+    of composable pairs: every 53rd pair from the first, plus every
+    identity-by-identity pair."""
+    seen = 0
+    for r, (a, a2) in enumerate(composable):
+        ids_left = a.is_identity or a2.is_identity
+        for c, (x, x2) in enumerate(composable):
+            seen += 1
+            if (ids_left and (x.is_identity or x2.is_identity)) or seen % 53 == 1:
+                yield r, c
+
+
+@pytest.mark.parametrize("triple, bound", [
+    (trivial_triple(1), 1), (trivial_triple(2), 2), (surjection_triple(2), 2),
+], ids=["all-all-1", "all-all-2", "surj-right-2"])
+def test_lax_comp_sample_matches_walk(triple, bound):
+    spans = list(SpanCategory(triple).enumerate_spans(bound))
+    composable = [(x, y) for x in spans for y in spans if x.target == y.source]
+    assert list(lax_comp_sample(composable)) == list(_old_lax_comp_walk(composable))
 
 
 SUITES = {
