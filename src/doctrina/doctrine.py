@@ -57,7 +57,6 @@ from .poskit import (
     singleton_poset,
     swap_map,
     trop_all_values,
-    trop_index,
     trop_index_table,
     tropical_fiber,
 )
@@ -198,10 +197,10 @@ class TropicalDoctrine(Doctrine):
     def _make_subst(self, f: FinFn) -> MonotoneMap:
         cap = self.cap
         pb, pa = self.fiber(f.cod).carrier, self.fiber(f.dom).carrier
-        decode = trop_all_values(f.cod.size, cap)
+        index = trop_index_table(f.dom.size, cap)
         table = (
-            trop_index((decode[psi][b] for b in f.table), cap)
-            for psi in range(pb.size)
+            index[tuple(map(psi.__getitem__, f.table))]
+            for psi in trop_all_values(f.cod.size, cap)
         )
         return monotone_map(pb, pa, table)
 
@@ -210,17 +209,11 @@ class TropicalDoctrine(Doctrine):
         inf = cap + 1
         pa, pb = self.fiber(f.dom).carrier, self.fiber(f.cod).carrier
         n, m = f.dom.size, f.cod.size
-        decode = trop_all_values(n, cap)
+        index = trop_index_table(m, cap)
         fibres = [[a for a in range(n) if f.table[a] == b] for b in range(m)]
         table = (
-            trop_index(
-                (
-                    min((decode[phi][a] for a in fib), default=inf)
-                    for fib in fibres
-                ),
-                cap,
-            )
-            for phi in range(pa.size)
+            index[tuple([min((phi[a] for a in fib), default=inf) for fib in fibres])]
+            for phi in trop_all_values(n, cap)
         )
         return monotone_map(pa, pb, table)
 

@@ -410,10 +410,11 @@ def tropical_fiber(n: int, cap: int) -> MonoPoset:
     """Predicates valued in the truncated min-plus chain, ordered
     pointwise; tensor is pointwise saturating addition, unit constant 0."""
     decode = trop_all_values(n, cap)
+    index = trop_index_table(n, cap)
     inf = cap + 1
 
     def tensor(i: int, j: int) -> int:
         # min(x + y, inf) is trop_add on 0..inf, without a call per entry
-        return trop_index([min(x + y, inf) for x, y in zip(decode[i], decode[j])], cap)
+        return index[tuple([min(x + y, inf) for x, y in zip(decode[i], decode[j])])]
 
     return MonoPoset(trop_carrier(n, cap), tensor, 0)

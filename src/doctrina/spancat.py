@@ -16,7 +16,6 @@ but composites never carry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -25,6 +24,7 @@ from .finset import (
     AdequateTriple,
     FinFn,
     FinSet,
+    Pullback,
     compose,
     finsets,
     functions,
@@ -115,6 +115,18 @@ class SpanCell:
         return SpanCell(Span.identity(f.dom), Span.identity(f.cod), f, f, f)
 
 
+class CellData(NamedTuple):
+    """A morphism of spans as bare data, in ``SpanCell``'s field order and
+    unvalidated: what ``SpanCategory.enumerate_cell_data`` yields.  Its
+    first four fields are the cell's boundary."""
+
+    src: Span
+    dst: Span
+    tight_left: FinFn
+    tight_right: FinFn
+    apex_map: FinFn
+
+
 class SnakeData(NamedTuple):
     """The companion (``companion``) or conjoint of a tight arrow: its
     one-legged span with the unit and counit cells."""
@@ -131,6 +143,9 @@ class SpanCategory:
 
     def __init__(self, triple: AdequateTriple):
         self.triple = triple
+        # the pullback of every cospan a loose composite has met, kept as
+        # long as this category
+        self._pullbacks: dict[tuple[FinFn, FinFn], Pullback] = {}
 
     # -- loose arrows -------------------------------------------------
 
@@ -141,10 +156,18 @@ class SpanCategory:
             raise ClassViolation(f"right leg {right} not in R")
         return Span(left, right)
 
+    def _pullback(self, x: FinFn, y: FinFn) -> Pullback:
+        """``finset.pullback(x, y)``, computed once per cospan."""
+        key = (x, y)
+        pb = self._pullbacks.get(key)
+        if pb is None:
+            pb = self._pullbacks[key] = pullback(x, y)
+        return pb
+
     def loose_compose(self, x: Span, y: Span) -> Span:
         if x.target != y.source:
             raise ObjMismatch(f"{x} then {y}: middle objects differ")
-        _, p, q = pullback(x.right, y.left)
+        _, p, q = self._pullback(x.right, y.left)
         left = compose(p, x.left)
         right = compose(q, y.right)
         if not self.triple.left.contains(left) or not self.triple.right.contains(right):
@@ -170,8 +193,8 @@ class SpanCategory:
             raise BoundaryMismatch("horizontal pasting needs equal middle tights")
         src = self.loose_compose(a.src, b.src)
         dst = self.loose_compose(a.dst, b.dst)
-        s_apex, sp, sq = pullback(a.src.right, b.src.left)
-        d_apex, dp, dq = pullback(a.dst.right, b.dst.left)
+        s_apex, sp, sq = self._pullback(a.src.right, b.src.left)
+        d_apex, dp, dq = self._pullback(a.dst.right, b.dst.left)
         index = {
             (dp.table[m], dq.table[m]): m for m in range(d_apex.size)
         }
@@ -268,15 +291,46 @@ class SpanCategory:
                         )
         return rep
 
-    def enumerate_cells(self, max_size: int) -> Iterator[SpanCell]:
+    def enumerate_cell_data(self, max_size: int) -> Iterator[CellData]:
+        """Every morphism of spans bounded by ``max_size``, unvalidated:
+        span pairs in ``enumerate_spans`` order, then the tight left map,
+        the apex map and the tight right map, each lexicographic.  The
+        two squares are matched as tables: apex maps into ``dst`` are
+        grouped by their composite with ``dst.left``, tight right maps
+        out of ``src`` by their composite with ``src.right``, over
+        function lists built once per pair of objects."""
         spans = list(self.enumerate_spans(max_size))
-        for src, dst in itertools.product(spans, repeat=2):
-            for tl in functions(src.source, dst.source):
-                want_left = compose(src.left, tl)
-                for am in functions(src.apex, dst.apex):
-                    if compose(am, dst.left) != want_left:
-                        continue
-                    want_right = compose(am, dst.right)
-                    for tr in functions(src.target, dst.target):
-                        if compose(src.right, tr) == want_right:
-                            yield SpanCell(src, dst, tl, tr, am)
+        objs = list(self.objects(max_size))
+        fns = {(a, b): list(functions(a, b)) for a in objs for b in objs}
+        # (dst, apex of src) -> {am ; dst.left: [(am, am ; dst.right), ...]}
+        apex_maps: dict[tuple[Span, FinSet], dict[tuple, list]] = {}
+        # (src, target of dst) -> {src.right ; tr: [tr, ...]}
+        right_maps: dict[tuple[Span, FinSet], dict[tuple, list]] = {}
+        for x in spans:
+            lt, rt = x.left.table, x.right.table
+            for a in objs:
+                groups = apex_maps[x, a] = {}
+                for am in fns[a, x.apex]:
+                    key = tuple(map(lt.__getitem__, am.table))
+                    groups.setdefault(key, []).append(
+                        (am, tuple(map(rt.__getitem__, am.table)))
+                    )
+                groups = right_maps[x, a] = {}
+                for tr in fns[x.target, a]:
+                    key = tuple(map(tr.table.__getitem__, rt))
+                    groups.setdefault(key, []).append(tr)
+        for src in spans:
+            sl = src.left.table
+            for dst in spans:
+                by_left = apex_maps[dst, src.apex]
+                by_right = right_maps[src, dst.target]
+                for tl in fns[src.source, dst.source]:
+                    want_left = tuple(map(tl.table.__getitem__, sl))
+                    for am, want_right in by_left.get(want_left, ()):
+                        for tr in by_right.get(want_right, ()):
+                            yield CellData(src, dst, tl, tr, am)
+
+    def enumerate_cells(self, max_size: int) -> Iterator[SpanCell]:
+        """``enumerate_cell_data`` as validated cells."""
+        for c in self.enumerate_cell_data(max_size):
+            yield SpanCell(*c)

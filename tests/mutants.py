@@ -83,6 +83,25 @@ class SkippedApexDoctrine(PowersetDoctrine):
         return out
 
 
+class PairApexDoctrine(PowersetDoctrine):
+    """Span action that ignores apex element 0 when the apex has exactly
+    two elements.  Substitution and quantifiers stay intact, so the
+    double extension builds; but a morphism of spans from a one-element
+    apex onto element 0 of a two-element apex now induces no square,
+    so ``pdot.cell-existence`` fails, along with the clauses that act by
+    a two-element identity or product apex."""
+
+    def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
+        n = left.dom.size
+        out = 0
+        for a in range(n):
+            if a == 0 and n == 2:
+                continue
+            if (pred >> left.table[a]) & 1:
+                out |= 1 << right.table[a]
+        return out
+
+
 SATURATED = product(FinSet(2), FinSet(2)).pa
 
 

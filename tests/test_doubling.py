@@ -7,6 +7,8 @@ from doctrina.finset import (
     FinFn,
     FinSet,
     bang,
+    compose,
+    pullback,
     surjection_triple,
     trivial_triple,
 )
@@ -33,6 +35,7 @@ from mutants import (
     BrokenTensorDoctrine,
     DroppedApexDoctrine,
     NonFunctorialDoctrine,
+    PairApexDoctrine,
     SaturatedProjectionDoctrine,
     SkippedApexDoctrine,
     SwappedAdjointDoctrine,
@@ -59,6 +62,12 @@ SATURATED_BC_WITNESS = (
     "Span(FinFn(0->0:[]), FinFn(0->2:[])): "
     "PullbackSquare(top=FinFn(2->4:[0, 1]), left=FinFn(2->1:[0, 0]), "
     "right=FinFn(4->2:[0, 0, 1, 1]), bottom=FinFn(1->2:[0]))"
+)
+PAIR_APEX_CELL_WITNESS = (
+    "SpanCell(src=Span(FinFn(1->1:[0]), FinFn(1->1:[0])), "
+    "dst=Span(FinFn(2->1:[0, 0]), FinFn(2->2:[0, 1])), "
+    "tight_left=FinFn(1->1:[0]), tight_right=FinFn(1->2:[0]), "
+    "apex_map=FinFn(1->2:[0])): at 1: 1 vs 0"
 )
 # sha256 of the tropical (cap 2) report at bound 2
 TROPICAL_REPORT_SHA256 = (
@@ -284,6 +293,15 @@ class TestVerifySuite:
             "pdot.laxator-bc-squares"
         ]
 
+    def test_pair_apex_fails_cell_existence(self, triple2):
+        # a cell's witness is built from its bare data only on failure,
+        # with the first apex map seen for its boundary
+        rep = verify_pdot(PDot(PairApexDoctrine(triple2)), 2)
+        cells = rep.find("pdot.cell-existence")
+        assert (cells.instances, cells.failures) == (4943, 1256)
+        assert cells.witnesses[0] == PAIR_APEX_CELL_WITNESS
+        assert cells.notes == ["distinct boundaries: 4943"]
+
     def test_nonfunctorial_subst_refused(self, triple2):
         with pytest.raises(NonFunctorial):
             PDot(NonFunctorialDoctrine(triple2))
@@ -309,6 +327,24 @@ def test_lax_comp_sample_matches_walk(triple, bound):
     spans = list(SpanCategory(triple).enumerate_spans(bound))
     composable = [(x, y) for x in spans for y in spans if x.target == y.source]
     assert list(lax_comp_sample(composable)) == list(_old_lax_comp_walk(composable))
+
+
+def test_loose_compose_on_lax_comp_left_sides(triple2):
+    # the product-span composites on the left of
+    # pdot.laxator-compositional, through the per-cospan pullbacks
+    cat = SpanCategory(triple2)
+    spans = list(cat.enumerate_spans(2))
+    composable = [(x, y) for x in spans for y in spans if x.target == y.source]
+    checked = 0
+    for r, c in lax_comp_sample(composable):
+        (a, a2), (x, x2) = composable[r], composable[c]
+        u, v = product_span(a, x), product_span(a2, x2)
+        _, p, q = pullback(u.right, v.left)
+        assert cat.loose_compose(u, v) == Span(
+            compose(p, u.left), compose(q, v.right)
+        )
+        checked += 1
+    assert checked == 24550
 
 
 SUITES = {

@@ -9,9 +9,11 @@ from doctrina.finset import (
     bang,
     compose,
     functions,
+    pullback,
     surjection_triple,
     trivial_triple,
 )
+from doctrina import spancat
 from doctrina.spancat import Span, SpanCell, SpanCategory
 
 
@@ -28,6 +30,27 @@ def brute_span_count(max_size, nonempty=False):
             for q in range(lo, max_size + 1):
                 total += p ** s * q ** s
     return total
+
+
+def fresh_composite(x, y):
+    """``x ; y`` from a pullback computed on the spot."""
+    _, p, q = pullback(x.right, y.left)
+    return Span(compose(p, x.left), compose(q, y.right))
+
+
+def reference_cells(cat, max_size):
+    """The morphisms of spans by their definition: every tight left map,
+    apex map and tight right map whose two squares commute, validated."""
+    spans = list(cat.enumerate_spans(max_size))
+    for src in spans:
+        for dst in spans:
+            for tl in functions(src.source, dst.source):
+                for am in functions(src.apex, dst.apex):
+                    if compose(am, dst.left) != compose(src.left, tl):
+                        continue
+                    for tr in functions(src.target, dst.target):
+                        if compose(src.right, tr) == compose(am, dst.right):
+                            yield SpanCell(src, dst, tl, tr, am)
 
 
 class TestSpanValues:
@@ -68,6 +91,24 @@ class TestLooseComposition:
         conj = cat.conjoint_of(f).span   # 2 = 2 -> 1
         graph = cat.loose_compose(comp, conj)
         assert graph.apex.size == 2  # the graph of f
+
+    def test_each_cospan_pulled_back_once(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return pullback(x, y)
+
+        monkeypatch.setattr(spancat, "pullback", counted)
+        cat2 = SpanCategory(trivial_triple(2))
+        spans = list(cat2.enumerate_spans(2))
+        pairs = [(x, y) for x in spans for y in spans if x.target == y.source]
+        assert len(pairs) == 971
+        for _ in range(2):
+            for x, y in pairs:
+                assert cat2.loose_compose(x, y) == fresh_composite(x, y)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(x.right, y.left) for x, y in pairs}
 
     def test_obj_mismatch(self, cat):
         x = cat.span(bang(FinSet(2)), FinFn.identity(FinSet(2)))
@@ -308,3 +349,25 @@ class TestEnumeration:
         assert all(
             s.right.is_surjective for s in scat.enumerate_spans(2)
         )
+
+
+@pytest.mark.parametrize("triple, bound, boundaries", [
+    (trivial_triple(1), 1, 14), (trivial_triple(2), 2, 4943),
+    (surjection_triple(1), 1, 1), (surjection_triple(2), 2, 940),
+], ids=["all-all-1", "all-all-2", "surj-right-1", "surj-right-2"])
+def test_cell_data_matches_definition(triple, bound, boundaries):
+    # the same cells in the same order; so the first apex map seen for
+    # each boundary, the one pdot.cell-existence keeps, is the same too
+    cat = SpanCategory(triple)
+    reference = list(reference_cells(cat, bound))
+    assert list(cat.enumerate_cells(bound)) == reference
+    first_seen = {}
+    for c in reference:
+        first_seen.setdefault(
+            (c.src, c.dst, c.tight_left, c.tight_right), c.apex_map
+        )
+    data_seen = {}
+    for c in cat.enumerate_cell_data(bound):
+        data_seen.setdefault(c[:4], c.apex_map)
+    assert list(data_seen.items()) == list(first_seen.items())
+    assert len(first_seen) == boundaries
