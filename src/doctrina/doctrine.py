@@ -199,7 +199,7 @@ class TropicalDoctrine(Doctrine):
         pb, pa = self.fiber(f.cod).carrier, self.fiber(f.dom).carrier
         index = trop_index_table(f.dom.size, cap)
         table = (
-            index[tuple(map(psi.__getitem__, f.table))]
+            index[tuple([psi[b] for b in f.table])]
             for psi in trop_all_values(f.cod.size, cap)
         )
         return monotone_map(pb, pa, table)

@@ -98,7 +98,8 @@ def compose(f: FinFn, g: FinFn) -> FinFn:
     """Diagrammatic composite: apply ``f`` first, then ``g``."""
     if f.cod != g.dom:
         raise CodMismatch(f"cannot compose {f} then {g}")
-    return FinFn(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
+    gt = g.table
+    return FinFn(f.dom, g.cod, tuple([gt[v] for v in f.table]))
 
 
 class Pullback(NamedTuple):

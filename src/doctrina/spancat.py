@@ -311,13 +311,13 @@ class SpanCategory:
             for a in objs:
                 groups = apex_maps[x, a] = {}
                 for am in fns[a, x.apex]:
-                    key = tuple(map(lt.__getitem__, am.table))
+                    key = tuple([lt[v] for v in am.table])
                     groups.setdefault(key, []).append(
-                        (am, tuple(map(rt.__getitem__, am.table)))
+                        (am, tuple([rt[v] for v in am.table]))
                     )
                 groups = right_maps[x, a] = {}
                 for tr in fns[x.target, a]:
-                    key = tuple(map(tr.table.__getitem__, rt))
+                    key = tuple([tr.table[v] for v in rt])
                     groups.setdefault(key, []).append(tr)
         for src in spans:
             sl = src.left.table
@@ -325,7 +325,7 @@ class SpanCategory:
                 by_left = apex_maps[dst, src.apex]
                 by_right = right_maps[src, dst.target]
                 for tl in fns[src.source, dst.source]:
-                    want_left = tuple(map(tl.table.__getitem__, sl))
+                    want_left = tuple([tl.table[v] for v in sl])
                     for am, want_right in by_left.get(want_left, ()):
                         for tr in by_right.get(want_right, ()):
                             yield CellData(src, dst, tl, tr, am)
