@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import ClassViolation, NotAPullback
@@ -34,11 +35,11 @@ from .finset import (
     AdequateTriple,
     FinFn,
     FinSet,
-    all_functions,
+    Universe,
     compose,
-    finsets,
+    cospans,
     fn_product,
-    functions,
+    matching,
     product,
     pullback,
     swap_fn,
@@ -61,6 +62,9 @@ from .poskit import (
     tropical_fiber,
 )
 from .report import Report
+
+# the keys ``matching`` pairs maps on
+_DOM, _COD = attrgetter("dom"), attrgetter("cod")
 
 
 class Doctrine:
@@ -336,16 +340,15 @@ def square_from_cospan(f: FinFn, g: FinFn) -> PullbackSquare:
 def generated_pullbacks(
     triple: AdequateTriple, max_size: int
 ) -> Iterator[PullbackSquare]:
-    """All designated squares arising from cospans within the bound."""
-    objs = list(finsets(max_size, triple.nonempty_only))
-    for j in objs:
-        for b in objs:
-            for f in functions(b, j):
-                for i in objs:
-                    for g in functions(i, j):
-                        sq = square_from_cospan(f, g)
-                        if is_clr_pullback(sq, triple):
-                            yield sq
+    """All designated squares arising from cospans within the bound: the
+    chosen pullback of every cospan f: B -> J <- I : g with one leg in
+    each class, by J, then B and f, then I and g.  The chosen square is a
+    pullback by construction, so only the legs' classes are tested."""
+    maps = Universe(triple, max_size).maps
+    in_l, in_r = triple.left.contains, triple.right.contains
+    for f, g in cospans(maps, maps):
+        if (in_l(f) and in_r(g)) or (in_r(f) and in_l(g)):
+            yield square_from_cospan(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +431,19 @@ def check_frobenius(d: Doctrine, f: FinFn) -> Report:
     return rep
 
 
-def _composable(fns: list[FinFn]) -> Iterator[tuple[FinFn, FinFn]]:
-    """Every pair (f, g) of the list with g composable after f, in list
-    order."""
-    by_dom: dict[FinSet, list[FinFn]] = {}
-    for g in fns:
-        by_dom.setdefault(g.dom, []).append(g)
-    return ((f, g) for f in fns for g in by_dom.get(f.cod, ()))
-
-
 def check_subst_functorial(d: Doctrine, max_size: int) -> Report:
     """Substitution sends identities to identities and composites to
     composites, exhaustively over the maps between sets up to the bound."""
-    t = d.triple
+    u = Universe(d.triple, max_size)
     rep = Report()
     fid = rep.clause("doctrine.subst-identity", "substitution sends identities to identities")
-    for a in finsets(max_size, t.nonempty_only):
+    for a in u.objects:
         fid.check(
             d.subst(FinFn.identity(a)).table == tuple(range(d.fiber(a).carrier.size)),
             f"A={a.size}",
         )
     fcomp = rep.clause("doctrine.subst-compose", "substitution is strictly functorial")
-    for f, g in _composable(list(all_functions(max_size, t.nonempty_only))):
+    for f, g in matching(u.maps, u.maps, _COD, _DOM):
         fcomp.check(
             d.subst(compose(f, g)) == d.subst(g).then(d.subst(f)),
             f"f={f} g={g}",
@@ -462,14 +456,12 @@ def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -
     t = d.triple
     bound = t.universe if max_size is None else max_size
     rep = check_subst_functorial(d, bound)
-    fns = list(all_functions(bound, t.nonempty_only))
-    r_fns = [f for f in fns if t.right.contains(f)]
-    objs = list(finsets(bound, t.nonempty_only))
+    u = Universe(t, bound)
 
     strong = rep.clause(
         "doctrine.subst-strong", "substitution preserves tensor and unit"
     )
-    for f in fns:
+    for f in u.maps:
         fa, fb = d.fiber(f.dom), d.fiber(f.cod)
         sb = d.subst(f)
         strong.check(sb.table[fb.unit] == fa.unit, f"unit along {f}")
@@ -481,7 +473,7 @@ def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -
                 )
 
     eid = rep.clause("doctrine.exists-identity", "quantifier along an identity is the identity")
-    for a in objs:
+    for a in u.objects:
         ident = FinFn.identity(a)
         if t.right.contains(ident):
             eid.check(
@@ -489,21 +481,21 @@ def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -
                 f"A={a.size}",
             )
     ecomp = rep.clause("doctrine.exists-compose", "quantifiers compose strictly")
-    for f, g in _composable(r_fns):
+    for f, g in matching(u.right, u.right, _COD, _DOM):
         ecomp.check(
             d.exists(compose(f, g)) == d.exists(f).then(d.exists(g)),
             f"f={f} g={g}",
         )
 
     gal = rep.clause("doctrine.galois", "quantifier is left adjoint to substitution")
-    for f in r_fns:
+    for f in u.right:
         sub = check_adjunction(d, f)
         gal.check(sub.passed, f"f={f}: {sub.failures} failures")
 
     com = rep.clause(
         "doctrine.comonoidal", "quantifier laxly preserves the tensor"
     )
-    for f in r_fns:
+    for f in u.right:
         ex = d.exists(f)
         fa, fb = d.fiber(f.dom), d.fiber(f.cod)
         for a in range(fa.carrier.size):
@@ -524,15 +516,15 @@ def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -
         bc.check(sub.passed, f"square {sq}")
 
     fr = rep.clause("doctrine.frobenius", "both projection formulas hold")
-    for f in r_fns:
+    for f in u.right:
         sub = check_frobenius(d, f)
         fr.check(sub.passed, f"f={f}")
 
     lax = rep.clause(
         "doctrine.laxator-natural", "the external tensor map is natural"
     )
-    for f in fns:
-        for g in fns:
+    for f in u.maps:
+        for g in u.maps:
             mu_cod = external_laxator(d, f.cod, g.cod)
             mu_dom = external_laxator(d, f.dom, g.dom)
             lhs = map_product(d.subst(f), d.subst(g)).then(mu_dom)
@@ -542,7 +534,7 @@ def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -
     sym = rep.clause(
         "doctrine.laxator-symmetric", "the external tensor map respects the symmetry"
     )
-    small = [a for a in objs if a.size <= 2]
+    small = [a for a in u.objects if a.size <= 2]
     for a in small:
         for b in small:
             mu_ab = external_laxator(d, a, b)

@@ -25,15 +25,18 @@ the layer that makes them true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import NonFunctorial, NotAPullback
 from .finset import (
     FinFn,
     FinSet,
+    Universe,
     compose,  # noqa: F401  (perfbench's tracer tests patch this binding)
     fn_product,
+    matching,
     product,
     swap_fn,
     terminal,
@@ -327,7 +330,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     cat = pdot.cat
     pair_bound = min(max_size, 2)
     spans = [pdot.canonical(s) for s in cat.enumerate_spans(pair_bound)]
-    objs = list(cat.objects(max_size))
+    objs = Universe(pdot.triple, max_size).objects
 
     unitor = rep.clause("pdot.unitor", "identity spans map to identity maps")
     for a in objs:
@@ -338,12 +341,8 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         "pdot.compositor",
         "image of a loose composite equals the composite of images",
     )
-    by_source: dict[FinSet, list[Span]] = {}
-    for s in spans:
-        by_source.setdefault(s.source, []).append(s)
-    composable = [
-        (x, y) for x in spans for y in by_source.get(x.target, ())
-    ]
+    source, target = attrgetter("source"), attrgetter("target")
+    composable = list(matching(spans, spans, target, source))
     for x, y in composable:
         qt = pdot.compositor(x, y)
         _verdict(comp, qt.invertible, qt, lambda: f"{x} ; {y}")
@@ -353,13 +352,11 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         "pdot.double-assoc",
         "the two bracketings of a triple composite have equal images",
     )
-    for x, y in composable:
-        xy = pdot.composite(x, y)
-        for z in by_source.get(y.target, ()):
-            lhs = pdot.loose_image(pdot.composite(xy, z))
-            rhs = pdot.loose_image(pdot.composite(x, pdot.composite(y, z)))
-            _check(assoc, lhs == rhs,
-                   lambda: f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
+    for (x, y), z in matching(composable, spans, lambda xy: xy[1].target, source):
+        lhs = pdot.loose_image(pdot.composite(pdot.composite(x, y), z))
+        rhs = pdot.loose_image(pdot.composite(x, pdot.composite(y, z)))
+        _check(assoc, lhs == rhs,
+               lambda: f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
 
     # A cell's induced square depends only on its boundary (the apex map
     # never enters the image), so each distinct boundary is checked once.
@@ -474,26 +471,33 @@ def search_offdomain_witness(pdot: PDot, max_size: int) -> str | None:
     or None when no such pair exists at this bound.
 
     Works pointwise on predicates, so the bound may exceed what whole-map
-    construction over product fibers would bear."""
+    construction over product fibers would bear.  The external tensor is
+    tabulated once per pair of sets, by carrier index, so each instance
+    costs one span action."""
     d = pdot.d
-    cat = pdot.cat
-    spans = list(cat.enumerate_spans(max_size))
+    spans = list(pdot.cat.enumerate_spans(max_size))
     images = {x: pdot.loose_image(x) for x in spans}
+    objs = Universe(pdot.triple, max_size).objects
+    tensor = {
+        (a, b): [[d.pair_predicate(a, b, p, q) for q in d.carrier_values(b)]
+                 for p in d.carrier_values(a)]
+        for a in objs for b in objs
+    }
     for x in spans:
         imx = images[x]
-        xs, xt = d.carrier_values(x.source), d.carrier_values(x.target)
         for y in spans:
             if pdot.laxator_domain(x, y):
                 continue
             imy = images[y]
-            ys, yt = d.carrier_values(y.source), d.carrier_values(y.target)
+            joints = tensor[x.source, y.source]
+            targets = tensor[x.target, y.target]
             big = product_span(x, y)
-            for s in range(imx.dom.size):
-                ims = xt[imx.table[s]]
-                for t in range(imy.dom.size):
-                    joint = d.pair_predicate(x.source, y.source, xs[s], ys[t])
-                    lhs = d.act(big.left, big.right, joint)
-                    rhs = d.pair_predicate(x.target, y.target, ims, yt[imy.table[t]])
-                    if lhs != rhs:
-                        return f"{x} , {y} at ({s}, {t})"
+            act = partial(d.act, big.left, big.right)
+            for s, row in enumerate(joints):
+                want = targets[imx.table[s]]
+                lhs = list(map(act, row))
+                rhs = [want[v] for v in imy.table]
+                if lhs != rhs:
+                    t = next(t for t in range(len(lhs)) if lhs[t] != rhs[t])
+                    return f"{x} , {y} at ({s}, {t})"
     return None

@@ -15,11 +15,10 @@ from .errors import ClassViolation, NotAPullback
 from .finset import (
     FinFn,
     FinSet,
-    all_functions,
+    Universe,
     bang,
     compose,
     diagonal,
-    finsets,
     fn_product,
 )
 from .doctrine import (
@@ -162,16 +161,13 @@ def roundtrip(d: Doctrine, max_size: int) -> Report:
     piece with the source, literally."""
     pdot = PDot(d)
     q = DoubleFunctorData(pdot)
-    t = d.triple
+    u = Universe(d.triple, max_size)
     rep = Report()
-    objs = list(finsets(max_size, t.nonempty_only))
-    fns = list(all_functions(max_size, t.nonempty_only))
-    r_fns = [f for f in fns if t.right.contains(f)]
 
     fib = rep.clause(
         "roundtrip.fibers", "recovered tensor and unit equal the source fiber"
     )
-    for a in objs:
+    for a in u.objects:
         src = d.fiber(a)
         fib.check(
             tensor_from_laxator(q, a) == src.tensor_map()
@@ -184,13 +180,13 @@ def roundtrip(d: Doctrine, max_size: int) -> Report:
     sub = rep.clause(
         "roundtrip.subst", "recovered substitution equals the source substitution"
     )
-    for f in fns:
+    for f in u.maps:
         sub.check(q.loose(companion_span(f)) == d.subst(f), f"f={f}")
 
     qua = rep.clause(
         "roundtrip.exists", "recovered quantifier equals the source quantifier"
     )
-    for f in r_fns:
+    for f in u.right:
         qua.check(quantifier_from_conjoint(q, f) == d.exists(f), f"f={f}")
 
     fac = rep.clause(
@@ -211,7 +207,7 @@ def roundtrip(d: Doctrine, max_size: int) -> Report:
         "roundtrip.frobenius",
         "the rebuilt Frobenius verdict matches the direct check",
     )
-    for f in r_fns:
+    for f in u.right:
         via = frobenius_via_Bhat(q, f)
         direct = check_frobenius(d, f)
         fro.check(via.passed == direct.passed and via.passed, f"f={f}")

@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CodMismatch, DomMismatch, LabelClash
 from .report import Report
@@ -264,10 +265,23 @@ def functions(a: FinSet, b: FinSet) -> Iterator[FinFn]:
         yield FinFn(a, b, table)
 
 
-def all_functions(max_size: int, nonempty: bool = False) -> Iterator[FinFn]:
-    for a in finsets(max_size, nonempty):
-        for b in finsets(max_size, nonempty):
-            yield from functions(a, b)
+def matching(
+    xs: Iterable, ys: Iterable, x_key: Callable, y_key: Callable
+) -> Iterator[tuple]:
+    """Every pair ``(x, y)`` with ``x_key(x) == y_key(y)``: the xs in their
+    own order, and under each x the ys in theirs.  The ys are indexed at
+    the call; the pairs are generated as they are consumed."""
+    by_key: dict = {}
+    for y in ys:
+        by_key.setdefault(y_key(y), []).append(y)
+    return ((x, y) for x in xs for y in by_key.get(x_key(x), ()))
+
+
+def cospans(xs: Iterable[FinFn], ys: Iterable[FinFn]) -> Iterator[tuple[FinFn, FinFn]]:
+    """Every cospan ``x: a -> z <- b: y`` with x from ``xs`` and y from
+    ``ys``: by z, then x, then y, each list in its own order."""
+    cod = attrgetter("cod")
+    return matching(sorted(xs, key=lambda f: f.cod.size), ys, cod, cod)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +362,6 @@ class AdequateTriple:
     right: MorClass
     nonempty_only: bool = False
 
-    def objects(self) -> Iterator[FinSet]:
-        return finsets(self.universe, self.nonempty_only)
-
 
 def trivial_triple(universe: int = 3) -> AdequateTriple:
     return AdequateTriple(universe, MorClass.all(), MorClass.all())
@@ -369,62 +380,66 @@ def injection_right_triple(universe: int = 3) -> AdequateTriple:
     return AdequateTriple(universe, MorClass.all(), MorClass.injections())
 
 
+class Universe:
+    """The bounded universe of a triple, enumerated once.
+
+    ``objects`` are the sets up to the bound by size, nonempty only when
+    the triple says so; ``hom[a, b]`` lists the functions a -> b by table;
+    ``maps`` lists every function between objects, ordered by domain, then
+    codomain, then table; ``left`` and ``right`` are the members of each
+    class, in the order of ``maps``.  Every suite ranges over these lists
+    (paired up by ``matching``), which is what fixes the order of every
+    report.
+    """
+
+    def __init__(self, triple: AdequateTriple, bound: int):
+        self.objects = list(finsets(bound, triple.nonempty_only))
+        self.hom = {
+            (a, b): list(functions(a, b)) for a in self.objects for b in self.objects
+        }
+        self.maps = [f for fs in self.hom.values() for f in fs]
+        self.left = [f for f in self.maps if triple.left.contains(f)]
+        self.right = [f for f in self.maps if triple.right.contains(f)]
+
+
 def check_adequate_triple(t: AdequateTriple) -> Report:
     """Exhaustively verify the triple axioms up to the universe bound."""
     if t.universe < 1:
         raise ValueError("universe bound must be at least 1")
     rep = Report()
-    objs = list(t.objects())
-    fns = [f for a in objs for b in objs for f in functions(a, b)]
+    u = Universe(t, t.universe)
+    classes = (("L", t.left, u.left), ("R", t.right, u.right))
 
     ids = rep.clause("triple.identities", "identities belong to both classes")
-    for a in objs:
+    for a in u.objects:
         ident = FinFn.identity(a)
         ids.check(t.left.contains(ident), f"id_{a.size} not in L")
         ids.check(t.right.contains(ident), f"id_{a.size} not in R")
 
     comp = rep.clause("triple.composition", "classes are closed under composition")
-    for name, cls in (("L", t.left), ("R", t.right)):
-        members = [f for f in fns if cls.contains(f)]
-        by_dom: dict[FinSet, list[FinFn]] = {}
-        for g in members:
-            by_dom.setdefault(g.dom, []).append(g)
-        for f in members:
-            for g in by_dom.get(f.cod, ()):
-                comp.check(
-                    cls.contains(compose(f, g)),
-                    f"{name}: {f};{g} escapes the class",
-                )
+    for name, cls, members in classes:
+        for f, g in matching(members, members, attrgetter("cod"), attrgetter("dom")):
+            comp.check(
+                cls.contains(compose(f, g)),
+                f"{name}: {f};{g} escapes the class",
+            )
 
     pb = rep.clause(
         "triple.pullbacks",
         "every L against R cospan has a pullback with stable classes",
     )
-    for z in objs:
-        for a in objs:
-            for x in functions(a, z):
-                if not t.left.contains(x):
-                    continue
-                for b in objs:
-                    for y in functions(b, z):
-                        if not t.right.contains(y):
-                            continue
-                        apex, p, q = pullback(x, y)
-                        ok_shape = (
-                            compose(p, x).table == compose(q, y).table
-                        )
-                        # base change of x (in L) along y lands over b;
-                        # base change of y (in R) along x lands over a
-                        pb.check(
-                            ok_shape
-                            and t.left.contains(q)
-                            and t.right.contains(p),
-                            f"cospan {x} / {y}: unstable pullback legs",
-                        )
+    for x, y in cospans(u.left, u.right):
+        apex, p, q = pullback(x, y)
+        ok_shape = compose(p, x).table == compose(q, y).table
+        # base change of x (in L) along y lands over b;
+        # base change of y (in R) along x lands over a
+        pb.check(
+            ok_shape and t.left.contains(q) and t.right.contains(p),
+            f"cospan {x} / {y}: unstable pullback legs",
+        )
 
     prods = rep.clause("triple.products", "classes are closed under finite products")
-    for name, cls in (("L", t.left), ("R", t.right)):
-        members = [f for f in fns if cls.contains(f)]
+    for name, cls, members in classes:
         for f in members:
             for g in members:
                 prods.check(
@@ -433,25 +448,15 @@ def check_adequate_triple(t: AdequateTriple) -> Report:
                 )
 
     projs = rep.clause("triple.projections", "product projections lie in both classes")
-    for a in objs:
-        for b in objs:
+    for a in u.objects:
+        for b in u.objects:
             _, pa, p_b = product(a, b)
-            projs.check(
-                t.left.contains(pa),
-                f"projection {a.size}x{b.size}->{a.size} not in L",
-            )
-            projs.check(
-                t.right.contains(pa),
-                f"projection {a.size}x{b.size}->{a.size} not in R",
-            )
-            projs.check(
-                t.left.contains(p_b),
-                f"projection {a.size}x{b.size}->{b.size} not in L",
-            )
-            projs.check(
-                t.right.contains(p_b),
-                f"projection {a.size}x{b.size}->{b.size} not in R",
-            )
+            for proj in (pa, p_b):
+                for name, cls, _ in classes:
+                    projs.check(
+                        cls.contains(proj),
+                        f"projection {a.size}x{b.size}->{proj.cod.size} not in {name}",
+                    )
     if t.nonempty_only:
         projs.note(
             "universe restricted to nonempty sets: projections out of a "

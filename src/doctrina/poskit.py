@@ -167,7 +167,8 @@ class MonotoneMap:
     def then(self, g: "MonotoneMap") -> "MonotoneMap":
         if self.cod != g.dom:
             raise ShapeMismatch("composition across different posets")
-        return MonotoneMap(self.dom, g.cod, tuple(g.table[v] for v in self.table))
+        gt = g.table
+        return MonotoneMap(self.dom, g.cod, tuple([gt[v] for v in self.table]))
 
 
 def monotone_map(dom: Poset, cod: Poset, table) -> MonotoneMap:

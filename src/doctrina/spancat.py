@@ -17,6 +17,7 @@ but composites never carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import BoundaryMismatch, ClassViolation, ObjMismatch
@@ -25,9 +26,9 @@ from .finset import (
     FinFn,
     FinSet,
     Pullback,
+    Universe,
     compose,
-    finsets,
-    functions,
+    matching,
     pullback,
 )
 from .report import Report
@@ -250,21 +251,13 @@ class SpanCategory:
 
     # -- enumeration ----------------------------------------------------
 
-    def objects(self, max_size: int) -> Iterator[FinSet]:
-        return finsets(max_size, self.triple.nonempty_only)
-
     def enumerate_spans(self, max_size: int) -> Iterator[Span]:
         """All spans with every object bounded by max_size, legs in class;
-        deterministic: objects by size, legs lexicographic."""
-        for apex in self.objects(max_size):
-            for s in self.objects(max_size):
-                for left in functions(apex, s):
-                    if not self.triple.left.contains(left):
-                        continue
-                    for t in self.objects(max_size):
-                        for right in functions(apex, t):
-                            if self.triple.right.contains(right):
-                                yield Span(left, right)
+        deterministic: left legs in ``Universe`` order, then the right
+        legs out of the same apex in that order."""
+        u = Universe(self.triple, max_size)
+        dom = attrgetter("dom")
+        return (Span(left, right) for left, right in matching(u.left, u.right, dom, dom))
 
     def check_triangles(self, max_size: int) -> Report:
         """All four snake identities, for every map in the relevant class,
@@ -278,17 +271,11 @@ class SpanCategory:
             "spancat.conjoint-triangles",
             "conjoint snake identities hold on the nose",
         )
-        for a in self.objects(max_size):
-            for b in self.objects(max_size):
-                for f in functions(a, b):
-                    if self.triple.left.contains(f):
-                        comp.check(
-                            self.verify_triangles(self.companion_of(f)), f"f={f}"
-                        )
-                    if self.triple.right.contains(f):
-                        conj.check(
-                            self.verify_triangles(self.conjoint_of(f)), f"f={f}"
-                        )
+        u = Universe(self.triple, max_size)
+        for f in u.left:
+            comp.check(self.verify_triangles(self.companion_of(f)), f"f={f}")
+        for f in u.right:
+            conj.check(self.verify_triangles(self.conjoint_of(f)), f"f={f}")
         return rep
 
     def enumerate_cell_data(self, max_size: int) -> Iterator[CellData]:
@@ -297,11 +284,11 @@ class SpanCategory:
         the apex map and the tight right map, each lexicographic.  The
         two squares are matched as tables: apex maps into ``dst`` are
         grouped by their composite with ``dst.left``, tight right maps
-        out of ``src`` by their composite with ``src.right``, over
-        function lists built once per pair of objects."""
+        out of ``src`` by their composite with ``src.right``, over the
+        universe's function lists."""
         spans = list(self.enumerate_spans(max_size))
-        objs = list(self.objects(max_size))
-        fns = {(a, b): list(functions(a, b)) for a in objs for b in objs}
+        u = Universe(self.triple, max_size)
+        objs, fns = u.objects, u.hom
         # (dst, apex of src) -> {am ; dst.left: [(am, am ; dst.right), ...]}
         apex_maps: dict[tuple[Span, FinSet], dict[tuple, list]] = {}
         # (src, target of dst) -> {src.right ; tr: [tr, ...]}

@@ -380,6 +380,20 @@ class TestOffDomainSearch:
             # so the search comes back empty and that is the recorded fact
             assert witness is None
 
+    @pytest.mark.parametrize("mutant, at", [
+        (DroppedApexDoctrine, "(2, 2)"),
+        (SkippedApexDoctrine, "(1, 2)"),
+        (PairApexDoctrine, "(1, 1)"),
+    ])
+    def test_broken_span_action_yields_witness(self, mutant, at):
+        from doctrina.finset import AdequateTriple, MorClass
+
+        # a span action that drops an apex element breaks the commuter
+        # off the guaranteed domain: x = (2 <- 2 -> 1), identity left leg
+        cfg = AdequateTriple(2, MorClass.injections(), MorClass.all())
+        x = "Span(FinFn(2->2:[0, 1]), FinFn(2->1:[0, 0]))"
+        assert search_offdomain_witness(PDot(mutant(cfg)), 2) == f"{x} , {x} at {at}"
+
     def test_surjection_triple_always_on_domain(self):
         d = powerset_doctrine(surjection_triple(2))
         p = PDot(d)
