@@ -16,6 +16,15 @@ predicate's own value (a bitmask, a cost tuple), so that evaluation
 never builds a fiber; ``carrier_values``/``carrier_indices`` convert
 between the two.
 
+``span_action`` is the one checked entry point for the span action as a
+map between foot fibers, and every cover pair of its domain is checked
+order-preserving.  By default it applies ``_act`` to every value.  The
+min-plus doctrine builds the whole table at once instead, on packed value
+columns (``poskit.trop_span_table``), unless a subclass redefines
+``_act``.  Substitution, quantifiers and ``act`` stay value by value, so
+``pdot.compositor`` still compares the packed table with a composite
+computed independently of it.
+
 The checkers at the bottom verify, exhaustively over a finite universe,
 every law the theory demands: functoriality, strong monoidality of
 substitution, the Galois biconditional, comonoidality of the quantifier,
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Iterator, Sequence
 
@@ -59,6 +69,7 @@ from .poskit import (
     swap_map,
     trop_all_values,
     trop_index_table,
+    trop_span_table,
     tropical_fiber,
 )
 from .report import Report
@@ -96,26 +107,24 @@ class Doctrine:
 
     def span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
         """Substitute along ``left`` then quantify along ``right``, as one
-        map between the foot fibers.  Computed directly so that a large
+        map between the foot fibers, checked order-preserving on every
+        cover pair.  Computed directly (``_span_action``) so that a large
         apex never forces materialising an intermediate fiber."""
-        if left.dom != right.dom:
-            raise ValueError("span legs must share an apex")
-        if not self.triple.right.contains(right):
-            raise ClassViolation(f"no quantifier along {right}: not in R")
-        p1 = self.fiber(left.cod).carrier
-        p2 = self.fiber(right.cod).carrier
-        images = [self._act(left, right, v) for v in self.carrier_values(left.cod)]
-        return monotone_map(p1, p2, self.carrier_indices(right.cod, images))
+        self._check_span(left, right)
+        return self._span_action(left, right)
 
     def act(self, left: FinFn, right: FinFn, pred):
         """Span action on a single predicate value (see ``carrier_values``);
         never materialises a fiber, so the feet may be denoted products
         of arbitrary size."""
-        if left.dom != right.dom:
-            raise ValueError("span legs must share an apex")
-        if not self.triple.right.contains(right):
-            raise ClassViolation(f"no quantifier along {right}: not in R")
+        self._check_span(left, right)
         return self._act(left, right, pred)
+
+    def actor(self, left: FinFn, right: FinFn):
+        """``act`` along one span as a function of the predicate value,
+        with the span checked once rather than on every call."""
+        self._check_span(left, right)
+        return partial(self._act, left, right)
 
     def pair_predicate(self, a: FinSet, b: FinSet, p, q):
         """The external tensor of two predicate values, pointwise."""
@@ -130,6 +139,19 @@ class Doctrine:
     def carrier_indices(self, a: FinSet, values: list) -> list[int]:
         """Inverse of ``carrier_values``: the element of each value."""
         return values
+
+    def _check_span(self, left: FinFn, right: FinFn) -> None:
+        if left.dom != right.dom:
+            raise ValueError("span legs must share an apex")
+        if not self.triple.right.contains(right):
+            raise ClassViolation(f"no quantifier along {right}: not in R")
+
+    def _span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
+        """The span action of a checked span, one ``_act`` per value."""
+        p1 = self.fiber(left.cod).carrier
+        p2 = self.fiber(right.cod).carrier
+        images = [self._act(left, right, v) for v in self.carrier_values(left.cod)]
+        return monotone_map(p1, p2, self.carrier_indices(right.cod, images))
 
     def _make_fiber(self, a: FinSet) -> MonoPoset:
         raise NotImplementedError
@@ -226,6 +248,22 @@ class TropicalDoctrine(Doctrine):
 
     def carrier_indices(self, a: FinSet, values: list) -> list[int]:
         return list(map(trop_index_table(a.size, self.cap).__getitem__, values))
+
+    def _span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
+        """The whole table at once, on packed value columns: target slot j
+        takes the minimum over the source slots its fibre reaches
+        (``poskit.trop_span_table``), and every cover pair is checked.  A
+        subclass that redefines ``_act`` keeps the per-value path, so the
+        action it defines is the one the law suites check."""
+        if type(self)._act is not TropicalDoctrine._act:
+            return super()._span_action(left, right)
+        fibres = [set() for _ in range(right.cod.size)]
+        for i, j in zip(left.table, right.table):
+            fibres[j].add(i)
+        table = trop_span_table(left.cod.size, self.cap, fibres)
+        return MonotoneMap(
+            self.fiber(left.cod).carrier, self.fiber(right.cod).carrier, table
+        )
 
     def _act(self, left: FinFn, right: FinFn, pred: tuple[int, ...]) -> tuple[int, ...]:
         vals = [self.cap + 1] * right.cod.size

@@ -25,7 +25,7 @@ the layer that makes them true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator
 
@@ -473,7 +473,9 @@ def search_offdomain_witness(pdot: PDot, max_size: int) -> str | None:
     Works pointwise on predicates, so the bound may exceed what whole-map
     construction over product fibers would bear.  The external tensor is
     tabulated once per pair of sets, by carrier index, so each instance
-    costs one span action."""
+    costs one span action.  Each pair's product span is built here and
+    checked once (``Doctrine.actor``); it stays out of ``product_span``'s
+    cache, which the search would fill with entries never read again."""
     d = pdot.d
     spans = list(pdot.cat.enumerate_spans(max_size))
     images = {x: pdot.loose_image(x) for x in spans}
@@ -491,8 +493,7 @@ def search_offdomain_witness(pdot: PDot, max_size: int) -> str | None:
             imy = images[y]
             joints = tensor[x.source, y.source]
             targets = tensor[x.target, y.target]
-            big = product_span(x, y)
-            act = partial(d.act, big.left, big.right)
+            act = d.actor(fn_product(x.left, y.left), fn_product(x.right, y.right))
             for s, row in enumerate(joints):
                 want = targets[imx.table[s]]
                 lhs = list(map(act, row))

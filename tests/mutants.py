@@ -2,7 +2,7 @@
 
 from doctrina.finset import FinFn, FinSet, product
 from doctrina.poskit import MonoPoset, monotone_map, powerset_fiber
-from doctrina.doctrine import PowersetDoctrine
+from doctrina.doctrine import PowersetDoctrine, TropicalDoctrine
 
 
 class BrokenTensorDoctrine(PowersetDoctrine):
@@ -120,3 +120,18 @@ class SaturatedProjectionDoctrine(PowersetDoctrine):
                 good.dom, good.cod, (0,) + (top,) * (good.dom.size - 1)
             )
         return good
+
+
+class DroppedApexTropicalDoctrine(TropicalDoctrine):
+    """The min-plus counterpart of ``DroppedApexDoctrine``: the minimum
+    skips the last apex element once the apex has three or more.  Its
+    ``_act`` replaces the stock one, so the span action must be computed
+    value by value through it, not on the stock packed columns."""
+
+    def _act(self, left: FinFn, right: FinFn, pred: tuple) -> tuple:
+        n = left.dom.size
+        vals = [self.cap + 1] * right.cod.size
+        for a in range(n - 1 if n >= 3 else n):
+            j = right.table[a]
+            vals[j] = min(vals[j], pred[left.table[a]])
+        return tuple(vals)

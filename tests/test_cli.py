@@ -198,6 +198,19 @@ class TestVerify:
             "59bbe32e203ec94f5bdd0e51b6f7a5dedb302eeb400d201baf34ecd4e802e9ec"
         )
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["verify", "--fiber", "tropical"],
+         "ae26cd218d389a17b55550fa0656748b8f5de169f8450e3be551500512267cdb"),
+        (["roundtrip", "--fiber", "tropical"],
+         "61204ccc12ce52b8ee3569bf5298fd36d22e18b46b857986ac5c14f6a1691871"),
+    ], ids=["verify", "roundtrip"])
+    def test_tropical_report_bytes(self, capsys, argv, digest):
+        # pinned bytes of the benchmark's tropical commands (cap 3): the
+        # whole-table span action must leave both reports as they were
+        rc, out, _ = run_main(argv, capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_powerset_size_2_passes(self, capsys):
         rc, out, _ = run_main(
             ["verify", "--fiber", "powerset", "--max-size", "2", "--summary"],

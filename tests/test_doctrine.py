@@ -25,6 +25,8 @@ from doctrina.doctrine import (
     tropical_doctrine,
 )
 
+from doctrina.spancat import SpanCategory
+
 from mutants import PERTURBED, NonFunctorialDoctrine, SwappedAdjointDoctrine
 
 
@@ -71,6 +73,24 @@ class TestTropicalDoctrine:
     def test_cap_guard(self):
         with pytest.raises(ValueError):
             tropical_doctrine(trivial_triple(2), 0)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("triple, empties", [
+        (trivial_triple(2), True), (surjection_triple(2), False),
+    ], ids=["all-all", "surj-right"])
+    def test_packed_span_action_is_the_per_value_table(self, triple, empties, cap):
+        d = tropical_doctrine(triple, cap)
+        spans = list(SpanCategory(triple).enumerate_spans(2))
+        for x in spans:
+            per_value = d.carrier_indices(x.target, [
+                d._act(x.left, x.right, v) for v in d.carrier_values(x.source)
+            ])
+            assert d.span_action(x.left, x.right).table == tuple(per_value), x
+        if empties:
+            # empty feet, and right legs that leave a fibre empty
+            assert any(x.source.size == 0 for x in spans)
+            assert any(x.target.size == 0 for x in spans)
+            assert any(len(set(x.right.table)) < x.target.size for x in spans)
 
 
 class TestAdjunction:

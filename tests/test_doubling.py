@@ -34,6 +34,7 @@ from doctrina.spancat import Span, SpanCategory, SpanCell
 from mutants import (
     BrokenTensorDoctrine,
     DroppedApexDoctrine,
+    DroppedApexTropicalDoctrine,
     NonFunctorialDoctrine,
     PairApexDoctrine,
     SaturatedProjectionDoctrine,
@@ -394,6 +395,16 @@ class TestOffDomainSearch:
         x = "Span(FinFn(2->2:[0, 1]), FinFn(2->1:[0, 0]))"
         assert search_offdomain_witness(PDot(mutant(cfg)), 2) == f"{x} , {x} at {at}"
 
+    def test_search_leaves_product_span_cache_alone(self):
+        from doctrina.finset import AdequateTriple, MorClass
+
+        # the search visits each product span once: caching them all
+        # would only hold memory
+        cfg = AdequateTriple(2, MorClass.injections(), MorClass.all())
+        product_span.cache_clear()
+        assert search_offdomain_witness(PDot(powerset_doctrine(cfg)), 2) is None
+        assert product_span.cache_info().currsize == 0
+
     def test_surjection_triple_always_on_domain(self):
         d = powerset_doctrine(surjection_triple(2))
         p = PDot(d)
@@ -401,3 +412,16 @@ class TestOffDomainSearch:
         assert all(
             p.laxator_domain(x, y) for x in spans for y in spans
         )
+
+
+def test_tropical_subclass_act_is_the_span_action():
+    # the stock min-plus action is computed on packed columns; a subclass
+    # that redefines ``_act`` must have its own action checked
+    rep = verify_pdot(PDot(DroppedApexTropicalDoctrine(trivial_triple(2), 1)), 2)
+    comp = rep.find("pdot.compositor")
+    assert comp.failures == 12
+    assert comp.witnesses[0] == (
+        "Span(FinFn(2->2:[0, 1]), FinFn(2->1:[0, 0])) ; "
+        "Span(FinFn(2->1:[0, 0]), FinFn(2->2:[0, 1])): at 3: 0 vs 1"
+    )
+    assert verify_pdot(PDot(tropical_doctrine(trivial_triple(2), 1)), 2).passed

@@ -18,6 +18,7 @@ from doctrina.poskit import (
     leq_maps,
     map_product,
     monotone_map,
+    pack_lanes,
     powerset_fiber,
     preimage_mask,
     product_poset,
@@ -25,10 +26,15 @@ from doctrina.poskit import (
     swap_map,
     trop_add,
     trop_all_values,
+    trop_carrier,
     trop_index,
+    trop_lane_width,
+    trop_lanes,
+    trop_span_table,
     trop_value_poset,
     trop_values,
     tropical_fiber,
+    unpack_lanes,
 )
 
 
@@ -304,3 +310,67 @@ class TestTropical:
     def test_all_values_table(self):
         assert trop_all_values(2, 1)[0] == (0, 0)
         assert len(trop_all_values(2, 1)) == 9
+
+
+def min_plus_table(n, m, cap, fibres):
+    """The reference span action: one minimum per output slot per value."""
+    return [
+        trop_index([min((v[a] for a in fib), default=cap + 1) for fib in fibres], cap)
+        for v in trop_all_values(n, cap)
+    ]
+
+
+def packed_verdict(n, m, cap, table):
+    """``TropLanes.check_monotone`` on the output columns of ``table``."""
+    width = trop_lane_width(m, cap)
+    cols = [
+        pack_lanes([trop_values(t, m, cap)[c] for t in table], width)
+        for c in range(m)
+    ]
+    lanes = trop_lanes(n, cap, width)
+    assert lanes.index_table(cols) == tuple(table)
+    try:
+        lanes.check_monotone(cols)
+    except ValueError as e:
+        assert str(e) == "map is not order-preserving"
+        return False
+    return True
+
+
+class TestPackedColumns:
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_lanes_roundtrip(self, width):
+        values = [0, 1, 2, (1 << (8 * width)) - 1, 5]
+        assert list(unpack_lanes(pack_lanes(values, width), 5, width)) == values
+        # a lane above the last packed one reads 0
+        assert list(unpack_lanes(pack_lanes(values, width), 6, width))[5] == 0
+
+    def test_lane_width(self):
+        # 5**3 indices fit a byte, 5**4 need two; the guard stays clear
+        assert trop_lane_width(3, 3) == 1
+        assert trop_lane_width(4, 3) == 2
+        assert trop_lane_width(0, 200) == 2
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (4, 4), (0, 2), (2, 0)])
+    def test_packed_monotone_check_agrees_with_is_monotone(self, n, m):
+        # min-of-digit tables are monotone; half of them get one entry
+        # changed, which mostly breaks some cover pair
+        rng = random.Random(100 * n + m)
+        broken = 0
+        for trial in range(40):
+            cap = rng.choice((1, 2, 3))
+            fibres = [[a for a in range(n) if rng.random() < 0.5] for _ in range(m)]
+            table = min_plus_table(n, m, cap, fibres)
+            assert tuple(table) == trop_span_table(n, cap, fibres)
+            if trial % 2:
+                table[rng.randrange(len(table))] = rng.randrange((cap + 2) ** m)
+            dom, cod = trop_carrier(n, cap), trop_carrier(m, cap)
+            ok = MonotoneMap(dom, cod, tuple(table)).is_monotone()
+            assert packed_verdict(n, m, cap, table) == ok
+            assert ok or trial % 2
+            broken += not ok
+        if n and m:
+            assert broken >= 10
+        else:
+            # no cover pair in the domain, or a one-element codomain
+            assert broken == 0
