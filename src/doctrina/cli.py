@@ -201,7 +201,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"no system named {args.system!r}")
     w = corpus.diagrams[args.diagram]
     system, semantics = corpus.systems[args.system]
-    triple = trivial_triple(max(3, args.max_size))
+    triple = trivial_triple()
     if semantics == "rel":
         d = doctrine_mod.powerset_doctrine(triple)
     else:
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--diagram", required=True)
     pe.add_argument("--system", required=True)
     pe.add_argument("--k", type=int, default=3)
-    pe.add_argument("--max-size", type=int, default=3)
     pe.add_argument("--check", action="store_true",
                     help="compare against the brute-force oracle")
     pe.set_defaults(fn=cmd_eval)

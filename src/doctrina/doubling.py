@@ -82,7 +82,7 @@ def _qt_cell(top, bottom, left, right) -> QtCell:
     lower, upper = left.then(bottom), top.then(right)
     # equal tables hold by reflexivity; only unequal ones need the pointwise pass
     invertible = iso_maps(lower, upper)
-    holds = invertible or leq_maps(lower, upper).holds
+    holds = invertible or leq_maps(lower, upper)
     return QtCell(top, bottom, left, right, holds, invertible)
 
 

@@ -7,8 +7,10 @@ saturating addition).  The min-plus codec's row-major order also fixes
 the packed value columns (``TropLanes``) on which the min-plus span
 action is computed for a whole fiber at once.  Because the carriers are
 posets, every coherence 2-cell of the theory degenerates to a boolean:
-``Cell2`` records exactly that boolean, and an invertible cell is one
-that holds both ways.
+``leq_maps`` returns exactly that boolean, and an invertible cell is one
+that holds both ways.  Both fibers' carriers are powers of their value
+chain (``power_poset``), built by ``product_poset`` one multiplication
+per row; a poset's covers are found while its order is validated.
 """
 
 from __future__ import annotations
@@ -25,12 +27,25 @@ from .finset import FinFn
 from .report import Report
 
 
+def bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Poset:
-    """A finite poset; ``leq[i]`` is the bitmask of elements above i."""
+    """A finite poset; ``leq[i]`` is the bitmask of elements above i.
+
+    ``covers`` is the covering relation, ascending in i, found by the
+    pass that checks transitivity: order preservation on covers implies
+    order preservation everywhere, by transitivity."""
 
     size: int
     leq: tuple[int, ...]
+    covers: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.leq) != self.size:
@@ -41,52 +56,29 @@ class Poset:
                 raise ValueError("leq row mentions nonexistent elements")
             if not (row >> i) & 1:
                 raise ValueError(f"not reflexive at {i}")
+        leq = self.leq
+        ups = [row & ~(1 << i) for i, row in enumerate(leq)]
+        covers = []
         for i in range(self.size):
-            m = self.leq[i]
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                if self.leq[j] & ~self.leq[i]:
+            # the elements strictly above something strictly above i
+            above = 0
+            for j in bits(ups[i]):
+                if leq[j] & ~leq[i]:
                     raise ValueError(f"not transitive through {i} <= {j}")
-                if i != j and (self.leq[j] >> i) & 1:
+                if (leq[j] >> i) & 1:
                     raise ValueError(f"not antisymmetric at {i}, {j}")
+                above |= ups[j]
+            covers.extend([(i, j) for j in bits(ups[i] & ~above)])
+        object.__setattr__(self, "covers", tuple(covers))
 
     def le(self, i: int, j: int) -> bool:
         return bool((self.leq[i] >> j) & 1)
 
     def pairs(self):
         """All (i, j) with i <= j, ascending in i."""
-        for i in range(self.size):
-            m = self.leq[i]
-            while m:
-                low = m & -m
-                yield i, low.bit_length() - 1
-                m ^= low
-
-
-@lru_cache(maxsize=None)
-def cover_pairs(p: Poset) -> tuple[tuple[int, int], ...]:
-    """The covering relation of a poset; order preservation on covers
-    implies order preservation everywhere, by transitivity."""
-    ups = [p.leq[i] & ~(1 << i) for i in range(p.size)]
-    downs = [0] * p.size
-    for i in range(p.size):
-        m = ups[i]
-        while m:
-            low = m & -m
-            downs[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    out = []
-    for i in range(p.size):
-        m = ups[i]
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            if not (ups[i] & downs[j]):
-                out.append((i, j))
-    return tuple(out)
+        for i, row in enumerate(self.leq):
+            for j in bits(row):
+                yield i, j
 
 
 @lru_cache(maxsize=None)
@@ -102,40 +94,26 @@ def singleton_poset() -> Poset:
 
 
 @lru_cache(maxsize=None)
-def subset_lattice(n: int) -> Poset:
-    """Subsets of an n-set as bitmasks, ordered by inclusion."""
-    size = 1 << n
-    rows = []
-    for s in range(size):
-        row = 0
-        for t in range(size):
-            if s & ~t == 0:
-                row |= 1 << t
-        rows.append(row)
-    return Poset(size, tuple(rows))
+def product_poset(a: Poset, b: Poset) -> Poset:
+    """Row-major product order, consistent with finset.product: (i, j) is
+    below (i2, j2) when i <= i2 and j <= j2.  ``spread[i]`` has a 1 at
+    the base of block i2 for every i2 above i; no row of b leaves its
+    block, so one multiplication lays b's row j into all of them."""
+    spread = [sum(1 << (i2 * b.size) for i2 in bits(row)) for row in a.leq]
+    return Poset(a.size * b.size, tuple([s * r for s in spread for r in b.leq]))
 
 
 @lru_cache(maxsize=None)
-def product_poset(a: Poset, b: Poset) -> Poset:
-    """Row-major product order, consistent with finset.product."""
-    size = a.size * b.size
-    rows = []
-    for i in range(a.size):
-        for j in range(b.size):
-            row = 0
-            ma = a.leq[i]
-            while ma:
-                la = ma & -ma
-                i2 = la.bit_length() - 1
-                ma ^= la
-                mb = b.leq[j]
-                base = i2 * b.size
-                while mb:
-                    lb = mb & -mb
-                    row |= 1 << (base + lb.bit_length() - 1)
-                    mb ^= lb
-            rows.append(row)
-    return Poset(size, tuple(rows))
+def power_poset(p: Poset, n: int) -> Poset:
+    """The n-fold row-major power of p, slot 0 most significant: tuples
+    ordered componentwise."""
+    return singleton_poset() if n == 0 else product_poset(power_poset(p, n - 1), p)
+
+
+def subset_lattice(n: int) -> Poset:
+    """Subsets of an n-set as bitmasks, ordered by inclusion: the power of
+    the 2-chain, since inclusion is the componentwise order."""
+    return power_poset(chain(2), n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,7 +140,7 @@ class MonotoneMap:
 
     def is_monotone(self) -> bool:
         leq, t = self.cod.leq, self.table
-        return all((leq[t[i]] >> t[j]) & 1 for i, j in cover_pairs(self.dom))
+        return all((leq[t[i]] >> t[j]) & 1 for i, j in self.dom.covers)
 
     @staticmethod
     def identity(p: Poset) -> "MonotoneMap":
@@ -200,20 +178,11 @@ def swap_map(a: Poset, b: Poset) -> MonotoneMap:
     return MonotoneMap(dom, cod, table)
 
 
-@dataclass(frozen=True)
-class Cell2:
-    """A 2-cell of Pos: the pointwise inequality between two parallel maps."""
-
-    lower: MonotoneMap
-    upper: MonotoneMap
-    holds: bool
-
-
-def leq_maps(f: MonotoneMap, g: MonotoneMap) -> Cell2:
+def leq_maps(f: MonotoneMap, g: MonotoneMap) -> bool:
+    """The 2-cell of Pos from f to g exists: f lies pointwise below g."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("2-cells need parallel maps")
-    holds = all(f.cod.le(f.table[i], g.table[i]) for i in range(f.dom.size))
-    return Cell2(f, g, holds)
+    return all(f.cod.le(f.table[i], g.table[i]) for i in range(f.dom.size))
 
 
 def iso_maps(f: MonotoneMap, g: MonotoneMap) -> bool:
@@ -331,11 +300,8 @@ def preimage_mask(f: FinFn, mask: int) -> int:
 
 def image_mask(f: FinFn, mask: int) -> int:
     out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= 1 << f.table[low.bit_length() - 1]
-        m ^= low
+    for a in bits(mask):
+        out |= 1 << f.table[a]
     return out
 
 
@@ -359,15 +325,10 @@ def trop_value_poset(cap: int) -> Poset:
     return Poset(n, tuple((1 << (i + 1)) - 1 for i in range(n)))
 
 
-@lru_cache(maxsize=None)
 def trop_carrier(n: int, cap: int) -> Poset:
-    if n == 0:
-        return singleton_poset()
-    p = trop_value_poset(cap)
-    out = p
-    for _ in range(n - 1):
-        out = product_poset(out, p)
-    return out
+    """Value tuples of n slots, ordered pointwise: the power of the value
+    chain, in the codec's row-major order."""
+    return power_poset(trop_value_poset(cap), n)
 
 
 # The codec: an index is the base-(cap + 2) numeral of its values, first

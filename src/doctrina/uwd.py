@@ -373,19 +373,20 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
             if not isinstance(data, list):
                 raise ValueError(f"system {name}: cost data {data!r} is not an array")
             inf = cap + 1
-            vals = []
-            for v in data:
+
+            def cost(v):
+                if type(v) is int and v >= 0:
+                    return v if v < inf else inf
                 if v == "inf":
-                    vals.append(inf)
-                elif type(v) is int and v >= 0:
-                    vals.append(min(v, inf))
-                else:
-                    raise ValueError(
-                        f"system {name}: cost {v!r} is neither a natural number nor \"inf\""
-                    )
-            if len(vals) != n:
-                raise ValueError(f"system {name}: expected {n} costs, got {len(vals)}")
-            pred = tuple(vals)
+                    return inf
+                raise ValueError(
+                    f"system {name}: cost {v!r} is neither a natural number nor \"inf\""
+                )
+
+            # straight into the tuple: no list of costs beside the parsed data
+            pred = tuple(map(cost, data))
+            if len(pred) != n:
+                raise ValueError(f"system {name}: expected {n} costs, got {len(pred)}")
         else:
             raise ValueError(f"system {name}: unknown semantics {semantics!r}")
         systems[name] = (System(ctx, pred), semantics)

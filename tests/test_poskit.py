@@ -12,13 +12,13 @@ from doctrina.poskit import (
     Poset,
     chain,
     check_mono_poset,
-    cover_pairs,
     image_mask,
     iso_maps,
     leq_maps,
     map_product,
     monotone_map,
     pack_lanes,
+    power_poset,
     powerset_fiber,
     preimage_mask,
     product_poset,
@@ -48,6 +48,13 @@ class TestPoset:
         with pytest.raises(ValueError):
             Poset(3, (0b011, 0b110, 0b100))
 
+    def test_rejects_non_transitivity_two_steps_up(self):
+        # 0<=1<=2 and 0<=2 close up, but 2<=3 and not 0<=3: from 0 the gap
+        # shows only at 2, which is not a cover of 0, so a check along
+        # covers alone would first report it at 1 <= 2
+        with pytest.raises(ValueError, match=r"^not transitive through 0 <= 2$"):
+            Poset(4, (0b0111, 0b0110, 0b1100, 0b1000))
+
     def test_rejects_non_antisymmetric(self):
         with pytest.raises(ValueError):
             Poset(2, (0b11, 0b11))
@@ -57,14 +64,25 @@ class TestPoset:
         assert c.le(0, 2) and not c.le(2, 0)
 
     def test_subset_lattice_is_inclusion(self):
-        p = subset_lattice(3)
-        for s in range(8):
-            for t in range(8):
-                assert p.le(s, t) == (s & ~t == 0)
+        for n in range(4):
+            p = subset_lattice(n)
+            assert p.size == 1 << n
+            for s in range(p.size):
+                for t in range(p.size):
+                    assert p.le(s, t) == (s & ~t == 0)
+
+    @pytest.mark.parametrize("n, cap", itertools.product(range(4), range(3)))
+    def test_trop_carrier_is_pointwise_ge(self, n, cap):
+        p = trop_carrier(n, cap)
+        values = trop_all_values(n, cap)
+        assert p.size == len(values)
+        for s, x in enumerate(values):
+            for t, y in enumerate(values):
+                assert p.le(s, t) == all(a >= b for a, b in zip(x, y))
 
     def test_cover_pairs_generate_order(self):
         p = subset_lattice(3)
-        covers = set(cover_pairs(p))
+        covers = set(p.covers)
         # covers of the subset lattice add exactly one element
         assert all(bin(j & ~i).count("1") == 1 for i, j in covers)
         assert len(covers) == 3 * 4  # n * 2^(n-1)
@@ -101,15 +119,15 @@ class TestMonotoneMap:
 class TestCell2:
     def test_equal_maps_hold_both_ways(self):
         f = MonotoneMap.identity(chain(2))
-        assert leq_maps(f, f).holds
+        assert leq_maps(f, f)
         assert iso_maps(f, f)
 
     def test_constants_on_chain(self):
         c = chain(2)
         lo = monotone_map(c, c, (0, 0))
         hi = monotone_map(c, c, (1, 1))
-        assert leq_maps(lo, hi).holds
-        assert not leq_maps(hi, lo).holds
+        assert leq_maps(lo, hi)
+        assert not leq_maps(hi, lo)
 
     def test_image_preimage_direction(self):
         # image of preimage is below the identity on a 2-element powerset
@@ -118,7 +136,7 @@ class TestCell2:
         img_pre = monotone_map(
             p, p, tuple(image_mask(f, preimage_mask(f, s)) for s in range(4))
         )
-        assert leq_maps(img_pre, MonotoneMap.identity(p)).holds
+        assert leq_maps(img_pre, MonotoneMap.identity(p))
 
     def test_iso_iff_equal_tables(self):
         # antisymmetry meta-test
@@ -133,7 +151,56 @@ class TestCell2:
                 assert iso_maps(f, g) == (f.table == g.table)
 
 
+def rows(*ups):
+    """``leq`` rows from the up-set of each element, as lists."""
+    return tuple(sum(1 << j for j in up) for up in ups)
+
+
+# non-modular N5 and non-distributive M3, labelled against any linear
+# extension so that no construction may assume i <= j implies i < j
+N5 = Poset(5, rows([0, 3, 4], [1, 3], [0, 1, 2, 3, 4], [3], [3, 4]))
+M3 = Poset(5, rows([0, 1], [1], [1, 2], [1, 3], [0, 1, 2, 3, 4]))
+ANTICHAIN = Poset(2, rows([0], [1]))
+POSETS = (
+    chain(0), chain(1), chain(2), chain(3),
+    trop_value_poset(1), subset_lattice(2), N5, M3, ANTICHAIN,
+)
+
+
+def brute_covers(p):
+    """i < j with no k strictly between, ascending in i then j."""
+    return tuple(
+        (i, j)
+        for i in range(p.size)
+        for j in range(p.size)
+        if i != j and p.le(i, j)
+        and not any(k not in (i, j) and p.le(i, k) and p.le(k, j) for k in range(p.size))
+    )
+
+
 class TestProductPoset:
+    @pytest.mark.parametrize("a, b", itertools.product(POSETS, repeat=2))
+    def test_product_is_componentwise(self, a, b):
+        p = product_poset(a, b)
+        assert p.size == a.size * b.size
+        for (i, j), (i2, j2) in itertools.product(
+            itertools.product(range(a.size), range(b.size)), repeat=2
+        ):
+            assert p.le(i * b.size + j, i2 * b.size + j2) == (a.le(i, i2) and b.le(j, j2))
+
+    @pytest.mark.parametrize("a", POSETS)
+    def test_covers_are_the_covering_relation(self, a):
+        assert a.covers == brute_covers(a)
+        for b in POSETS:
+            p = product_poset(a, b)
+            assert p.covers == brute_covers(p)
+
+    def test_power_is_iterated_product(self):
+        v = trop_value_poset(2)
+        assert power_poset(v, 0) == chain(1)
+        assert power_poset(v, 1) == v
+        assert power_poset(v, 3) == product_poset(product_poset(v, v), v)
+
     def test_row_major_pairs(self):
         a, b = chain(2), chain(3)
         p = product_poset(a, b)
