@@ -25,7 +25,6 @@ from .doctrine import (
     Doctrine,
     PowersetDoctrine,
     PullbackSquare,
-    TropicalDoctrine,
     check_adjunction,
     check_beck_chevalley,
     check_doctrine,
@@ -72,7 +71,6 @@ __all__ = [
     "SpanCategory",
     "SpanCell",
     "System",
-    "TropicalDoctrine",
     "TypeAssignment",
     "UwdDiagram",
     "check_adequate_triple",

@@ -2,28 +2,29 @@
 
 A doctrine assigns a monoidal poset of predicates to every finite set,
 a substitution map to every function, and a left-adjoint quantifier to
-every function in the right class.  Two concrete instances are provided:
+every function in the right class.  ``Doctrine(triple, values)`` takes
+predicates valued in a finite lattice V with a commutative monotone
+monoid, pointwise: substitution precomposes, and quantification joins
+over each fibre (V's bottom over an empty one).  ``powerset_doctrine``
+takes the 2-chain under meet (subsets, preimage, image) and
+``tropical_doctrine`` the truncated min-plus chain (cost vectors,
+minimum over each fibre, infinity over an empty one).
 
-* ``PowersetDoctrine``: predicates are subsets, substitution is
-  preimage, quantification is image;
-* ``TropicalDoctrine``: predicates are cost vectors in the truncated
-  min-plus chain, substitution is precomposition, quantification takes
-  the minimum over each fibre (infinity over an empty fibre).
-
-Fibers, substitution and quantifiers work on carrier indices.  The span
-action ``act`` and the external tensor ``pair_predicate`` work on the
-predicate's own value (a bitmask, a cost tuple), so that evaluation
-never builds a fiber; ``carrier_values``/``carrier_indices`` convert
-between the two.
+Fibers, substitution and quantifiers work on carrier indices, whose codec
+puts slot 0 least significant, so a subset's index is its bitmask.  The
+span action ``act`` and the external tensor ``pair_predicate`` work on
+the predicate's own value (a value tuple, or a bitmask in
+``PowersetDoctrine``), so that evaluation never builds a fiber;
+``carrier_values``/``carrier_indices`` convert between the two.
 
 ``span_action`` is the one checked entry point for the span action as a
 map between foot fibers, and every cover pair of its domain is checked
-order-preserving.  By default it applies ``_act`` to every value.  The
-min-plus doctrine builds the whole table at once instead, on packed value
-columns (``poskit.trop_span_table``), unless a subclass redefines
-``_act``.  Substitution, quantifiers and ``act`` stay value by value, so
-``pdot.compositor`` still compares the packed table with a composite
-computed independently of it.
+order-preserving.  By default it applies ``_act`` to every value.  On
+the min-plus chain it builds the whole table at once instead, on packed
+value columns (``poskit.trop_span_table``), unless a subclass redefines
+``_act``.  Quantifiers fold joins value by value, never through
+``_act``, so ``pdot.compositor`` still compares the span action with a
+composite computed independently of it.
 
 The checkers at the bottom verify, exhaustively over a finite universe,
 every law the theory demands: functoriality, strong monoidality of
@@ -58,31 +59,48 @@ from .finset import (
 from .poskit import (
     MonoPoset,
     MonotoneMap,
-    image_mask,
+    boolean_meet,
+    bottom_element,
     iso_maps,
+    join_table,
     map_product,
+    min_plus,
     monotone_map,
-    powerset_fiber,
-    preimage_mask,
+    power_fiber,
     product_poset,
     singleton_poset,
     swap_map,
-    trop_all_values,
-    trop_index_table,
     trop_span_table,
-    tropical_fiber,
+    trop_value_poset,
+    value_index,
+    value_tuples,
 )
 from .report import Report
 
 # the keys ``matching`` pairs maps on
 _DOM, _COD = attrgetter("dom"), attrgetter("cod")
 
+# the largest set in the Beck-Chevalley squares of ``check_doctrine``
+_BC_SIZE = 2
+
 
 class Doctrine:
-    """Base class: fibers, substitution, quantification, all cached."""
+    """The doctrine of ``values``-valued predicates, with cached fibers,
+    substitution and quantifiers.  The order of ``values`` must be a
+    lattice (its joins are derived from it); its tensor laws are trusted,
+    not checked."""
 
-    def __init__(self, triple: AdequateTriple):
+    def __init__(self, triple: AdequateTriple, values: MonoPoset):
         self.triple = triple
+        self.values = values
+        order = values.carrier
+        self.bottom = bottom_element(order)
+        self._join = join_table(order)
+        self._tensor = values.tensor_rows()
+        self._size = order.size
+        # on the >=-chain the join is the minimum: packed columns apply
+        cap = order.size - 2
+        self._cap = cap if order == trop_value_poset(cap) else None
         self._fibers: dict[FinSet, MonoPoset] = {}
         self._subst: dict[FinFn, MonotoneMap] = {}
         self._exists: dict[FinFn, MonotoneMap] = {}
@@ -132,13 +150,12 @@ class Doctrine:
 
     def carrier_values(self, a: FinSet) -> Sequence:
         """The predicate value of every element of the fiber over ``a``, in
-        carrier order: the values ``act`` and ``pair_predicate`` work on.
-        A subset's element index is its bitmask."""
-        return range(self.fiber(a).carrier.size)
+        carrier order: the values ``act`` and ``pair_predicate`` work on."""
+        return value_tuples(a.size, self._size)
 
     def carrier_indices(self, a: FinSet, values: list) -> list[int]:
         """Inverse of ``carrier_values``: the element of each value."""
-        return values
+        return list(map(value_index(a.size, self._size).__getitem__, values))
 
     def _check_span(self, left: FinFn, right: FinFn) -> None:
         if left.dom != right.dom:
@@ -147,41 +164,75 @@ class Doctrine:
             raise ClassViolation(f"no quantifier along {right}: not in R")
 
     def _span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
-        """The span action of a checked span, one ``_act`` per value."""
+        """The span action of a checked span.  On the min-plus chain with
+        the stock ``_act`` the whole table is built at once on packed
+        value columns: target slot j takes the minimum over the source
+        slots its fibre reaches (``poskit.trop_span_table``), and every
+        cover pair is checked.  Otherwise one ``_act`` per value, so the
+        action a subclass defines is the one the law suites check."""
         p1 = self.fiber(left.cod).carrier
         p2 = self.fiber(right.cod).carrier
+        if self._cap is not None and type(self)._act is Doctrine._act:
+            fibres = [set() for _ in range(right.cod.size)]
+            for i, j in zip(left.table, right.table):
+                fibres[j].add(i)
+            return MonotoneMap(p1, p2, trop_span_table(left.cod.size, self._cap, fibres))
         images = [self._act(left, right, v) for v in self.carrier_values(left.cod)]
         return monotone_map(p1, p2, self.carrier_indices(right.cod, images))
 
     def _make_fiber(self, a: FinSet) -> MonoPoset:
-        raise NotImplementedError
+        return power_fiber(self.values, a.size)
 
     def _make_subst(self, f: FinFn) -> MonotoneMap:
-        raise NotImplementedError
+        index = value_index(f.dom.size, self._size)
+        table = [
+            index[tuple([psi[b] for b in f.table])]
+            for psi in value_tuples(f.cod.size, self._size)
+        ]
+        return monotone_map(self.fiber(f.cod).carrier, self.fiber(f.dom).carrier, table)
 
     def _make_exists(self, f: FinFn) -> MonotoneMap:
-        raise NotImplementedError
+        index = value_index(f.cod.size, self._size)
+        ident = range(f.dom.size)
+        table = [
+            index[self._join_fold(ident, f.table, phi, f.cod.size)]
+            for phi in value_tuples(f.dom.size, self._size)
+        ]
+        return monotone_map(self.fiber(f.dom).carrier, self.fiber(f.cod).carrier, table)
 
-    def _act(self, left: FinFn, right: FinFn, pred):
-        raise NotImplementedError
+    def _join_fold(self, lt, rt, pred, m: int) -> tuple[int, ...]:
+        """Slot j joins ``pred[lt[x]]`` over every x with ``rt[x] == j``."""
+        join = self._join
+        vals = [self.bottom] * m
+        for i, j in zip(lt, rt):
+            vals[j] = join[vals[j]][pred[i]]
+        return tuple(vals)
 
-    def _pair(self, a: FinSet, b: FinSet, p, q):
-        raise NotImplementedError
+    def _act(self, left: FinFn, right: FinFn, pred: tuple[int, ...]) -> tuple[int, ...]:
+        return self._join_fold(left.table, right.table, pred, right.cod.size)
+
+    def _pair(
+        self, a: FinSet, b: FinSet, p: tuple[int, ...], q: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        # row x of the tensor table, read at every entry of q, is the
+        # block of the joint under an entry x of p
+        rows = self._tensor
+        blocks = {x: tuple(map(rows[x].__getitem__, q)) for x in set(p)}
+        return tuple(itertools.chain.from_iterable(map(blocks.__getitem__, p)))
 
 
 class PowersetDoctrine(Doctrine):
-    name = "powerset"
+    """The 2-chain under meet, with predicate values as ``int`` bitmasks,
+    which are also their carrier indices."""
 
-    def _make_fiber(self, a: FinSet) -> MonoPoset:
-        return powerset_fiber(a.size)
+    def __init__(self, triple: AdequateTriple):
+        super().__init__(triple, boolean_meet())
 
-    def _make_subst(self, f: FinFn) -> MonotoneMap:
-        pb, pa = self.fiber(f.cod).carrier, self.fiber(f.dom).carrier
-        return monotone_map(pb, pa, (preimage_mask(f, s) for s in range(pb.size)))
+    def carrier_values(self, a: FinSet) -> Sequence[int]:
+        return range(1 << a.size)
 
-    def _make_exists(self, f: FinFn) -> MonotoneMap:
-        pa, pb = self.fiber(f.dom).carrier, self.fiber(f.cod).carrier
-        return monotone_map(pa, pb, (image_mask(f, s) for s in range(pa.size)))
+    def carrier_indices(self, a: FinSet, values: list) -> list[int]:
+        return values
 
     def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
         out = 0
@@ -204,91 +255,12 @@ class PowersetDoctrine(Doctrine):
         return out
 
 
-class TropicalDoctrine(Doctrine):
-    name = "tropical"
-
-    def __init__(self, triple: AdequateTriple, cap: int = 3):
-        if cap < 1:
-            raise ValueError("cap must be at least 1")
-        super().__init__(triple)
-        self.cap = cap
-        # min(x + y, cap + 1) is trop_add on 0..cap + 1, tabulated
-        self._add_rows = tuple(
-            tuple(min(x + y, cap + 1) for y in range(cap + 2)) for x in range(cap + 2)
-        )
-
-    def _make_fiber(self, a: FinSet) -> MonoPoset:
-        return tropical_fiber(a.size, self.cap)
-
-    def _make_subst(self, f: FinFn) -> MonotoneMap:
-        cap = self.cap
-        pb, pa = self.fiber(f.cod).carrier, self.fiber(f.dom).carrier
-        index = trop_index_table(f.dom.size, cap)
-        table = (
-            index[tuple([psi[b] for b in f.table])]
-            for psi in trop_all_values(f.cod.size, cap)
-        )
-        return monotone_map(pb, pa, table)
-
-    def _make_exists(self, f: FinFn) -> MonotoneMap:
-        cap = self.cap
-        inf = cap + 1
-        pa, pb = self.fiber(f.dom).carrier, self.fiber(f.cod).carrier
-        n, m = f.dom.size, f.cod.size
-        index = trop_index_table(m, cap)
-        fibres = [[a for a in range(n) if f.table[a] == b] for b in range(m)]
-        table = (
-            index[tuple([min((phi[a] for a in fib), default=inf) for fib in fibres])]
-            for phi in trop_all_values(n, cap)
-        )
-        return monotone_map(pa, pb, table)
-
-    def carrier_values(self, a: FinSet) -> Sequence[tuple[int, ...]]:
-        return trop_all_values(a.size, self.cap)
-
-    def carrier_indices(self, a: FinSet, values: list) -> list[int]:
-        return list(map(trop_index_table(a.size, self.cap).__getitem__, values))
-
-    def _span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
-        """The whole table at once, on packed value columns: target slot j
-        takes the minimum over the source slots its fibre reaches
-        (``poskit.trop_span_table``), and every cover pair is checked.  A
-        subclass that redefines ``_act`` keeps the per-value path, so the
-        action it defines is the one the law suites check."""
-        if type(self)._act is not TropicalDoctrine._act:
-            return super()._span_action(left, right)
-        fibres = [set() for _ in range(right.cod.size)]
-        for i, j in zip(left.table, right.table):
-            fibres[j].add(i)
-        table = trop_span_table(left.cod.size, self.cap, fibres)
-        return MonotoneMap(
-            self.fiber(left.cod).carrier, self.fiber(right.cod).carrier, table
-        )
-
-    def _act(self, left: FinFn, right: FinFn, pred: tuple[int, ...]) -> tuple[int, ...]:
-        vals = [self.cap + 1] * right.cod.size
-        for i, j in zip(left.table, right.table):
-            v = pred[i]
-            if v < vals[j]:
-                vals[j] = v
-        return tuple(vals)
-
-    def _pair(
-        self, a: FinSet, b: FinSet, p: tuple[int, ...], q: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        # row x of the addition table, read at every entry of q, is the
-        # block of the joint under an entry x of p
-        rows = self._add_rows
-        blocks = {x: tuple(map(rows[x].__getitem__, q)) for x in set(p)}
-        return tuple(itertools.chain.from_iterable(map(blocks.__getitem__, p)))
-
-
 def powerset_doctrine(triple: AdequateTriple) -> PowersetDoctrine:
     return PowersetDoctrine(triple)
 
 
-def tropical_doctrine(triple: AdequateTriple, cap: int = 3) -> TropicalDoctrine:
-    return TropicalDoctrine(triple, cap)
+def tropical_doctrine(triple: AdequateTriple, cap: int = 3) -> Doctrine:
+    return Doctrine(triple, min_plus(cap))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +461,7 @@ def check_subst_functorial(d: Doctrine, max_size: int) -> Report:
     return rep
 
 
-def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -> Report:
+def check_doctrine(d: Doctrine, max_size: int | None = None) -> Report:
     """The whole doctrine law suite over the enumerated universe."""
     t = d.triple
     bound = t.universe if max_size is None else max_size
@@ -549,7 +521,7 @@ def check_doctrine(d: Doctrine, max_size: int | None = None, bc_size: int = 2) -
         "doctrine.beck-chevalley",
         "quantification commutes with substitution over designated squares",
     )
-    for sq in generated_pullbacks(t, min(bc_size, bound)):
+    for sq in generated_pullbacks(t, min(_BC_SIZE, bound)):
         sub = check_beck_chevalley(d, sq)
         bc.check(sub.passed, f"square {sq}")
 

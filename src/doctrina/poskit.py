@@ -1,16 +1,19 @@
 """Finite posets, monotone maps, pointwise 2-cells, and monoidal posets.
 
-The two concrete predicate algebras live here as well: powerset lattices
-(bitmask indexing, tensor = intersection) and the truncated min-plus
-quantale (value chain 0..cap plus infinity, ordered by >=, tensor =
-saturating addition).  The min-plus codec's row-major order also fixes
-the packed value columns (``TropLanes``) on which the min-plus span
-action is computed for a whole fiber at once.  Because the carriers are
-posets, every coherence 2-cell of the theory degenerates to a boolean:
-``leq_maps`` returns exactly that boolean, and an invertible cell is one
-that holds both ways.  Both fibers' carriers are powers of their value
-chain (``power_poset``), built by ``product_poset`` one multiplication
-per row; a poset's covers are found while its order is validated.
+The predicate algebras live here as well: a finite value lattice V with
+a monoidal structure (``boolean_meet``, the 2-chain under meet, and
+``min_plus``, the chain 0..cap plus infinity ordered by >= under
+saturating addition), its joins (``join_table``), and its powers, the
+fibers of predicates on an n-set (``power_fiber``).  Their codec numbers a
+value tuple base |V|, slot 0 least significant, so a subset's index is
+its bitmask; the same order fixes the packed value columns
+(``TropLanes``) on which the min-plus span action is computed for a
+whole fiber at once.  Because the carriers are posets, every coherence
+2-cell of the theory degenerates to a boolean: ``leq_maps`` returns
+exactly that boolean, and an invertible cell is one that holds both
+ways.  Carriers are powers of V's order (``power_poset``), built by
+``product_poset`` one multiplication per row; a poset's covers are found
+while its order is validated.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import ShapeMismatch
-from .finset import FinFn
 from .report import Report
 
 
@@ -105,8 +107,9 @@ def product_poset(a: Poset, b: Poset) -> Poset:
 
 @lru_cache(maxsize=None)
 def power_poset(p: Poset, n: int) -> Poset:
-    """The n-fold row-major power of p, slot 0 most significant: tuples
-    ordered componentwise."""
+    """The n-fold row-major power of p: tuples ordered componentwise.
+    Every factor is p, so the order is the same whichever slot is taken
+    as most significant."""
     return singleton_poset() if n == 0 else product_poset(power_poset(p, n - 1), p)
 
 
@@ -241,6 +244,12 @@ class MonoPoset:
         n = self.carrier.size
         return tuple(self.mul(i, j) for i in range(n) for j in range(n))
 
+    def tensor_rows(self) -> tuple[tuple[int, ...], ...]:
+        """``tensor_table`` cut into rows: row i is i tensored with each
+        element."""
+        n, t = self.carrier.size, self.tensor_table
+        return tuple(t[i * n:(i + 1) * n] for i in range(n))
+
     def tensor_map(self) -> MonotoneMap:
         return MonotoneMap(
             product_poset(self.carrier, self.carrier), self.carrier, self.tensor_table
@@ -280,42 +289,31 @@ def check_mono_poset(m: MonoPoset) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# powerset fibers
+# value lattices and their powers
 
 
-@lru_cache(maxsize=None)
-def powerset_fiber(n: int) -> MonoPoset:
-    """Subsets of an n-set under intersection, unit the full set."""
-    carrier = subset_lattice(n)
-    return MonoPoset(carrier, operator.and_, carrier.size - 1)
+def join_table(p: Poset) -> tuple[tuple[int, ...], ...]:
+    """Row i holds the join of i with every element: the element whose
+    up-set is the intersection of both up-sets.  Raises ``ValueError``
+    when some pair has no least upper bound."""
+    element = {row: k for k, row in enumerate(p.leq)}
+    try:
+        return tuple(tuple([element[r & s] for s in p.leq]) for r in p.leq)
+    except KeyError:
+        raise ValueError("not a lattice: some pair has no join") from None
 
 
-def preimage_mask(f: FinFn, mask: int) -> int:
-    out = 0
-    for a, b in enumerate(f.table):
-        if (mask >> b) & 1:
-            out |= 1 << a
-    return out
+def bottom_element(p: Poset) -> int:
+    """The least element: the one whose up-set is all of p."""
+    full = (1 << p.size) - 1
+    if full not in p.leq:
+        raise ValueError("not a lattice: no least element")
+    return p.leq.index(full)
 
 
-def image_mask(f: FinFn, mask: int) -> int:
-    out = 0
-    for a in bits(mask):
-        out |= 1 << f.table[a]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# truncated min-plus fibers
-
-
-def trop_add(x: int, y: int, cap: int) -> int:
-    """Saturating addition on the chain 0..cap with cap+1 standing for
-    infinity: any sum exceeding cap collapses to infinity."""
-    inf = cap + 1
-    if x == inf or y == inf or x + y > cap:
-        return inf
-    return x + y
+def boolean_meet() -> MonoPoset:
+    """The 2-chain 0 < 1 under meet, unit 1: predicates are subsets."""
+    return MonoPoset(chain(2), operator.and_, 1)
 
 
 @lru_cache(maxsize=None)
@@ -325,22 +323,21 @@ def trop_value_poset(cap: int) -> Poset:
     return Poset(n, tuple((1 << (i + 1)) - 1 for i in range(n)))
 
 
-def trop_carrier(n: int, cap: int) -> Poset:
-    """Value tuples of n slots, ordered pointwise: the power of the value
-    chain, in the codec's row-major order."""
-    return power_poset(trop_value_poset(cap), n)
-
-
-# The codec: an index is the base-(cap + 2) numeral of its values, first
-# slot most significant.  Only the law suites use it, on fibers over
-# small sets; evaluation carries cost tuples.
+def min_plus(cap: int) -> MonoPoset:
+    """The truncated min-plus quantale: the value chain of
+    ``trop_value_poset``, with cap + 1 standing for infinity, under
+    saturating addition (a sum above cap is infinity), unit 0."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    inf = cap + 1
+    return MonoPoset(trop_value_poset(cap), lambda x, y: min(x + y, inf), 0)
 
 
 def trop_index(values, cap: int) -> int:
-    """Row-major index of a value tuple, first slot most significant."""
+    """Index of a min-plus value tuple, slot 0 least significant."""
     base = cap + 2
     idx = 0
-    for v in values:
+    for v in reversed(list(values)):
         idx = idx * base + v
     return idx
 
@@ -352,38 +349,42 @@ def trop_values(idx: int, n: int, cap: int) -> tuple[int, ...]:
     base = cap + 2
     if not 0 <= idx < base**n:
         raise ValueError(f"index outside the {base}**{n} values of {n} slots")
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        idx, out[i] = divmod(idx, base)
+    out = []
+    for _ in range(n):
+        idx, v = divmod(idx, base)
+        out.append(v)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def trop_all_values(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
-    """Decoded value tuples for every carrier index, in index order (the
-    row-major order of ``itertools.product``)."""
-    return tuple(itertools.product(range(cap + 2), repeat=n))
+def value_tuples(n: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The n-tuples over ``range(size)`` in index order: slot 0 varies
+    fastest."""
+    return tuple([t[::-1] for t in itertools.product(range(size), repeat=n)])
 
 
 @lru_cache(maxsize=None)
-def trop_index_table(n: int, cap: int) -> dict[tuple[int, ...], int]:
-    """``trop_index`` of every value tuple of n slots, as one lookup."""
-    return {v: i for i, v in enumerate(trop_all_values(n, cap))}
+def value_index(n: int, size: int) -> dict[tuple[int, ...], int]:
+    """The index of every n-tuple over ``range(size)``, as one lookup."""
+    return {v: i for i, v in enumerate(value_tuples(n, size))}
 
 
-@lru_cache(maxsize=None)
-def tropical_fiber(n: int, cap: int) -> MonoPoset:
-    """Predicates valued in the truncated min-plus chain, ordered
-    pointwise; tensor is pointwise saturating addition, unit constant 0."""
-    decode = trop_all_values(n, cap)
-    index = trop_index_table(n, cap)
-    inf = cap + 1
+def power_fiber(v: MonoPoset, n: int) -> MonoPoset:
+    """V-valued predicates on an n-set: ``power_poset`` of V's order,
+    pointwise tensor, unit the constant predicate at V's unit."""
+    size = v.carrier.size
+    decode, index = value_tuples(n, size), value_index(n, size)
+    rows = v.tensor_rows()
 
     def tensor(i: int, j: int) -> int:
-        # min(x + y, inf) is trop_add on 0..inf, without a call per entry
-        return index[tuple([min(x + y, inf) for x, y in zip(decode[i], decode[j])])]
+        return index[tuple([rows[x][y] for x, y in zip(decode[i], decode[j])])]
 
-    return MonoPoset(trop_carrier(n, cap), tensor, 0)
+    return MonoPoset(power_poset(v.carrier, n), tensor, index[(v.unit,) * n])
+
+
+def tropical_fiber(n: int, cap: int) -> MonoPoset:
+    """The min-plus fiber on an n-set."""
+    return power_fiber(min_plus(cap), n)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ def _index_ints(size: int) -> tuple[int, ...]:
 @dataclass(frozen=True, eq=False)
 class TropLanes:
     """The carrier indices of the n-slot min-plus fiber at ``cap``, one per
-    lane of ``width`` bytes, in the codec's row-major order.
+    lane of ``width`` bytes, in the codec's order.
 
     ``digits[a]`` holds slot a's value at every index and ``inf`` the
     value infinity everywhere.  ``steps[a]`` is slot a's stride as a lane
@@ -482,10 +483,11 @@ class TropLanes:
     def index_table(self, cols) -> tuple[int, ...]:
         """The carrier index, among those of ``len(cols)`` slots, of the
         values in each lane of the columns: Horner's rule on every lane at
-        once.  The lanes must be wide enough (``trop_lane_width``)."""
+        once, from the last slot down.  The lanes must be wide enough
+        (``trop_lane_width``)."""
         base = self.cap + 2
         acc = 0
-        for col in cols:
+        for col in reversed(cols):
             acc = acc * base + col
         # a list first: a tuple grown from an iterator is reallocated as it
         # grows, which fragments the heap under the cached images
@@ -503,7 +505,7 @@ def trop_lanes(n: int, cap: int, width: int) -> TropLanes:
     ones = pack_lanes([1] * size, width)
     digits, steps = [], []
     for a in range(n):
-        stride = base ** (n - 1 - a)
+        stride = base**a
         digit = [k // stride % base for k in range(size)]
         digits.append(pack_lanes(digit, width))
         grows = pack_lanes([int(v <= cap) for v in digit], width)

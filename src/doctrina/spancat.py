@@ -272,10 +272,16 @@ class SpanCategory:
             "conjoint snake identities hold on the nose",
         )
         u = Universe(self.triple, max_size)
-        for f in u.left:
-            comp.check(self.verify_triangles(self.companion_of(f)), f"f={f}")
-        for f in u.right:
-            conj.check(self.verify_triangles(self.conjoint_of(f)), f"f={f}")
+        snakes = [(comp, self.companion_of(f)) for f in u.left]
+        snakes += [(conj, self.conjoint_of(f)) for f in u.right]
+        for clause, data in snakes:
+            # without identities in a class a pasted composite can leave
+            # the classes: a failed instance, with the reason
+            try:
+                ok, why = self.verify_triangles(data), ""
+            except ClassViolation as e:
+                ok, why = False, f": {e}"
+            clause.check(ok, f"f={data.tight}{why}")
         return rep
 
     def enumerate_cell_data(self, max_size: int) -> Iterator[CellData]:

@@ -1,8 +1,8 @@
 """Deliberately broken doctrines for the negative-control tests."""
 
 from doctrina.finset import FinFn, FinSet, product
-from doctrina.poskit import MonoPoset, monotone_map, powerset_fiber
-from doctrina.doctrine import PowersetDoctrine, TropicalDoctrine
+from doctrina.poskit import MonoPoset, min_plus, monotone_map
+from doctrina.doctrine import Doctrine, PowersetDoctrine
 
 
 class BrokenTensorDoctrine(PowersetDoctrine):
@@ -10,7 +10,7 @@ class BrokenTensorDoctrine(PowersetDoctrine):
     laxator commuter while leaving substitution and quantifiers intact."""
 
     def _make_fiber(self, a: FinSet) -> MonoPoset:
-        good = powerset_fiber(a.size)
+        good = super()._make_fiber(a)
         return MonoPoset(good.carrier, lambda i, j: good.unit, good.unit)
 
 
@@ -122,15 +122,18 @@ class SaturatedProjectionDoctrine(PowersetDoctrine):
         return good
 
 
-class DroppedApexTropicalDoctrine(TropicalDoctrine):
+class DroppedApexTropicalDoctrine(Doctrine):
     """The min-plus counterpart of ``DroppedApexDoctrine``: the minimum
     skips the last apex element once the apex has three or more.  Its
     ``_act`` replaces the stock one, so the span action must be computed
     value by value through it, not on the stock packed columns."""
 
+    def __init__(self, triple, cap: int):
+        super().__init__(triple, min_plus(cap))
+
     def _act(self, left: FinFn, right: FinFn, pred: tuple) -> tuple:
         n = left.dom.size
-        vals = [self.cap + 1] * right.cod.size
+        vals = [self.bottom] * right.cod.size
         for a in range(n - 1 if n >= 3 else n):
             j = right.table[a]
             vals[j] = min(vals[j], pred[left.table[a]])

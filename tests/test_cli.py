@@ -271,6 +271,28 @@ class TestVerify:
         assert out == ""
         assert err == "error: universe bound must be at least 1\n"
 
+    @pytest.mark.parametrize("left, witness", [
+        ("all", "f=FinFn(0->0:[]): composite legs escaped their classes"),
+        ({"explicit": [{"dom": 0, "cod": 1, "table": []},
+                       {"dom": 1, "cod": 1, "table": [0]}]},
+         "f=FinFn(0->1:[]): composite legs escaped their classes"),
+    ], ids=["left-all", "left-without-identities"])
+    def test_triple_without_identities_reports(self, capsys, tmp_path, left, witness):
+        # a companion's snake pastes through a span whose legs leave the
+        # classes: a failed triangle instance, not a crash
+        spec = {"universe": 1, "left": left,
+                "right": {"explicit": [{"dom": 1, "cod": 1, "table": [0]}]}}
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(spec))
+        rc, out, err = run_main(
+            ["verify", "--max-size", "1", "--triple-file", str(path)], capsys
+        )
+        assert rc == 1
+        assert err == ""
+        records = {r["clause"]: r for r in map(json.loads, out.splitlines())}
+        assert records["triple.identities"]["failures"] > 0
+        assert records["spancat.companion-triangles"]["witnesses"][0] == witness
+
     def test_report_bytes_deterministic(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (out1, out2):

@@ -1,17 +1,29 @@
+import operator
+
 import pytest
 
 from doctrina.errors import ClassViolation, NotAPullback
 from doctrina.finset import (
     FinFn,
     FinSet,
+    Universe,
     finsets,
     functions,
     product,
     surjection_triple,
     trivial_triple,
 )
-from doctrina.poskit import trop_index, trop_values
+from doctrina.poskit import (
+    MonoPoset,
+    Poset,
+    boolean_meet,
+    chain,
+    subset_lattice,
+    trop_index,
+    trop_values,
+)
 from doctrina.doctrine import (
+    Doctrine,
     PullbackSquare,
     check_adjunction,
     check_beck_chevalley,
@@ -25,6 +37,8 @@ from doctrina.doctrine import (
     tropical_doctrine,
 )
 
+from doctrina.doubling import PDot, verify_pdot
+from doctrina.extraction import roundtrip
 from doctrina.spancat import SpanCategory
 
 from mutants import PERTURBED, NonFunctorialDoctrine, SwappedAdjointDoctrine
@@ -263,3 +277,71 @@ class TestDoctrineSuite:
             assert d.span_action(left, right) == d.subst(left).then(
                 d.exists(right)
             )
+
+
+def law_reports(d):
+    """The doctrine, double-extension and round-trip reports at bound 2."""
+    return [check_doctrine(d, 2), verify_pdot(PDot(d), 2), roundtrip(d, 2)]
+
+
+TRIPLES = [trivial_triple(2), surjection_triple(2)]
+TRIPLE_IDS = ["all-all", "surj-right"]
+
+
+class TestValuedDoctrine:
+    @pytest.mark.parametrize("triple", TRIPLES, ids=TRIPLE_IDS)
+    def test_boolean_meet_is_the_powerset_doctrine(self, triple):
+        # the generic tuple path over the 2-chain against the bitmask one:
+        # a subset's index is its mask, so the reports agree byte for byte
+        generic = law_reports(Doctrine(triple, boolean_meet()))
+        masks = law_reports(powerset_doctrine(triple))
+        assert [r.to_jsonl() for r in generic] == [r.to_jsonl() for r in masks]
+
+    @pytest.mark.parametrize("triple", TRIPLES, ids=TRIPLE_IDS)
+    def test_union_fails_frobenius_exactly_off_surjections(self, triple):
+        # join as tensor: the bottom (the empty set) is not absorbing, so
+        # the projection formula fails along every non-surjective map, and
+        # with it the laxator commuter; nothing else fails
+        reports = law_reports(Doctrine(triple, MonoPoset(chain(2), operator.or_, 0)))
+        failing = {
+            c.clause: (c.failures, c.instances)
+            for r in reports for c in r.clauses if not c.passed
+        }
+        if triple.right.contains(FinFn(FinSet(0), FinSet(1), ())):
+            assert failing == {
+                "doctrine.frobenius": (6, 11),
+                "pdot.laxator-commuter": (1240, 1849),
+                "roundtrip.frobenius": (6, 11),
+            }
+            fro = reports[0].find("doctrine.frobenius")
+            legs = {f"f={f}": f for f in Universe(triple, 2).right}
+            assert all(len(set(legs[w].table)) < legs[w].cod.size for w in fro.witnesses)
+        else:
+            assert failing == {}
+
+    def test_stock_min_plus_takes_the_packed_path(self, monkeypatch):
+        # the packed columns, not a silent per-value fallback, compute the
+        # stock min-plus action; the other doctrines go through ``_act``
+        def per_value(*args):
+            raise AssertionError("per-value span action")
+
+        triple = trivial_triple(2)
+        spans = list(SpanCategory(triple).enumerate_spans(2))
+        trop = tropical_doctrine(triple, 3)
+        monkeypatch.setattr(Doctrine, "_act", per_value)
+        for x in spans:
+            trop.span_action(x.left, x.right)
+        meet22 = Doctrine(triple, MonoPoset(subset_lattice(2), operator.and_, 3))
+        for d in (powerset_doctrine(triple), meet22):
+            monkeypatch.setattr(type(d), "_act", per_value)
+            with pytest.raises(AssertionError, match="per-value"):
+                d.span_action(CONST21, CONST21)
+
+    def test_non_lattice_values_rejected(self):
+        # a bottom below two maximal elements, then two incomparable ones
+        vee = Poset(3, (0b111, 0b010, 0b100))
+        with pytest.raises(ValueError, match="no join"):
+            Doctrine(trivial_triple(1), MonoPoset(vee, operator.or_, 0))
+        antichain = Poset(2, (0b01, 0b10))
+        with pytest.raises(ValueError, match="no least element"):
+            Doctrine(trivial_triple(1), MonoPoset(antichain, operator.and_, 0))

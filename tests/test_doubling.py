@@ -422,6 +422,6 @@ def test_tropical_subclass_act_is_the_span_action():
     assert comp.failures == 12
     assert comp.witnesses[0] == (
         "Span(FinFn(2->2:[0, 1]), FinFn(2->1:[0, 0])) ; "
-        "Span(FinFn(2->1:[0, 0]), FinFn(2->2:[0, 1])): at 3: 0 vs 1"
+        "Span(FinFn(2->1:[0, 0]), FinFn(2->2:[0, 1])): at 1: 0 vs 3"
     )
     assert verify_pdot(PDot(tropical_doctrine(trivial_triple(2), 1)), 2).passed

@@ -10,23 +10,22 @@ from doctrina.poskit import (
     MonoPoset,
     MonotoneMap,
     Poset,
+    boolean_meet,
+    bottom_element,
     chain,
     check_mono_poset,
-    image_mask,
     iso_maps,
+    join_table,
     leq_maps,
     map_product,
+    min_plus,
     monotone_map,
     pack_lanes,
+    power_fiber,
     power_poset,
-    powerset_fiber,
-    preimage_mask,
     product_poset,
     subset_lattice,
     swap_map,
-    trop_add,
-    trop_all_values,
-    trop_carrier,
     trop_index,
     trop_lane_width,
     trop_lanes,
@@ -35,7 +34,11 @@ from doctrina.poskit import (
     trop_values,
     tropical_fiber,
     unpack_lanes,
+    value_index,
+    value_tuples,
 )
+from doctrina.doctrine import powerset_doctrine
+from doctrina.finset import trivial_triple
 
 
 class TestPoset:
@@ -73,8 +76,8 @@ class TestPoset:
 
     @pytest.mark.parametrize("n, cap", itertools.product(range(4), range(3)))
     def test_trop_carrier_is_pointwise_ge(self, n, cap):
-        p = trop_carrier(n, cap)
-        values = trop_all_values(n, cap)
+        p = power_poset(trop_value_poset(cap), n)
+        values = value_tuples(n, cap + 2)
         assert p.size == len(values)
         for s, x in enumerate(values):
             for t, y in enumerate(values):
@@ -132,11 +135,10 @@ class TestCell2:
     def test_image_preimage_direction(self):
         # image of preimage is below the identity on a 2-element powerset
         f = FinFn(FinSet(2), FinSet(2), (0, 0))
-        p = subset_lattice(2)
-        img_pre = monotone_map(
-            p, p, tuple(image_mask(f, preimage_mask(f, s)) for s in range(4))
-        )
-        assert leq_maps(img_pre, MonotoneMap.identity(p))
+        d = powerset_doctrine(trivial_triple(2))
+        img_pre = d.subst(f).then(d.exists(f))
+        assert img_pre.table == (0, 1, 0, 1)
+        assert leq_maps(img_pre, MonotoneMap.identity(subset_lattice(2)))
 
     def test_iso_iff_equal_tables(self):
         # antisymmetry meta-test
@@ -176,6 +178,55 @@ def brute_covers(p):
         if i != j and p.le(i, j)
         and not any(k not in (i, j) and p.le(i, k) and p.le(k, j) for k in range(p.size))
     )
+
+
+def brute_join(p, i, j):
+    """The least upper bound of i and j by search over all elements."""
+    ubs = [k for k in range(p.size) if p.le(i, k) and p.le(j, k)]
+    (least,) = [k for k in ubs if all(p.le(k, u) for u in ubs)]
+    return least
+
+
+class TestValueLattices:
+    @pytest.mark.parametrize("p", [
+        chain(1), chain(2), chain(3), trop_value_poset(1), trop_value_poset(3),
+        subset_lattice(2), M3, N5,
+    ])
+    def test_join_table_is_the_least_upper_bound(self, p):
+        join = join_table(p)
+        assert join == tuple(
+            tuple(brute_join(p, i, j) for j in range(p.size)) for i in range(p.size)
+        )
+        (least,) = [k for k in range(p.size) if all(p.le(k, j) for j in range(p.size))]
+        assert bottom_element(p) == least
+
+    def test_non_lattices_rejected(self):
+        # a bottom below two maximal elements with no join
+        vee = Poset(3, rows([0, 1, 2], [1], [2]))
+        with pytest.raises(ValueError, match="no join"):
+            join_table(vee)
+        assert bottom_element(vee) == 0
+        with pytest.raises(ValueError, match="no join"):
+            join_table(ANTICHAIN)
+        with pytest.raises(ValueError, match="no least element"):
+            bottom_element(ANTICHAIN)
+
+    def test_value_structures(self):
+        b = boolean_meet()
+        assert (join_table(b.carrier), bottom_element(b.carrier)) == (((0, 1), (1, 1)), 0)
+        assert b.tensor_rows() == ((0, 0), (0, 1)) and b.unit == 1
+        m = min_plus(2)
+        # the join on the >=-chain is the minimum, infinity the bottom
+        assert join_table(m.carrier) == tuple(
+            tuple(min(x, y) for y in range(4)) for x in range(4)
+        )
+        assert bottom_element(m.carrier) == 3
+        assert m.tensor_rows() == tuple(
+            tuple(min(x + y, 3) for y in range(4)) for x in range(4)
+        )
+        assert check_mono_poset(b).passed and check_mono_poset(m).passed
+        with pytest.raises(ValueError):
+            min_plus(0)
 
 
 class TestProductPoset:
@@ -241,7 +292,7 @@ class TestProductPoset:
 
 class TestMonoPosets:
     def test_powerset_fiber_laws(self):
-        assert check_mono_poset(powerset_fiber(3)).passed
+        assert check_mono_poset(power_fiber(boolean_meet(), 3)).passed
 
     def test_tropical_fiber_laws(self):
         fib = tropical_fiber(2, 3)
@@ -249,7 +300,7 @@ class TestMonoPosets:
         assert check_mono_poset(fib).passed
 
     def test_broken_tensor_reported_with_witness(self):
-        good = powerset_fiber(1)
+        good = power_fiber(boolean_meet(), 1)
         # non-monotone tensor: swap the order on the second argument
         bad = MonoPoset.tabulated(good.carrier, (1, 0, 0, 1), good.unit)
         rep = check_mono_poset(bad)
@@ -257,13 +308,13 @@ class TestMonoPosets:
         assert any(c.witnesses for c in rep.clauses if not c.passed)
 
     def test_powerset_tensor_idempotent_tropical_not(self):
-        pf = powerset_fiber(2)
+        pf = power_fiber(boolean_meet(), 2)
         assert all(pf.mul(s, s) == s for s in range(4))
         tf = tropical_fiber(1, 3)
         assert any(tf.mul(v, v) != v for v in range(tf.carrier.size))
 
     def test_tensor_map_is_monotone(self):
-        assert powerset_fiber(2).tensor_map().is_monotone()
+        assert power_fiber(boolean_meet(), 2).tensor_map().is_monotone()
         assert tropical_fiber(1, 2).tensor_map().is_monotone()
 
     def test_tensor_entry_computed_once_on_first_mul(self):
@@ -276,8 +327,9 @@ class TestMonoPosets:
         m = MonoPoset(subset_lattice(2), meet, 3)
         assert m.mul(1, 2) == 0 and m.mul(1, 2) == 0
         assert calls == [(1, 2)]
-        # the whole table is still there to see, each entry computed once
-        assert m.tensor_table == powerset_fiber(2).tensor_table
+        # the whole table is still there to see, each entry computed once;
+        # the power of the 2-chain under meet is this fiber, masks and all
+        assert m.tensor_table == power_fiber(boolean_meet(), 2).tensor_table
         assert len(calls) == 16
 
     def test_tensor_entry_outside_carrier_rejected_on_mul(self):
@@ -293,29 +345,29 @@ class TestMonoPosets:
     def test_tropical_tensor_is_pointwise_saturating_sum(self):
         cap = 3
         fib = tropical_fiber(2, cap)
-        decode = trop_all_values(2, cap)
+        decode = value_tuples(2, cap + 2)
         expect = tuple(
-            trop_index(tuple(trop_add(x, y, cap) for x, y in zip(a, b)), cap)
+            trop_index(tuple(min(x + y, cap + 1) for x, y in zip(a, b)), cap)
             for a in decode for b in decode
         )
         assert fib.tensor_table == expect
 
 
 def digit_loop_index(values, cap):
-    """The codec's reference: one multiply-add per value."""
+    """The codec's reference: one multiply-add per value, last slot first."""
     idx = 0
-    for v in values:
+    for v in values[::-1]:
         idx = idx * (cap + 2) + v
     return idx
 
 
 def digit_loop_values(idx, n, cap):
-    """The codec's reference: one divmod per value, least significant first."""
+    """The codec's reference: one divmod per value, slot 0 first."""
     out = []
     for _ in range(n):
         idx, v = divmod(idx, cap + 2)
         out.append(v)
-    return tuple(reversed(out))
+    return tuple(out)
 
 
 class TestTropical:
@@ -325,22 +377,16 @@ class TestTropical:
         assert all(p.le(p.size - 1, i) for i in range(p.size))
 
     def test_saturation_collapses_to_infinity(self):
-        assert trop_add(2, 2, 3) == 4  # 4 > cap means infinity
-        assert trop_add(4, 0, 3) == 4
-        assert trop_add(1, 2, 3) == 3
+        v = min_plus(3)
+        assert v.mul(2, 2) == 4  # 4 > cap means infinity
+        assert v.mul(4, 0) == 4
+        assert v.mul(1, 2) == 3
 
     def test_distributes_over_min(self):
-        cap = 3
-        vals = range(cap + 2)
+        v = min_plus(3)
+        vals = range(v.carrier.size)
         for x, y, z in itertools.product(vals, repeat=3):
-            assert trop_add(x, min(y, z), cap) == min(
-                trop_add(x, y, cap), trop_add(x, z, cap)
-            )
-
-    def test_inline_saturating_add_is_trop_add(self):
-        for cap in range(1, 7):
-            for x, y in itertools.product(range(cap + 2), repeat=2):
-                assert min(x + y, cap + 1) == trop_add(x, y, cap)
+            assert v.mul(x, min(y, z)) == min(v.mul(x, y), v.mul(x, z))
 
     def test_index_roundtrip(self):
         # every length across the leaf, split and encode-loop thresholds,
@@ -375,15 +421,26 @@ class TestTropical:
             trop_values(idx, n, 3)
 
     def test_all_values_table(self):
-        assert trop_all_values(2, 1)[0] == (0, 0)
-        assert len(trop_all_values(2, 1)) == 9
+        # slot 0 varies fastest, and the index table inverts the list
+        assert value_tuples(2, 3)[:4] == ((0, 0), (1, 0), (2, 0), (0, 1))
+        assert len(value_tuples(2, 3)) == 9
+        for n in range(4):
+            for k, vals in enumerate(value_tuples(n, 3)):
+                assert value_index(n, 3)[vals] == k == trop_index(vals, 1)
+
+    def test_subset_index_is_its_mask(self):
+        for n in range(5):
+            for mask in range(1 << n):
+                assert value_tuples(n, 2)[mask] == tuple(
+                    (mask >> a) & 1 for a in range(n)
+                )
 
 
 def min_plus_table(n, m, cap, fibres):
     """The reference span action: one minimum per output slot per value."""
     return [
         trop_index([min((v[a] for a in fib), default=cap + 1) for fib in fibres], cap)
-        for v in trop_all_values(n, cap)
+        for v in value_tuples(n, cap + 2)
     ]
 
 
@@ -431,7 +488,8 @@ class TestPackedColumns:
             assert tuple(table) == trop_span_table(n, cap, fibres)
             if trial % 2:
                 table[rng.randrange(len(table))] = rng.randrange((cap + 2) ** m)
-            dom, cod = trop_carrier(n, cap), trop_carrier(m, cap)
+            v = trop_value_poset(cap)
+            dom, cod = power_poset(v, n), power_poset(v, m)
             ok = MonotoneMap(dom, cod, tuple(table)).is_monotone()
             assert packed_verdict(n, m, cap, table) == ok
             assert ok or trial % 2
