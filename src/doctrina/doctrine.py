@@ -61,6 +61,7 @@ from .poskit import (
     MonotoneMap,
     boolean_meet,
     bottom_element,
+    chain,
     iso_maps,
     join_table,
     map_product,
@@ -68,7 +69,6 @@ from .poskit import (
     monotone_map,
     power_fiber,
     product_poset,
-    singleton_poset,
     swap_map,
     trop_span_table,
     trop_value_poset,
@@ -273,13 +273,9 @@ def external_laxator(d: Doctrine, a: FinSet, b: FinSet) -> MonotoneMap:
         return d._lax[(a, b)]
     ab, pa, pb = product(a, b)
     fib = d.fiber(ab)
-    sa, sb = d.subst(pa), d.subst(pb)
-    ca, cb = d.fiber(a).carrier, d.fiber(b).carrier
-    dom = product_poset(ca, cb)
-    table = tuple(
-        fib.mul(sa.table[k // cb.size], sb.table[k % cb.size])
-        for k in range(dom.size)
-    )
+    sa, sb = d.subst(pa).table, d.subst(pb).table
+    table = tuple([fib.mul(x, y) for x in sa for y in sb])
+    dom = product_poset(d.fiber(a).carrier, d.fiber(b).carrier)
     out = MonotoneMap(dom, fib.carrier, table)
     d._lax[(a, b)] = out
     return out
@@ -291,9 +287,7 @@ def external_unit(d: Doctrine) -> int:
 
 
 def external_unit_map(d: Doctrine) -> MonotoneMap:
-    return monotone_map(
-        singleton_poset(), d.fiber(terminal()).carrier, (external_unit(d),)
-    )
+    return monotone_map(chain(1), d.fiber(terminal()).carrier, (external_unit(d),))
 
 
 # ---------------------------------------------------------------------------

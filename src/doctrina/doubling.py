@@ -49,13 +49,7 @@ from .doctrine import (
     external_laxator,
     external_unit_map,
 )
-from .poskit import (
-    MonotoneMap,
-    iso_maps,
-    leq_maps,
-    map_product,
-    singleton_poset,
-)
+from .poskit import MonotoneMap, chain, iso_maps, leq_maps, map_product
 from .report import Clause, Report
 from .spancat import CellData, Span, SpanCell, SpanCategory
 
@@ -206,7 +200,7 @@ class PDot:
     def unit_cell(self) -> QtCell:
         one = terminal()
         i0 = external_unit_map(self.d)
-        top = MonotoneMap.identity(singleton_poset())
+        top = MonotoneMap.identity(chain(1))
         bottom = self.loose_image(Span.identity(one))
         return _qt_cell(top, bottom, i0, i0)
 
@@ -222,18 +216,13 @@ class PDot:
         )
 
 
-def mu_proof_squares(x: Span, y: Span) -> list[PullbackSquare]:
-    """The three designated squares behind the laxator-commuter argument:
-    base change of each right leg along a projection, and the middle
-    exchange square between the two product modifications."""
-    return list(_proof_squares(x.right, y.right))
-
-
 @lru_cache(maxsize=None)
-def _proof_squares(x2: FinFn, y2: FinFn) -> tuple[PullbackSquare, ...]:
-    """``mu_proof_squares`` of any spans with right legs ``x2``, ``y2``:
-    the apexes are the legs' domains, so the squares depend on nothing
-    else."""
+def proof_squares(x2: FinFn, y2: FinFn) -> tuple[PullbackSquare, ...]:
+    """The three designated squares behind the laxator-commuter argument
+    for spans with right legs ``x2`` and ``y2``: base change of each right
+    leg along a projection, and the middle exchange square between the
+    two product modifications.  The apexes are the legs' domains, so the
+    squares depend on nothing else."""
     xx, yy = x2.dom, y2.dom
     x2c, y2c = x2.cod, y2.cod
     sq1 = PullbackSquare(
@@ -445,7 +434,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         for y in spans:
             if not pdot.laxator_domain(x, y):
                 continue
-            for sq in _proof_squares(x.right, y.right):
+            for sq in proof_squares(x.right, y.right):
                 if sq in bc_verdicts:
                     tail = bc_verdicts[sq]
                 else:

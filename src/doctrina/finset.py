@@ -5,7 +5,8 @@ that constructions are *literally* equal whenever the theory says they are
 canonically isomorphic:
 
 * elements of a ``FinSet`` are the dense indices ``0..size-1``;
-* product pairs are row-major: ``(i, j) -> i * b.size + j``;
+* product pairs are row-major: ``(i, j) -> i * b.size + j``, tabulated
+  for products and symmetries of maps by ``product_table``/``swap_table``;
 * pullback apices enumerate matching pairs in lexicographic order, except
   that a pullback along an identity is the other map itself (the unitary
   convention), returned verbatim;
@@ -71,10 +72,6 @@ class FinFn:
     @staticmethod
     def identity(a: FinSet) -> "FinFn":
         return FinFn(a, a, tuple(range(a.size)))
-
-    @staticmethod
-    def constant(a: FinSet, b: FinSet, value: int) -> "FinFn":
-        return FinFn(a, b, (value,) * a.size)
 
     @property
     def is_identity(self) -> bool:
@@ -204,12 +201,24 @@ class Product(NamedTuple):
     pb: FinFn  # projection onto second factor
 
 
+def product_table(ft: Sequence[int], gt: Sequence[int], gc: int) -> tuple[int, ...]:
+    """The table of f x g on row-major products of sets or posets, from the
+    tables of f and g and the size ``gc`` of g's codomain."""
+    return tuple([x * gc + y for x in ft for y in gt])
+
+
+def swap_table(na: int, nb: int) -> tuple[int, ...]:
+    """The table of the symmetry a x b -> b x a on row-major products,
+    for sets or posets of sizes ``na`` and ``nb``: (i, j) goes to (j, i)."""
+    return tuple([j * na + i for i in range(na) for j in range(nb)])
+
+
 @lru_cache(maxsize=None)
 def product(a: FinSet, b: FinSet) -> Product:
     """Cartesian product with row-major pairing (i, j) -> i * b.size + j."""
     prod = FinSet(a.size * b.size)
-    pa = FinFn(prod, a, tuple(k // b.size for k in range(prod.size)))
-    pb = FinFn(prod, b, tuple(k % b.size for k in range(prod.size)))
+    pa = FinFn(prod, a, tuple([i for i in range(a.size) for _ in range(b.size)]))
+    pb = FinFn(prod, b, tuple(range(b.size)) * a.size)
     return Product(prod, pa, pb)
 
 
@@ -218,11 +227,7 @@ def fn_product(f: FinFn, g: FinFn) -> FinFn:
     """The map f x g between row-major products."""
     dom = product(f.dom, g.dom).prod
     cod = product(f.cod, g.cod).prod
-    table = tuple(
-        f.table[k // g.dom.size] * g.cod.size + g.table[k % g.dom.size]
-        for k in range(dom.size)
-    )
-    return FinFn(dom, cod, table)
+    return FinFn(dom, cod, product_table(f.table, g.table, g.cod.size))
 
 
 def diagonal(a: FinSet) -> FinFn:
@@ -242,8 +247,7 @@ def swap_fn(a: FinSet, b: FinSet) -> FinFn:
     """The symmetry a x b -> b x a on row-major products."""
     dom = product(a, b).prod
     cod = product(b, a).prod
-    table = tuple((k % b.size) * a.size + k // b.size for k in range(dom.size))
-    return FinFn(dom, cod, table)
+    return FinFn(dom, cod, swap_table(a.size, b.size))
 
 
 # ---------------------------------------------------------------------------

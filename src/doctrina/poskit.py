@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import ShapeMismatch
+from .finset import product_table, swap_table
 from .report import Report
 
 
@@ -91,16 +92,14 @@ def chain(n: int) -> Poset:
 
 
 @lru_cache(maxsize=None)
-def singleton_poset() -> Poset:
-    return chain(1)
-
-
-@lru_cache(maxsize=None)
 def product_poset(a: Poset, b: Poset) -> Poset:
     """Row-major product order, consistent with finset.product: (i, j) is
     below (i2, j2) when i <= i2 and j <= j2.  ``spread[i]`` has a 1 at
     the base of block i2 for every i2 above i; no row of b leaves its
-    block, so one multiplication lays b's row j into all of them."""
+    block, so one multiplication lays b's row j into all of them.  With a
+    one-element factor the product is the other factor itself."""
+    if a.size == 1 or b.size == 1:
+        return b if a.size == 1 else a
     spread = [sum(1 << (i2 * b.size) for i2 in bits(row)) for row in a.leq]
     return Poset(a.size * b.size, tuple([s * r for s in spread for r in b.leq]))
 
@@ -108,15 +107,14 @@ def product_poset(a: Poset, b: Poset) -> Poset:
 @lru_cache(maxsize=None)
 def power_poset(p: Poset, n: int) -> Poset:
     """The n-fold row-major power of p: tuples ordered componentwise.
-    Every factor is p, so the order is the same whichever slot is taken
-    as most significant."""
-    return singleton_poset() if n == 0 else product_poset(power_poset(p, n - 1), p)
-
-
-def subset_lattice(n: int) -> Poset:
-    """Subsets of an n-set as bitmasks, ordered by inclusion: the power of
-    the 2-chain, since inclusion is the componentwise order."""
-    return power_poset(chain(2), n)
+    Every factor is p, so the order is the same however the slots are
+    grouped; grouping them in two halves makes the product of the powers
+    at n // 2 and n - n // 2 this very object."""
+    if n == 0:
+        return chain(1)
+    if n == 1:
+        return p
+    return product_poset(power_poset(p, n // 2), power_poset(p, n - n // 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,20 +163,17 @@ def monotone_map(dom: Poset, cod: Poset, table) -> MonotoneMap:
 
 
 def map_product(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
-    dom = product_poset(f.dom, g.dom)
-    cod = product_poset(f.cod, g.cod)
-    gn = g.dom.size
-    table = tuple(
-        f.table[k // gn] * g.cod.size + g.table[k % gn] for k in range(dom.size)
+    return MonotoneMap(
+        product_poset(f.dom, g.dom),
+        product_poset(f.cod, g.cod),
+        product_table(f.table, g.table, g.cod.size),
     )
-    return MonotoneMap(dom, cod, table)
 
 
 def swap_map(a: Poset, b: Poset) -> MonotoneMap:
-    dom = product_poset(a, b)
-    cod = product_poset(b, a)
-    table = tuple((k % b.size) * a.size + k // b.size for k in range(dom.size))
-    return MonotoneMap(dom, cod, table)
+    return MonotoneMap(
+        product_poset(a, b), product_poset(b, a), swap_table(a.size, b.size)
+    )
 
 
 def leq_maps(f: MonotoneMap, g: MonotoneMap) -> bool:

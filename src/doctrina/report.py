@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 MAX_WITNESSES = 5
 
@@ -31,6 +32,15 @@ class Clause:
             if len(self.witnesses) < MAX_WITNESSES:
                 self.witnesses.append(witness)
         return ok
+
+    def check_call(self, test: Callable[[], bool], witness: str, refusals) -> bool:
+        """Record the verdict ``test()``; a ``refusals`` exception it raises
+        is a failed instance whose witness ends with the reason."""
+        try:
+            ok, why = test(), ""
+        except refusals as e:
+            ok, why = False, f": {e}"
+        return self.check(ok, f"{witness}{why}")
 
     def note(self, text: str) -> None:
         self.notes.append(text)

@@ -67,6 +67,16 @@ class Span:
         i = FinFn.identity(a)
         return Span(i, i)
 
+    @staticmethod
+    def companion(f: FinFn) -> "Span":
+        """The one-legged span of f whose loose image substitutes along f."""
+        return Span(f, FinFn.identity(f.dom))
+
+    @staticmethod
+    def conjoint(f: FinFn) -> "Span":
+        """The one-legged span of f whose loose image quantifies along f."""
+        return Span(FinFn.identity(f.dom), f)
+
     @property
     def is_identity(self) -> bool:
         return self.left.is_identity and self.right.is_identity
@@ -215,7 +225,7 @@ class SpanCategory:
         if not self.triple.left.contains(f):
             raise ClassViolation(f"{f} is not in L, no companion")
         a, b = f.dom, f.cod
-        span = Span(f, FinFn.identity(a))
+        span = Span.companion(f)
         unit = SpanCell(
             Span.identity(a), span, f, FinFn.identity(a), FinFn.identity(a)
         )
@@ -228,7 +238,7 @@ class SpanCategory:
         if not self.triple.right.contains(f):
             raise ClassViolation(f"{f} is not in R, no conjoint")
         a, b = f.dom, f.cod
-        span = Span(FinFn.identity(a), f)
+        span = Span.conjoint(f)
         unit = SpanCell(
             Span.identity(a), span, FinFn.identity(a), f, FinFn.identity(a)
         )
@@ -277,11 +287,9 @@ class SpanCategory:
         for clause, data in snakes:
             # without identities in a class a pasted composite can leave
             # the classes: a failed instance, with the reason
-            try:
-                ok, why = self.verify_triangles(data), ""
-            except ClassViolation as e:
-                ok, why = False, f": {e}"
-            clause.check(ok, f"f={data.tight}{why}")
+            clause.check_call(
+                lambda: self.verify_triangles(data), f"f={data.tight}", ClassViolation
+            )
         return rep
 
     def enumerate_cell_data(self, max_size: int) -> Iterator[CellData]:

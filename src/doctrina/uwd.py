@@ -312,10 +312,17 @@ class Corpus:
     systems: dict[str, tuple[System, str]]  # name -> (system, semantics)
 
 
+def _object(value, what: str) -> dict:
+    """A JSON object from a file; any other JSON value is an error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _labelled(labels: list, types: TypeAssignment, what: str) -> LabelledFinSet:
     """A label list from a file; a string is not one (``"wv"`` would read
     as the labels ``w``, ``v``)."""
-    if not isinstance(labels, list):
+    if not isinstance(labels, list) or not all(type(t) is str for t in labels):
         raise ValueError(f"{what} {json.dumps(labels)} is not a list of labels")
     for lab in labels:
         types.size(lab)  # raises on unknown labels
@@ -328,22 +335,34 @@ _HEX = frozenset("0123456789abcdefABCDEF")
 def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     """Parse the diagram/system interchange dictionary.
 
-    Top-level keys: labels, domains, diagrams, systems.  Relational data
+    Top-level keys: labels (a list of strings), domains (a natural number
+    per label), diagrams, systems; the document, its sections and each
+    diagram or system are JSON objects.  Relational data
     is a hex bitmask over the denoted product, with no bit beyond it;
     cost data is an array of natural numbers (saturating above the cap)
     with "inf" for infinity.  Arrays are 0-indexed, row-major, port 0
     most significant.  Anything else raises ``ValueError``; each check is
     one pass over the data as given.
     """
+    doc = _object(doc, "a diagram/system document")
     labels = doc.get("labels", [])
-    domains = doc.get("domains", {})
-    missing = [t for t in labels if t not in domains]
+    if not isinstance(labels, list):
+        raise ValueError(f"labels {json.dumps(labels)} is not a list of labels")
+    domains = _object(doc.get("domains", {}), "domains")
+    # the keys of a JSON object are strings, so every label found is one
+    missing = [t for t in labels if type(t) is not str or t not in domains]
     if missing:
         raise ValueError(f"labels without domains: {missing}")
-    types = TypeAssignment({t: int(domains[t]) for t in labels})
+    # a JSON integer: never true, 2.9 or "2"; 0 is the empty domain
+    for t in labels:
+        if type(domains[t]) is not int or domains[t] < 0:
+            size = json.dumps(domains[t])
+            raise ValueError(f"domain of {t!r} must be a natural number, got {size}")
+    types = TypeAssignment({t: domains[t] for t in labels})
 
     diagrams: dict[str, UwdDiagram] = {}
-    for name, spec in doc.get("diagrams", {}).items():
+    for name, spec in _object(doc.get("diagrams", {}), "diagrams").items():
+        spec = _object(spec, f"diagram {name}")
         inner = _labelled(spec["inner"], types, f"diagram {name}: inner")
         junctions = _labelled(spec["junctions"], types, f"diagram {name}: junctions")
         outer = _labelled(spec["outer"], types, f"diagram {name}: outer")
@@ -358,7 +377,8 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
         diagrams[name] = UwdDiagram(inner, junctions, outer, *legs)
 
     systems: dict[str, tuple[System, str]] = {}
-    for name, spec in doc.get("systems", {}).items():
+    for name, spec in _object(doc.get("systems", {}), "systems").items():
+        spec = _object(spec, f"system {name}")
         ctx = _labelled(spec["context"], types, f"system {name}: context")
         semantics = spec["semantics"]
         data = spec["data"]

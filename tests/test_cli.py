@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from doctrina import uwd
+from doctrina import poskit, uwd
 from doctrina.cli import load_triple_file, main
 from doctrina.errors import DoctrinaError
 from doctrina.finset import AdequateTriple, FinFn, FinSet, MorClass
@@ -90,6 +91,44 @@ class TestEval:
         assert rc == 2
         assert out == ""
         assert "not a list of labels" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["domains"].update(w=2.9),
+        lambda d: d["domains"].update(w="2"),
+        lambda d: d["domains"].update(w=True),
+        lambda d: d["domains"].update(w=-1),
+        lambda d: d.update(domains=["w"]),
+        lambda d: d.update(labels="w"),
+        lambda d: d.update(labels=[["w"]]),
+        lambda d: d.update(diagrams=[]),
+        lambda d: d.update(systems=[]),
+        lambda d: d["diagrams"].update({"relational-composition": []}),
+        lambda d: d["systems"].update({"join-input": ["w", "rel", "40"]}),
+        lambda d: d["diagrams"]["relational-composition"].update(
+            inner=[["w"], "w", "w", "w"]),
+        lambda d: [],
+    ], ids=[
+        "domain-float", "domain-string", "domain-bool", "domain-negative",
+        "domains-list", "labels-string", "labels-nested", "diagrams-list",
+        "systems-list", "diagram-list", "system-list", "port-label-nested",
+        "document-list",
+    ])
+    def test_malformed_document_exit_2(self, capsys, tmp_path, edit):
+        # each of these was once decoded (2.9 read as 2, "w" as its
+        # characters) or crashed with a traceback
+        doc = json.loads((DATA / "uwd_corpus.json").read_text())
+        edited = edit(doc)
+        doc = doc if edited is None else edited
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run_main(
+            ["eval", "--input", str(bad), "--diagram", "relational-composition",
+             "--system", "join-input", "--check"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_costs_above_254_pass_through(self, capsys, tmp_path):
         # cost vectors carry plain ints: a cap of 300 is no bound; output
@@ -419,6 +458,58 @@ class TestRoundtripCommand:
         )
         assert rc == 0
         assert "roundtrip.fibers" in out
+
+
+    @pytest.mark.parametrize("spec, clause, witness", [
+        ({"universe": 1, "left": "all",
+          "right": {"explicit": [{"dom": 1, "cod": 1, "table": [0]}]}},
+         "roundtrip.subst",
+         "f=FinFn(0->0:[]): no quantifier along FinFn(0->0:[]): not in R"),
+        ({"universe": 2, "left": "surj", "right": "all", "nonempty_only": True},
+         "roundtrip.frobenius",
+         "f=FinFn(1->2:[0]): left class must contain diagonals"),
+    ], ids=["right-without-identities", "left-without-diagonals"])
+    def test_refusal_is_a_failed_instance(self, capsys, tmp_path, spec, clause, witness):
+        # a span or square the triple refuses fails the clause that needed
+        # it, with the reason, and the report is still printed
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(spec))
+        rc, out, err = run_main(
+            ["roundtrip", "--max-size", str(spec["universe"]),
+             "--triple-file", str(path)],
+            capsys,
+        )
+        assert rc == 1
+        assert err == ""
+        records = {r["clause"]: r for r in map(json.loads, out.splitlines())}
+        failing = {name for name, r in records.items() if r["failures"]}
+        assert failing == {f"powerset.{clause}", f"tropical.{clause}"}
+        for name in failing:
+            assert records[name]["witnesses"][0] == witness
+
+
+class TestOrdersBuiltOnce:
+    @pytest.mark.parametrize("command", ["verify", "roundtrip"])
+    def test_each_tropical_order_is_validated_once(self, capsys, monkeypatch, command):
+        # every product of two fiber orders is a cached power, so no order
+        # is built twice; the one exception is the unbalanced product
+        # P(2) x P(1), whose 125 elements order like P(3) = P(1) x P(2)
+        for cached in (poskit.chain, poskit.product_poset, poskit.power_poset,
+                       poskit.trop_value_poset):
+            cached.cache_clear()
+        validated = collections.Counter()
+        validate = poskit.Poset.__post_init__
+
+        def counting(p):
+            validate(p)
+            validated[p.size, p.leq] += 1
+
+        monkeypatch.setattr(poskit.Poset, "__post_init__", counting)
+        rc, _, _ = run_main([command, "--fiber", "tropical", "--max-size", "2"], capsys)
+        assert rc == 0
+        sizes = collections.Counter(size for size, _ in validated.elements())
+        assert sizes == {1: 1, 5: 1, 25: 1, 125: 2, 625: 1}
+        assert [size for (size, _), n in validated.items() if n > 1] == [125]
 
 
 class TestEntryPoint:

@@ -18,7 +18,7 @@ from doctrina.poskit import (
     Poset,
     boolean_meet,
     chain,
-    subset_lattice,
+    power_poset,
     trop_index,
     trop_values,
 )
@@ -226,6 +226,16 @@ class TestExternalMonoidal:
         got = trop_values(mu.table[phi * 25 + psi], 4, 3)
         assert got == (1, 4, 2, 4)  # pairwise sums, saturating above 3
 
+    @pytest.mark.parametrize("make", [powerset_doctrine, tropical_doctrine])
+    @pytest.mark.parametrize("k, m", [(1, 1), (1, 2), (2, 2)])
+    def test_laxator_domain_is_the_fiber_order_over_the_sum(self, make, k, m):
+        # the order of P(A) x P(B) is the cached order of P(A + B)
+        d = make(trivial_triple(2))
+        total = d.fiber(FinSet(k + m)).carrier
+        assert external_laxator(d, FinSet(k), FinSet(m)).dom is total
+        if k == m:
+            assert d.fiber(FinSet(k)).tensor_map().dom is total
+
     def test_unit_is_fiber_unit(self, pow2, trop2):
         assert external_unit(pow2) == 1  # the full subset of the point
         assert external_unit(trop2) == 0  # the zero cost
@@ -331,7 +341,7 @@ class TestValuedDoctrine:
         monkeypatch.setattr(Doctrine, "_act", per_value)
         for x in spans:
             trop.span_action(x.left, x.right)
-        meet22 = Doctrine(triple, MonoPoset(subset_lattice(2), operator.and_, 3))
+        meet22 = Doctrine(triple, MonoPoset(power_poset(chain(2), 2), operator.and_, 3))
         for d in (powerset_doctrine(triple), meet22):
             monkeypatch.setattr(type(d), "_act", per_value)
             with pytest.raises(AssertionError, match="per-value"):

@@ -22,8 +22,8 @@ from doctrina.doctrine import (
 from doctrina.doubling import (
     PDot,
     lax_comp_sample,
-    mu_proof_squares,
     product_span,
+    proof_squares,
     search_offdomain_witness,
     verify_pdot,
 )
@@ -218,7 +218,7 @@ class TestLaxator:
     def test_proof_squares_are_designated(self, pow2, ppow):
         span = Span(FinFn.identity(FinSet(2)), bang(FinSet(2)))
         other = Span(bang(FinSet(2)), FinFn.identity(FinSet(2)))
-        for sq in mu_proof_squares(span, other):
+        for sq in proof_squares(span.right, other.right):
             assert check_beck_chevalley(pow2, sq).passed
 
     def test_symmetry_cells(self, ppow):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -19,10 +20,12 @@ from doctrina.finset import (
     functions,
     injection_right_triple,
     product,
+    product_table,
     pullback,
     pushout,
     surjection_triple,
     swap_fn,
+    swap_table,
     terminal,
     trivial_triple,
 )
@@ -270,6 +273,37 @@ class TestProducts:
         _, qa, qb = product(f.cod, g.cod)
         assert compose(fg, qa) == compose(pa, f)
         assert compose(fg, qb) == compose(pb, g)
+
+
+def divmod_product_table(ft, gt, gc):
+    """Reference: the table of f x g read off each product index by divmod,
+    as fn_product and map_product computed it before ``product_table``."""
+    nb = len(gt)
+    return tuple(ft[k // nb] * gc + gt[k % nb] for k in range(len(ft) * nb))
+
+
+def divmod_swap_table(na, nb):
+    """Reference: the symmetry a x b -> b x a read off each index by divmod."""
+    return tuple((k % nb) * na + k // nb for k in range(na * nb))
+
+
+class TestProductTables:
+    SIZES = range(5)
+
+    def test_product_table_is_the_divmod_formula(self):
+        # one table per pair of sizes, spread over its codomain
+        def table(n, c):
+            return tuple((3 * i + 1) % c for i in range(n)) if c else ()
+
+        for na, fc, nb, gc in itertools.product(self.SIZES, repeat=4):
+            if (na and not fc) or (nb and not gc):
+                continue
+            ft, gt = table(na, fc), table(nb, gc)
+            assert product_table(ft, gt, gc) == divmod_product_table(ft, gt, gc)
+
+    def test_swap_table_is_the_divmod_formula(self):
+        for na, nb in itertools.product(self.SIZES, repeat=2):
+            assert swap_table(na, nb) == divmod_swap_table(na, nb)
 
 
 class TestAdequateTriples:

@@ -24,7 +24,6 @@ from doctrina.poskit import (
     power_fiber,
     power_poset,
     product_poset,
-    subset_lattice,
     swap_map,
     trop_index,
     trop_lane_width,
@@ -68,7 +67,7 @@ class TestPoset:
 
     def test_subset_lattice_is_inclusion(self):
         for n in range(4):
-            p = subset_lattice(n)
+            p = power_poset(chain(2), n)
             assert p.size == 1 << n
             for s in range(p.size):
                 for t in range(p.size):
@@ -84,7 +83,7 @@ class TestPoset:
                 assert p.le(s, t) == all(a >= b for a, b in zip(x, y))
 
     def test_cover_pairs_generate_order(self):
-        p = subset_lattice(3)
+        p = power_poset(chain(2), 3)
         covers = set(p.covers)
         # covers of the subset lattice add exactly one element
         assert all(bin(j & ~i).count("1") == 1 for i, j in covers)
@@ -98,7 +97,7 @@ class TestMonotoneMap:
             monotone_map(c, c, (1, 0))
 
     def test_composite_of_monotones_is_monotone(self):
-        p = subset_lattice(2)
+        p = power_poset(chain(2), 2)
         f = monotone_map(p, p, tuple(s & 0b01 for s in range(4)))
         g = monotone_map(p, p, tuple(s | 0b10 for s in range(4)))
         assert f.then(g).is_monotone()
@@ -138,11 +137,11 @@ class TestCell2:
         d = powerset_doctrine(trivial_triple(2))
         img_pre = d.subst(f).then(d.exists(f))
         assert img_pre.table == (0, 1, 0, 1)
-        assert leq_maps(img_pre, MonotoneMap.identity(subset_lattice(2)))
+        assert leq_maps(img_pre, MonotoneMap.identity(power_poset(chain(2), 2)))
 
     def test_iso_iff_equal_tables(self):
         # antisymmetry meta-test
-        p = subset_lattice(2)
+        p = power_poset(chain(2), 2)
         maps = [
             MonotoneMap(p, p, t)
             for t in itertools.product(range(4), repeat=4)
@@ -165,7 +164,7 @@ M3 = Poset(5, rows([0, 1], [1], [1, 2], [1, 3], [0, 1, 2, 3, 4]))
 ANTICHAIN = Poset(2, rows([0], [1]))
 POSETS = (
     chain(0), chain(1), chain(2), chain(3),
-    trop_value_poset(1), subset_lattice(2), N5, M3, ANTICHAIN,
+    trop_value_poset(1), power_poset(chain(2), 2), N5, M3, ANTICHAIN,
 )
 
 
@@ -190,7 +189,7 @@ def brute_join(p, i, j):
 class TestValueLattices:
     @pytest.mark.parametrize("p", [
         chain(1), chain(2), chain(3), trop_value_poset(1), trop_value_poset(3),
-        subset_lattice(2), M3, N5,
+        power_poset(chain(2), 2), M3, N5,
     ])
     def test_join_table_is_the_least_upper_bound(self, p):
         join = join_table(p)
@@ -252,6 +251,19 @@ class TestProductPoset:
         assert power_poset(v, 1) == v
         assert power_poset(v, 3) == product_poset(product_poset(v, v), v)
 
+    @pytest.mark.parametrize("v", [chain(2), trop_value_poset(3)], ids=["2-chain", "trop3"])
+    @pytest.mark.parametrize("k, m", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)])
+    def test_product_of_halves_is_the_cached_power(self, v, k, m):
+        # the domain of the (k, m) external tensor is the fiber over k + m
+        assert product_poset(power_poset(v, k), power_poset(v, m)) is power_poset(v, k + m)
+
+    @pytest.mark.parametrize("p", [p for p in POSETS if p.size != 1])
+    def test_one_element_factor_is_the_other_factor(self, p):
+        # uncached: the cache answers an equal key with the object it holds
+        product = product_poset.__wrapped__
+        assert product(chain(1), p) is p
+        assert product(p, chain(1)) is p
+
     def test_row_major_pairs(self):
         a, b = chain(2), chain(3)
         p = product_poset(a, b)
@@ -274,7 +286,7 @@ class TestProductPoset:
     def test_swap_is_natural(self):
         # every monotone map among a chain and a non-chain of another size,
         # so a slip between the two factors' sizes or orders shows
-        posets = (chain(2), subset_lattice(2))
+        posets = (chain(2), power_poset(chain(2), 2))
         maps = [
             m
             for p in posets
@@ -324,7 +336,7 @@ class TestMonoPosets:
             calls.append((i, j))
             return i & j
 
-        m = MonoPoset(subset_lattice(2), meet, 3)
+        m = MonoPoset(power_poset(chain(2), 2), meet, 3)
         assert m.mul(1, 2) == 0 and m.mul(1, 2) == 0
         assert calls == [(1, 2)]
         # the whole table is still there to see, each entry computed once;

@@ -539,7 +539,7 @@ class TestFileFormat:
 
     def test_boundary_data_accepted(self):
         doc = {
-            "labels": ["w"], "domains": {"w": 2}, "diagrams": {},
+            "labels": ["w", "z"], "domains": {"w": 2, "z": 0}, "diagrams": {},
             "systems": {
                 "full": {"context": ["w"], "semantics": "rel", "data": "3"},
                 "big": {"context": ["w"], "semantics": "trop", "data": [0, 7]},
@@ -549,6 +549,7 @@ class TestFileFormat:
         full, _ = corpus.systems["full"]
         big, _ = corpus.systems["big"]
         assert full.predicate == 3
+        assert corpus.types.size("z") == 0  # an empty domain is a size
         # costs above the cap saturate to infinity
         assert format_predicate(big, "trop", corpus.types, 3) == '[0, "inf"]'
 
