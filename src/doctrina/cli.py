@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Mapping
 
@@ -32,6 +33,9 @@ from .report import Report
 from .spancat import SpanCategory
 
 MAX_UNGUARDED_SIZE = 4
+# the largest fiber the suites may build unforced: the external tensor
+# reaches the fiber over max-size x max-size slots
+MAX_FIBER_SIZE = 4096
 
 TRIPLES = {
     "all-all": trivial_triple,
@@ -47,9 +51,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a key outside ``keys``: it would be ignored, unread."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {json.dumps(key)} in {what}")
+
+
 def _json_map(m) -> FinFn:
     if not isinstance(m, dict) or not isinstance(m.get("table"), list):
         raise ValueError(f"explicit map needs dom, cod and a table list: {json.dumps(m)}")
+    _json_keys(m, ("dom", "cod", "table"), "explicit map")
     return FinFn(
         FinSet(_json_int(m.get("dom"), "explicit map dom")),
         FinSet(_json_int(m.get("cod"), "explicit map cod")),
@@ -65,6 +77,7 @@ def _class_from_spec(spec) -> MorClass:
     if spec == "surj":
         return MorClass.surjections()
     if isinstance(spec, dict) and isinstance(spec.get("explicit"), list):
+        _json_keys(spec, ("explicit",), "class spec")
         return MorClass.explicit(_json_map(m) for m in spec["explicit"])
     raise ValueError(f"bad class spec {spec!r}")
 
@@ -76,6 +89,7 @@ def load_triple_file(path: str) -> AdequateTriple:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("triple file must hold a JSON object")
+    _json_keys(doc, ("universe", "left", "right", "nonempty_only"), "triple file")
     nonempty_only = doc.get("nonempty_only", False)
     if not isinstance(nonempty_only, bool):
         raise ValueError(
@@ -94,7 +108,11 @@ def _resolve_triple(args) -> AdequateTriple:
         triple = load_triple_file(args.triple_file)
         # the adequacy check enumerates up to the file's own universe;
         # roundtrip runs no adequacy check, so the lower bound is here too
-        _guard("triple-file universe", triple.universe, args.force)
+        if triple.universe > MAX_UNGUARDED_SIZE and not args.force:
+            raise ValueError(
+                f"triple-file universe {triple.universe} above the cost guard "
+                f"({MAX_UNGUARDED_SIZE}); rerun with --force"
+            )
         if triple.universe < 1:
             raise ValueError("universe bound must be at least 1")
         return triple
@@ -127,18 +145,21 @@ def _emit(report: Report, args) -> None:
         print(payload)
 
 
-def _guard(what: str, size: int, force: bool) -> None:
-    if size > MAX_UNGUARDED_SIZE and not force:
-        raise ValueError(
-            f"{what} {size} above the cost guard "
-            f"({MAX_UNGUARDED_SIZE}); rerun with --force"
-        )
-
-
 def _guard_size(args) -> None:
-    _guard("max-size", args.max_size, args.force)
     if args.max_size < 1:
         raise ValueError("max-size must be at least 1")
+    # |V| is 2 for powerset and cap + 2 for min-plus (a cap below 1 is
+    # refused later); comparing logarithms never builds an absurd power
+    slots = args.max_size**2
+    for name, size in (("powerset", 2), ("tropical", max(args.k, 1) + 2)):
+        if args.fiber in (name, "both") and not args.force and (
+            slots * math.log2(size) > math.log2(MAX_FIBER_SIZE)
+        ):
+            raise ValueError(
+                f"the {name} fiber over {args.max_size} x {args.max_size} slots has "
+                f"{size}**{slots} elements, above the cost guard ({MAX_FIBER_SIZE}); "
+                "rerun with --force"
+            )
 
 
 def cmd_verify(args) -> int:
@@ -245,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--summary", action="store_true",
                        help="print a human table instead of JSONL")
         p.add_argument("--force", action="store_true",
-                       help="allow max-size or a triple-file universe "
+                       help="allow a fiber or a triple-file universe "
                             "beyond the cost guard")
 
     pv = sub.add_parser("verify", help="run the law suites")

@@ -19,12 +19,13 @@ the predicate's own value (a value tuple, or a bitmask in
 
 ``span_action`` is the one checked entry point for the span action as a
 map between foot fibers, and every cover pair of its domain is checked
-order-preserving.  By default it applies ``_act`` to every value.  On
-the min-plus chain it builds the whole table at once instead, on packed
-value columns (``poskit.trop_span_table``), unless a subclass redefines
-``_act``.  Quantifiers fold joins value by value, never through
-``_act``, so ``pdot.compositor`` still compares the span action with a
-composite computed independently of it.
+order-preserving.  Its join over fibres is idempotent, so the action
+depends only on the relation the span traces between its feet, and the
+whole table is built once per relation (``poskit.span_table``), unless a
+subclass redefines ``_act``: then it applies ``_act`` to every value.
+Quantifiers fold joins value by value, never through ``_act`` or the
+relation tables, so ``pdot.compositor`` still compares the span action
+with a composite computed independently of it.
 
 The checkers at the bottom verify, exhaustively over a finite universe,
 every law the theory demands: functoriality, strong monoidality of
@@ -69,9 +70,8 @@ from .poskit import (
     monotone_map,
     power_fiber,
     product_poset,
+    span_table,
     swap_map,
-    trop_span_table,
-    trop_value_poset,
     value_index,
     value_tuples,
 )
@@ -98,9 +98,6 @@ class Doctrine:
         self._join = join_table(order)
         self._tensor = values.tensor_rows()
         self._size = order.size
-        # on the >=-chain the join is the minimum: packed columns apply
-        cap = order.size - 2
-        self._cap = cap if order == trop_value_poset(cap) else None
         self._fibers: dict[FinSet, MonoPoset] = {}
         self._subst: dict[FinFn, MonotoneMap] = {}
         self._exists: dict[FinFn, MonotoneMap] = {}
@@ -164,19 +161,19 @@ class Doctrine:
             raise ClassViolation(f"no quantifier along {right}: not in R")
 
     def _span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
-        """The span action of a checked span.  On the min-plus chain with
-        the stock ``_act`` the whole table is built at once on packed
-        value columns: target slot j takes the minimum over the source
-        slots its fibre reaches (``poskit.trop_span_table``), and every
-        cover pair is checked.  Otherwise one ``_act`` per value, so the
-        action a subclass defines is the one the law suites check."""
+        """The span action of a checked span.  With the stock ``_act`` the
+        table is that of the relation the span traces: target slot j joins
+        the source slots its fibre reaches (``poskit.span_table``), and
+        every cover pair is checked.  Otherwise one ``_act`` per value, so
+        the action a subclass defines is the one the law suites check."""
         p1 = self.fiber(left.cod).carrier
         p2 = self.fiber(right.cod).carrier
-        if self._cap is not None and type(self)._act is Doctrine._act:
+        if type(self)._act is Doctrine._act:
             fibres = [set() for _ in range(right.cod.size)]
             for i, j in zip(left.table, right.table):
                 fibres[j].add(i)
-            return MonotoneMap(p1, p2, trop_span_table(left.cod.size, self._cap, fibres))
+            key = tuple(tuple(sorted(f)) for f in fibres)
+            return MonotoneMap(p1, p2, span_table(self.values.carrier, left.cod.size, key))
         images = [self._act(left, right, v) for v in self.carrier_values(left.cod)]
         return monotone_map(p1, p2, self.carrier_indices(right.cod, images))
 

@@ -6,21 +6,20 @@ a monoidal structure (``boolean_meet``, the 2-chain under meet, and
 saturating addition), its joins (``join_table``), and its powers, the
 fibers of predicates on an n-set (``power_fiber``).  Their codec numbers a
 value tuple base |V|, slot 0 least significant, so a subset's index is
-its bitmask; the same order fixes the packed value columns
-(``TropLanes``) on which the min-plus span action is computed for a
-whole fiber at once.  Because the carriers are posets, every coherence
-2-cell of the theory degenerates to a boolean: ``leq_maps`` returns
-exactly that boolean, and an invertible cell is one that holds both
-ways.  Carriers are powers of V's order (``power_poset``), built by
-``product_poset`` one multiplication per row; a poset's covers are found
-while its order is validated.
+its bitmask.  The action of a relation on a whole fiber is tabulated
+in that codec (``span_table``) from one cached, checked column per set
+of joined slots (``join_column``).  Because the carriers are posets,
+every coherence 2-cell of the theory degenerates to a boolean:
+``leq_maps`` returns exactly that boolean, and an invertible cell is
+one that holds both ways.  Carriers are powers of V's order
+(``power_poset``), built by ``product_poset`` one multiplication per
+row; a poset's covers are found while its order is validated.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -383,141 +382,38 @@ def tropical_fiber(n: int, cap: int) -> MonoPoset:
 
 
 # ---------------------------------------------------------------------------
-# packed columns: the min-plus span action on a whole fiber at once
+# the span action of a stock valued doctrine, one relation at a time
 #
-# A column holds one value for every carrier index of the n-slot fiber,
-# packed into one int: index k owns the k-th lane from the bottom, a
-# whole number of bytes wide, whose top bit is a guard no value reaches.
-# One arithmetic operation then handles every lane ("SIMD within a
-# register": Lamport, "Multiple byte processing with full-word
-# instructions", CACM 1975).  Subtracting from a column with its guards
-# set compares all lanes at once, and no borrow crosses a lane.
-
-# the memoryview format of each lane width, in bytes
-_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def pack_lanes(values, width: int) -> int:
-    """One lane of ``width`` bytes per value, the first value lowest."""
-    data = b"".join(v.to_bytes(width, "little") for v in values)
-    return int.from_bytes(data, "little")
-
-
-def unpack_lanes(x: int, count: int, width: int) -> memoryview:
-    """The first ``count`` lanes of ``x``, lowest first (``pack_lanes``
-    inverted): one ``to_bytes`` read as native integers."""
-    fmt = _LANE_FORMATS[width]
-    if sys.byteorder == "little":
-        return memoryview(x.to_bytes(count * width, "little")).cast(fmt)
-    return memoryview(x.to_bytes(count * width, "big")).cast(fmt)[::-1]
-
-
-def trop_lane_width(m: int, cap: int) -> int:
-    """The narrowest lane, in bytes, that keeps its guard above every
-    value of the chain and holds every carrier index of m slots."""
-    for width in _LANE_FORMATS:
-        bits = 8 * width
-        if cap + 1 < 1 << (bits - 1) and (cap + 2) ** m <= 1 << bits:
-            return width
-    raise ValueError(f"no lane holds the indices of {m} slots at cap {cap}")
+# A span acts by substituting along its left leg, then joining over the
+# fibres of its right leg.  Joins are idempotent, so the action depends
+# only on the relation the span traces: target slot j joins the source
+# slots its fibre reaches.  Each such column is a function of V, n and
+# that set of slots alone, and is built and checked once.
 
 
 @lru_cache(maxsize=None)
-def _index_ints(size: int) -> tuple[int, ...]:
-    """``range(size)`` as one tuple: tables mapped through it share their
-    int objects."""
-    return tuple(range(size))
-
-
-@dataclass(frozen=True, eq=False)
-class TropLanes:
-    """The carrier indices of the n-slot min-plus fiber at ``cap``, one per
-    lane of ``width`` bytes, in the codec's order.
-
-    ``digits[a]`` holds slot a's value at every index and ``inf`` the
-    value infinity everywhere.  ``steps[a]`` is slot a's stride as a lane
-    shift, with the guard bits of the lanes j whose slot a can still grow:
-    the cover pairs of the carrier are exactly the pairs
-    (j + stride, j) over those lanes, one slot at a time."""
-
-    size: int
-    width: int
-    cap: int
-    top: int
-    guards: int
-    inf: int
-    digits: tuple[int, ...]
-    steps: tuple[tuple[int, int], ...]
-
-    def fibre_min(self, slots) -> int:
-        """The lane-wise minimum of the digit columns of ``slots``, or the
-        infinity column when there are none.  Per source: one guarded
-        subtract marks the lanes where the running minimum is at least
-        the digit, a mask spreads each mark over its lane, a select takes
-        the digit there."""
-        guards, top, digits = self.guards, self.top, self.digits
-        out = self.inf
-        for a in slots:
-            y = digits[a]
-            ge = ((out | guards) - y) & guards
-            out ^= (out ^ y) & (ge - (ge >> top))
-        return out
-
-    def check_monotone(self, cols) -> None:
-        """Raise ``ValueError`` unless the map whose output slots are the
-        columns ``cols`` preserves every cover pair of the carrier, one
-        output slot at a time.  Per column and slot stride: one guarded
-        subtract of the column from itself shifted down by the stride
-        must leave the guard of every cover lane set."""
-        guards = self.guards
-        for col in cols:
-            for shift, cover in self.steps:
-                if (((col >> shift) | guards) - col) & cover != cover:
-                    raise ValueError("map is not order-preserving")
-
-    def index_table(self, cols) -> tuple[int, ...]:
-        """The carrier index, among those of ``len(cols)`` slots, of the
-        values in each lane of the columns: Horner's rule on every lane at
-        once, from the last slot down.  The lanes must be wide enough
-        (``trop_lane_width``)."""
-        base = self.cap + 2
-        acc = 0
-        for col in reversed(cols):
-            acc = acc * base + col
-        # a list first: a tuple grown from an iterator is reallocated as it
-        # grows, which fragments the heap under the cached images
-        ints = _index_ints(base ** len(cols))
-        return tuple([ints[k] for k in unpack_lanes(acc, self.size, self.width)])
+def join_column(order: Poset, n: int, slots: tuple[int, ...]) -> tuple[int, ...]:
+    """For every n-tuple over ``order``, in codec order, the join of its
+    entries at ``slots`` (the bottom when there are none), built by
+    ``monotone_map`` so that every cover pair of the n-slot power is
+    checked."""
+    join = join_table(order)
+    col = [bottom_element(order)] * order.size**n
+    for a in slots:
+        col = [join[c][t[a]] for c, t in zip(col, value_tuples(n, order.size))]
+    return monotone_map(power_poset(order, n), order, col).table
 
 
 @lru_cache(maxsize=None)
-def trop_lanes(n: int, cap: int, width: int) -> TropLanes:
-    """The packed columns of the n-slot fiber at ``cap``, built on first
-    use and cached."""
-    base = cap + 2
-    size = base**n
-    top = 8 * width - 1
-    ones = pack_lanes([1] * size, width)
-    digits, steps = [], []
-    for a in range(n):
-        stride = base**a
-        digit = [k // stride % base for k in range(size)]
-        digits.append(pack_lanes(digit, width))
-        grows = pack_lanes([int(v <= cap) for v in digit], width)
-        steps.append((stride * 8 * width, grows << top))
-    return TropLanes(
-        size, width, cap, top, ones << top, (cap + 1) * ones,
-        tuple(digits), tuple(steps),
-    )
-
-
-def trop_span_table(n: int, cap: int, fibres) -> tuple[int, ...]:
-    """The min-plus span action on every predicate of the n-slot fiber, as
-    an index table into the fiber of ``len(fibres)`` slots: output slot j
-    is the minimum of the input slots ``fibres[j]`` (infinity when there
-    are none).  Every cover pair of the domain is checked, as
-    ``monotone_map`` checks it, and raises the same ``ValueError``."""
-    lanes = trop_lanes(n, cap, trop_lane_width(len(fibres), cap))
-    cols = [lanes.fibre_min(fib) for fib in fibres]
-    lanes.check_monotone(cols)
-    return lanes.index_table(cols)
+def span_table(order: Poset, n: int, fibres: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The action of the relation whose target slot j reaches the source
+    slots ``fibres[j]``, on every predicate of the n-slot fiber: an index
+    table into the fiber of ``len(fibres)`` slots, by Horner's rule over
+    the ``join_column`` of each fibre, last slot first.  A map into a
+    product order is monotone exactly when each component is, so the
+    checked columns check the table."""
+    table = [0] * order.size**n
+    for fib in reversed(fibres):
+        col = join_column(order, n, fib)
+        table = [t * order.size + c for t, c in zip(table, col)]
+    return tuple(table)

@@ -126,7 +126,7 @@ class DroppedApexTropicalDoctrine(Doctrine):
     """The min-plus counterpart of ``DroppedApexDoctrine``: the minimum
     skips the last apex element once the apex has three or more.  Its
     ``_act`` replaces the stock one, so the span action must be computed
-    value by value through it, not on the stock packed columns."""
+    value by value through it, not from the stock relation tables."""
 
     def __init__(self, triple, cap: int):
         super().__init__(triple, min_plus(cap))

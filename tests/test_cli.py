@@ -283,6 +283,16 @@ class TestVerify:
         assert "force" in err
 
     @pytest.mark.parametrize("command", ["verify", "roundtrip"])
+    def test_fiber_size_guard_exit_2(self, capsys, command):
+        # the external tensor reaches the fiber over 3 x 3 slots: 5**9
+        # min-plus values, far more than the suites can build
+        rc, out, err = run_main([command, "--max-size", "3"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "tropical fiber over 3 x 3 slots has 5**9 elements" in err
+        assert "force" in err
+
+    @pytest.mark.parametrize("command", ["verify", "roundtrip"])
     def test_triple_file_universe_guarded(self, capsys, tmp_path, command):
         # the adequacy check would enumerate up to the file's universe,
         # whatever --max-size says
@@ -369,6 +379,26 @@ class TestVerify:
         assert t.right.members == {
             FinFn(FinSet(0), FinSet(0), ()), FinFn(FinSet(1), FinSet(1), (0,)),
         }
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"universe": 2, "left": "all", "right": "surj", "nonempty": True},
+         "nonempty"),
+        ({"universe": 1, "right": {"explicit": [], "other": 1}}, "other"),
+        ({"universe": 1, "left": {"explicit": [
+            {"dom": 1, "cod": 1, "table": [0], "codomain": 1}]}}, "codomain"),
+    ], ids=["top-level", "class", "map"])
+    def test_unknown_triple_file_key_exit_2(self, capsys, tmp_path, spec, key):
+        # a misspelt key would otherwise be dropped for its default
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(spec))
+        rc, out, err = run_main(
+            ["verify", "--fiber", "powerset", "--max-size", "1",
+             "--triple-file", str(path)],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert f'unknown key "{key}"' in err
 
     @pytest.mark.parametrize("spec, message", [
         ({"universe": 1, "nonempty_only": "false"},
@@ -510,6 +540,30 @@ class TestOrdersBuiltOnce:
         sizes = collections.Counter(size for size, _ in validated.elements())
         assert sizes == {1: 1, 5: 1, 25: 1, 125: 2, 625: 1}
         assert [size for (size, _), n in validated.items() if n > 1] == [125]
+
+
+class TestOneTablePerRelation:
+    def test_span_actions_share_relation_tables(self, capsys, monkeypatch):
+        # a span acts through the relation it traces, so the 1,936 span
+        # actions of the tropical extension build one table per distinct
+        # relation and one column per distinct set of joined slots
+        from doctrina import doctrine
+
+        poskit.span_table.cache_clear()
+        poskit.join_column.cache_clear()
+        calls = collections.Counter()
+        span_action = doctrine.Doctrine.span_action
+
+        def counting(self, left, right):
+            calls["span_action"] += 1
+            return span_action(self, left, right)
+
+        monkeypatch.setattr(doctrine.Doctrine, "span_action", counting)
+        rc, _, _ = run_main(["verify", "--fiber", "tropical", "--max-size", "2"], capsys)
+        assert rc == 0
+        assert calls["span_action"] == 1936
+        assert poskit.span_table.cache_info().misses == 251
+        assert poskit.join_column.cache_info().misses == 17
 
 
 class TestEntryPoint:

@@ -18,12 +18,14 @@ from doctrina.poskit import (
     Poset,
     boolean_meet,
     chain,
+    min_plus,
     power_poset,
     trop_index,
     trop_values,
 )
 from doctrina.doctrine import (
     Doctrine,
+    PowersetDoctrine,
     PullbackSquare,
     check_adjunction,
     check_beck_chevalley,
@@ -37,14 +39,34 @@ from doctrina.doctrine import (
     tropical_doctrine,
 )
 
-from doctrina.doubling import PDot, verify_pdot
+from doctrina.doubling import PDot, product_span, verify_pdot
 from doctrina.extraction import roundtrip
 from doctrina.spancat import SpanCategory
 
-from mutants import PERTURBED, NonFunctorialDoctrine, SwappedAdjointDoctrine
+from mutants import (
+    PERTURBED,
+    DroppedApexTropicalDoctrine,
+    NonFunctorialDoctrine,
+    SwappedAdjointDoctrine,
+)
+from test_poskit import M3, N5, meet_monoid
 
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
+
+
+class PerValueDoctrine(Doctrine):
+    """The stock join fold as a redefined ``_act``, so that the span
+    action is computed value by value: the reference for the relation
+    tables."""
+
+    def _act(self, left, right, pred):
+        return self._join_fold(left.table, right.table, pred, right.cod.size)
+
+
+UNION = MonoPoset(chain(2), operator.or_, 0)
+LATTICES = [meet_monoid(M3), meet_monoid(N5), meet_monoid(power_poset(chain(2), 2)), UNION]
+LATTICE_IDS = ["M3-meet", "N5-meet", "2x2-meet", "union"]
 
 
 class TestPowersetDoctrine:
@@ -88,18 +110,23 @@ class TestTropicalDoctrine:
         with pytest.raises(ValueError):
             tropical_doctrine(trivial_triple(2), 0)
 
-    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "values", [min_plus(1), min_plus(2), min_plus(3)] + LATTICES,
+        ids=["1", "2", "3"] + LATTICE_IDS,
+    )
     @pytest.mark.parametrize("triple, empties", [
         (trivial_triple(2), True), (surjection_triple(2), False),
     ], ids=["all-all", "surj-right"])
-    def test_packed_span_action_is_the_per_value_table(self, triple, empties, cap):
-        d = tropical_doctrine(triple, cap)
+    def test_packed_span_action_is_the_per_value_table(self, triple, empties, values):
+        # every span at bound 2, and products of spans between 2-element
+        # feet, whose feet have 4 slots
+        d, ref = Doctrine(triple, values), PerValueDoctrine(triple, values)
         spans = list(SpanCategory(triple).enumerate_spans(2))
-        for x in spans:
-            per_value = d.carrier_indices(x.target, [
-                d._act(x.left, x.right, v) for v in d.carrier_values(x.source)
-            ])
-            assert d.span_action(x.left, x.right).table == tuple(per_value), x
+        square = [x for x in spans if x.source.size == x.target.size == 2]
+        wide = [product_span(x, y) for x, y in zip(square, square[3:] + square[:3])]
+        assert len(wide) >= 8
+        for x in spans + wide:
+            assert d.span_action(x.left, x.right) == ref.span_action(x.left, x.right), x
         if empties:
             # empty feet, and right legs that leave a fibre empty
             assert any(x.source.size == 0 for x in spans)
@@ -329,23 +356,27 @@ class TestValuedDoctrine:
         else:
             assert failing == {}
 
-    def test_stock_min_plus_takes_the_packed_path(self, monkeypatch):
-        # the packed columns, not a silent per-value fallback, compute the
-        # stock min-plus action; the other doctrines go through ``_act``
-        def per_value(*args):
-            raise AssertionError("per-value span action")
+    def test_stock_act_takes_the_relation_tables(self, monkeypatch):
+        # every valued doctrine with the stock ``_act`` computes its span
+        # action through the relation tables, not a silent per-value
+        # fallback; a class that redefines ``_act`` goes through it.  Each
+        # class gets its own function, so that none is the stock one.
+        def per_value():
+            def act(*args):
+                raise AssertionError("per-value span action")
+            return act
 
         triple = trivial_triple(2)
         spans = list(SpanCategory(triple).enumerate_spans(2))
-        trop = tropical_doctrine(triple, 3)
-        monkeypatch.setattr(Doctrine, "_act", per_value)
-        for x in spans:
-            trop.span_action(x.left, x.right)
-        meet22 = Doctrine(triple, MonoPoset(power_poset(chain(2), 2), operator.and_, 3))
-        for d in (powerset_doctrine(triple), meet22):
-            monkeypatch.setattr(type(d), "_act", per_value)
+        monkeypatch.setattr(Doctrine, "_act", per_value())
+        for values in (min_plus(3), meet_monoid(power_poset(chain(2), 2)), UNION):
+            d = Doctrine(triple, values)
+            for x in spans:
+                d.span_action(x.left, x.right)
+        for cls, args in ((PowersetDoctrine, ()), (DroppedApexTropicalDoctrine, (3,))):
+            monkeypatch.setattr(cls, "_act", per_value())
             with pytest.raises(AssertionError, match="per-value"):
-                d.span_action(CONST21, CONST21)
+                cls(triple, *args).span_action(CONST21, CONST21)
 
     def test_non_lattice_values_rejected(self):
         # a bottom below two maximal elements, then two incomparable ones

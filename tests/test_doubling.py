@@ -415,8 +415,8 @@ class TestOffDomainSearch:
 
 
 def test_tropical_subclass_act_is_the_span_action():
-    # the stock min-plus action is computed on packed columns; a subclass
-    # that redefines ``_act`` must have its own action checked
+    # the stock min-plus action is computed from relation tables; a
+    # subclass that redefines ``_act`` must have its own action checked
     rep = verify_pdot(PDot(DroppedApexTropicalDoctrine(trivial_triple(2), 1)), 2)
     comp = rep.find("pdot.compositor")
     assert comp.failures == 12

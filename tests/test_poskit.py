@@ -1,6 +1,7 @@
 import itertools
 import random
 from dataclasses import FrozenInstanceError
+from functools import reduce
 
 import pytest
 
@@ -15,24 +16,21 @@ from doctrina.poskit import (
     chain,
     check_mono_poset,
     iso_maps,
+    join_column,
     join_table,
     leq_maps,
     map_product,
     min_plus,
     monotone_map,
-    pack_lanes,
     power_fiber,
     power_poset,
     product_poset,
+    span_table,
     swap_map,
     trop_index,
-    trop_lane_width,
-    trop_lanes,
-    trop_span_table,
     trop_value_poset,
     trop_values,
     tropical_fiber,
-    unpack_lanes,
     value_index,
     value_tuples,
 )
@@ -184,6 +182,20 @@ def brute_join(p, i, j):
     ubs = [k for k in range(p.size) if p.le(i, k) and p.le(j, k)]
     (least,) = [k for k in ubs if all(p.le(k, u) for u in ubs)]
     return least
+
+
+def brute_meet(p, i, j):
+    """The greatest lower bound of i and j by search over all elements."""
+    lbs = [k for k in range(p.size) if p.le(k, i) and p.le(k, j)]
+    (greatest,) = [k for k in lbs if all(p.le(u, k) for u in lbs)]
+    return greatest
+
+
+def meet_monoid(p):
+    """The lattice p under meet, unit its top element."""
+    (top,) = [k for k in range(p.size) if all(p.le(j, k) for j in range(p.size))]
+    table = [brute_meet(p, i, j) for i in range(p.size) for j in range(p.size)]
+    return MonoPoset.tabulated(p, table, top)
 
 
 class TestValueLattices:
@@ -456,58 +468,71 @@ def min_plus_table(n, m, cap, fibres):
     ]
 
 
-def packed_verdict(n, m, cap, table):
-    """``TropLanes.check_monotone`` on the output columns of ``table``."""
-    width = trop_lane_width(m, cap)
-    cols = [
-        pack_lanes([trop_values(t, m, cap)[c] for t in table], width)
-        for c in range(m)
+def brute_join_table(p, n, fibres):
+    """The reference action of a relation over any lattice: one join by
+    search per output slot per value, the least element over an empty
+    fibre."""
+    (least,) = [k for k in range(p.size) if all(p.le(k, j) for j in range(p.size))]
+    index = value_index(len(fibres), p.size)
+    return tuple(
+        index[tuple(
+            reduce(lambda x, y: brute_join(p, x, y), (v[a] for a in fib), least)
+            for fib in fibres
+        )]
+        for v in value_tuples(n, p.size)
+    )
+
+
+def relations(n, m):
+    """Every relation from n source slots to m target slots, as the
+    sorted fibre of each target slot."""
+    subsets = [
+        tuple(a for a in range(n) if (mask >> a) & 1) for mask in range(1 << n)
     ]
-    lanes = trop_lanes(n, cap, width)
-    assert lanes.index_table(cols) == tuple(table)
-    try:
-        lanes.check_monotone(cols)
-    except ValueError as e:
-        assert str(e) == "map is not order-preserving"
-        return False
-    return True
+    return itertools.product(subsets, repeat=m)
 
 
 class TestPackedColumns:
-    @pytest.mark.parametrize("width", [1, 2, 4, 8])
-    def test_lanes_roundtrip(self, width):
-        values = [0, 1, 2, (1 << (8 * width)) - 1, 5]
-        assert list(unpack_lanes(pack_lanes(values, width), 5, width)) == values
-        # a lane above the last packed one reads 0
-        assert list(unpack_lanes(pack_lanes(values, width), 6, width))[5] == 0
-
-    def test_lane_width(self):
-        # 5**3 indices fit a byte, 5**4 need two; the guard stays clear
-        assert trop_lane_width(3, 3) == 1
-        assert trop_lane_width(4, 3) == 2
-        assert trop_lane_width(0, 200) == 2
-
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (4, 4), (0, 2), (2, 0)])
     def test_packed_monotone_check_agrees_with_is_monotone(self, n, m):
-        # min-of-digit tables are monotone; half of them get one entry
-        # changed, which mostly breaks some cover pair
+        # the relation tables of min-plus are the per-value minima, and are
+        # monotone; random fibres, empty ones included
         rng = random.Random(100 * n + m)
-        broken = 0
         for trial in range(40):
             cap = rng.choice((1, 2, 3))
-            fibres = [[a for a in range(n) if rng.random() < 0.5] for _ in range(m)]
-            table = min_plus_table(n, m, cap, fibres)
-            assert tuple(table) == trop_span_table(n, cap, fibres)
-            if trial % 2:
-                table[rng.randrange(len(table))] = rng.randrange((cap + 2) ** m)
+            fibres = tuple(
+                tuple(a for a in range(n) if rng.random() < 0.5) for _ in range(m)
+            )
+            table = span_table(trop_value_poset(cap), n, fibres)
+            assert list(table) == min_plus_table(n, m, cap, fibres)
             v = trop_value_poset(cap)
-            dom, cod = power_poset(v, n), power_poset(v, m)
-            ok = MonotoneMap(dom, cod, tuple(table)).is_monotone()
-            assert packed_verdict(n, m, cap, table) == ok
-            assert ok or trial % 2
-            broken += not ok
-        if n and m:
-            assert broken >= 10
-        else:
-            # no cover pair in the domain, or a one-element codomain
-            assert broken == 0
+            assert MonotoneMap(power_poset(v, n), power_poset(v, m), table).is_monotone()
+
+    @pytest.mark.parametrize("p", [M3, N5, power_poset(chain(2), 2)], ids=["M3", "N5", "2x2"])
+    def test_relation_table_is_the_brute_force_join(self, p):
+        # every relation between up to 3 source and 2 target slots; the
+        # same fibres recur at every n, and M3 and N5 have their least
+        # element last, so neither n nor the empty fibre can be assumed
+        for n, m in [(0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2), (2, 2), (3, 2)]:
+            for fibres in relations(n, m):
+                assert span_table(p, n, fibres) == brute_join_table(p, n, fibres)
+                for j, fib in enumerate(fibres):
+                    assert join_column(p, n, fib) == brute_join_table(p, n, (fib,))
+
+    def test_a_non_monotone_column_is_refused(self, monkeypatch):
+        # a column is checked on every cover pair as it is built: a join
+        # table that reverses the 2-chain makes the column of a slot
+        # order-reversing
+        join_column.cache_clear()
+        span_table.cache_clear()
+        monkeypatch.setattr(
+            "doctrina.poskit.join_table", lambda p: ((1, 0), (0, 0))
+        )
+        try:
+            with pytest.raises(ValueError, match="^map is not order-preserving$"):
+                join_column(chain(2), 1, (0,))
+            with pytest.raises(ValueError, match="^map is not order-preserving$"):
+                span_table(chain(2), 2, ((), (1,)))
+        finally:
+            join_column.cache_clear()
+            span_table.cache_clear()
