@@ -51,17 +51,10 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
-    """Refuse a key outside ``keys``: it would be ignored, unread."""
-    for key in obj:
-        if key not in keys:
-            raise ValueError(f"unknown key {json.dumps(key)} in {what}")
-
-
 def _json_map(m) -> FinFn:
     if not isinstance(m, dict) or not isinstance(m.get("table"), list):
         raise ValueError(f"explicit map needs dom, cod and a table list: {json.dumps(m)}")
-    _json_keys(m, ("dom", "cod", "table"), "explicit map")
+    uwd.json_keys(m, ("dom", "cod", "table"), "explicit map")
     return FinFn(
         FinSet(_json_int(m.get("dom"), "explicit map dom")),
         FinSet(_json_int(m.get("cod"), "explicit map cod")),
@@ -77,7 +70,7 @@ def _class_from_spec(spec) -> MorClass:
     if spec == "surj":
         return MorClass.surjections()
     if isinstance(spec, dict) and isinstance(spec.get("explicit"), list):
-        _json_keys(spec, ("explicit",), "class spec")
+        uwd.json_keys(spec, ("explicit",), "class spec")
         return MorClass.explicit(_json_map(m) for m in spec["explicit"])
     raise ValueError(f"bad class spec {spec!r}")
 
@@ -89,7 +82,7 @@ def load_triple_file(path: str) -> AdequateTriple:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("triple file must hold a JSON object")
-    _json_keys(doc, ("universe", "left", "right", "nonempty_only"), "triple file")
+    uwd.json_keys(doc, ("universe", "left", "right", "nonempty_only"), "triple file")
     nonempty_only = doc.get("nonempty_only", False)
     if not isinstance(nonempty_only, bool):
         raise ValueError(
@@ -260,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cost cap for the tropical fiber (default 3)")
         p.add_argument("--fiber", choices=["powerset", "tropical", "both"],
                        default="both")
-        p.add_argument("--triple", choices=sorted(TRIPLES), default="all-all")
-        p.add_argument("--triple-file", help="JSON file describing a custom triple")
+        triple = p.add_mutually_exclusive_group()
+        triple.add_argument("--triple", choices=sorted(TRIPLES), default="all-all")
+        triple.add_argument("--triple-file", help="JSON file describing a custom triple")
         p.add_argument("--out", help="write the JSONL report to this path")
         p.add_argument("--summary", action="store_true",
                        help="print a human table instead of JSONL")

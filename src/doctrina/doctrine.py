@@ -80,8 +80,10 @@ from .report import Report
 # the keys ``matching`` pairs maps on
 _DOM, _COD = attrgetter("dom"), attrgetter("cod")
 
-# the largest set in the Beck-Chevalley squares of ``check_doctrine``
-_BC_SIZE = 2
+# the bound at which the clauses quadratic in maps, spans or cells are
+# stated: the Beck-Chevalley squares and laxator symmetry here, the span
+# pairs and cells of ``doubling.verify_pdot``
+PAIR_BOUND = 2
 
 
 class Doctrine:
@@ -385,29 +387,20 @@ def check_beck_chevalley(d: Doctrine, sq: PullbackSquare) -> Report:
 
     For each parallel pair of the square that lies in the right class
     (bottom with top, right with left), the two composite maps are
-    compared and must be equal outright.
+    compared and must be equal outright; a designated square has at least one.
     """
     if not is_clr_pullback(sq, d.triple):
         raise NotAPullback(f"{sq} is not a designated pullback")
     rep = Report()
-    checked = False
-    if d.triple.right.contains(sq.bottom):
-        # quantify bottom: B -> J and its base change top's partner A -> I
-        lhs = d.exists(sq.bottom).then(d.subst(sq.right))
-        rhs = d.subst(sq.left).then(d.exists(sq.top))
-        c = rep.clause("beck-chevalley.bottom", "substitution after quantifying the base map")
-        ok = iso_maps(lhs, rhs)
-        c.check(ok, "" if ok else f"square {sq}")
-        checked = True
-    if d.triple.right.contains(sq.right):
-        lhs = d.exists(sq.right).then(d.subst(sq.bottom))
-        rhs = d.subst(sq.top).then(d.exists(sq.left))
-        c = rep.clause("beck-chevalley.right", "substitution after quantifying the fibre map")
-        ok = iso_maps(lhs, rhs)
-        c.check(ok, "" if ok else f"square {sq}")
-        checked = True
-    if not checked:
-        raise NotAPullback("no quantifiable leg in the square")
+    for name, what, leg, other, other_base, leg_base in (
+        ("bottom", "the base map", sq.bottom, sq.right, sq.left, sq.top),
+        ("right", "the fibre map", sq.right, sq.bottom, sq.top, sq.left),
+    ):
+        if d.triple.right.contains(leg):
+            lhs = d.exists(leg).then(d.subst(other))
+            rhs = d.subst(other_base).then(d.exists(leg_base))
+            c = rep.clause(f"beck-chevalley.{name}", f"substitution after quantifying {what}")
+            c.check(iso_maps(lhs, rhs), lambda: f"square {sq}")
     return rep
 
 
@@ -447,7 +440,7 @@ def check_subst_functorial(d: Doctrine, max_size: int) -> Report:
     for f, g in matching(u.maps, u.maps, _COD, _DOM):
         fcomp.check(
             d.subst(compose(f, g)) == d.subst(g).then(d.subst(f)),
-            f"f={f} g={g}",
+            lambda: f"f={f} g={g}",
         )
     return rep
 
@@ -465,12 +458,12 @@ def check_doctrine(d: Doctrine, max_size: int | None = None) -> Report:
     for f in u.maps:
         fa, fb = d.fiber(f.dom), d.fiber(f.cod)
         sb = d.subst(f)
-        strong.check(sb.table[fb.unit] == fa.unit, f"unit along {f}")
+        strong.check(sb.table[fb.unit] == fa.unit, lambda: f"unit along {f}")
         for x in range(fb.carrier.size):
             for y in range(fb.carrier.size):
                 strong.check(
                     sb.table[fb.mul(x, y)] == fa.mul(sb.table[x], sb.table[y]),
-                    f"f={f} x={x} y={y}",
+                    lambda: f"f={f} x={x} y={y}",
                 )
 
     eid = rep.clause("doctrine.exists-identity", "quantifier along an identity is the identity")
@@ -485,13 +478,13 @@ def check_doctrine(d: Doctrine, max_size: int | None = None) -> Report:
     for f, g in matching(u.right, u.right, _COD, _DOM):
         ecomp.check(
             d.exists(compose(f, g)) == d.exists(f).then(d.exists(g)),
-            f"f={f} g={g}",
+            lambda: f"f={f} g={g}",
         )
 
     gal = rep.clause("doctrine.galois", "quantifier is left adjoint to substitution")
     for f in u.right:
         sub = check_adjunction(d, f)
-        gal.check(sub.passed, f"f={f}: {sub.failures} failures")
+        gal.check(sub.passed, lambda: f"f={f}: {sub.failures} failures")
 
     com = rep.clause(
         "doctrine.comonoidal", "quantifier laxly preserves the tensor"
@@ -505,21 +498,21 @@ def check_doctrine(d: Doctrine, max_size: int | None = None) -> Report:
                     fb.carrier.le(
                         ex.table[fa.mul(a, a2)], fb.mul(ex.table[a], ex.table[a2])
                     ),
-                    f"f={f} a={a} a'={a2}",
+                    lambda: f"f={f} a={a} a'={a2}",
                 )
 
     bc = rep.clause(
         "doctrine.beck-chevalley",
         "quantification commutes with substitution over designated squares",
     )
-    for sq in generated_pullbacks(t, min(_BC_SIZE, bound)):
+    for sq in generated_pullbacks(t, min(PAIR_BOUND, bound)):
         sub = check_beck_chevalley(d, sq)
-        bc.check(sub.passed, f"square {sq}")
+        bc.check(sub.passed, lambda: f"square {sq}")
 
     fr = rep.clause("doctrine.frobenius", "both projection formulas hold")
     for f in u.right:
         sub = check_frobenius(d, f)
-        fr.check(sub.passed, f"f={f}")
+        fr.check(sub.passed, lambda: f"f={f}")
 
     lax = rep.clause(
         "doctrine.laxator-natural", "the external tensor map is natural"
@@ -530,12 +523,12 @@ def check_doctrine(d: Doctrine, max_size: int | None = None) -> Report:
             mu_dom = external_laxator(d, f.dom, g.dom)
             lhs = map_product(d.subst(f), d.subst(g)).then(mu_dom)
             rhs = mu_cod.then(d.subst(fn_product(f, g)))
-            lax.check(lhs == rhs, f"f={f} g={g}")
+            lax.check(lhs == rhs, lambda: f"f={f} g={g}")
 
     sym = rep.clause(
         "doctrine.laxator-symmetric", "the external tensor map respects the symmetry"
     )
-    small = [a for a in u.objects if a.size <= 2]
+    small = [a for a in u.objects if a.size <= PAIR_BOUND]
     for a in small:
         for b in small:
             mu_ab = external_laxator(d, a, b)

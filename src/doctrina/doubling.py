@@ -42,6 +42,7 @@ from .finset import (
     terminal,
 )
 from .doctrine import (
+    PAIR_BOUND,
     Doctrine,
     PullbackSquare,
     check_beck_chevalley,
@@ -87,19 +88,11 @@ def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
     return "shape"
 
 
-def _check(clause: Clause, ok: bool, witness) -> None:
-    """Record one verdict; only a failure formats its witness ``witness()``."""
-    if ok:
-        clause.check(True)
-    else:
-        clause.check(False, witness())
-
-
 def _verdict(clause: Clause, ok: bool, qt: QtCell, where) -> None:
     """Record one cell verdict; a failure's witness is the instance
     ``where()`` names and the first entry at which the square's two
     composites differ."""
-    _check(clause, ok, lambda: (
+    clause.check(ok, lambda: (
         f"{where()}: {_first_diff(qt.left.then(qt.bottom), qt.top.then(qt.right))}"
     ))
 
@@ -122,7 +115,7 @@ class PDot:
         self._canonical: dict[Span, Span] = {}
         # strictly functorial substitution is a construction precondition,
         # probed on the sets the pasting clauses range over
-        probe = check_subst_functorial(doctrine, min(2, doctrine.triple.universe))
+        probe = check_subst_functorial(doctrine, min(PAIR_BOUND, doctrine.triple.universe))
         for c in probe.clauses:
             if not c.passed:
                 raise NonFunctorial(f"{c.clause} fails at {c.witnesses[0]}")
@@ -293,8 +286,10 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     for any doctrine and are tested with ``spancat`` and ``poskit``.  The
     map-level clauses (unitor, laxator unitality) scale with
     ``max_size``.  The clauses quadratic in spans or cells run over the
-    universe at ``min(max_size, 2)``, which is the bound at which those
+    universe at ``min(max_size, PAIR_BOUND)``, the bound at which those
     properties are stated; each such clause carries the bound in a note.
+    A witness naming a span, map or cell is a callable, formatted only
+    for a failure its clause keeps.
 
     Work that recurs is done once and its verdict reused; every instance
     is still counted.  The proof squares of ``pdot.laxator-bc-squares``
@@ -317,7 +312,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     rep = Report()
     d = pdot.d
     cat = pdot.cat
-    pair_bound = min(max_size, 2)
+    pair_bound = min(max_size, PAIR_BOUND)
     spans = [pdot.canonical(s) for s in cat.enumerate_spans(pair_bound)]
     objs = Universe(pdot.triple, max_size).objects
 
@@ -344,8 +339,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     for (x, y), z in matching(composable, spans, lambda xy: xy[1].target, source):
         lhs = pdot.loose_image(pdot.composite(pdot.composite(x, y), z))
         rhs = pdot.loose_image(pdot.composite(x, pdot.composite(y, z)))
-        _check(assoc, lhs == rhs,
-               lambda: f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
+        assoc.check(lhs == rhs, lambda: f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
 
     # A cell's induced square depends only on its boundary (the apex map
     # never enters the image), so each distinct boundary is checked once.
@@ -417,7 +411,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         lhs = pdot.loose_image(
             cat.loose_compose(product_span(a, x), product_span(a2, x2))
         )
-        _check(lax_comp, lhs == rhs, lambda: f"{a};{a2} with {x};{x2}")
+        lax_comp.check(lhs == rhs, lambda: f"{a};{a2} with {x};{x2}")
         sampled += 1
     n = len(composable)
     lax_comp.note(f"pair-pairs sampled: {sampled} of {n * n}")
@@ -439,7 +433,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
                     tail = bc_verdicts[sq]
                 else:
                     tail = bc_verdicts[sq] = _bc_failure(d, sq)
-                _check(bc_clause, tail is None, lambda: f"{x} , {y}: {tail}")
+                bc_clause.check(tail is None, lambda: f"{x} , {y}: {tail}")
 
     unit_c = rep.clause("pdot.unit-cell", "the unit square is an equality")
     qt = pdot.unit_cell()

@@ -126,7 +126,7 @@ def frobenius_via_Bhat(q: DoubleFunctorData, f: FinFn) -> Report:
         "frobenius-recipe.square",
         "the graph square turns the substituted tensor into a product image",
     )
-    bc_leg.check(iso_maps(direct_lhs, recipe_mid), f"f={f}")
+    bc_leg.check(iso_maps(direct_lhs, recipe_mid), lambda: f"f={f}")
 
     comm_leg = rep.clause(
         "frobenius-recipe.commuter",
@@ -135,13 +135,13 @@ def frobenius_via_Bhat(q: DoubleFunctorData, f: FinFn) -> Report:
     comm_leg.check(
         q.laxator_invertible(Span.identity(b), Span.conjoint(f))
         and iso_maps(recipe_mid, direct_rhs),
-        f"f={f}",
+        lambda: f"f={f}",
     )
 
     total = rep.clause(
         "frobenius-recipe.total", "the rebuilt equality is the projection formula"
     )
-    total.check(iso_maps(direct_lhs, direct_rhs), f"f={f}")
+    total.check(iso_maps(direct_lhs, direct_rhs), lambda: f"f={f}")
     return rep
 
 
@@ -174,14 +174,14 @@ def roundtrip(d: Doctrine, max_size: int) -> Report:
     )
     for f in u.maps:
         sub.check_call(
-            lambda: q.loose(Span.companion(f)) == d.subst(f), f"f={f}", refused
+            lambda: q.loose(Span.companion(f)) == d.subst(f), lambda: f"f={f}", refused
         )
 
     qua = rep.clause(
         "roundtrip.exists", "recovered quantifier equals the source quantifier"
     )
     for f in u.right:
-        qua.check(quantifier_from_conjoint(q, f) == d.exists(f), f"f={f}")
+        qua.check(quantifier_from_conjoint(q, f) == d.exists(f), lambda: f"f={f}")
 
     fac = rep.clause(
         "roundtrip.factorisation",
@@ -194,7 +194,7 @@ def roundtrip(d: Doctrine, max_size: int) -> Report:
         return lhs == rhs and pdot.cat.loose_compose(comp, conj) == x
 
     for x in pdot.cat.enumerate_spans(max_size):
-        fac.check_call(lambda: factors(x), f"{x}", refused)
+        fac.check_call(lambda: factors(x), lambda: f"{x}", refused)
 
     fro = rep.clause(
         "roundtrip.frobenius",
@@ -203,7 +203,7 @@ def roundtrip(d: Doctrine, max_size: int) -> Report:
     for f in u.right:
         fro.check_call(
             lambda: frobenius_via_Bhat(q, f).passed and check_frobenius(d, f).passed,
-            f"f={f}",
+            lambda: f"f={f}",
             refused,
         )
 

@@ -425,7 +425,7 @@ def check_adequate_triple(t: AdequateTriple) -> Report:
         for f, g in matching(members, members, attrgetter("cod"), attrgetter("dom")):
             comp.check(
                 cls.contains(compose(f, g)),
-                f"{name}: {f};{g} escapes the class",
+                lambda: f"{name}: {f};{g} escapes the class",
             )
 
     pb = rep.clause(
@@ -439,7 +439,7 @@ def check_adequate_triple(t: AdequateTriple) -> Report:
         # base change of y (in R) along x lands over a
         pb.check(
             ok_shape and t.left.contains(q) and t.right.contains(p),
-            f"cospan {x} / {y}: unstable pullback legs",
+            lambda: f"cospan {x} / {y}: unstable pullback legs",
         )
 
     prods = rep.clause("triple.products", "classes are closed under finite products")
@@ -448,7 +448,7 @@ def check_adequate_triple(t: AdequateTriple) -> Report:
             for g in members:
                 prods.check(
                     cls.contains(fn_product(f, g)),
-                    f"{name}: {f} x {g} escapes the class",
+                    lambda: f"{name}: {f} x {g} escapes the class",
                 )
 
     projs = rep.clause("triple.projections", "product projections lie in both classes")

@@ -3,7 +3,8 @@
 A report is a list of clauses.  Each clause counts the instances it
 checked and keeps the first few failing witnesses (enumeration order is
 deterministic everywhere in this package, so reports are byte-identical
-across runs with the same configuration).
+across runs with the same configuration).  A witness given as a callable
+is called only for a failure the clause keeps.
 """
 
 from __future__ import annotations
@@ -24,23 +25,24 @@ class Clause:
     witnesses: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def check(self, ok: bool, witness: str = "") -> bool:
-        """Record one checked instance; keep the witness if it failed."""
+    def check(self, ok: bool, witness: str | Callable[[], str] = "") -> bool:
+        """Record one checked instance; keep the witness of a failure while
+        a slot is free, calling it first if it is a callable."""
         self.instances += 1
         if not ok:
             self.failures += 1
             if len(self.witnesses) < MAX_WITNESSES:
-                self.witnesses.append(witness)
+                self.witnesses.append(witness() if callable(witness) else witness)
         return ok
 
-    def check_call(self, test: Callable[[], bool], witness: str, refusals) -> bool:
+    def check_call(self, test: Callable[[], bool], witness: Callable[[], str], refusals) -> bool:
         """Record the verdict ``test()``; a ``refusals`` exception it raises
         is a failed instance whose witness ends with the reason."""
         try:
             ok, why = test(), ""
         except refusals as e:
             ok, why = False, f": {e}"
-        return self.check(ok, f"{witness}{why}")
+        return self.check(ok, lambda: witness() + why)
 
     def note(self, text: str) -> None:
         self.notes.append(text)

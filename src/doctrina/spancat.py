@@ -288,7 +288,7 @@ class SpanCategory:
             # without identities in a class a pasted composite can leave
             # the classes: a failed instance, with the reason
             clause.check_call(
-                lambda: self.verify_triangles(data), f"f={data.tight}", ClassViolation
+                lambda: self.verify_triangles(data), lambda: f"f={data.tight}", ClassViolation
             )
         return rep
 

@@ -228,7 +228,7 @@ def functoriality_check(
     nested = evaluate(outer, evaluate(inner_fill, sys, d, types), d, types)
     c.check(
         flat.context == nested.context and flat.predicate == nested.predicate,
-        f"flat={flat.predicate} nested={nested.predicate}",
+        lambda: f"flat={flat.predicate} nested={nested.predicate}",
     )
     return rep
 
@@ -319,6 +319,13 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def json_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a key outside ``keys``: it would be ignored, unread."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {json.dumps(key)} in {what}")
+
+
 def _labelled(labels: list, types: TypeAssignment, what: str) -> LabelledFinSet:
     """A label list from a file; a string is not one (``"wv"`` would read
     as the labels ``w``, ``v``)."""
@@ -336,7 +343,9 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     """Parse the diagram/system interchange dictionary.
 
     Top-level keys: labels (a list of strings), domains (a natural number
-    per label), diagrams, systems; the document, its sections and each
+    per label), diagrams, systems; a diagram has the keys inner,
+    junctions, outer, f and g, a system context, semantics and data, and
+    any other key is refused.  The document, its sections and each
     diagram or system are JSON objects.  Relational data
     is a hex bitmask over the denoted product, with no bit beyond it;
     cost data is an array of natural numbers (saturating above the cap)
@@ -345,6 +354,7 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     one pass over the data as given.
     """
     doc = _object(doc, "a diagram/system document")
+    json_keys(doc, ("labels", "domains", "diagrams", "systems"), "the document")
     labels = doc.get("labels", [])
     if not isinstance(labels, list):
         raise ValueError(f"labels {json.dumps(labels)} is not a list of labels")
@@ -363,6 +373,7 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     diagrams: dict[str, UwdDiagram] = {}
     for name, spec in _object(doc.get("diagrams", {}), "diagrams").items():
         spec = _object(spec, f"diagram {name}")
+        json_keys(spec, ("inner", "junctions", "outer", "f", "g"), f"diagram {name}")
         inner = _labelled(spec["inner"], types, f"diagram {name}: inner")
         junctions = _labelled(spec["junctions"], types, f"diagram {name}: junctions")
         outer = _labelled(spec["outer"], types, f"diagram {name}: outer")
@@ -379,6 +390,7 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     systems: dict[str, tuple[System, str]] = {}
     for name, spec in _object(doc.get("systems", {}), "systems").items():
         spec = _object(spec, f"system {name}")
+        json_keys(spec, ("context", "semantics", "data"), f"system {name}")
         ctx = _labelled(spec["context"], types, f"system {name}: context")
         semantics = spec["semantics"]
         data = spec["data"]

@@ -130,6 +130,27 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d.update(sytems=d.pop("systems")), "sytems"),
+        (lambda d: d["diagrams"]["relational-composition"].update(h=[0]), "h"),
+        (lambda d: d["systems"]["join-input"].update(cap=9), "cap"),
+    ], ids=["top-level", "diagram", "system"])
+    def test_unknown_corpus_key_exit_2(self, capsys, tmp_path, edit, key):
+        # a misspelt or stray key would otherwise be read as absent or
+        # ignored, and the oracle would still match
+        doc = json.loads((DATA / "uwd_corpus.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run_main(
+            ["eval", "--input", str(bad), "--diagram", "relational-composition",
+             "--system", "join-input", "--check"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert f'unknown key "{key}"' in err
+
     def test_costs_above_254_pass_through(self, capsys, tmp_path):
         # cost vectors carry plain ints: a cap of 300 is no bound; output
         # recorded from the integer-index implementation
@@ -400,6 +421,19 @@ class TestVerify:
         assert out == ""
         assert f'unknown key "{key}"' in err
 
+    @pytest.mark.parametrize("command", ["verify", "roundtrip"])
+    def test_triple_and_triple_file_exclusive(self, capsys, tmp_path, command):
+        # --triple was silently dropped for the file's triple
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps({"universe": 2, "left": "all", "right": "all"}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--triple", "inj-right", "--triple-file", str(path),
+                  "--fiber", "powerset"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "not allowed with argument" in out.err
+
     @pytest.mark.parametrize("spec, message", [
         ({"universe": 1, "nonempty_only": "false"},
          'nonempty_only must be true or false, got "false"'),
@@ -564,6 +598,25 @@ class TestOneTablePerRelation:
         assert calls["span_action"] == 1936
         assert poskit.span_table.cache_info().misses == 251
         assert poskit.join_column.cache_info().misses == 17
+
+
+class TestWitnessesFormattedOnFailureOnly:
+    @pytest.mark.parametrize("command", ["verify", "roundtrip"])
+    def test_passing_tropical_run_formats_no_witness(self, capsys, monkeypatch, command):
+        # every witness naming a map, span or cell is a callable that a
+        # passing instance never calls, so a passing run prints none
+        from doctrina import finset, spancat
+
+        calls = collections.Counter()
+        for cls in (finset.FinFn, spancat.Span, spancat.SpanCell):
+            def counting(self, _repr=cls.__repr__, _name=cls.__name__):
+                calls[_name] += 1
+                return _repr(self)
+
+            monkeypatch.setattr(cls, "__repr__", counting)
+        rc, _, _ = run_main([command, "--fiber", "tropical"], capsys)
+        assert rc == 0
+        assert calls == {}
 
 
 class TestEntryPoint:
