@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Mapping
 
 from . import doctrine as doctrine_mod
 from . import extraction, uwd
@@ -184,29 +183,6 @@ def cmd_roundtrip(args) -> int:
     return 0 if report.passed else 1
 
 
-class _CostView(Mapping):
-    """``uwd.trop_costs`` as a read-only view: the cost of a value tuple
-    is looked up in the cost vector when asked for, so the oracle reads
-    the entries it needs without a dict over the whole product."""
-
-    def __init__(self, values, ctx, types):
-        self.values, self.ctx, self.types = values, ctx, types
-        self.sizes = [types.size(lab) for lab in ctx.labels]
-
-    def __getitem__(self, t):
-        if len(t) != len(self.sizes) or not all(
-            0 <= v < n for v, n in zip(t, self.sizes)
-        ):
-            raise KeyError(t)
-        return self.values[uwd.tuple_index(t, self.ctx, self.types)]
-
-    def __iter__(self):
-        return uwd.all_tuples(self.ctx, self.types)
-
-    def __len__(self):
-        return len(self.values)
-
-
 def cmd_eval(args) -> int:
     corpus = uwd.load_corpus_file(args.input, cap=args.k)
     if args.diagram not in corpus.diagrams:
@@ -229,7 +205,7 @@ def cmd_eval(args) -> int:
             expect = uwd.relational_oracle(w, members, corpus.types)
             got = uwd.rel_tuples(result.predicate, result.context, corpus.types)
         else:
-            costs = _CostView(system.predicate, system.context, corpus.types)
+            costs = uwd.trop_costs(system.predicate, system.context, corpus.types)
             expect = uwd.tropical_oracle(w, costs, corpus.types, args.k)
             got = uwd.trop_costs(result.predicate, result.context, corpus.types)
         if got != expect:

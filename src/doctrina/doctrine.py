@@ -23,9 +23,11 @@ order-preserving.  Its join over fibres is idempotent, so the action
 depends only on the relation the span traces between its feet, and the
 whole table is built once per relation (``poskit.span_table``), unless a
 subclass redefines ``_act``: then it applies ``_act`` to every value.
-Quantifiers fold joins value by value, never through ``_act`` or the
-relation tables, so ``pdot.compositor`` still compares the span action
-with a composite computed independently of it.
+Substitution and quantifiers are tabulated value by value, never
+through ``_act`` or the relation tables, so the clauses that set them
+beside span actions compare two independent computations:
+``roundtrip.subst`` and ``roundtrip.exists``, and the squares with
+substitution sides, ``pdot.cell-existence`` and ``pdot.symmetry-cell``.
 
 The checkers at the bottom verify, exhaustively over a finite universe,
 every law the theory demands: functoriality, strong monoidality of

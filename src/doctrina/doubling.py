@@ -287,7 +287,8 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     map-level clauses (unitor, laxator unitality) scale with
     ``max_size``.  The clauses quadratic in spans or cells run over the
     universe at ``min(max_size, PAIR_BOUND)``, the bound at which those
-    properties are stated; each such clause carries the bound in a note.
+    properties are stated; ``pdot.compositor`` carries the bound in a
+    note.
     A witness naming a span, map or cell is a callable, formatted only
     for a failure its clause keeps.
 
@@ -449,39 +450,35 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
 
 
 def search_offdomain_witness(pdot: PDot, max_size: int) -> str | None:
-    """Search the whole span universe for a laxator strict inequality on a
-    pair outside the guaranteed class domain.  Returns a witness string,
-    or None when no such pair exists at this bound.
+    """Search the whole span universe for a pair outside the guaranteed
+    class domain whose laxator square is not a commuter.  Returns a
+    witness string, or None when no such pair exists at this bound.
 
-    Works pointwise on predicates, so the bound may exceed what whole-map
-    construction over product fibers would bear.  The external tensor is
-    tabulated once per pair of sets, by carrier index, so each instance
-    costs one span action.  Each pair's product span is built here and
-    checked once (``Doctrine.actor``); it stays out of ``product_span``'s
-    cache, which the search would fill with entries never read again."""
+    The square is ``PDot.laxator_cell``'s, with the doctrine's own μ
+    (``external_laxator``) and loose images on three sides.  Only the
+    action of x ⊗ y is evaluated here, pointwise and only on the image of
+    μ(A, B) (``Doctrine.actor``), not on the whole fiber over A × B; and
+    ``product_span``'s cache stays empty.  The witness names the entry
+    s·|P(B)| + t of the square where the two composites first differ."""
     d = pdot.d
     spans = list(pdot.cat.enumerate_spans(max_size))
-    images = {x: pdot.loose_image(x) for x in spans}
     objs = Universe(pdot.triple, max_size).objects
-    tensor = {
-        (a, b): [[d.pair_predicate(a, b, p, q) for q in d.carrier_values(b)]
-                 for p in d.carrier_values(a)]
-        for a in objs for b in objs
-    }
+    mu = {(a, b): external_laxator(d, a, b).table for a in objs for b in objs}
     for x in spans:
-        imx = images[x]
+        lx = pdot.loose_image(x).table
         for y in spans:
             if pdot.laxator_domain(x, y):
                 continue
-            imy = images[y]
-            joints = tensor[x.source, y.source]
-            targets = tensor[x.target, y.target]
-            act = d.actor(fn_product(x.left, y.left), fn_product(x.right, y.right))
-            for s, row in enumerate(joints):
-                want = targets[imx.table[s]]
-                lhs = list(map(act, row))
-                rhs = [want[v] for v in imy.table]
-                if lhs != rhs:
-                    t = next(t for t in range(len(lhs)) if lhs[t] != rhs[t])
-                    return f"{x} , {y} at ({s}, {t})"
+            ly = pdot.loose_image(y)
+            left, right = fn_product(x.left, y.left), fn_product(x.right, y.right)
+            act, joints = d.actor(left, right), mu[x.source, y.source]
+            ab, cd = d.carrier_values(left.cod), d.carrier_values(right.cod)
+            acted = {j: act(ab[j]) for j in set(joints)}
+            mu_cd, n = mu[x.target, y.target], ly.cod.size
+            lower = [acted[j] for j in joints]
+            upper = [cd[mu_cd[u * n + v]] for u in lx for v in ly.table]
+            if lower != upper:
+                i = next(i for i, (p, q) in enumerate(zip(lower, upper)) if p != q)
+                s, t = divmod(i, ly.dom.size)
+                return f"{x} , {y} at ({s}, {t})"
     return None

@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import BoundaryMismatch, ContextMismatch, LabelClash
 from .finset import FinFn, FinSet, LabelledFinSet, compose, pushout
@@ -251,10 +251,35 @@ def rel_mask(tuples: Iterable[tuple], ctx: LabelledFinSet, types: TypeAssignment
     return mask
 
 
+class _Costs(Mapping):
+    """A cost vector read as a map from the context's value tuples, entry
+    by entry, so that a large input needs no dict over its product."""
+
+    def __init__(self, values, ctx: LabelledFinSet, types: TypeAssignment):
+        if len(values) != denote(ctx, types).size:
+            raise ValueError(f"{len(values)} costs for {denote(ctx, types).size} tuples")
+        self.values, self.ctx, self.types = values, ctx, types
+        self.sizes = [types.size(lab) for lab in ctx.labels]
+
+    def __getitem__(self, t):
+        if len(t) != len(self.sizes) or not all(0 <= v < n for v, n in zip(t, self.sizes)):
+            raise KeyError(t)
+        return self.values[tuple_index(t, self.ctx, self.types)]
+
+    def __iter__(self):
+        return all_tuples(self.ctx, self.types)
+
+    def __len__(self):
+        return len(self.values)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 def trop_costs(
     values: tuple[int, ...], ctx: LabelledFinSet, types: TypeAssignment
-) -> dict[tuple, int]:
-    return dict(zip(all_tuples(ctx, types), values, strict=True))
+) -> Mapping[tuple, int]:
+    return _Costs(values, ctx, types)
 
 
 def trop_pred(

@@ -1,11 +1,15 @@
 import hashlib
+import inspect
+from functools import partial
 
 import pytest
 
 from doctrina.errors import NonFunctorial
 from doctrina.finset import (
+    AdequateTriple,
     FinFn,
     FinSet,
+    MorClass,
     bang,
     compose,
     pullback,
@@ -14,6 +18,7 @@ from doctrina.finset import (
 )
 from doctrina.poskit import trop_index, trop_values
 from doctrina.doctrine import (
+    Doctrine,
     check_beck_chevalley,
     check_doctrine,
     powerset_doctrine,
@@ -31,6 +36,7 @@ from doctrina.extraction import roundtrip
 from doctrina.report import Report
 from doctrina.spancat import Span, SpanCategory, SpanCell
 
+import mutants
 from mutants import (
     BrokenTensorDoctrine,
     DroppedApexDoctrine,
@@ -372,8 +378,6 @@ class TestOffDomainSearch:
         assert search_offdomain_witness(ppow, 2) is None
 
     def test_injective_left_configuration_recorded(self):
-        from doctrina.finset import AdequateTriple, MorClass
-
         cfg = AdequateTriple(2, MorClass.injections(), MorClass.all())
         for d in (powerset_doctrine(cfg), tropical_doctrine(cfg, 2)):
             witness = search_offdomain_witness(PDot(d), 2)
@@ -387,17 +391,22 @@ class TestOffDomainSearch:
         (PairApexDoctrine, "(1, 1)"),
     ])
     def test_broken_span_action_yields_witness(self, mutant, at):
-        from doctrina.finset import AdequateTriple, MorClass
-
         # a span action that drops an apex element breaks the commuter
         # off the guaranteed domain: x = (2 <- 2 -> 1), identity left leg
         cfg = AdequateTriple(2, MorClass.injections(), MorClass.all())
         x = "Span(FinFn(2->2:[0, 1]), FinFn(2->1:[0, 0]))"
         assert search_offdomain_witness(PDot(mutant(cfg)), 2) == f"{x} , {x} at {at}"
 
-    def test_search_leaves_product_span_cache_alone(self):
-        from doctrina.finset import AdequateTriple, MorClass
+    def test_broken_tensor_yields_witness(self):
+        # the search reads the doctrine's own laxator, so a broken fiber
+        # tensor shows although evaluation's ``pair_predicate`` is sound
+        cfg = AdequateTriple(2, MorClass.injections(), MorClass.all())
+        assert search_offdomain_witness(PDot(BrokenTensorDoctrine(cfg)), 2) == (
+            "Span(FinFn(0->0:[]), FinFn(0->1:[])) , "
+            "Span(FinFn(2->2:[0, 1]), FinFn(2->1:[0, 0])) at (0, 0)"
+        )
 
+    def test_search_leaves_product_span_cache_alone(self):
         # the search visits each product span once: caching them all
         # would only hold memory
         cfg = AdequateTriple(2, MorClass.injections(), MorClass.all())
@@ -412,6 +421,39 @@ class TestOffDomainSearch:
         assert all(
             p.laxator_domain(x, y) for x in spans for y in spans
         )
+
+
+# the stock doctrines and every doctrine class of ``mutants``, found by
+# introspection so that a new mutant is covered without editing this; a
+# class that takes a cap gets cap 1
+SEARCH_DOCTRINES = {
+    "powerset": powerset_doctrine,
+    "tropical": partial(tropical_doctrine, cap=2),
+    **{
+        name: partial(cls, cap=1) if "cap" in inspect.signature(cls).parameters else cls
+        for name, cls in inspect.getmembers(mutants, inspect.isclass)
+        if issubclass(cls, Doctrine) and cls.__module__ == mutants.__name__
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_DOCTRINES))
+def test_search_agrees_with_verify_pdot(name):
+    # the search and ``pdot.laxator-commuter`` check one square over the
+    # same span order, so they find the same first off-domain pair
+    cfg = AdequateTriple(2, MorClass.injections(), MorClass.all())
+    try:
+        pdot = PDot(SEARCH_DOCTRINES[name](cfg))
+    except NonFunctorial as e:
+        pytest.skip(f"{name} has no double extension on this triple: {e}")
+    lax = verify_pdot(pdot, 2).find("pdot.laxator-commuter")
+    strict = int(lax.notes[-1].rsplit(": ", 1)[1])
+    witness = search_offdomain_witness(pdot, 2)
+    if strict == 0:
+        assert witness is None
+    else:
+        first = lax.notes[0].removeprefix("off-domain strict inequality: ")
+        assert witness is not None and witness.rsplit(" at ", 1)[0] == first
 
 
 def test_tropical_subclass_act_is_the_span_action():

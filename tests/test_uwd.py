@@ -365,6 +365,23 @@ class TestOracleAgreement:
             assert functoriality_check(host, filler, trop_sys, d_trop, types).passed
 
 
+class TestTropCosts:
+    def test_a_view_over_the_cost_vector(self):
+        ctx = LabelledFinSet.of("w", "v")
+        costs = trop_costs(tuple(range(6)), ctx, TYPES)
+        # read entry by entry, never copied into a dict
+        assert not isinstance(costs, dict)
+        assert costs == dict(zip(itertools.product(range(2), range(3)), range(6)))
+        assert repr(costs) == repr(dict(costs))
+        assert costs[(1, 2)] == 5
+        for outside in [(2, 0), (0, 3), (-1, 0), (0,), (0, 0, 0)]:
+            with pytest.raises(KeyError):
+                costs[outside]
+        for n in (5, 7):
+            with pytest.raises(ValueError):
+                trop_costs(tuple(range(n)), ctx, TYPES)
+
+
 class TestLargeQuery:
     def test_tropical_path_query_against_oracle(self):
         # k = 5 binary boxes on a path of 6 junctions of domain 3: the
