@@ -1,0 +1,142 @@
+"""Walk every instance of ``pdot.laxator-compositional``, not a sample.
+
+``verify_pdot`` checks a stride sample of the pairs of composable span
+pairs (``lax_comp_sample``): 24,550 of the 942,841 on the trivial triple
+at bound 2.  This script walks all of them, for the powerset and tropical
+(cap 2) doctrines and every doctrine class of ``tests/mutants.py`` (a
+class that takes a cap gets cap 1), in two ways:
+
+* instance by instance: every left side L((a ⊗ x) ; (a2 ⊗ x2)) is built
+  with ``SpanCategory.loose_compose`` and compared with the right side
+  L((a ; a2) ⊗ (x ; x2)).  Each left side is also compared with the one
+  first built for its key (a ; a2, x ; x2, σ), σ from
+  ``SpanCategory.interchange``: the key rule the clause relies on.
+* keyed, through ``doubling.lax_comp_verdicts``, the code the clause
+  runs, which builds each key's left side once and reuses its verdict.
+
+It prints, per doctrine, the failures of both walks, the distinct keys
+and the seconds of the keyed walk, then the instances and seconds of the
+walk instance by instance (shared by every doctrine).  It exits 1 if the
+key rule fails on some instance or the two walks disagree on a count.
+
+    PYTHONPATH=src python3 scripts/lax_comp_walk.py [--bound 2]
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+import sys
+import time
+from functools import partial
+from operator import attrgetter
+from pathlib import Path
+
+from doctrina.doctrine import Doctrine, powerset_doctrine, tropical_doctrine
+from doctrina.doubling import PDot, lax_comp_verdicts, product_span
+from doctrina.errors import NonFunctorial
+from doctrina.finset import matching, trivial_triple
+from doctrina.spancat import SpanCategory
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import mutants  # noqa: E402
+
+
+def doctrines() -> dict:
+    found = {
+        "powerset": powerset_doctrine,
+        "tropical": partial(tropical_doctrine, cap=2),
+    }
+    for name, cls in inspect.getmembers(mutants, inspect.isclass):
+        if issubclass(cls, Doctrine) and cls.__module__ == mutants.__name__:
+            takes_cap = "cap" in inspect.signature(cls).parameters
+            found[name] = partial(cls, cap=1) if takes_cap else cls
+    return found
+
+
+def composable_pairs(cat: SpanCategory, bound: int) -> list:
+    spans = list(cat.enumerate_spans(bound))
+    return list(matching(spans, spans, attrgetter("target"), attrgetter("source")))
+
+
+def walk_each(pdots: dict, bound: int) -> tuple[int, dict, int, int]:
+    """Instances, failures per doctrine, distinct keys and the instances
+    on which the key rule fails, building every left side."""
+    cat = SpanCategory(trivial_triple(bound))
+    composable = composable_pairs(cat, bound)
+    canon: dict = {}
+    comps = [canon.setdefault(s, s) for s in (cat.loose_compose(a, b) for a, b in composable)]
+    sigmas: dict = {}
+    first: dict = {}
+    failures = dict.fromkeys(pdots, 0)
+    broken = 0
+    for r, (a, a2) in enumerate(composable):
+        for c, (x, x2) in enumerate(composable):
+            lhs = cat.loose_compose(product_span(a, x), product_span(a2, x2))
+            rhs = product_span(comps[r], comps[c])
+            u, v = (a.right, a2.left), (x.right, x2.left)
+            sigma = sigmas.get((u, v))
+            if sigma is None:
+                sigma = sigmas[u, v] = cat.interchange(u, v)
+            if lhs != first.setdefault((comps[r], comps[c], sigma), lhs):
+                broken += 1
+            for name, pdot in pdots.items():
+                if pdot.loose_image(lhs) != pdot.loose_image(rhs):
+                    failures[name] += 1
+    return len(composable) ** 2, failures, len(first), broken
+
+
+def walk_keyed(pdot: PDot, bound: int) -> tuple[int, int, int]:
+    """Instances, failures and distinct keys of the keyed walk."""
+    spans = [pdot.canonical(s) for s in pdot.cat.enumerate_spans(bound)]
+    composable = list(
+        matching(spans, spans, attrgetter("target"), attrgetter("source"))
+    )
+    n = len(composable)
+    pairs = ((r, c) for r in range(n) for c in range(n))
+    instances = failures = 0
+    keys = set()
+    for _, _, key, ok in lax_comp_verdicts(pdot, composable, pairs):
+        instances += 1
+        failures += not ok
+        keys.add(key)
+    return instances, failures, len(keys)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--bound", type=int, default=2)
+    bound = parser.parse_args().bound
+    triple = trivial_triple(bound)
+
+    pdots = {}
+    for name, make in doctrines().items():
+        try:
+            pdots[name] = PDot(make(triple))
+        except NonFunctorial as e:
+            print(f"{name}: skipped, no double extension: {e}")
+
+    keyed = {}
+    for name, pdot in pdots.items():
+        start = time.perf_counter()
+        keyed[name] = walk_keyed(pdot, bound), time.perf_counter() - start
+
+    start = time.perf_counter()
+    total, each, keys, broken = walk_each({n: PDot(pdots[n].d) for n in pdots}, bound)
+    each_s = time.perf_counter() - start
+
+    ok = broken == 0
+    print(f"{'doctrine':<28} {'instances':>9} {'keys':>6} "
+          f"{'fail each':>9} {'fail keyed':>10} {'keyed s':>7}")
+    for name, ((instances, failures, nkeys), secs) in keyed.items():
+        ok &= (instances, failures, nkeys) == (total, each[name], keys)
+        print(f"{name:<28} {instances:>9} {nkeys:>6} "
+              f"{each[name]:>9} {failures:>10} {secs:>7.2f}")
+    print(f"instance by instance: {total} instances, {keys} keys, "
+          f"key rule broken on {broken}, {each_s:.1f} s for all doctrines")
+    print("OK" if ok else "MISMATCH")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,9 @@ from .finset import (
     Pullback,
     Universe,
     compose,
+    fn_product,
     matching,
+    product,
     pullback,
 )
 from .report import Report
@@ -174,6 +176,28 @@ class SpanCategory:
         if pb is None:
             pb = self._pullbacks[key] = pullback(x, y)
         return pb
+
+    def interchange(self, u: tuple[FinFn, FinFn], v: tuple[FinFn, FinFn]) -> FinFn:
+        """The canonical bijection σ from the pullback of the product
+        cospan ``u × v`` onto the row-major product of the pullbacks of
+        ``u`` and ``v``: limits commute with limits.  It is read off the
+        three pullbacks as ``finset.pullback`` builds them, so each
+        projection of the product cospan's pullback is σ followed by the
+        product of the matching projections of the other two.  Hence
+        ``(a ⊗ x) ; (a2 ⊗ x2)`` is ``(a ; a2) ⊗ (x ; x2)`` with its legs
+        reindexed along σ, for middle cospans u and v."""
+        whole = self._pullback(fn_product(u[0], v[0]), fn_product(u[1], v[1]))
+        first, second = self._pullback(*u), self._pullback(*v)
+        # whole.p lands in u[0].dom x v[0].dom, whole.q in u[1].dom x v[1].dom
+        np, nq = v[0].dom.size, v[1].dom.size
+        index1 = {pq: m for m, pq in enumerate(zip(first.p.table, first.q.table))}
+        index2 = {pq: m for m, pq in enumerate(zip(second.p.table, second.q.table))}
+        n2 = second.apex.size
+        table = tuple([
+            index1[i // np, j // nq] * n2 + index2[i % np, j % nq]
+            for i, j in zip(whole.p.table, whole.q.table)
+        ])
+        return FinFn(whole.apex, product(first.apex, second.apex).prod, table)
 
     def loose_compose(self, x: Span, y: Span) -> Span:
         if x.target != y.source:

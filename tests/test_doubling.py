@@ -64,6 +64,18 @@ DROPPED_LAX_COMP_WITNESS = (
     "Span(FinFn(2->2:[0, 1]), FinFn(2->2:[0, 1]));"
     "Span(FinFn(2->2:[1, 0]), FinFn(2->1:[0, 0]))"
 )
+SKIPPED_LAX_COMP_WITNESS = (
+    "Span(FinFn(1->1:[0]), FinFn(1->1:[0]));"
+    "Span(FinFn(2->1:[0, 0]), FinFn(2->2:[0, 1])) with "
+    "Span(FinFn(2->1:[0, 0]), FinFn(2->2:[1, 0]));"
+    "Span(FinFn(2->2:[0, 1]), FinFn(2->2:[0, 1]))"
+)
+PAIR_LAX_COMP_WITNESS = (
+    "Span(FinFn(1->1:[0]), FinFn(1->2:[0]));"
+    "Span(FinFn(1->2:[0]), FinFn(1->2:[1])) with "
+    "Span(FinFn(2->1:[0, 0]), FinFn(2->2:[0, 1]));"
+    "Span(FinFn(2->2:[1, 0]), FinFn(2->2:[0, 1]))"
+)
 SATURATED_BC_WITNESS = (
     "Span(FinFn(1->1:[0]), FinFn(1->2:[0])) , "
     "Span(FinFn(0->0:[]), FinFn(0->2:[])): "
@@ -277,6 +289,15 @@ class TestVerifySuite:
         assert assoc.witnesses[0] == DROPPED_ASSOC_WITNESS
         assert lax.witnesses[0] == DROPPED_LAX_COMP_WITNESS
 
+    @pytest.mark.parametrize("mutant, failures, witness", [
+        (SkippedApexDoctrine, 384, SKIPPED_LAX_COMP_WITNESS),
+        (PairApexDoctrine, 120, PAIR_LAX_COMP_WITNESS),
+    ])
+    def test_apex_mutants_fail_lax_comp(self, triple2, mutant, failures, witness):
+        lax = verify_pdot(PDot(mutant(triple2)), 2).find("pdot.laxator-compositional")
+        assert (lax.instances, lax.failures) == (24550, failures)
+        assert lax.witnesses[0] == witness
+
     def test_skipped_apex_fails_symmetry(self, triple2, dropped_apex_report):
         # the dropped apex element (last, last) is fixed by the swap, so
         # only a mutant that breaks an unfixed element fails the axiom
@@ -352,6 +373,75 @@ def test_loose_compose_on_lax_comp_left_sides(triple2):
         )
         checked += 1
     assert checked == 24550
+
+
+def _composable(cat, bound):
+    spans = list(cat.enumerate_spans(bound))
+    return [(x, y) for x in spans for y in spans if x.target == y.source]
+
+
+def _lax_comp_keys(cat, composable, pairs):
+    """The key rule of ``pdot.laxator-compositional`` over the instances
+    ``pairs``: each left side (a ⊗ x) ; (a2 ⊗ x2) is the product of the
+    composites reindexed along σ, and equals the left side of the first
+    instance with its key (a ; a2, x ; x2, σ).  Returns the keys."""
+    first: dict[tuple, Span] = {}
+    for r, c in pairs:
+        (a, a2), (x, x2) = composable[r], composable[c]
+        lhs = cat.loose_compose(product_span(a, x), product_span(a2, x2))
+        ac, xc = cat.loose_compose(a, a2), cat.loose_compose(x, x2)
+        sigma = cat.interchange((a.right, a2.left), (x.right, x2.left))
+        rhs = product_span(ac, xc)
+        assert lhs == Span(compose(sigma, rhs.left), compose(sigma, rhs.right))
+        assert lhs == first.setdefault((ac, xc, sigma), lhs)
+    return first
+
+
+@pytest.mark.parametrize("triple, bound, walk, keys", [
+    (trivial_triple(2), 2, "sample", 4242),
+    (surjection_triple(2), 2, "sample", 627),
+    (trivial_triple(1), 1, "all", 25),
+], ids=["all-all-2", "surj-right-2", "all-all-1-every-pair"])
+def test_lax_comp_key_rule(triple, bound, walk, keys):
+    # instances with one key have one left side, so verify_pdot may build
+    # it once and reuse the verdict
+    cat = SpanCategory(triple)
+    composable = _composable(cat, bound)
+    n = len(composable)
+    if walk == "sample":
+        pairs = list(lax_comp_sample(composable))
+    else:
+        pairs = [(r, c) for r in range(n) for c in range(n)]
+    assert len(_lax_comp_keys(cat, composable, pairs)) == keys
+
+
+class TestLeftSidesBuiltOnce:
+    def test_each_key_builds_its_left_side_once(self, monkeypatch):
+        # the left sides are the loose composites of product spans: one
+        # build per key, where a build per instance made 24,550
+        from doctrina import doubling
+
+        made = set()
+        built = []
+
+        def recording(x, y, _product_span=product_span):
+            s = _product_span(x, y)
+            made.add(id(s))
+            return s
+
+        loose_compose = SpanCategory.loose_compose
+
+        def counting(self, x, y):
+            if id(x) in made:
+                built.append((x, y))
+            return loose_compose(self, x, y)
+
+        monkeypatch.setattr(doubling, "product_span", recording)
+        monkeypatch.setattr(SpanCategory, "loose_compose", counting)
+        rep = verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
+        assert rep.find("pdot.laxator-compositional").instances == 24550
+        # the keys of the sample, as test_lax_comp_key_rule counts them
+        assert len(built) == 4242
 
 
 SUITES = {
@@ -467,3 +557,48 @@ def test_tropical_subclass_act_is_the_span_action():
         "Span(FinFn(2->1:[0, 0]), FinFn(2->2:[0, 1])): at 1: 0 vs 3"
     )
     assert verify_pdot(PDot(tropical_doctrine(trivial_triple(2), 1)), 2).passed
+
+
+# failures of pdot.laxator-compositional on surj-right at bound 2; 0 for
+# every doctrine not named
+SURJ_LAX_COMP_FAILURES = {
+    "DroppedApexDoctrine": 65,
+    "DroppedApexTropicalDoctrine": 65,
+    "PairApexDoctrine": 5,
+    "SkippedApexDoctrine": 140,
+}
+
+
+def _lax_comp_reference(pdot, bound):
+    """``pdot.laxator-compositional`` instance by instance: both sides
+    built and imaged for every sampled pair of composable pairs."""
+    cat = pdot.cat
+    composable = _composable(cat, bound)
+    clause = Report().clause(
+        "pdot.laxator-compositional",
+        "the laxator respects loose composition of span pairs",
+    )
+    for r, c in lax_comp_sample(composable):
+        (a, a2), (x, x2) = composable[r], composable[c]
+        lhs = pdot.loose_image(cat.loose_compose(product_span(a, x), product_span(a2, x2)))
+        rhs = pdot.loose_image(
+            product_span(cat.loose_compose(a, a2), cat.loose_compose(x, x2))
+        )
+        clause.check(lhs == rhs, lambda: f"{a};{a2} with {x};{x2}")
+    clause.note(f"pair-pairs sampled: {clause.instances} of {len(composable) ** 2}")
+    return clause.to_record()
+
+
+@pytest.mark.parametrize("name", list(SEARCH_DOCTRINES))
+def test_keyed_lax_comp_matches_reference(name):
+    # the keyed clause reuses one verdict per key; the reference checks
+    # every instance on its own and must give the same record
+    make = SEARCH_DOCTRINES[name]
+    try:
+        pdot = PDot(make(surjection_triple(2)))
+    except NonFunctorial as e:
+        pytest.skip(f"{name} has no double extension on this triple: {e}")
+    got = verify_pdot(pdot, 2).find("pdot.laxator-compositional").to_record()
+    want = _lax_comp_reference(PDot(make(surjection_triple(2))), 2)
+    assert got == want
+    assert got["failures"] == SURJ_LAX_COMP_FAILURES.get(name, 0)

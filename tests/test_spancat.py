@@ -8,7 +8,9 @@ from doctrina.finset import (
     FinSet,
     bang,
     compose,
+    fn_product,
     functions,
+    product,
     pullback,
     surjection_triple,
     trivial_triple,
@@ -109,6 +111,31 @@ class TestLooseComposition:
                 assert cat2.loose_compose(x, y) == fresh_composite(x, y)
         assert len(calls) == len(set(calls))
         assert set(calls) == {(x.right, y.left) for x, y in pairs}
+
+    def test_interchange_on_middle_cospans(self):
+        # every pair of the middle cospans of composable span pairs at
+        # bound 2, identity legs and empty domains among them: σ is a
+        # bijection onto the row-major product of the factor apexes, and
+        # the product cospan's pullback projects through it
+        cat2 = SpanCategory(trivial_triple(2))
+        spans = list(cat2.enumerate_spans(2))
+        middles = list(dict.fromkeys(
+            (x.right, y.left) for x in spans for y in spans if x.target == y.source
+        ))
+        assert len(middles) == 59
+        assert any(f.is_identity or g.is_identity for f, g in middles)
+        assert any(f.dom.size == 0 or g.dom.size == 0 for f, g in middles)
+        for u in middles:
+            first = pullback(*u)
+            for v in middles:
+                second = pullback(*v)
+                whole = pullback(fn_product(u[0], v[0]), fn_product(u[1], v[1]))
+                sigma = cat2.interchange(u, v)
+                assert sigma.dom == whole.apex
+                assert sigma.cod == product(first.apex, second.apex).prod
+                assert sorted(sigma.table) == list(range(sigma.cod.size))
+                assert compose(sigma, fn_product(first.p, second.p)) == whole.p
+                assert compose(sigma, fn_product(first.q, second.q)) == whole.q
 
     def test_obj_mismatch(self, cat):
         x = cat.span(bang(FinSet(2)), FinFn.identity(FinSet(2)))
