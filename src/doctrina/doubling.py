@@ -24,12 +24,11 @@ the layer that makes them true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import NonFunctorial, NotAPullback
+from .errors import NonFunctorial, NotAPullback, ShapeMismatch
 from .finset import (
     FinFn,
     FinSet,
@@ -50,35 +49,58 @@ from .doctrine import (
     external_laxator,
     external_unit_map,
 )
-from .poskit import MonotoneMap, chain, iso_maps, leq_maps, map_product
+from .poskit import MonotoneMap, chain, map_product
 from .report import Clause, Report
 from .spancat import CellData, Span, SpanCell, SpanCategory
 
 
-@dataclass(frozen=True)
 class QtCell:
     """A candidate square in the quintet double category over Pos.
 
     The square is a cell exactly when bottom after left lies pointwise
     below right after top (``holds``), and a commuter exactly when the
     two composites are equal (``invertible``): on a poset, antisymmetry
-    makes the reverse inequality the same thing as equality.
+    makes the reverse inequality the same thing as equality.  Its four
+    sides come from ``sides()`` on first read, so a square whose verdict
+    was decided for equal sides is built only if something reads them.
     """
 
-    top: MonotoneMap
-    bottom: MonotoneMap
-    left: MonotoneMap
-    right: MonotoneMap
-    holds: bool
-    invertible: bool
+    def __init__(
+        self,
+        sides: Callable[[], tuple[MonotoneMap, ...]],
+        holds: bool,
+        invertible: bool,
+    ):
+        self.sides = sides
+        self.holds = holds
+        self.invertible = invertible
+
+    @cached_property
+    def _built(self) -> tuple[MonotoneMap, ...]:
+        return self.sides()
+
+    top = property(lambda self: self._built[0])
+    bottom = property(lambda self: self._built[1])
+    left = property(lambda self: self._built[2])
+    right = property(lambda self: self._built[3])
 
 
 def _qt_cell(top, bottom, left, right) -> QtCell:
-    lower, upper = left.then(bottom), top.then(right)
+    """Decide the square on the tables of its two composites, left then
+    bottom against top then right; sides that do not meet raise
+    ``ShapeMismatch`` as composing and comparing them would."""
+    if left.cod != bottom.dom or top.cod != right.dom:
+        raise ShapeMismatch("composition across different posets")
+    if left.dom != top.dom or bottom.cod != right.cod:
+        raise ShapeMismatch("2-cells need parallel maps")
+    bt, rt = bottom.table, right.table
+    lower = [bt[v] for v in left.table]
+    upper = [rt[v] for v in top.table]
     # equal tables hold by reflexivity; only unequal ones need the pointwise pass
-    invertible = iso_maps(lower, upper)
-    holds = invertible or leq_maps(lower, upper)
-    return QtCell(top, bottom, left, right, holds, invertible)
+    invertible = lower == upper
+    leq = bottom.cod.leq
+    holds = invertible or all((leq[v] >> w) & 1 for v, w in zip(lower, upper))
+    return QtCell(lambda: (top, bottom, left, right), holds, invertible)
 
 
 def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
@@ -104,15 +126,28 @@ def product_span(x: Span, y: Span) -> Span:
 
 class PDot:
     """The double extension of a doctrine, with cached loose images and
-    loose composites."""
+    loose composites.
+
+    Every side map of a square is interned by value: the first map seen
+    equal to it is kept, and its index in ``_maps`` is its id.  A loose
+    image is interned once per span, a substitution once per map and a
+    laxator μ(A, B) once per pair of sets.  Equal images are then one
+    object, and a square is fixed by the ids of its sides, so each cell
+    method decides its square once per tuple of ids (``_square``) and
+    keeps only its verdict, ``holds + invertible``."""
 
     def __init__(self, doctrine: Doctrine):
         self.d = doctrine
         self.triple = doctrine.triple
         self.cat = SpanCategory(doctrine.triple)
-        self._loose: dict[Span, MonotoneMap] = {}
         self._composite: dict[tuple[Span, Span], Span] = {}
         self._canonical: dict[Span, Span] = {}
+        self._maps: list[MonotoneMap] = []
+        self._by_table: dict[tuple[int, ...], list[int]] = {}
+        self._loose: dict[Span, int] = {}
+        self._subst: dict[FinFn, int] = {}
+        self._mu: dict[tuple[FinSet, FinSet], int] = {}
+        self._verdicts: dict[tuple[int, ...], int] = {}
         # strictly functorial substitution is a construction precondition,
         # probed on the sets the pasting clauses range over
         probe = check_subst_functorial(doctrine, min(PAIR_BOUND, doctrine.triple.universe))
@@ -139,37 +174,103 @@ class PDot:
             xy = self._composite[key] = self.canonical(self.cat.loose_compose(x, y))
         return xy
 
+    def _intern(self, m: MonotoneMap) -> int:
+        """The id of the first map seen equal to ``m``.  Maps are looked
+        up by table, which hashes far faster than their posets, and
+        compared whole only against maps with that table."""
+        ids = self._by_table.setdefault(m.table, [])
+        for i in ids:
+            if self._maps[i] == m:
+                return i
+        ids.append(len(self._maps))
+        self._maps.append(m)
+        return ids[-1]
+
+    def _loose_id(self, x: Span) -> int:
+        """The id of ``loose_image(x)``."""
+        i = self._loose.get(x)
+        if i is None:
+            i = self._loose[x] = self._intern(self.d.span_action(x.left, x.right))
+        return i
+
     def loose_image(self, x: Span) -> MonotoneMap:
-        """Substitute along the left leg, quantify along the right."""
-        m = self._loose.get(x)
-        if m is None:
-            m = self._loose[x] = self.d.span_action(x.left, x.right)
-        return m
+        """Substitute along the left leg, quantify along the right; equal
+        images are one object."""
+        return self._maps[self._loose_id(x)]
+
+    def _subst_id(self, f: FinFn) -> int:
+        i = self._subst.get(f)
+        if i is None:
+            i = self._subst[f] = self._intern(self.d.subst(f))
+        return i
+
+    def _mu_id(self, a: FinSet, b: FinSet) -> int:
+        i = self._mu.get((a, b))
+        if i is None:
+            i = self._mu[a, b] = self._intern(external_laxator(self.d, a, b))
+        return i
+
+    def _square(
+        self, key: tuple[int, ...], sides: Callable[[], tuple[MonotoneMap, ...]]
+    ) -> QtCell:
+        """The square ``sides()`` builds, decided on its first key and
+        given that verdict on every later one.  A key is the ids of the
+        sides that fix the square: four (top, bottom, left, right) for a
+        square of interned maps, three for a compositor, five for a
+        laxator, one for a unitor; so keys of different forms never
+        meet."""
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            qt = _qt_cell(*sides())
+            # a commuter is a cell, so the pair of flags is their sum
+            self._verdicts[key] = qt.holds + qt.invertible
+            return qt
+        return QtCell(sides, verdict > 0, verdict > 1)
+
+    def _image_square(self, top: Span, bottom: Span, left: FinFn, right: FinFn) -> QtCell:
+        """The square with the loose images of ``top`` and ``bottom`` and
+        the substitutions along ``left`` and ``right`` for its sides: the
+        shape of a cell image and of the symmetry square, which share
+        their verdicts."""
+        d, ids = self.d, self._loose_id
+        return self._square(
+            (ids(top), ids(bottom), self._subst_id(left), self._subst_id(right)),
+            lambda: (
+                self.loose_image(top), self.loose_image(bottom),
+                d.subst(left), d.subst(right),
+            ),
+        )
 
     def cell_image(self, cell: SpanCell | CellData) -> QtCell:
         """The square a morphism of spans induces between loose images;
         it is a genuine cell when ``holds``.  It reads the boundary only,
         so a bare ``CellData`` serves as well as a ``SpanCell``."""
-        return _qt_cell(
-            top=self.loose_image(cell.dst),
-            bottom=self.loose_image(cell.src),
-            left=self.d.subst(cell.tight_left),
-            right=self.d.subst(cell.tight_right),
-        )
+        return self._image_square(cell.dst, cell.src, cell.tight_left, cell.tight_right)
 
     # -- structure cells --------------------------------------------------
 
     def compositor(self, x: Span, y: Span) -> QtCell:
         """Image of a composite against the composite of images; loose
         functoriality is ``invertible``."""
-        lhs = self.loose_image(self.composite(x, y))
-        rhs = self.loose_image(x).then(self.loose_image(y))
-        return _qt_cell(lhs, rhs, MonotoneMap.identity(lhs.dom), MonotoneMap.identity(lhs.cod))
+        xy = self.composite(x, y)
+
+        def sides():
+            lhs = self.loose_image(xy)
+            rhs = self.loose_image(x).then(self.loose_image(y))
+            return lhs, rhs, MonotoneMap.identity(lhs.dom), MonotoneMap.identity(lhs.cod)
+
+        ids = self._loose_id
+        return self._square((ids(xy), ids(x), ids(y)), sides)
 
     def unitor(self, a: FinSet) -> QtCell:
-        m = self.loose_image(Span.identity(a))
-        ident = MonotoneMap.identity(self.d.fiber(a).carrier)
-        return _qt_cell(m, ident, MonotoneMap.identity(m.dom), MonotoneMap.identity(m.cod))
+        ia = Span.identity(a)
+
+        def sides():
+            m = self.loose_image(ia)
+            ident = MonotoneMap.identity(self.d.fiber(a).carrier)
+            return m, ident, MonotoneMap.identity(m.dom), MonotoneMap.identity(m.cod)
+
+        return self._square((self._loose_id(ia),), sides)
 
     def laxator_domain(self, x: Span, y: Span) -> bool:
         """The class condition under which the laxator must be invertible:
@@ -183,12 +284,27 @@ class PDot:
 
     def laxator_cell(self, x: Span, y: Span) -> QtCell:
         """The laxator square exists when ``holds``; it is the commuter
-        the theory guarantees on ``laxator_domain`` when ``invertible``."""
-        top = map_product(self.loose_image(x), self.loose_image(y))
-        left = external_laxator(self.d, x.source, y.source)
-        right = external_laxator(self.d, x.target, y.target)
-        bottom = self.loose_image(product_span(x, y))
-        return _qt_cell(top, bottom, left, right)
+        the theory guarantees on ``laxator_domain`` when ``invertible``.
+        Its top is the product of the images of ``x`` and ``y``, so their
+        ids stand for it in the key."""
+        xy = product_span(x, y)
+        d = self.d
+
+        def sides():
+            return (
+                map_product(self.loose_image(x), self.loose_image(y)),
+                self.loose_image(xy),
+                external_laxator(d, x.source, y.source),
+                external_laxator(d, x.target, y.target),
+            )
+
+        ids = self._loose_id
+        key = (
+            ids(x), ids(y),
+            self._mu_id(x.source, y.source), self._mu_id(x.target, y.target),
+            ids(xy),
+        )
+        return self._square(key, sides)
 
     def unit_cell(self) -> QtCell:
         one = terminal()
@@ -201,11 +317,9 @@ class PDot:
         """The image of the span symmetry square: ``L(y ⊗ x)`` against
         ``L(x ⊗ y)``, joined by substitution along the swaps of the feet.
         A symmetric lax functor makes it ``invertible``."""
-        return _qt_cell(
-            top=self.loose_image(product_span(y, x)),
-            bottom=self.loose_image(product_span(x, y)),
-            left=self.d.subst(swap_fn(x.source, y.source)),
-            right=self.d.subst(swap_fn(x.target, y.target)),
+        return self._image_square(
+            product_span(y, x), product_span(x, y),
+            swap_fn(x.source, y.source), swap_fn(x.target, y.target),
         )
 
 
@@ -317,8 +431,27 @@ def lax_comp_verdicts(
             lhs = pdot.loose_image(
                 cat.loose_compose(product_span(a, x), product_span(a2, x2))
             )
-            ok = verdicts[key] = lhs == rhs
+            ok = verdicts[key] = lhs is rhs
         yield r, c, key, ok
+
+
+def _cell_existence(rep: Report, pdot: PDot, bound: int) -> None:
+    """``pdot.cell-existence``.  A cell's induced square depends only on
+    its boundary (the apex map never enters the image), so each distinct
+    boundary is checked once, with the first apex map seen for it; the
+    boundaries seen are dropped when the clause is done."""
+    exist = rep.clause(
+        "pdot.cell-existence", "every span morphism induces a genuine square"
+    )
+    seen: set[tuple] = set()
+    for c in pdot.cat.enumerate_cell_data(bound):
+        boundary = c[:4]
+        if boundary in seen:
+            continue
+        seen.add(boundary)
+        qt = pdot.cell_image(c)
+        _verdict(exist, qt.holds, qt, lambda: f"{SpanCell(*c)}")
+    exist.note(f"distinct boundaries: {len(seen)}")
 
 
 def verify_pdot(pdot: PDot, max_size: int) -> Report:
@@ -345,12 +478,24 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     for a failure its clause keeps.
 
     Work that recurs is done once and its verdict reused; every instance
-    is still counted.  The proof squares of ``pdot.laxator-bc-squares``
-    depend on the right legs only, so they are built once per pair of
-    right legs, and Beck-Chevalley is checked once per distinct square
-    while every (pair, square) instance is recorded, with its own witness
-    on failure: 97 checks for 5,547 instances on the trivial triple at
-    bound 2.  The stride sample of
+    is still counted, and a failing one gets its own witness.  The square
+    clauses (the unitor, ``pdot.compositor``, ``pdot.cell-existence``,
+    the laxator clauses and ``pdot.symmetry-cell``) take their squares
+    from ``PDot``, which interns loose images by value and decides each
+    distinct square once, keyed on the ids of the sides that fix it; a
+    failing instance's witness is read off its square, rebuilt on demand.
+    On powerset at bound 2 the 43 spans have 26 distinct loose images,
+    and 314 of the 971 compositor squares, 1,639 of the 4,943 cell
+    squares, 676 of the 1,849 laxator squares and 202 of the 1,849
+    symmetry squares are decided; the other 26 symmetry squares are cell
+    squares, and the 9 squares of ``pdot.laxator-unital`` are laxator
+    squares.  ``pdot.double-assoc`` and ``pdot.laxator-compositional``
+    compare interned images by identity.  The proof squares of
+    ``pdot.laxator-bc-squares`` depend on the right legs only, so they
+    are built once per pair of right legs, and Beck-Chevalley is checked
+    once per distinct square while every (pair, square) instance is
+    recorded, with its own witness on failure: 97 checks for 5,547
+    instances on the trivial triple at bound 2.  The stride sample of
     ``pdot.laxator-compositional`` is enumerated directly
     (``lax_comp_sample``), not filtered from the walk over all pairs of
     composable pairs, and its left sides are keyed
@@ -363,7 +508,8 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     maps (``SpanCategory.enumerate_cell_data``); each distinct boundary
     is checked once, with the first apex map seen for it, and a
     ``SpanCell`` is built only to format a failing witness, which reads
-    as it always has.  ``SpanCategory.loose_compose`` pulls back each
+    as it always has; the set of boundaries seen is dropped when the
+    clause is done.  ``SpanCategory.loose_compose`` pulls back each
     cospan once per category: powerset ``verify_pdot`` at bound 2 makes
     6,483 loose composites, 4,242 of them left sides, over 1,266
     pullbacks.
@@ -398,20 +544,9 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     for (x, y), z in matching(composable, spans, lambda xy: xy[1].target, source):
         lhs = pdot.loose_image(pdot.composite(pdot.composite(x, y), z))
         rhs = pdot.loose_image(pdot.composite(x, pdot.composite(y, z)))
-        assoc.check(lhs == rhs, lambda: f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
+        assoc.check(lhs is rhs, lambda: f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
 
-    # A cell's induced square depends only on its boundary (the apex map
-    # never enters the image), so each distinct boundary is checked once.
-    exist = rep.clause(
-        "pdot.cell-existence", "every span morphism induces a genuine square"
-    )
-    reps_by_boundary: dict[tuple, CellData] = {}
-    for c in cat.enumerate_cell_data(pair_bound):
-        reps_by_boundary.setdefault(c[:4], c)
-    for c in reps_by_boundary.values():
-        qt = pdot.cell_image(c)
-        _verdict(exist, qt.holds, qt, lambda: f"{SpanCell(*c)}")
-    exist.note(f"distinct boundaries: {len(reps_by_boundary)}")
+    _cell_existence(rep, pdot, pair_bound)
 
     lax_exist = rep.clause(
         "pdot.laxator-cell", "the laxator square exists on every span pair"

@@ -1,31 +1,57 @@
+import collections
 import hashlib
 import inspect
-from functools import partial
+import subprocess
+import sys
+from functools import lru_cache, partial
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from doctrina.errors import NonFunctorial
+from doctrina.errors import NonFunctorial, ShapeMismatch
 from doctrina.finset import (
     AdequateTriple,
     FinFn,
     FinSet,
     MorClass,
+    Universe,
     bang,
     compose,
+    injection_right_triple,
     pullback,
     surjection_triple,
+    swap_fn,
+    terminal,
     trivial_triple,
 )
-from doctrina.poskit import trop_index, trop_values
+from doctrina.poskit import (
+    MonotoneMap,
+    bottom_element,
+    chain,
+    iso_maps,
+    join_table,
+    leq_maps,
+    map_product,
+    monotone_map,
+    power_poset,
+    trop_index,
+    trop_values,
+)
 from doctrina.doctrine import (
     Doctrine,
     check_beck_chevalley,
     check_doctrine,
+    external_laxator,
+    external_unit_map,
     powerset_doctrine,
     tropical_doctrine,
 )
 from doctrina.doubling import (
     PDot,
+    _bc_failure,
+    _qt_cell,
     lax_comp_sample,
     product_span,
     proof_squares,
@@ -444,6 +470,53 @@ class TestLeftSidesBuiltOnce:
         assert len(built) == 4242
 
 
+class TestSquaresDecidedOnce:
+    # a loose image is interned by value and a square is keyed on the ids
+    # of its sides, so each distinct square is decided once; every
+    # instance is still counted
+    def test_distinct_loose_images(self, ppow):
+        spans = list(ppow.cat.enumerate_spans(2))
+        assert len(spans) == 43
+        images = [ppow.loose_image(s) for s in spans]
+        assert len(set(images)) == len({id(m) for m in images}) == 26
+
+    def test_each_distinct_square_decided_once(self, monkeypatch):
+        from doctrina import doubling
+
+        decided = collections.Counter()
+        opened = [None]
+        clause, qt_cell = Report.clause, doubling._qt_cell
+
+        def opening(self, clause_id, law):
+            opened[0] = clause_id
+            return clause(self, clause_id, law)
+
+        def deciding(*sides):
+            decided[opened[0]] += 1
+            return qt_cell(*sides)
+
+        monkeypatch.setattr(Report, "clause", opening)
+        monkeypatch.setattr(doubling, "_qt_cell", deciding)
+        rep = verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
+        instances = {c.clause: c.instances for c in rep.clauses}
+        assert [instances[c] for c in (
+            "pdot.compositor", "pdot.cell-existence", "pdot.laxator-cell",
+            "pdot.laxator-unital", "pdot.symmetry-cell",
+        )] == [971, 4943, 1849, 9, 1849]
+        # the laxator squares are decided with pdot.laxator-commuter the
+        # clause opened last; the nine squares of pdot.laxator-unital are
+        # laxator squares already decided, and 26 symmetry squares are
+        # squares of pdot.cell-existence
+        assert decided == {
+            "pdot.unitor": 3,
+            "pdot.compositor": 314,
+            "pdot.cell-existence": 1639,
+            "pdot.laxator-commuter": 676,
+            "pdot.unit-cell": 1,
+            "pdot.symmetry-cell": 202,
+        }
+
+
 SUITES = {
     "check_doctrine": lambda d: check_doctrine(d, 2),
     "verify_pdot": lambda d: verify_pdot(PDot(d), 2),
@@ -569,24 +642,67 @@ SURJ_LAX_COMP_FAILURES = {
 }
 
 
-def _lax_comp_reference(pdot, bound):
+REFERENCE_TRIPLES = {
+    "all-all": trivial_triple,
+    "surj-right": surjection_triple,
+    "inj-right": injection_right_triple,
+}
+
+
+@lru_cache(maxsize=None)
+def _instances(triple):
+    """The span data of every instance the pasting clauses check on
+    ``REFERENCE_TRIPLES[triple]`` at bound 2, each loose composite made
+    with ``loose_compose`` for that instance alone.  None of it depends on
+    the doctrine, so it is built once per triple; equal spans are kept
+    once."""
+    cat = SpanCategory(REFERENCE_TRIPLES[triple](2))
+    canon = {}
+
+    def comp(x, y):
+        s = cat.loose_compose(x, y)
+        return canon.setdefault(s, s)
+
+    spans = list(cat.enumerate_spans(2))
+    composable = _composable(cat, 2)
+    cells = {}
+    for c in cat.enumerate_cell_data(2):
+        cells.setdefault(c[:4], c)
+    return SimpleNamespace(
+        spans=spans,
+        objs=Universe(cat.triple, 2).objects,
+        composable=[(x, y, comp(x, y)) for x, y in composable],
+        assoc=[
+            (x, y, z, comp(comp(x, y), z), comp(x, comp(y, z)))
+            for x, y in composable for z in spans if y.target == z.source
+        ],
+        cells=list(cells.values()),
+        lax_comp=[
+            (a, a2, x, x2,
+             comp(product_span(a, x), product_span(a2, x2)),
+             product_span(comp(a, a2), comp(x, x2)))
+            for (a, a2), (x, x2) in (
+                (composable[r], composable[c]) for r, c in lax_comp_sample(composable)
+            )
+        ],
+        lax_comp_total=len(composable) ** 2,
+    )
+
+
+def _lax_comp_reference(image, triple):
     """``pdot.laxator-compositional`` instance by instance: both sides
-    built and imaged for every sampled pair of composable pairs."""
-    cat = pdot.cat
-    composable = _composable(cat, bound)
+    imaged by ``image`` for every sampled pair of composable pairs."""
     clause = Report().clause(
         "pdot.laxator-compositional",
         "the laxator respects loose composition of span pairs",
     )
-    for r, c in lax_comp_sample(composable):
-        (a, a2), (x, x2) = composable[r], composable[c]
-        lhs = pdot.loose_image(cat.loose_compose(product_span(a, x), product_span(a2, x2)))
-        rhs = pdot.loose_image(
-            product_span(cat.loose_compose(a, a2), cat.loose_compose(x, x2))
+    inst = _instances(triple)
+    for a, a2, x, x2, lhs, rhs in inst.lax_comp:
+        clause.check(
+            image(lhs) == image(rhs), lambda: f"{a};{a2} with {x};{x2}",
         )
-        clause.check(lhs == rhs, lambda: f"{a};{a2} with {x};{x2}")
-    clause.note(f"pair-pairs sampled: {clause.instances} of {len(composable) ** 2}")
-    return clause.to_record()
+    clause.note(f"pair-pairs sampled: {clause.instances} of {inst.lax_comp_total}")
+    return clause
 
 
 @pytest.mark.parametrize("name", list(SEARCH_DOCTRINES))
@@ -599,6 +715,273 @@ def test_keyed_lax_comp_matches_reference(name):
     except NonFunctorial as e:
         pytest.skip(f"{name} has no double extension on this triple: {e}")
     got = verify_pdot(pdot, 2).find("pdot.laxator-compositional").to_record()
-    want = _lax_comp_reference(PDot(make(surjection_triple(2))), 2)
+    want = _lax_comp_reference(
+        PDot(make(surjection_triple(2))).loose_image, "surj-right"
+    ).to_record()
     assert got == want
     assert got["failures"] == SURJ_LAX_COMP_FAILURES.get(name, 0)
+
+
+# -- verify_pdot against a reference that builds every square -------------
+
+
+def _reference_square(top, bottom, left, right):
+    """A square decided with both composites built as maps and compared
+    with ``leq_maps`` and ``iso_maps``."""
+    lower, upper = left.then(bottom), top.then(right)
+    return SimpleNamespace(
+        holds=leq_maps(lower, upper), invertible=iso_maps(lower, upper),
+        lower=lower, upper=upper,
+    )
+
+
+def _diff(f, g):
+    return next(
+        (f"at {i}: {x} vs {y}" for i, (x, y) in enumerate(zip(f.table, g.table)) if x != y),
+        "shape",
+    )
+
+
+def _check_square(clause, ok, sq, where):
+    clause.check(ok, lambda: f"{where()}: {_diff(sq.lower, sq.upper)}")
+
+
+def _verify_pdot_reference(pdot, triple):
+    """Every ``pdot.*`` clause of ``verify_pdot`` at bound 2 on
+    ``REFERENCE_TRIPLES[triple]``, instance by instance: each square is
+    built from its sides and decided on its own, and no verdict is
+    reused.  Returns the records."""
+    d = pdot.d
+    inst = _instances(triple)
+    images = {}
+
+    def L(s):
+        # the instance spans are kept once per value, so a repeated span
+        # is found by identity
+        m = images.get(s)
+        if m is None:
+            m = images[s] = pdot.loose_image(s)
+        return m
+
+    spans, objs = inst.spans, inst.objs
+    rep = Report()
+
+    unitor = rep.clause("pdot.unitor", "identity spans map to identity maps")
+    for a in objs:
+        m = L(Span.identity(a))
+        sq = _reference_square(
+            m, MonotoneMap.identity(d.fiber(a).carrier),
+            MonotoneMap.identity(m.dom), MonotoneMap.identity(m.cod),
+        )
+        _check_square(unitor, sq.invertible, sq, lambda: f"A={a.size}")
+
+    comp = rep.clause(
+        "pdot.compositor",
+        "image of a loose composite equals the composite of images",
+    )
+    for x, y, xy in inst.composable:
+        lhs, rhs = L(xy), L(x).then(L(y))
+        sq = _reference_square(
+            lhs, rhs, MonotoneMap.identity(lhs.dom), MonotoneMap.identity(lhs.cod)
+        )
+        _check_square(comp, sq.invertible, sq, lambda: f"{x} ; {y}")
+    comp.note("span universe bounded at 2")
+
+    assoc = rep.clause(
+        "pdot.double-assoc",
+        "the two bracketings of a triple composite have equal images",
+    )
+    for x, y, z, xy_z, x_yz in inst.assoc:
+        lhs, rhs = L(xy_z), L(x_yz)
+        assoc.check(lhs == rhs, lambda: f"{x} ; {y} ; {z}: {_diff(lhs, rhs)}")
+
+    exist = rep.clause(
+        "pdot.cell-existence", "every span morphism induces a genuine square"
+    )
+    for c in inst.cells:
+        sq = _reference_square(
+            L(c.dst), L(c.src), d.subst(c.tight_left), d.subst(c.tight_right)
+        )
+        _check_square(exist, sq.holds, sq, lambda: f"{SpanCell(*c)}")
+    exist.note(f"distinct boundaries: {len(inst.cells)}")
+
+    def laxator(x, y):
+        return _reference_square(
+            map_product(L(x), L(y)), L(product_span(x, y)),
+            external_laxator(d, x.source, y.source),
+            external_laxator(d, x.target, y.target),
+        )
+
+    lax_exist = rep.clause(
+        "pdot.laxator-cell", "the laxator square exists on every span pair"
+    )
+    lax_comm = rep.clause(
+        "pdot.laxator-commuter",
+        "the laxator square is an equality on its guaranteed class domain",
+    )
+    off_total = off_failures = 0
+    for x in spans:
+        for y in spans:
+            sq = laxator(x, y)
+            _check_square(lax_exist, sq.holds, sq, lambda: f"{x} , {y}")
+            if pdot.laxator_domain(x, y):
+                _check_square(lax_comm, sq.invertible, sq, lambda: f"{x} , {y}")
+            else:
+                off_total += 1
+                if not sq.invertible:
+                    off_failures += 1
+                    if off_failures <= 3:
+                        lax_comm.note(f"off-domain strict inequality: {x} , {y}")
+    lax_comm.note(
+        f"off-domain pairs checked: {off_total}, strict inequalities: {off_failures}"
+    )
+
+    lax_unit = rep.clause(
+        "pdot.laxator-unital",
+        "the laxator on identity spans collapses to the external tensor",
+    )
+    for a in objs:
+        for b in objs:
+            sq = laxator(Span.identity(a), Span.identity(b))
+            lax_unit.check(
+                sq.invertible and sq.upper == external_laxator(d, a, b),
+                f"A={a.size} B={b.size}",
+            )
+
+    rep.clauses.append(_lax_comp_reference(L, triple))
+
+    bc = rep.clause(
+        "pdot.laxator-bc-squares",
+        "the three designated squares behind the commuter argument commute",
+    )
+    for x in spans:
+        for y in spans:
+            if pdot.laxator_domain(x, y):
+                for sq in proof_squares(x.right, y.right):
+                    tail = _bc_failure(d, sq)
+                    bc.check(tail is None, lambda: f"{x} , {y}: {tail}")
+
+    unit = rep.clause("pdot.unit-cell", "the unit square is an equality")
+    i0 = external_unit_map(d)
+    sq = _reference_square(
+        MonotoneMap.identity(chain(1)), L(Span.identity(terminal())), i0, i0
+    )
+    _check_square(unit, sq.invertible, sq, lambda: "unit")
+
+    sym = rep.clause("pdot.symmetry-cell", "the symmetry square is an equality")
+    for x in spans:
+        for y in spans:
+            sq = _reference_square(
+                L(product_span(y, x)), L(product_span(x, y)),
+                d.subst(swap_fn(x.source, y.source)),
+                d.subst(swap_fn(x.target, y.target)),
+            )
+            _check_square(sym, sq.invertible, sq, lambda: f"{x} , {y}")
+    return [c.to_record() for c in rep.clauses]
+
+
+@pytest.mark.parametrize("triple", list(REFERENCE_TRIPLES))
+@pytest.mark.parametrize("name", list(SEARCH_DOCTRINES))
+def test_verify_pdot_matches_reference(name, triple):
+    # verify_pdot decides each distinct square once and reuses its
+    # verdict; the reference decides every instance on its own, so every
+    # count, witness and note must come out the same
+    if name == "NonFunctorialDoctrine":
+        pytest.skip("its substitution is not functorial, so it has no double extension")
+    pdot = PDot(SEARCH_DOCTRINES[name](REFERENCE_TRIPLES[triple](2)))
+    got = [c.to_record() for c in verify_pdot(pdot, 2).clauses]
+    # the reference reads the loose images verify_pdot has cached, never
+    # its verdicts
+    assert got == _verify_pdot_reference(pdot, triple)
+
+
+# -- the table-only square test against composing and comparing maps -------
+
+
+SQUARE_POSETS = [
+    chain(1), chain(2), chain(3), power_poset(chain(2), 2), power_poset(chain(3), 2),
+]
+
+
+@st.composite
+def monotone_maps(draw, dom, cod):
+    """A monotone map: each element goes to the join of values drawn for
+    the elements below it."""
+    join = join_table(cod)
+    values = st.integers(0, cod.size - 1)
+    raw = draw(st.lists(values, min_size=dom.size, max_size=dom.size))
+    table = []
+    for x in range(dom.size):
+        v = bottom_element(cod)
+        for y in range(dom.size):
+            if dom.le(y, x):
+                v = join[v][raw[y]]
+        table.append(v)
+    return monotone_map(dom, cod, table)
+
+
+@st.composite
+def squares(draw):
+    p, q, r, s = (draw(st.sampled_from(SQUARE_POSETS)) for _ in range(4))
+    return (
+        draw(monotone_maps(p, q)), draw(monotone_maps(r, s)),
+        draw(monotone_maps(p, r)), draw(monotone_maps(q, s)),
+    )
+
+
+@st.composite
+def parallel_maps(draw):
+    p, q = (draw(st.sampled_from(SQUARE_POSETS)) for _ in range(2))
+    return draw(monotone_maps(p, q)), draw(monotone_maps(p, q))
+
+
+class TestQtCellTables:
+    @given(squares())
+    def test_agrees_with_composed_maps(self, sides):
+        top, bottom, left, right = sides
+        lower, upper = left.then(bottom), top.then(right)
+        qt = _qt_cell(top, bottom, left, right)
+        assert (qt.holds, qt.invertible) == (leq_maps(lower, upper), iso_maps(lower, upper))
+        assert (qt.top, qt.bottom, qt.left, qt.right) == sides
+
+    @given(parallel_maps())
+    def test_parallel_maps_with_identity_sides(self, fg):
+        # the compositor's shape: holds is leq_maps, invertible iso_maps
+        f, g = fg
+        ids = MonotoneMap.identity(f.dom), MonotoneMap.identity(f.cod)
+        qt = _qt_cell(f, g, *ids)
+        assert (qt.holds, qt.invertible) == (leq_maps(g, f), iso_maps(g, f))
+        assert _qt_cell(f, f, *ids).invertible
+
+    @pytest.mark.parametrize("side", ["top", "bottom", "left", "right"])
+    @pytest.mark.parametrize("end", ["dom", "cod"])
+    def test_sides_that_do_not_meet(self, side, end):
+        # one side's end moved to another poset: composing the sides with
+        # ``then`` or comparing the composites with ``iso_maps`` refuses
+        # it, and so does the table-only test
+        p = chain(2)
+        sides = dict.fromkeys(["top", "bottom", "left", "right"], MonotoneMap.identity(p))
+        other = chain(3)
+        moved = sides[side]
+        sides[side] = MonotoneMap(
+            other if end == "dom" else moved.dom,
+            other if end == "cod" else moved.cod,
+            (0, 1, 1) if end == "dom" else moved.table,
+        )
+        with pytest.raises(ShapeMismatch):
+            iso_maps(sides["left"].then(sides["bottom"]), sides["top"].then(sides["right"]))
+        with pytest.raises(ShapeMismatch):
+            _qt_cell(**sides)
+
+
+def test_lax_comp_walk_script_runs():
+    # the full walk of pdot.laxator-compositional at bound 1, through the
+    # script that compares it with the keyed walk
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "lax_comp_walk.py"), "--bound", "1"],
+        capture_output=True, text=True, cwd=str(root),
+        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "OK"
