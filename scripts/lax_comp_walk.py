@@ -3,8 +3,8 @@
 ``verify_pdot`` checks a stride sample of the pairs of composable span
 pairs (``lax_comp_sample``): 24,550 of the 942,841 on the trivial triple
 at bound 2.  This script walks all of them, for the powerset and tropical
-(cap 2) doctrines and every doctrine class of ``tests/mutants.py`` (a
-class that takes a cap gets cap 1), in two ways:
+(cap 2) doctrines and every mutant of ``tests/mutants.py``
+(``mutants.doctrines()``), in two ways:
 
 * instance by instance: every left side L((a ⊗ x) ; (a2 ⊗ x2)) is built
   with ``SpanCategory.loose_compose`` and compared with the right side
@@ -25,14 +25,13 @@ key rule fails on some instance or the two walks disagree on a count.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
-from doctrina.doctrine import Doctrine, powerset_doctrine, tropical_doctrine
+from doctrina.doctrine import powerset_doctrine, tropical_doctrine
 from doctrina.doubling import PDot, lax_comp_verdicts, product_span
 from doctrina.errors import NonFunctorial
 from doctrina.finset import matching, trivial_triple
@@ -43,15 +42,11 @@ import mutants  # noqa: E402
 
 
 def doctrines() -> dict:
-    found = {
+    return {
         "powerset": powerset_doctrine,
         "tropical": partial(tropical_doctrine, cap=2),
+        **mutants.doctrines(),
     }
-    for name, cls in inspect.getmembers(mutants, inspect.isclass):
-        if issubclass(cls, Doctrine) and cls.__module__ == mutants.__name__:
-            takes_cap = "cap" in inspect.signature(cls).parameters
-            found[name] = partial(cls, cap=1) if takes_cap else cls
-    return found
 
 
 def composable_pairs(cat: SpanCategory, bound: int) -> list:

@@ -23,7 +23,6 @@ from .poskit import MonoPoset, MonotoneMap, Poset, check_mono_poset
 from .spancat import Span, SpanCell, SpanCategory
 from .doctrine import (
     Doctrine,
-    PowersetDoctrine,
     PullbackSquare,
     check_adjunction,
     check_beck_chevalley,
@@ -63,7 +62,6 @@ __all__ = [
     "MorClass",
     "PDot",
     "Poset",
-    "PowersetDoctrine",
     "PullbackSquare",
     "QtCell",
     "Report",

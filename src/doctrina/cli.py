@@ -98,8 +98,7 @@ def load_triple_file(path: str) -> AdequateTriple:
 def _resolve_triple(args) -> AdequateTriple:
     if getattr(args, "triple_file", None):
         triple = load_triple_file(args.triple_file)
-        # the adequacy check enumerates up to the file's own universe;
-        # roundtrip runs no adequacy check, so the lower bound is here too
+        # the adequacy check enumerates up to the file's own universe
         if triple.universe > MAX_UNGUARDED_SIZE and not args.force:
             raise ValueError(
                 f"triple-file universe {triple.universe} above the cost guard "
@@ -154,21 +153,26 @@ def _guard_size(args) -> None:
             )
 
 
+def _adequacy(triple: AdequateTriple) -> Report:
+    adequacy = check_adequate_triple(triple)
+    if not adequacy.passed:
+        adequacy.clauses[0].note(
+            "triple failed adequacy; fiber suites skipped on this configuration"
+        )
+    return adequacy
+
+
 def cmd_verify(args) -> int:
     _guard_size(args)
     triple = _resolve_triple(args)
 
-    adequacy = check_adequate_triple(triple)
+    adequacy = _adequacy(triple)
     report = Report().extend(adequacy)
     report.extend(SpanCategory(triple).check_triangles(args.max_size))
     if adequacy.passed:
         for name, d in _doctrines(args, triple):
             report.extend(_prefix(doctrine_mod.check_doctrine(d, args.max_size), name))
             report.extend(_prefix(verify_pdot(PDot(d), args.max_size), f"{name}.double"))
-    else:
-        adequacy.clauses[0].note(
-            "triple failed adequacy; fiber suites skipped on this configuration"
-        )
     _emit(report, args)
     return 0 if report.passed else 1
 
@@ -176,6 +180,10 @@ def cmd_verify(args) -> int:
 def cmd_roundtrip(args) -> int:
     _guard_size(args)
     triple = _resolve_triple(args)
+    adequacy = _adequacy(triple)
+    if not adequacy.passed:
+        _emit(adequacy, args)
+        return 1
     report = Report()
     for name, d in _doctrines(args, triple):
         report.extend(_prefix(extraction.roundtrip(d, args.max_size), name))

@@ -13,17 +13,16 @@ minimum over each fibre, infinity over an empty one).
 Fibers, substitution and quantifiers work on carrier indices, whose codec
 puts slot 0 least significant, so a subset's index is its bitmask.  The
 span action ``act`` and the external tensor ``pair_predicate`` work on
-the predicate's own value (a value tuple, or a bitmask in
-``PowersetDoctrine``), so that evaluation never builds a fiber;
-``carrier_values``/``carrier_indices`` convert between the two.
+the predicate's own value, a tuple of V's elements (0/1 for a relation),
+so that evaluation never builds a fiber.
 
 ``span_action`` is the one checked entry point for the span action as a
 map between foot fibers, and every cover pair of its domain is checked
 order-preserving.  Its join over fibres is idempotent, so the action
-depends only on the relation the span traces between its feet, and the
-whole table is built once per relation (``poskit.span_table``), unless a
-subclass redefines ``_act``: then it applies ``_act`` to every value.
-Substitution and quantifiers are tabulated value by value, never
+depends only on the relation the span traces, and the whole table is
+built once per relation (``poskit.span_table``, kept per doctrine),
+unless a subclass redefines ``_act``: then it applies ``_act`` to every
+value.  Substitution and quantifiers are tabulated value by value, never
 through ``_act`` or the relation tables, so the clauses that set them
 beside span actions compare two independent computations:
 ``roundtrip.subst`` and ``roundtrip.exists``, and the squares with
@@ -38,11 +37,9 @@ equalities.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ClassViolation, NotAPullback
 from .finset import (
@@ -106,6 +103,8 @@ class Doctrine:
         self._subst: dict[FinFn, MonotoneMap] = {}
         self._exists: dict[FinFn, MonotoneMap] = {}
         self._lax: dict[tuple[FinSet, FinSet], MonotoneMap] = {}
+        # span-action index tables, one per (source slots, relation)
+        self._tables: dict[tuple, tuple[int, ...]] = {}
 
     def fiber(self, a: FinSet) -> MonoPoset:
         if a not in self._fibers:
@@ -132,31 +131,25 @@ class Doctrine:
         self._check_span(left, right)
         return self._span_action(left, right)
 
-    def act(self, left: FinFn, right: FinFn, pred):
-        """Span action on a single predicate value (see ``carrier_values``);
-        never materialises a fiber, so the feet may be denoted products
-        of arbitrary size."""
+    def act(self, left: FinFn, right: FinFn, pred: tuple[int, ...]) -> tuple[int, ...]:
+        """Span action on a single predicate value; never materialises a
+        fiber, so the feet may be denoted products of arbitrary size."""
         self._check_span(left, right)
         return self._act(left, right, pred)
 
-    def actor(self, left: FinFn, right: FinFn):
-        """``act`` along one span as a function of the predicate value,
-        with the span checked once rather than on every call."""
-        self._check_span(left, right)
-        return partial(self._act, left, right)
-
-    def pair_predicate(self, a: FinSet, b: FinSet, p, q):
+    def pair_predicate(
+        self, a: FinSet, b: FinSet, p: tuple[int, ...], q: tuple[int, ...]
+    ) -> tuple[int, ...]:
         """The external tensor of two predicate values, pointwise."""
-        return self._pair(a, b, p, q)
-
-    def carrier_values(self, a: FinSet) -> Sequence:
-        """The predicate value of every element of the fiber over ``a``, in
-        carrier order: the values ``act`` and ``pair_predicate`` work on."""
-        return value_tuples(a.size, self._size)
-
-    def carrier_indices(self, a: FinSet, values: list) -> list[int]:
-        """Inverse of ``carrier_values``: the element of each value."""
-        return list(map(value_index(a.size, self._size).__getitem__, values))
+        # row x of the tensor table, read at every entry of q, is the
+        # block of the joint under an entry x of p
+        rows = self._tensor
+        blocks = {x: tuple(map(rows[x].__getitem__, q)) for x in set(p)}
+        joint: list[int] = []
+        extend = joint.extend
+        for x in p:
+            extend(blocks[x])
+        return tuple(joint)
 
     def _check_span(self, left: FinFn, right: FinFn) -> None:
         if left.dom != right.dom:
@@ -176,10 +169,17 @@ class Doctrine:
             fibres = [set() for _ in range(right.cod.size)]
             for i, j in zip(left.table, right.table):
                 fibres[j].add(i)
-            key = tuple(tuple(sorted(f)) for f in fibres)
-            return MonotoneMap(p1, p2, span_table(self.values.carrier, left.cod.size, key))
-        images = [self._act(left, right, v) for v in self.carrier_values(left.cod)]
-        return monotone_map(p1, p2, self.carrier_indices(right.cod, images))
+            key = (left.cod.size, tuple(tuple(sorted(f)) for f in fibres))
+            table = self._tables.get(key)
+            if table is None:
+                table = self._tables[key] = span_table(self.values.carrier, *key)
+            return MonotoneMap(p1, p2, table)
+        index = value_index(right.cod.size, self._size)
+        images = [
+            index[self._act(left, right, v)]
+            for v in value_tuples(left.cod.size, self._size)
+        ]
+        return monotone_map(p1, p2, images)
 
     def _make_fiber(self, a: FinSet) -> MonoPoset:
         return power_fiber(self.values, a.size)
@@ -212,52 +212,9 @@ class Doctrine:
     def _act(self, left: FinFn, right: FinFn, pred: tuple[int, ...]) -> tuple[int, ...]:
         return self._join_fold(left.table, right.table, pred, right.cod.size)
 
-    def _pair(
-        self, a: FinSet, b: FinSet, p: tuple[int, ...], q: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        # row x of the tensor table, read at every entry of q, is the
-        # block of the joint under an entry x of p
-        rows = self._tensor
-        blocks = {x: tuple(map(rows[x].__getitem__, q)) for x in set(p)}
-        return tuple(itertools.chain.from_iterable(map(blocks.__getitem__, p)))
 
-
-class PowersetDoctrine(Doctrine):
-    """The 2-chain under meet, with predicate values as ``int`` bitmasks,
-    which are also their carrier indices."""
-
-    def __init__(self, triple: AdequateTriple):
-        super().__init__(triple, boolean_meet())
-
-    def carrier_values(self, a: FinSet) -> Sequence[int]:
-        return range(1 << a.size)
-
-    def carrier_indices(self, a: FinSet, values: list) -> list[int]:
-        return values
-
-    def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
-        out = 0
-        lt, rt = left.table, right.table
-        for a in range(left.dom.size):
-            if (pred >> lt[a]) & 1:
-                out |= 1 << rt[a]
-        return out
-
-    def _pair(self, a: FinSet, b: FinSet, p: int, q: int) -> int:
-        # cylinder intersection: the product of the two subsets
-        out = 0
-        n = b.size
-        mp = p
-        while mp:
-            low = mp & -mp
-            i = low.bit_length() - 1
-            mp ^= low
-            out |= q << (i * n)
-        return out
-
-
-def powerset_doctrine(triple: AdequateTriple) -> PowersetDoctrine:
-    return PowersetDoctrine(triple)
+def powerset_doctrine(triple: AdequateTriple) -> Doctrine:
+    return Doctrine(triple, boolean_meet())
 
 
 def tropical_doctrine(triple: AdequateTriple, cap: int = 3) -> Doctrine:

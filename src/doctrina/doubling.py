@@ -637,11 +637,12 @@ def search_offdomain_witness(pdot: PDot, max_size: int) -> str | None:
     witness string, or None when no such pair exists at this bound.
 
     The square is ``PDot.laxator_cell``'s, with the doctrine's own μ
-    (``external_laxator``) and loose images on three sides.  Only the
-    action of x ⊗ y is evaluated here, pointwise and only on the image of
-    μ(A, B) (``Doctrine.actor``), not on the whole fiber over A × B; and
-    ``product_span``'s cache stays empty.  The witness names the entry
-    s·|P(B)| + t of the square where the two composites first differ."""
+    (``external_laxator``) and loose images on three sides, and the span
+    action of x ⊗ y (``Doctrine.span_action``, one table per relation the
+    product spans trace) on the fourth; the two composites are compared
+    as carrier indices, and ``product_span``'s cache stays empty.  The
+    witness names the entry s·|P(B)| + t of the square where the two
+    composites first differ."""
     d = pdot.d
     spans = list(pdot.cat.enumerate_spans(max_size))
     objs = Universe(pdot.triple, max_size).objects
@@ -652,13 +653,12 @@ def search_offdomain_witness(pdot: PDot, max_size: int) -> str | None:
             if pdot.laxator_domain(x, y):
                 continue
             ly = pdot.loose_image(y)
-            left, right = fn_product(x.left, y.left), fn_product(x.right, y.right)
-            act, joints = d.actor(left, right), mu[x.source, y.source]
-            ab, cd = d.carrier_values(left.cod), d.carrier_values(right.cod)
-            acted = {j: act(ab[j]) for j in set(joints)}
+            act = d.span_action(
+                fn_product(x.left, y.left), fn_product(x.right, y.right)
+            ).table
             mu_cd, n = mu[x.target, y.target], ly.cod.size
-            lower = [acted[j] for j in joints]
-            upper = [cd[mu_cd[u * n + v]] for u in lx for v in ly.table]
+            lower = [act[j] for j in mu[x.source, y.source]]
+            upper = [mu_cd[u * n + v] for u in lx for v in ly.table]
             if lower != upper:
                 i = next(i for i, (p, q) in enumerate(zip(lower, upper)) if p != q)
                 s, t = divmod(i, ly.dom.size)

@@ -404,14 +404,14 @@ def join_column(order: Poset, n: int, slots: tuple[int, ...]) -> tuple[int, ...]
     return monotone_map(power_poset(order, n), order, col).table
 
 
-@lru_cache(maxsize=None)
 def span_table(order: Poset, n: int, fibres: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The action of the relation whose target slot j reaches the source
     slots ``fibres[j]``, on every predicate of the n-slot fiber: an index
     table into the fiber of ``len(fibres)`` slots, by Horner's rule over
     the ``join_column`` of each fibre, last slot first.  A map into a
     product order is monotone exactly when each component is, so the
-    checked columns check the table."""
+    checked columns check the table.  Not cached here: a doctrine keeps
+    the tables of its own span actions, and drops them with itself."""
     table = [0] * order.size**n
     for fib in reversed(fibres):
         col = join_column(order, n, fib)

@@ -9,12 +9,13 @@ that evaluation does not care whether you nest first or evaluate first.
 
 Value domains for the port types are supplied by a ``TypeAssignment``;
 contexts denote as row-major products with port 0 most significant.
-A system carries its predicate as the doctrine's own value: a relational
-predicate is an ``int`` subset bitmask, a min-plus predicate a
-``tuple`` of costs over the denoted product (``cap + 1`` for infinity).
-Files carry the same data as a hex mask or a cost array with "inf".
+A system carries its predicate as the doctrine's own value, a tuple of
+V's elements over the denoted product: 0/1 membership for a relation,
+costs for min-plus (``cap + 1`` for infinity).  Files carry the same
+data as a hex mask or a cost array with "inf"; ``load_corpus`` decodes
+the mask at the boundary and ``format_predicate`` encodes it again.
 Nothing on the evaluation path encodes a predicate as an element index
-of a fiber; only the law suites do (``Doctrine.carrier_indices``).
+of a fiber; only the law suites do.
 """
 
 from __future__ import annotations
@@ -142,10 +143,11 @@ def identity_diagram(ctx: LabelledFinSet) -> UwdDiagram:
 @dataclass
 class System:
     """A context plus a predicate over its denotation, as the doctrine's
-    value: a subset bitmask (relational) or a cost tuple (min-plus)."""
+    value: one entry per tuple of the denoted product, row-major, 0/1
+    membership (relational) or a cost (min-plus)."""
 
     context: LabelledFinSet
-    predicate: int | tuple[int, ...]
+    predicate: tuple[int, ...]
 
 
 def evaluate(w: UwdDiagram, sys: System, d: Doctrine, types: TypeAssignment) -> System:
@@ -237,18 +239,17 @@ def functoriality_check(
 # predicate codecs
 
 
-def rel_tuples(mask: int, ctx: LabelledFinSet, types: TypeAssignment) -> frozenset:
-    n = denote(ctx, types).size
-    return frozenset(
-        index_tuple(i, ctx, types) for i in range(n) if (mask >> i) & 1
-    )
+def rel_tuples(pred: tuple[int, ...], ctx: LabelledFinSet, types: TypeAssignment) -> frozenset:
+    return frozenset(index_tuple(i, ctx, types) for i, v in enumerate(pred) if v)
 
 
-def rel_mask(tuples: Iterable[tuple], ctx: LabelledFinSet, types: TypeAssignment) -> int:
-    mask = 0
+def rel_pred(
+    tuples: Iterable[tuple], ctx: LabelledFinSet, types: TypeAssignment
+) -> tuple[int, ...]:
+    values = [0] * denote(ctx, types).size
     for t in tuples:
-        mask |= 1 << tuple_index(t, ctx, types)
-    return mask
+        values[tuple_index(t, ctx, types)] = 1
+    return tuple(values)
 
 
 class _Costs(Mapping):
@@ -362,6 +363,10 @@ def _labelled(labels: list, types: TypeAssignment, what: str) -> LabelledFinSet:
 
 
 _HEX = frozenset("0123456789abcdefABCDEF")
+# entry i of a relational predicate is bit i of its hex mask; the two are
+# converted through the mask's binary digits, whole strings at a time
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def load_corpus(doc: dict, cap: int = 3) -> Corpus:
@@ -372,7 +377,8 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     junctions, outer, f and g, a system context, semantics and data, and
     any other key is refused.  The document, its sections and each
     diagram or system are JSON objects.  Relational data
-    is a hex bitmask over the denoted product, with no bit beyond it;
+    is a hex bitmask over the denoted product, with no bit beyond it,
+    loaded as the 0/1 tuple of its bits;
     cost data is an array of natural numbers (saturating above the cap)
     with "inf" for infinity.  Arrays are 0-indexed, row-major, port 0
     most significant.  Anything else raises ``ValueError``; each check is
@@ -423,9 +429,11 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
         if semantics == "rel":
             if not isinstance(data, str) or not data or not set(data) <= _HEX:
                 raise ValueError(f"system {name}: data {data!r} is not a hex mask")
-            pred = int(data, 16)
-            if pred >> n:
+            mask = int(data, 16)
+            if mask >> n:
                 raise ValueError(f"system {name}: mask {data} has bits beyond {n} tuples")
+            # the n digits under a leading 1, read last digit first
+            pred = tuple(bin(mask | 1 << n)[:2:-1].encode().translate(_FROM_DIGITS))
         elif semantics == "trop":
             if not isinstance(data, list):
                 raise ValueError(f"system {name}: cost data {data!r} is not an array")
@@ -458,5 +466,6 @@ def load_corpus_file(path: str, cap: int = 3) -> Corpus:
 def format_predicate(sys: System, semantics: str, types: TypeAssignment, cap: int) -> str:
     """Render a result the way files carry it: hex mask or cost array."""
     if semantics == "rel":
-        return format(sys.predicate, "x")
+        digits = bytes(sys.predicate[::-1]).translate(_TO_DIGITS)
+        return format(int(b"0" + digits, 2), "x")
     return json.dumps(["inf" if v > cap else v for v in sys.predicate])

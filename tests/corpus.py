@@ -52,7 +52,8 @@ def random_diagram(rng: random.Random, inner_ctx=None) -> UwdDiagram:
 
 def random_rel_system(rng: random.Random, ctx, types) -> System:
     n = denote(ctx, types).size
-    return System(ctx, rng.randrange(1 << n))
+    mask = rng.randrange(1 << n)  # one draw per system: the seed fixes the relation
+    return System(ctx, tuple((mask >> i) & 1 for i in range(n)))
 
 
 def random_trop_system(rng: random.Random, ctx, types, cap: int) -> System:

@@ -1,11 +1,25 @@
-"""Deliberately broken doctrines for the negative-control tests."""
+"""Deliberately broken doctrines for the negative-control tests.
+
+Every class takes the triple and, apart from ``DroppedApexDoctrine``,
+works over the 2-chain under meet, where a subset's carrier index is its
+bitmask.  ``doctrines()`` names each mutant instance the suites and
+scripts run."""
+
+import inspect
+import sys
+from functools import partial
 
 from doctrina.finset import FinFn, FinSet, product
-from doctrina.poskit import MonoPoset, min_plus, monotone_map
-from doctrina.doctrine import Doctrine, PowersetDoctrine
+from doctrina.poskit import MonoPoset, boolean_meet, min_plus, monotone_map
+from doctrina.doctrine import Doctrine
 
 
-class BrokenTensorDoctrine(PowersetDoctrine):
+class _Boolean(Doctrine):
+    def __init__(self, triple):
+        super().__init__(triple, boolean_meet())
+
+
+class BrokenTensorDoctrine(_Boolean):
     """Tensor replaced by the constant-unit map; kills Frobenius and the
     laxator commuter while leaving substitution and quantifiers intact."""
 
@@ -14,7 +28,7 @@ class BrokenTensorDoctrine(PowersetDoctrine):
         return MonoPoset(good.carrier, lambda i, j: good.unit, good.unit)
 
 
-class SwappedAdjointDoctrine(PowersetDoctrine):
+class SwappedAdjointDoctrine(_Boolean):
     """Quantifier replaced by the universal image (the right adjoint),
     so the Galois biconditional fails."""
 
@@ -37,7 +51,7 @@ class SwappedAdjointDoctrine(PowersetDoctrine):
 PERTURBED = FinFn(FinSet(2), FinSet(1), (0, 0))
 
 
-class NonFunctorialDoctrine(PowersetDoctrine):
+class NonFunctorialDoctrine(_Boolean):
     """Substitution along one specific map replaced by a constant; still
     monotone, no longer functorial."""
 
@@ -49,41 +63,40 @@ class NonFunctorialDoctrine(PowersetDoctrine):
         return good
 
 
-class DroppedApexDoctrine(PowersetDoctrine):
+class DroppedApexDoctrine(Doctrine):
     """Span action that ignores the last apex element once the apex has
-    three or more.  Substitution and quantifiers stay intact, so every
-    doctrine law holds and the double extension builds; but loose
-    composites and product spans, the only spans that large at bound 2,
-    lose loose functoriality, and a companion span over a 3-element set
-    no longer acts as substitution."""
+    three or more, over any V (the 2-chain unless ``values`` is given).
+    Substitution and quantifiers stay intact, so every doctrine law holds
+    and the double extension builds; but loose composites and product
+    spans, the only spans that large at bound 2, lose loose
+    functoriality, and a companion span over a 3-element set no longer
+    acts as substitution.  Its ``_act`` replaces the stock one, so the
+    span action must be computed value by value through it, not from the
+    stock relation tables."""
 
-    def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
+    def __init__(self, triple, values: MonoPoset | None = None):
+        super().__init__(triple, boolean_meet() if values is None else values)
+
+    def _act(self, left: FinFn, right: FinFn, pred: tuple) -> tuple:
         n = left.dom.size
-        out = 0
-        for a in range(n - 1 if n >= 3 else n):
-            if (pred >> left.table[a]) & 1:
-                out |= 1 << right.table[a]
-        return out
+        keep = n - 1 if n >= 3 else n
+        return self._join_fold(left.table[:keep], right.table[:keep], pred, right.cod.size)
 
 
-class SkippedApexDoctrine(PowersetDoctrine):
+class SkippedApexDoctrine(_Boolean):
     """Span action that ignores apex element 1 once the apex has three or
     more.  Unlike the last element, element 1 of a product apex is not
     fixed by the swap, so the images of ``x ⊗ y`` and ``y ⊗ x`` no longer
     agree across the symmetry: the symmetry axiom fails."""
 
-    def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
-        n = left.dom.size
-        out = 0
-        for a in range(n):
-            if a == 1 and n >= 3:
-                continue
-            if (pred >> left.table[a]) & 1:
-                out |= 1 << right.table[a]
-        return out
+    def _act(self, left: FinFn, right: FinFn, pred: tuple) -> tuple:
+        lt, rt = left.table, right.table
+        if len(lt) >= 3:
+            lt, rt = lt[:1] + lt[2:], rt[:1] + rt[2:]
+        return self._join_fold(lt, rt, pred, right.cod.size)
 
 
-class PairApexDoctrine(PowersetDoctrine):
+class PairApexDoctrine(_Boolean):
     """Span action that ignores apex element 0 when the apex has exactly
     two elements.  Substitution and quantifiers stay intact, so the
     double extension builds; but a morphism of spans from a one-element
@@ -91,21 +104,15 @@ class PairApexDoctrine(PowersetDoctrine):
     so ``pdot.cell-existence`` fails, along with the clauses that act by
     a two-element identity or product apex."""
 
-    def _act(self, left: FinFn, right: FinFn, pred: int) -> int:
-        n = left.dom.size
-        out = 0
-        for a in range(n):
-            if a == 0 and n == 2:
-                continue
-            if (pred >> left.table[a]) & 1:
-                out |= 1 << right.table[a]
-        return out
+    def _act(self, left: FinFn, right: FinFn, pred: tuple) -> tuple:
+        skip = 1 if left.dom.size == 2 else 0
+        return self._join_fold(left.table[skip:], right.table[skip:], pred, right.cod.size)
 
 
 SATURATED = product(FinSet(2), FinSet(2)).pa
 
 
-class SaturatedProjectionDoctrine(PowersetDoctrine):
+class SaturatedProjectionDoctrine(_Boolean):
     """Quantifier along the first projection 2 x 2 -> 2 sends every
     nonempty predicate to the full set.  It stays monotone and
     substitution is untouched, so the double extension builds and the
@@ -122,19 +129,16 @@ class SaturatedProjectionDoctrine(PowersetDoctrine):
         return good
 
 
-class DroppedApexTropicalDoctrine(Doctrine):
-    """The min-plus counterpart of ``DroppedApexDoctrine``: the minimum
-    skips the last apex element once the apex has three or more.  Its
-    ``_act`` replaces the stock one, so the span action must be computed
-    value by value through it, not from the stock relation tables."""
-
-    def __init__(self, triple, cap: int):
-        super().__init__(triple, min_plus(cap))
-
-    def _act(self, left: FinFn, right: FinFn, pred: tuple) -> tuple:
-        n = left.dom.size
-        vals = [self.bottom] * right.cod.size
-        for a in range(n - 1 if n >= 3 else n):
-            j = right.table[a]
-            vals[j] = min(vals[j], pred[left.table[a]])
-        return tuple(vals)
+def doctrines() -> dict:
+    """Every mutant as a function of the triple, by name: each class of
+    this module, found by introspection so that a new one is covered
+    without editing its callers; a class that takes ``values`` runs once
+    more over min-plus (cap 1), named with ``Tropical``."""
+    found = {}
+    for name, cls in inspect.getmembers(sys.modules[__name__], inspect.isclass):
+        if issubclass(cls, Doctrine) and cls.__module__ == __name__ and name[0] != "_":
+            found[name] = cls
+            if "values" in inspect.signature(cls).parameters:
+                tropical = name.replace("Doctrine", "TropicalDoctrine")
+                found[tropical] = partial(cls, values=min_plus(1))
+    return found

@@ -26,7 +26,34 @@ def run_main(argv, capsys):
     return rc, out.out, out.err
 
 
+# the stdout and exit code of ``eval --check`` on every (diagram, system)
+# pair of the corpus; a system whose context is not the diagram's inner
+# boundary exits 2
+MISMATCH = 2, ""
+CORPUS_EVAL = {
+    ("relational-composition", "join-input"): (0, "1\n"),
+    ("relational-composition", "chain-costs"): (0, '[3, "inf", "inf", "inf"]\n'),
+    ("relational-composition", "diagonal-pair"): MISMATCH,
+    ("identity-pair", "join-input"): MISMATCH,
+    ("identity-pair", "chain-costs"): MISMATCH,
+    ("identity-pair", "diagonal-pair"): (0, "9\n"),
+    ("close-loop", "join-input"): MISMATCH,
+    ("close-loop", "chain-costs"): MISMATCH,
+    ("close-loop", "diagonal-pair"): (0, "1\n"),
+}
+
+
 class TestEval:
+    @pytest.mark.parametrize("diagram, system", list(CORPUS_EVAL))
+    def test_corpus_pair_output(self, capsys, diagram, system):
+        rc, out, err = run_main(
+            ["eval", "--input", CORPUS, "--diagram", diagram, "--system", system,
+             "--check"],
+            capsys,
+        )
+        assert (rc, out) == CORPUS_EVAL[diagram, system]
+        assert err.startswith("oracle: match" if rc == 0 else "error: system context")
+
     def test_relational_composition_hex(self, capsys):
         rc, out, _ = run_main(
             ["eval", "--input", CORPUS, "--diagram", "relational-composition",
@@ -259,6 +286,22 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize("argv, digest", [
+        (["verify"],
+         "b4bd2e8422bd92df91b88f8b1d5eee3610f46d2656a5ad700efaa71ae345ef20"),
+        (["roundtrip"],
+         "142b318e3c10da63308e55d9b8a0d6b0eac9bde7c1a7313e1851965890bef487"),
+        (["roundtrip", "--fiber", "powerset"],
+         "b533a80e405365cc102d20241093ccaea03df178f98ca743fa67bdf134d80e80"),
+    ], ids=["verify", "roundtrip", "roundtrip-powerset"])
+    def test_default_report_bytes(self, capsys, argv, digest):
+        # pinned bytes of the CLI defaults and of the powerset round trip:
+        # the powerset doctrine is the stock one over the 2-chain, and its
+        # reports are what the bitmask doctrine printed
+        rc, out, _ = run_main(argv, capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
         (["verify", "--fiber", "tropical"],
          "ae26cd218d389a17b55550fa0656748b8f5de169f8450e3be551500512267cdb"),
         (["roundtrip", "--fiber", "tropical"],
@@ -297,6 +340,21 @@ class TestVerify:
         assert len(bad) == 1
         assert bad[0]["clause"] == "triple.projections"
         assert "not in R" in bad[0]["witnesses"][0]
+
+    def test_roundtrip_refuses_an_inadequate_triple(self, capsys):
+        # the round trip runs the adequacy check first, as verify does, and
+        # on a failure prints that report alone, noted, and exits 1
+        rc, out, err = run_main(["roundtrip", "--triple", "inj-right"], capsys)
+        assert (rc, err) == (1, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["clause"] for r in records] == [
+            "triple.identities", "triple.composition", "triple.pullbacks",
+            "triple.products", "triple.projections",
+        ]
+        assert [r["clause"] for r in records if r["failures"]] == ["triple.projections"]
+        assert records[0]["notes"] == [
+            "triple failed adequacy; fiber suites skipped on this configuration"
+        ]
 
     def test_size_guard_exit_2(self, capsys):
         rc, _, err = run_main(["verify", "--max-size", "5"], capsys)
@@ -524,18 +582,21 @@ class TestRoundtripCommand:
         assert "roundtrip.fibers" in out
 
 
-    @pytest.mark.parametrize("spec, clause, witness", [
+    @pytest.mark.parametrize("spec, failing, witnesses", [
         ({"universe": 1, "left": "all",
           "right": {"explicit": [{"dom": 1, "cod": 1, "table": [0]}]}},
-         "roundtrip.subst",
-         "f=FinFn(0->0:[]): no quantifier along FinFn(0->0:[]): not in R"),
+         {"triple.identities", "triple.pullbacks", "triple.projections"},
+         {"triple.identities": "id_0 not in R"}),
         ({"universe": 2, "left": "surj", "right": "all", "nonempty_only": True},
-         "roundtrip.frobenius",
-         "f=FinFn(1->2:[0]): left class must contain diagonals"),
+         {"powerset.roundtrip.frobenius", "tropical.roundtrip.frobenius"},
+         dict.fromkeys(["powerset.roundtrip.frobenius", "tropical.roundtrip.frobenius"],
+                       "f=FinFn(1->2:[0]): left class must contain diagonals")),
     ], ids=["right-without-identities", "left-without-diagonals"])
-    def test_refusal_is_a_failed_instance(self, capsys, tmp_path, spec, clause, witness):
-        # a span or square the triple refuses fails the clause that needed
-        # it, with the reason, and the report is still printed
+    def test_refusal_is_a_failed_instance(self, capsys, tmp_path, spec, failing, witnesses):
+        # what the triple refuses fails the clause that needed it, with the
+        # reason, and the report is still printed: a missing identity fails
+        # adequacy, which the round trip checks first; a square the recipe
+        # needs, its Frobenius clause
         path = tmp_path / "triple.json"
         path.write_text(json.dumps(spec))
         rc, out, err = run_main(
@@ -546,9 +607,8 @@ class TestRoundtripCommand:
         assert rc == 1
         assert err == ""
         records = {r["clause"]: r for r in map(json.loads, out.splitlines())}
-        failing = {name for name, r in records.items() if r["failures"]}
-        assert failing == {f"powerset.{clause}", f"tropical.{clause}"}
-        for name in failing:
+        assert {name for name, r in records.items() if r["failures"]} == failing
+        for name, witness in witnesses.items():
             assert records[name]["witnesses"][0] == witness
 
 
@@ -583,20 +643,28 @@ class TestOneTablePerRelation:
         # relation and one column per distinct set of joined slots
         from doctrina import doctrine
 
-        poskit.span_table.cache_clear()
         poskit.join_column.cache_clear()
         calls = collections.Counter()
-        span_action = doctrine.Doctrine.span_action
+        doctrines = set()
+        span_action, span_table = doctrine.Doctrine.span_action, doctrine.span_table
 
         def counting(self, left, right):
             calls["span_action"] += 1
+            doctrines.add(self)
             return span_action(self, left, right)
 
+        def counting_table(*args):
+            calls["span_table"] += 1
+            return span_table(*args)
+
         monkeypatch.setattr(doctrine.Doctrine, "span_action", counting)
+        monkeypatch.setattr(doctrine, "span_table", counting_table)
         rc, _, _ = run_main(["verify", "--fiber", "tropical", "--max-size", "2"], capsys)
         assert rc == 0
         assert calls["span_action"] == 1936
-        assert poskit.span_table.cache_info().misses == 251
+        # the doctrine keeps each table it builds, and builds each once
+        (d,) = doctrines
+        assert calls["span_table"] == len(d._tables) == 251
         assert poskit.join_column.cache_info().misses == 17
 
 

@@ -22,10 +22,11 @@ from doctrina.poskit import (
     power_poset,
     trop_index,
     trop_values,
+    value_index,
+    value_tuples,
 )
 from doctrina.doctrine import (
     Doctrine,
-    PowersetDoctrine,
     PullbackSquare,
     check_adjunction,
     check_beck_chevalley,
@@ -45,7 +46,7 @@ from doctrina.spancat import SpanCategory
 
 from mutants import (
     PERTURBED,
-    DroppedApexTropicalDoctrine,
+    DroppedApexDoctrine,
     NonFunctorialDoctrine,
     SwappedAdjointDoctrine,
 )
@@ -270,21 +271,27 @@ class TestExternalMonoidal:
     def test_pair_predicate_matches_laxator(self, pow2, trop2, trop2k3):
         # uwd.tensor_systems tensors values through pair_predicate, the law
         # suites carrier indices through external_laxator: the two must
-        # agree entry for entry across carrier_values/carrier_indices
+        # agree entry for entry across the fiber codec
         for d in (pow2, trop2, trop2k3):
+            size = d.values.carrier.size
             for a in finsets(2):
                 for b in finsets(2):
                     mu = external_laxator(d, a, b)
-                    va, vb = d.carrier_values(a), d.carrier_values(b)
+                    va, vb = value_tuples(a.size, size), value_tuples(b.size, size)
+                    index = value_index(product(a, b).prod.size, size)
                     joints = [d.pair_predicate(a, b, p, q) for p in va for q in vb]
-                    assert d.carrier_indices(product(a, b).prod, joints) == list(mu.table)
+                    assert [index[j] for j in joints] == list(mu.table)
 
     def test_carrier_indices_invert_values(self, pow2, trop2, trop2k3):
+        # the value tuple of every element of a fiber, in carrier order,
+        # and the codec's index back
         for d in (pow2, trop2, trop2k3):
+            size = d.values.carrier.size
             for a in finsets(3):
-                values = list(d.carrier_values(a))
+                values = value_tuples(a.size, size)
                 assert len(values) == d.fiber(a).carrier.size
-                assert d.carrier_indices(a, values) == list(range(len(values)))
+                index = value_index(a.size, size)
+                assert [index[v] for v in values] == list(range(len(values)))
 
 
 class TestDoctrineSuite:
@@ -328,11 +335,12 @@ TRIPLE_IDS = ["all-all", "surj-right"]
 class TestValuedDoctrine:
     @pytest.mark.parametrize("triple", TRIPLES, ids=TRIPLE_IDS)
     def test_boolean_meet_is_the_powerset_doctrine(self, triple):
-        # the generic tuple path over the 2-chain against the bitmask one:
-        # a subset's index is its mask, so the reports agree byte for byte
-        generic = law_reports(Doctrine(triple, boolean_meet()))
-        masks = law_reports(powerset_doctrine(triple))
-        assert [r.to_jsonl() for r in generic] == [r.to_jsonl() for r in masks]
+        # the powerset doctrine's span actions, from the relation tables,
+        # against the join fold over the 2-chain value by value: the
+        # reports agree byte for byte
+        per_value = law_reports(PerValueDoctrine(triple, boolean_meet()))
+        tables = law_reports(powerset_doctrine(triple))
+        assert [r.to_jsonl() for r in per_value] == [r.to_jsonl() for r in tables]
 
     @pytest.mark.parametrize("triple", TRIPLES, ids=TRIPLE_IDS)
     def test_union_fails_frobenius_exactly_off_surjections(self, triple):
@@ -369,14 +377,15 @@ class TestValuedDoctrine:
         triple = trivial_triple(2)
         spans = list(SpanCategory(triple).enumerate_spans(2))
         monkeypatch.setattr(Doctrine, "_act", per_value())
-        for values in (min_plus(3), meet_monoid(power_poset(chain(2), 2)), UNION):
-            d = Doctrine(triple, values)
+        values = (boolean_meet(), min_plus(3), meet_monoid(power_poset(chain(2), 2)), UNION)
+        for v in values:
+            d = Doctrine(triple, v)
             for x in spans:
                 d.span_action(x.left, x.right)
-        for cls, args in ((PowersetDoctrine, ()), (DroppedApexTropicalDoctrine, (3,))):
-            monkeypatch.setattr(cls, "_act", per_value())
+        monkeypatch.setattr(DroppedApexDoctrine, "_act", per_value())
+        for v in values:
             with pytest.raises(AssertionError, match="per-value"):
-                cls(triple, *args).span_action(CONST21, CONST21)
+                DroppedApexDoctrine(triple, v).span_action(CONST21, CONST21)
 
     def test_non_lattice_values_rejected(self):
         # a bottom below two maximal elements, then two incomparable ones

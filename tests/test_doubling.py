@@ -1,6 +1,5 @@
 import collections
 import hashlib
-import inspect
 import subprocess
 import sys
 from functools import lru_cache, partial
@@ -34,13 +33,14 @@ from doctrina.poskit import (
     join_table,
     leq_maps,
     map_product,
+    min_plus,
     monotone_map,
     power_poset,
     trop_index,
     trop_values,
 )
+from doctrina import doctrine
 from doctrina.doctrine import (
-    Doctrine,
     check_beck_chevalley,
     check_doctrine,
     external_laxator,
@@ -66,7 +66,6 @@ import mutants
 from mutants import (
     BrokenTensorDoctrine,
     DroppedApexDoctrine,
-    DroppedApexTropicalDoctrine,
     NonFunctorialDoctrine,
     PairApexDoctrine,
     SaturatedProjectionDoctrine,
@@ -569,12 +568,25 @@ class TestOffDomainSearch:
             "Span(FinFn(2->2:[0, 1]), FinFn(2->1:[0, 0])) at (0, 0)"
         )
 
-    def test_search_leaves_product_span_cache_alone(self):
+    def test_search_leaves_product_span_cache_alone(self, monkeypatch):
         # the search visits each product span once: caching them all
-        # would only hold memory
+        # would only hold memory.  Its span tables are its doctrine's, so
+        # they go with it: a second doctrine builds every table again
         cfg = AdequateTriple(2, MorClass.injections(), MorClass.all())
         product_span.cache_clear()
-        assert search_offdomain_witness(PDot(powerset_doctrine(cfg)), 2) is None
+        built = collections.Counter()
+        span_table = doctrine.span_table
+
+        def counting(order, n, fibres):
+            built[n, fibres] += 1
+            return span_table(order, n, fibres)
+
+        monkeypatch.setattr(doctrine, "span_table", counting)
+        for rounds in (1, 2):
+            d = powerset_doctrine(cfg)
+            assert search_offdomain_witness(PDot(d), 2) is None
+            assert set(built) == set(d._tables)
+            assert set(built.values()) == {rounds}
         assert product_span.cache_info().currsize == 0
 
     def test_surjection_triple_always_on_domain(self):
@@ -586,17 +598,11 @@ class TestOffDomainSearch:
         )
 
 
-# the stock doctrines and every doctrine class of ``mutants``, found by
-# introspection so that a new mutant is covered without editing this; a
-# class that takes a cap gets cap 1
+# the stock doctrines and every mutant of ``mutants.doctrines()``
 SEARCH_DOCTRINES = {
     "powerset": powerset_doctrine,
     "tropical": partial(tropical_doctrine, cap=2),
-    **{
-        name: partial(cls, cap=1) if "cap" in inspect.signature(cls).parameters else cls
-        for name, cls in inspect.getmembers(mutants, inspect.isclass)
-        if issubclass(cls, Doctrine) and cls.__module__ == mutants.__name__
-    },
+    **mutants.doctrines(),
 }
 
 
@@ -622,7 +628,7 @@ def test_search_agrees_with_verify_pdot(name):
 def test_tropical_subclass_act_is_the_span_action():
     # the stock min-plus action is computed from relation tables; a
     # subclass that redefines ``_act`` must have its own action checked
-    rep = verify_pdot(PDot(DroppedApexTropicalDoctrine(trivial_triple(2), 1)), 2)
+    rep = verify_pdot(PDot(DroppedApexDoctrine(trivial_triple(2), min_plus(1))), 2)
     comp = rep.find("pdot.compositor")
     assert comp.failures == 12
     assert comp.witnesses[0] == (

@@ -142,3 +142,15 @@ class TestRoundTrip:
         sub = rep.find("roundtrip.subst")
         assert not sub.passed
         assert sub.witnesses[0].startswith("f=FinFn(3->")
+
+    def test_refused_identity_is_a_failed_instance(self):
+        # on a triple whose right class lacks the empty identity, the CLI
+        # stops at adequacy; the round trip itself still reports the
+        # companion span it could not act by as a failure, with the reason
+        from doctrina.finset import AdequateTriple, MorClass
+
+        cfg = AdequateTriple(1, MorClass.all(), MorClass.explicit([FinFn.identity(FinSet(1))]))
+        sub = roundtrip(powerset_doctrine(cfg), 1).find("roundtrip.subst")
+        assert sub.witnesses[0] == (
+            "f=FinFn(0->0:[]): no quantifier along FinFn(0->0:[]): not in R"
+        )

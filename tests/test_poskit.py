@@ -524,7 +524,6 @@ class TestPackedColumns:
         # table that reverses the 2-chain makes the column of a slot
         # order-reversing
         join_column.cache_clear()
-        span_table.cache_clear()
         monkeypatch.setattr(
             "doctrina.poskit.join_table", lambda p: ((1, 0), (0, 0))
         )
@@ -535,4 +534,3 @@ class TestPackedColumns:
                 span_table(chain(2), 2, ((), (1,)))
         finally:
             join_column.cache_clear()
-            span_table.cache_clear()

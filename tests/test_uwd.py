@@ -23,7 +23,7 @@ from doctrina.uwd import (
     load_corpus,
     load_corpus_file,
     reindex,
-    rel_mask,
+    rel_pred,
     rel_tuples,
     relational_oracle,
     tensor_systems,
@@ -92,13 +92,13 @@ class TestDiagramValidation:
 class TestEvaluate:
     def test_identity_diagram_echoes(self):
         ctx = LabelledFinSet.of("w", "v")
-        sys = System(ctx, rel_mask([(1, 2), (0, 0)], ctx, TYPES))
+        sys = System(ctx, rel_pred([(1, 2), (0, 0)], ctx, TYPES))
         out = evaluate(identity_diagram(ctx), sys, D_REL, TYPES)
         assert out.predicate == sys.predicate
 
     def test_relational_composition_example(self):
         w = join_diagram()
-        phi = rel_mask([(0, 1, 1, 0)], w.inner, TYPES)
+        phi = rel_pred([(0, 1, 1, 0)], w.inner, TYPES)
         out = evaluate(w, System(w.inner, phi), D_REL, TYPES)
         assert rel_tuples(out.predicate, out.context, TYPES) == {(0, 0)}
         assert format_predicate(out, "rel", TYPES, 3) == "1"
@@ -133,7 +133,7 @@ class TestEvaluate:
             FinFn.identity(ctx.base),
             FinFn(flipped.base, ctx.base, (1, 0)),
         )
-        sys = System(ctx, rel_mask([(1, 2)], ctx, TYPES))
+        sys = System(ctx, rel_pred([(1, 2)], ctx, TYPES))
         out = evaluate(w, sys, D_REL, TYPES)
         assert rel_tuples(out.predicate, out.context, TYPES) == {(2, 1)}
 
@@ -146,10 +146,10 @@ class TestEvaluate:
             FinFn(inner.base, junctions.base, (0,)),
             FinFn(inner.base, junctions.base, (0,)),
         )
-        sys = System(inner, 0b10)
+        sys = System(inner, (0, 1))
         with pytest.warns(UserWarning):
             out = evaluate(w, sys, D_REL, types)
-        assert out.predicate == 0  # collapsed by the empty junction
+        assert out.predicate == (0, 0)  # collapsed by the empty junction
 
 
 class TestComposition:
@@ -160,7 +160,7 @@ class TestComposition:
         # canonical quotient indexing keeps the same junction count
         assert left.junctions.base.size == w.junctions.base.size
         assert right.junctions.base.size == w.junctions.base.size
-        sys = System(w.inner, rel_mask([(0, 1, 1, 0)], w.inner, TYPES))
+        sys = System(w.inner, rel_pred([(0, 1, 1, 0)], w.inner, TYPES))
         for comp in (left, right):
             a = evaluate(comp, sys, D_REL, TYPES)
             b = evaluate(w, sys, D_REL, TYPES)
@@ -195,16 +195,16 @@ class TestComposition:
             FinFn(ctx.base, FinSet(1), (0, 0)),
             FinFn(FinSet(0), FinSet(1), ()),
         )
-        diag = System(ctx, rel_mask([(0, 0), (1, 1)], ctx, TYPES))
-        offdiag = System(ctx, rel_mask([(0, 1)], ctx, TYPES))
-        assert evaluate(close, diag, D_REL, TYPES).predicate == 1
-        assert evaluate(close, offdiag, D_REL, TYPES).predicate == 0
+        diag = System(ctx, rel_pred([(0, 0), (1, 1)], ctx, TYPES))
+        offdiag = System(ctx, rel_pred([(0, 1)], ctx, TYPES))
+        assert evaluate(close, diag, D_REL, TYPES).predicate == (1,)
+        assert evaluate(close, offdiag, D_REL, TYPES).predicate == (0,)
 
 
 class TestFunctoriality:
     def test_identity_pair(self):
         ctx = LabelledFinSet.of("w", "w")
-        sys = System(ctx, rel_mask([(0, 1)], ctx, TYPES))
+        sys = System(ctx, rel_pred([(0, 1)], ctx, TYPES))
         rep = functoriality_check(
             identity_diagram(ctx), identity_diagram(ctx), sys, D_REL, TYPES
         )
@@ -223,7 +223,7 @@ class TestFunctoriality:
         r = {(0, 1)}
         s = {(1, 0), (1, 1)}
         t = {(0, 0)}
-        joint = rel_mask(
+        joint = rel_pred(
             [a + b + c for a in r for b in s for c in t], inner6, TYPES
         )
         flat = evaluate(chain3, System(inner6, joint), D_REL, TYPES)
@@ -236,10 +236,10 @@ class TestFunctoriality:
             FinFn(inner4.base, j3.base, (0, 1, 1, 2)),
             FinFn(ctx2.base, j3.base, (0, 2)),
         )
-        rs = rel_mask([a + b for a in r for b in s], inner4, TYPES)
+        rs = rel_pred([a + b for a in r for b in s], inner4, TYPES)
         step1 = evaluate(first, System(inner4, rs), D_REL, TYPES)
         step2_pred = tensor_systems(
-            step1, System(ctx2, rel_mask(t, ctx2, TYPES)), D_REL, TYPES
+            step1, System(ctx2, rel_pred(t, ctx2, TYPES)), D_REL, TYPES
         )
         second = UwdDiagram(
             inner4, j3, ctx2,
@@ -288,8 +288,8 @@ class TestMonoidality:
             FinFn.identity(ctx.base),
             FinFn(FinSet(1), ctx.base, (1,)),
         )
-        s1 = System(w1.inner, rel_mask([(1,)], w1.inner, TYPES))
-        s2 = System(ctx, rel_mask([(0, 2), (1, 1)], ctx, TYPES))
+        s1 = System(w1.inner, rel_pred([(1,)], w1.inner, TYPES))
+        s2 = System(ctx, rel_pred([(0, 2), (1, 1)], ctx, TYPES))
         joint = evaluate(
             disjoint_union(w1, w2), tensor_systems(s1, s2, D_REL, TYPES),
             D_REL, TYPES,
@@ -474,7 +474,8 @@ class TestFileFormat:
         assert "relational-composition" in corpus.diagrams
         sys, semantics = corpus.systems["join-input"]
         assert semantics == "rel"
-        assert sys.predicate == 0x40
+        # "40": bit 6 of the 16 tuples over four binary ports
+        assert sys.predicate == rel_pred([(0, 1, 1, 0)], sys.context, corpus.types)
 
     def test_unknown_semantics_rejected(self):
         doc = {
@@ -565,10 +566,40 @@ class TestFileFormat:
         corpus = load_corpus(doc, cap=3)
         full, _ = corpus.systems["full"]
         big, _ = corpus.systems["big"]
-        assert full.predicate == 3
+        assert full.predicate == (1, 1)
         assert corpus.types.size("z") == 0  # an empty domain is a size
         # costs above the cap saturate to infinity
         assert format_predicate(big, "trop", corpus.types, 3) == '[0, "inf"]'
+
+    @pytest.mark.parametrize("context, data, pred", [
+        (["w"], "0", (0, 0, 0)),
+        (["w"], "7", (1, 1, 1)),
+        (["w"], "6", (0, 1, 1)),
+        (["w", "w", "w"], "7ffffff", (1,) * 27),
+        (["z"], "0", ()),
+    ], ids=["zero", "full", "bit-order", "full-27", "zero-size"])
+    def test_mask_codec_roundtrips(self, context, data, pred):
+        # a hex mask loads as the 0/1 tuple of its bits, bit i entry i,
+        # and prints back as the same mask
+        doc = {
+            "labels": ["w", "z"], "domains": {"w": 3, "z": 0}, "diagrams": {},
+            "systems": {"x": {"context": context, "semantics": "rel", "data": data}},
+        }
+        corpus = load_corpus(doc)
+        sys, _ = corpus.systems["x"]
+        assert sys.predicate == pred
+        assert format_predicate(sys, "rel", corpus.types, 3) == data
+
+    @pytest.mark.parametrize("context, data", [
+        (["w"], "8"), (["w"], "f"), (["z"], "1"),
+    ], ids=["one-bit-beyond", "full-byte", "zero-size"])
+    def test_mask_bits_beyond_product_refused(self, context, data):
+        doc = {
+            "labels": ["w", "z"], "domains": {"w": 3, "z": 0}, "diagrams": {},
+            "systems": {"x": {"context": context, "semantics": "rel", "data": data}},
+        }
+        with pytest.raises(ValueError, match="has bits beyond"):
+            load_corpus(doc)
 
     def test_format_predicate_roundtrip(self):
         ctx = LabelledFinSet.of("w")
