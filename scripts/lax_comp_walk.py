@@ -12,7 +12,8 @@ at bound 2.  This script walks all of them, for the powerset and tropical
   first built for its key (a ; a2, x ; x2, σ), σ from
   ``SpanCategory.interchange``: the key rule the clause relies on.
 * keyed, through ``doubling.lax_comp_verdicts``, the code the clause
-  runs, which builds each key's left side once and reuses its verdict.
+  runs, over the span ids of ``PDot.universe``: it builds each key's
+  left side once and reuses its verdict.
 
 It prints, per doctrine, the failures of both walks, the distinct keys
 and the seconds of the keyed walk, then the instances and seconds of the
@@ -83,10 +84,10 @@ def walk_each(pdots: dict, bound: int) -> tuple[int, dict, int, int]:
 
 def walk_keyed(pdot: PDot, bound: int) -> tuple[int, int, int]:
     """Instances, failures and distinct keys of the keyed walk."""
-    spans = [pdot.canonical(s) for s in pdot.cat.enumerate_spans(bound)]
-    composable = list(
-        matching(spans, spans, attrgetter("target"), attrgetter("source"))
-    )
+    spans = pdot.universe(bound)
+    composable = list(matching(
+        spans, spans, lambda i: pdot.span(i).target, lambda i: pdot.span(i).source
+    ))
     n = len(composable)
     pairs = ((r, c) for r in range(n) for c in range(n))
     instances = failures = 0

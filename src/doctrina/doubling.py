@@ -25,7 +25,6 @@ the layer that makes them true.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import NonFunctorial, NotAPullback, ShapeMismatch
@@ -110,13 +109,16 @@ def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
     return "shape"
 
 
-def _verdict(clause: Clause, ok: bool, qt: QtCell, where) -> None:
+def _check_square(clause: Clause, ok: bool, sides: Callable[[], tuple], where) -> None:
     """Record one cell verdict; a failure's witness is the instance
-    ``where()`` names and the first entry at which the square's two
-    composites differ."""
-    clause.check(ok, lambda: (
-        f"{where()}: {_first_diff(qt.left.then(qt.bottom), qt.top.then(qt.right))}"
-    ))
+    ``where()`` names and the first entry at which the two composites of
+    the square differ, its sides (top, bottom, left, right) rebuilt by
+    ``sides()``."""
+    def witness():
+        top, bottom, left, right = sides()
+        return f"{where()}: {_first_diff(left.then(bottom), top.then(right))}"
+
+    clause.check(ok, witness)
 
 
 @lru_cache(maxsize=None)
@@ -125,28 +127,46 @@ def product_span(x: Span, y: Span) -> Span:
 
 
 class PDot:
-    """The double extension of a doctrine, with cached loose images and
-    loose composites.
+    """The double extension of a doctrine, with its loose images and
+    squares keyed on small ints.
 
-    Every side map of a square is interned by value: the first map seen
-    equal to it is kept, and its index in ``_maps`` is its id.  A loose
-    image is interned once per span, a substitution once per map and a
-    laxator μ(A, B) once per pair of sets.  Equal images are then one
-    object, and a square is fixed by the ids of its sides, so each cell
-    method decides its square once per tuple of ids (``_square``) and
-    keeps only its verdict, ``holds + invertible``."""
+    Every span it meets gets an id, the next free int, the first time a
+    span equal to it is seen (``span_id``); on a fresh ``PDot``,
+    ``verify_pdot`` makes its universe ids 0..n-1 in ``enumerate_spans``
+    order.  A finite set is fixed by its size, which serves as its id,
+    and every side map of a square is interned by value (``_intern``).
+    Loose composites and product spans are tables by pair of span ids,
+    loose images by span id, μ(A, B) and the substitution along the swap
+    A × B -> B × A by pair of sizes; each entry is filled on first use.
+
+    A square is fixed by the ids of its sides.  Each form of key is built
+    in one method from ids (``_compositor_key``: three; ``_image_key``,
+    for a cell image and the symmetry square alike: four;
+    ``_laxator_key``: five; the unitor's: one), so keys of different
+    forms never meet.  ``_verdict`` decides a square on its key's first
+    sight and keeps only ``holds + invertible``; the sides are rebuilt
+    from the key when read.  The cell methods that take spans resolve
+    their ids and return a ``QtCell``; ``verify_pdot`` reads verdicts on
+    ids."""
 
     def __init__(self, doctrine: Doctrine):
         self.d = doctrine
         self.triple = doctrine.triple
         self.cat = SpanCategory(doctrine.triple)
-        self._composite: dict[tuple[Span, Span], Span] = {}
-        self._canonical: dict[Span, Span] = {}
+        self._spans: list[Span] = []
+        self._span_ids: dict[Span, int] = {}
+        # per span id: the sizes of its source and target, and its loose
+        # image's map id
+        self._source: list[int] = []
+        self._target: list[int] = []
+        self._loose: list[int | None] = []
+        self._composite: dict[tuple[int, int], int] = {}
+        self._product: dict[tuple[int, int], int] = {}
         self._maps: list[MonotoneMap] = []
         self._by_table: dict[tuple[int, ...], list[int]] = {}
-        self._loose: dict[Span, int] = {}
         self._subst: dict[FinFn, int] = {}
-        self._mu: dict[tuple[FinSet, FinSet], int] = {}
+        self._mu: dict[tuple[int, int], int] = {}
+        self._swap: dict[tuple[int, int], int] = {}
         self._verdicts: dict[tuple[int, ...], int] = {}
         # strictly functorial substitution is a construction precondition,
         # probed on the sets the pasting clauses range over
@@ -155,24 +175,47 @@ class PDot:
             if not c.passed:
                 raise NonFunctorial(f"{c.clause} fails at {c.witnesses[0]}")
 
-    # -- images ---------------------------------------------------------
+    # -- span ids ---------------------------------------------------------
 
-    def canonical(self, x: Span) -> Span:
-        """The first span seen equal to ``x``.  Cache lookups with the
-        very key object they were stored under skip the field-by-field
-        comparison of equal spans."""
-        return self._canonical.setdefault(x, x)
+    def span_id(self, x: Span) -> int:
+        """The id of the first span seen equal to ``x``."""
+        i = self._span_ids.get(x)
+        if i is None:
+            i = self._span_ids[x] = len(self._spans)
+            self._spans.append(x)
+            self._source.append(x.left.cod.size)
+            self._target.append(x.right.cod.size)
+            self._loose.append(None)
+        return i
+
+    def span(self, i: int) -> Span:
+        return self._spans[i]
+
+    def universe(self, bound: int) -> list[int]:
+        """The ids of the spans bounded by ``bound``, in
+        ``enumerate_spans`` order."""
+        return [self.span_id(x) for x in self.cat.enumerate_spans(bound)]
+
+    def _composite_id(self, i: int, j: int) -> int:
+        k = self._composite.get((i, j))
+        if k is None:
+            x, y = self._spans[i], self._spans[j]
+            k = self._composite[i, j] = self.span_id(self.cat.loose_compose(x, y))
+        return k
 
     def composite(self, x: Span, y: Span) -> Span:
-        """The loose composite ``x ; y``, computed once per pair and
-        returned as its canonical span.  The pairs the clauses compose
-        more than once are the composable pairs of the span universe and
-        their composites with a third span."""
-        key = (x, y)
-        xy = self._composite.get(key)
-        if xy is None:
-            xy = self._composite[key] = self.canonical(self.cat.loose_compose(x, y))
-        return xy
+        """The loose composite ``x ; y``, computed once per pair of ids
+        and returned as the first span seen equal to it."""
+        return self._spans[self._composite_id(self.span_id(x), self.span_id(y))]
+
+    def _product_id(self, i: int, j: int) -> int:
+        k = self._product.get((i, j))
+        if k is None:
+            xy = product_span(self._spans[i], self._spans[j])
+            k = self._product[i, j] = self.span_id(xy)
+        return k
+
+    # -- images -----------------------------------------------------------
 
     def _intern(self, m: MonotoneMap) -> int:
         """The id of the first map seen equal to ``m``.  Maps are looked
@@ -186,91 +229,122 @@ class PDot:
         self._maps.append(m)
         return ids[-1]
 
-    def _loose_id(self, x: Span) -> int:
-        """The id of ``loose_image(x)``."""
-        i = self._loose.get(x)
-        if i is None:
-            i = self._loose[x] = self._intern(self.d.span_action(x.left, x.right))
-        return i
+    def _loose_id(self, i: int) -> int:
+        """The map id of the loose image of span ``i``."""
+        k = self._loose[i]
+        if k is None:
+            x = self._spans[i]
+            k = self._loose[i] = self._intern(self.d.span_action(x.left, x.right))
+        return k
 
     def loose_image(self, x: Span) -> MonotoneMap:
         """Substitute along the left leg, quantify along the right; equal
         images are one object."""
-        return self._maps[self._loose_id(x)]
+        return self._maps[self._loose_id(self.span_id(x))]
 
     def _subst_id(self, f: FinFn) -> int:
-        i = self._subst.get(f)
-        if i is None:
-            i = self._subst[f] = self._intern(self.d.subst(f))
-        return i
+        k = self._subst.get(f)
+        if k is None:
+            k = self._subst[f] = self._intern(self.d.subst(f))
+        return k
 
-    def _mu_id(self, a: FinSet, b: FinSet) -> int:
-        i = self._mu.get((a, b))
-        if i is None:
-            i = self._mu[a, b] = self._intern(external_laxator(self.d, a, b))
-        return i
+    def _mu_id(self, a: int, b: int) -> int:
+        """The map id of μ(A, B) for sets of sizes ``a`` and ``b``."""
+        k = self._mu.get((a, b))
+        if k is None:
+            m = external_laxator(self.d, FinSet(a), FinSet(b))
+            k = self._mu[a, b] = self._intern(m)
+        return k
 
-    def _square(
-        self, key: tuple[int, ...], sides: Callable[[], tuple[MonotoneMap, ...]]
-    ) -> QtCell:
-        """The square ``sides()`` builds, decided on its first key and
-        given that verdict on every later one.  A key is the ids of the
-        sides that fix the square: four (top, bottom, left, right) for a
-        square of interned maps, three for a compositor, five for a
-        laxator, one for a unitor; so keys of different forms never
-        meet."""
+    def _swap_id(self, a: int, b: int) -> int:
+        """The map id of substitution along the swap A × B -> B × A."""
+        k = self._swap.get((a, b))
+        if k is None:
+            k = self._swap[a, b] = self._subst_id(swap_fn(FinSet(a), FinSet(b)))
+        return k
+
+    # -- squares ----------------------------------------------------------
+
+    def _verdict(self, key: tuple[int, ...], sides: Callable[[tuple], tuple]) -> int:
+        """``holds + invertible`` of the square ``sides(key)`` builds,
+        decided on the first sight of ``key`` and read back on every
+        later one: a commuter is a cell, so the pair of flags is their
+        sum."""
         verdict = self._verdicts.get(key)
         if verdict is None:
-            qt = _qt_cell(*sides())
-            # a commuter is a cell, so the pair of flags is their sum
-            self._verdicts[key] = qt.holds + qt.invertible
-            return qt
-        return QtCell(sides, verdict > 0, verdict > 1)
+            qt = _qt_cell(*sides(key))
+            verdict = self._verdicts[key] = qt.holds + qt.invertible
+        return verdict
 
-    def _image_square(self, top: Span, bottom: Span, left: FinFn, right: FinFn) -> QtCell:
-        """The square with the loose images of ``top`` and ``bottom`` and
-        the substitutions along ``left`` and ``right`` for its sides: the
-        shape of a cell image and of the symmetry square, which share
-        their verdicts."""
-        d, ids = self.d, self._loose_id
-        return self._square(
-            (ids(top), ids(bottom), self._subst_id(left), self._subst_id(right)),
-            lambda: (
-                self.loose_image(top), self.loose_image(bottom),
-                d.subst(left), d.subst(right),
-            ),
+    def _cell(self, key: tuple[int, ...], sides: Callable[[tuple], tuple]) -> QtCell:
+        verdict = self._verdict(key, sides)
+        return QtCell(lambda: sides(key), verdict > 0, verdict > 1)
+
+    def _compositor_key(self, i: int, j: int) -> tuple[int, int, int]:
+        ids = self._loose_id
+        return ids(self._composite_id(i, j)), ids(i), ids(j)
+
+    def _compositor_sides(self, key: tuple[int, int, int]) -> tuple[MonotoneMap, ...]:
+        lhs, x, y = (self._maps[k] for k in key)
+        return lhs, x.then(y), MonotoneMap.identity(lhs.dom), MonotoneMap.identity(lhs.cod)
+
+    def _image_key(self, top: int, bottom: int, left: int, right: int) -> tuple[int, ...]:
+        """The key of the square with the loose images of spans ``top``
+        and ``bottom`` and the substitutions of map ids ``left`` and
+        ``right`` for its sides: the shape of a cell image and of the
+        symmetry square, which share their verdicts."""
+        return self._loose_id(top), self._loose_id(bottom), left, right
+
+    def _image_sides(self, key: tuple[int, ...]) -> tuple[MonotoneMap, ...]:
+        return tuple([self._maps[k] for k in key])
+
+    def _cell_key(self, src: int, dst: int, left: FinFn, right: FinFn) -> tuple[int, ...]:
+        return self._image_key(dst, src, self._subst_id(left), self._subst_id(right))
+
+    def _laxator_key(self, i: int, j: int) -> tuple[int, ...]:
+        """The ids of the images of spans ``i`` and ``j`` (which fix the
+        top, their product), of μ on their sources and on their targets,
+        and of the image of their product span."""
+        ids, src, tgt = self._loose_id, self._source, self._target
+        return (
+            ids(i), ids(j), self._mu_id(src[i], src[j]), self._mu_id(tgt[i], tgt[j]),
+            ids(self._product_id(i, j)),
+        )
+
+    def _laxator_sides(self, key: tuple[int, ...]) -> tuple[MonotoneMap, ...]:
+        x, y, mu_s, mu_t, xy = (self._maps[k] for k in key)
+        return map_product(x, y), xy, mu_s, mu_t
+
+    def _symmetry_key(self, i: int, j: int) -> tuple[int, ...]:
+        src, tgt = self._source, self._target
+        return self._image_key(
+            self._product_id(j, i), self._product_id(i, j),
+            self._swap_id(src[i], src[j]), self._swap_id(tgt[i], tgt[j]),
         )
 
     def cell_image(self, cell: SpanCell | CellData) -> QtCell:
         """The square a morphism of spans induces between loose images;
         it is a genuine cell when ``holds``.  It reads the boundary only,
         so a bare ``CellData`` serves as well as a ``SpanCell``."""
-        return self._image_square(cell.dst, cell.src, cell.tight_left, cell.tight_right)
+        src, dst = self.span_id(cell.src), self.span_id(cell.dst)
+        key = self._cell_key(src, dst, cell.tight_left, cell.tight_right)
+        return self._cell(key, self._image_sides)
 
     # -- structure cells --------------------------------------------------
 
     def compositor(self, x: Span, y: Span) -> QtCell:
         """Image of a composite against the composite of images; loose
         functoriality is ``invertible``."""
-        xy = self.composite(x, y)
-
-        def sides():
-            lhs = self.loose_image(xy)
-            rhs = self.loose_image(x).then(self.loose_image(y))
-            return lhs, rhs, MonotoneMap.identity(lhs.dom), MonotoneMap.identity(lhs.cod)
-
-        ids = self._loose_id
-        return self._square((ids(xy), ids(x), ids(y)), sides)
+        key = self._compositor_key(self.span_id(x), self.span_id(y))
+        return self._cell(key, self._compositor_sides)
 
     def unitor(self, a: FinSet) -> QtCell:
-        ia = Span.identity(a)
-
-        def sides():
-            m = self.loose_image(ia)
+        def sides(key):
+            m = self._maps[key[0]]
             ident = MonotoneMap.identity(self.d.fiber(a).carrier)
             return m, ident, MonotoneMap.identity(m.dom), MonotoneMap.identity(m.cod)
 
-        return self._square((self._loose_id(ia),), sides)
+        return self._cell((self._loose_id(self.span_id(Span.identity(a))),), sides)
 
     def laxator_domain(self, x: Span, y: Span) -> bool:
         """The class condition under which the laxator must be invertible:
@@ -284,27 +358,9 @@ class PDot:
 
     def laxator_cell(self, x: Span, y: Span) -> QtCell:
         """The laxator square exists when ``holds``; it is the commuter
-        the theory guarantees on ``laxator_domain`` when ``invertible``.
-        Its top is the product of the images of ``x`` and ``y``, so their
-        ids stand for it in the key."""
-        xy = product_span(x, y)
-        d = self.d
-
-        def sides():
-            return (
-                map_product(self.loose_image(x), self.loose_image(y)),
-                self.loose_image(xy),
-                external_laxator(d, x.source, y.source),
-                external_laxator(d, x.target, y.target),
-            )
-
-        ids = self._loose_id
-        key = (
-            ids(x), ids(y),
-            self._mu_id(x.source, y.source), self._mu_id(x.target, y.target),
-            ids(xy),
-        )
-        return self._square(key, sides)
+        the theory guarantees on ``laxator_domain`` when ``invertible``."""
+        key = self._laxator_key(self.span_id(x), self.span_id(y))
+        return self._cell(key, self._laxator_sides)
 
     def unit_cell(self) -> QtCell:
         one = terminal()
@@ -317,10 +373,8 @@ class PDot:
         """The image of the span symmetry square: ``L(y ⊗ x)`` against
         ``L(x ⊗ y)``, joined by substitution along the swaps of the feet.
         A symmetric lax functor makes it ``invertible``."""
-        return self._image_square(
-            product_span(y, x), product_span(x, y),
-            swap_fn(x.source, y.source), swap_fn(x.target, y.target),
-        )
+        key = self._symmetry_key(self.span_id(x), self.span_id(y))
+        return self._cell(key, self._image_sides)
 
 
 @lru_cache(maxsize=None)
@@ -385,13 +439,14 @@ def lax_comp_sample(
 
 def lax_comp_verdicts(
     pdot: PDot,
-    composable: list[tuple[Span, Span]],
+    composable: list[tuple[int, int]],
     pairs: Iterable[tuple[int, int]],
 ) -> Iterator[tuple[int, int, int, bool]]:
     """``(row, column, key, verdict)`` for each index pair into
-    ``composable``, in the order of ``pairs``: whether the laxator
-    respects loose composition there, L((a ⊗ x) ; (a2 ⊗ x2)) equal to
-    L((a ; a2) ⊗ (x ; x2)) for row (a, a2) and column (x, x2).
+    ``composable``, a list of pairs of span ids, in the order of
+    ``pairs``: whether the laxator respects loose composition there,
+    L((a ⊗ x) ; (a2 ⊗ x2)) equal to L((a ; a2) ⊗ (x ; x2)) for row
+    (a, a2) and column (x, x2).
 
     The left side is the right side's span reindexed along σ
     (``SpanCategory.interchange``), which depends only on the middle
@@ -399,59 +454,78 @@ def lax_comp_verdicts(
     the key (a ; a2, x ; x2, σ) have equal left sides and one verdict.  σ
     is computed once per pair of middle cospans, and each key's left side
     is built with ``loose_compose`` once, from its first pair.  A key is
-    an int over the ids of the distinct composites and of the distinct σ.
+    an int over the indices of the distinct composites and of the
+    distinct σ.  The right side is read off ``PDot``'s product and image
+    tables, and the two sides are compared as map ids.
     """
-    cat = pdot.cat
-    composites: dict[Span, int] = {}
+    cat, span = pdot.cat, pdot.span
+    composites: dict[int, int] = {}
     middles: dict[tuple[FinFn, FinFn], int] = {}
     rows = [
         (
-            composites.setdefault(pdot.composite(a, a2), len(composites)),
-            middles.setdefault((a.right, a2.left), len(middles)),
+            composites.setdefault(pdot._composite_id(a, a2), len(composites)),
+            middles.setdefault((span(a).right, span(a2).left), len(middles)),
         )
         for a, a2 in composable
     ]
-    by_id, m = list(composites), len(composites)
+    by_id, m, cospans = list(composites), len(composites), list(middles)
     sigmas: list[list[int | None]] = [[None] * len(middles) for _ in middles]
     sigma_ids: dict[FinFn, int] = {}
+    # the product spans the left sides are composed from, by pair of ids
+    tensors: dict[tuple[int, int], Span] = {}
+
+    def tensor(i: int, j: int) -> Span:
+        t = tensors.get((i, j))
+        if t is None:
+            t = tensors[i, j] = product_span(span(i), span(j))
+        return t
+
     verdicts: dict[int, bool] = {}
     for r, c in pairs:
-        (a, a2), (x, x2) = composable[r], composable[c]
         (ac, i), (xc, j) = rows[r], rows[c]
         s = sigmas[i][j]
         if s is None:
-            sigma = cat.interchange((a.right, a2.left), (x.right, x2.left))
+            sigma = cat.interchange(cospans[i], cospans[j])
             s = sigmas[i][j] = sigma_ids.setdefault(sigma, len(sigma_ids))
         key = (s * m + ac) * m + xc
         ok = verdicts.get(key)
         if ok is None:
-            rhs = pdot.loose_image(product_span(by_id[ac], by_id[xc]))
-            # imaged after the right side, the left side finds that
-            # side's cache entry when they are equal
-            lhs = pdot.loose_image(
-                cat.loose_compose(product_span(a, x), product_span(a2, x2))
-            )
-            ok = verdicts[key] = lhs is rhs
+            (a, a2), (x, x2) = composable[r], composable[c]
+            rhs = pdot._loose_id(pdot._product_id(by_id[ac], by_id[xc]))
+            # interned after the right side, the left side finds that
+            # side's id when they are equal
+            lhs = cat.loose_compose(tensor(a, x), tensor(a2, x2))
+            ok = verdicts[key] = pdot._loose_id(pdot.span_id(lhs)) == rhs
         yield r, c, key, ok
 
 
 def _cell_existence(rep: Report, pdot: PDot, bound: int) -> None:
     """``pdot.cell-existence``.  A cell's induced square depends only on
     its boundary (the apex map never enters the image), so each distinct
-    boundary is checked once, with the first apex map seen for it; the
-    boundaries seen are dropped when the clause is done."""
+    boundary is checked once, with the first apex map seen for it.  The
+    cells come in blocks of one (src, dst) pair, so the spans are looked
+    up once per block and the tight maps seen are kept for one block."""
     exist = rep.clause(
         "pdot.cell-existence", "every span morphism induces a genuine square"
     )
-    seen: set[tuple] = set()
+    sides = pdot._image_sides
+    src = dst = None
     for c in pdot.cat.enumerate_cell_data(bound):
-        boundary = c[:4]
-        if boundary in seen:
+        if c.src is not src or c.dst is not dst:
+            if c.src is not src:
+                src, s = c.src, pdot.span_id(c.src)
+            dst, t = c.dst, pdot.span_id(c.dst)
+            seen: set[tuple[FinFn, FinFn]] = set()
+        tights = c.tight_left, c.tight_right
+        if tights in seen:
             continue
-        seen.add(boundary)
-        qt = pdot.cell_image(c)
-        _verdict(exist, qt.holds, qt, lambda: f"{SpanCell(*c)}")
-    exist.note(f"distinct boundaries: {len(seen)}")
+        seen.add(tights)
+        key = pdot._cell_key(s, t, *tights)
+        _check_square(
+            exist, pdot._verdict(key, sides) > 0, lambda: sides(key),
+            lambda: f"{SpanCell(*c)}",
+        )
+    exist.note(f"distinct boundaries: {exist.instances}")
 
 
 def verify_pdot(pdot: PDot, max_size: int) -> Report:
@@ -478,19 +552,25 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     for a failure its clause keeps.
 
     Work that recurs is done once and its verdict reused; every instance
-    is still counted, and a failing one gets its own witness.  The square
-    clauses (the unitor, ``pdot.compositor``, ``pdot.cell-existence``,
-    the laxator clauses and ``pdot.symmetry-cell``) take their squares
-    from ``PDot``, which interns loose images by value and decides each
-    distinct square once, keyed on the ids of the sides that fix it; a
-    failing instance's witness is read off its square, rebuilt on demand.
+    is still counted, and a failing one gets its own witness.  The
+    clauses range over span ids (``PDot.universe``): the loops quadratic
+    or cubic in spans read composites, product spans, loose images, μ and
+    the swaps from ``PDot``'s tables by id, so a ``Span`` is hashed where
+    it is first met (26,943 times for powerset at bound 2), not at every
+    lookup.  The square clauses (the unitor, ``pdot.compositor``,
+    ``pdot.cell-existence``, the laxator clauses and
+    ``pdot.symmetry-cell``) build each square's key from those ids
+    (``PDot._compositor_key``, ``_cell_key``, ``_laxator_key``,
+    ``_symmetry_key``), and ``PDot`` decides each distinct square once,
+    on its key's first sight; a failing instance's witness is read off
+    its square, rebuilt from the key on demand.
     On powerset at bound 2 the 43 spans have 26 distinct loose images,
     and 314 of the 971 compositor squares, 1,639 of the 4,943 cell
     squares, 676 of the 1,849 laxator squares and 202 of the 1,849
     symmetry squares are decided; the other 26 symmetry squares are cell
     squares, and the 9 squares of ``pdot.laxator-unital`` are laxator
     squares.  ``pdot.double-assoc`` and ``pdot.laxator-compositional``
-    compare interned images by identity.  The proof squares of
+    compare the ids of interned images.  The proof squares of
     ``pdot.laxator-bc-squares`` depend on the right legs only, so they
     are built once per pair of right legs, and Beck-Chevalley is checked
     once per distinct square while every (pair, square) instance is
@@ -505,46 +585,52 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     bound 2 that is 15 distinct σ over 3,461 pairs of middle cospans, and
     4,242 left sides built for 24,550 instances.  The cells of
     ``pdot.cell-existence`` are enumerated as bare boundaries and apex
-    maps (``SpanCategory.enumerate_cell_data``); each distinct boundary
-    is checked once, with the first apex map seen for it, and a
-    ``SpanCell`` is built only to format a failing witness, which reads
-    as it always has; the set of boundaries seen is dropped when the
-    clause is done.  ``SpanCategory.loose_compose`` pulls back each
-    cospan once per category: powerset ``verify_pdot`` at bound 2 makes
-    6,483 loose composites, 4,242 of them left sides, over 1,266
-    pullbacks.
+    maps (``SpanCategory.enumerate_cell_data``) in blocks of one span
+    pair; each distinct boundary is checked once, with the first apex map
+    seen for it, and a ``SpanCell`` is built only to format a failing
+    witness, which reads as it always has.
+    ``SpanCategory.loose_compose`` pulls back each cospan once per
+    category: powerset ``verify_pdot`` at bound 2 makes 6,483 loose
+    composites, 4,242 of them left sides, over 1,266 pullbacks.
     """
     rep = Report()
     d = pdot.d
-    cat = pdot.cat
     pair_bound = min(max_size, PAIR_BOUND)
-    spans = [pdot.canonical(s) for s in cat.enumerate_spans(pair_bound)]
+    spans = pdot.universe(pair_bound)
+    span = pdot.span
     objs = Universe(pdot.triple, max_size).objects
 
     unitor = rep.clause("pdot.unitor", "identity spans map to identity maps")
     for a in objs:
         qt = pdot.unitor(a)
-        _verdict(unitor, qt.invertible, qt, lambda: f"A={a.size}")
+        _check_square(unitor, qt.invertible, qt.sides, lambda: f"A={a.size}")
 
     comp = rep.clause(
         "pdot.compositor",
         "image of a loose composite equals the composite of images",
     )
-    source, target = attrgetter("source"), attrgetter("target")
+    source, target = pdot._source.__getitem__, pdot._target.__getitem__
     composable = list(matching(spans, spans, target, source))
-    for x, y in composable:
-        qt = pdot.compositor(x, y)
-        _verdict(comp, qt.invertible, qt, lambda: f"{x} ; {y}")
+    sides = pdot._compositor_sides
+    for i, j in composable:
+        key = pdot._compositor_key(i, j)
+        _check_square(
+            comp, pdot._verdict(key, sides) > 1, lambda: sides(key),
+            lambda: f"{span(i)} ; {span(j)}",
+        )
     comp.note(f"span universe bounded at {pair_bound}")
 
     assoc = rep.clause(
         "pdot.double-assoc",
         "the two bracketings of a triple composite have equal images",
     )
-    for (x, y), z in matching(composable, spans, lambda xy: xy[1].target, source):
-        lhs = pdot.loose_image(pdot.composite(pdot.composite(x, y), z))
-        rhs = pdot.loose_image(pdot.composite(x, pdot.composite(y, z)))
-        assoc.check(lhs is rhs, lambda: f"{x} ; {y} ; {z}: {_first_diff(lhs, rhs)}")
+    xy, image = pdot._composite_id, pdot._loose_id
+    for (i, j), k in matching(composable, spans, lambda ij: target(ij[1]), source):
+        lhs, rhs = image(xy(xy(i, j), k)), image(xy(i, xy(j, k)))
+        assoc.check(lhs == rhs, lambda: (
+            f"{span(i)} ; {span(j)} ; {span(k)}: "
+            f"{_first_diff(pdot._maps[lhs], pdot._maps[rhs])}"
+        ))
 
     _cell_existence(rep, pdot, pair_bound)
 
@@ -557,18 +643,24 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     )
     off_domain_failures = 0
     off_domain_total = 0
-    for x in spans:
-        for y in spans:
-            qt = pdot.laxator_cell(x, y)
-            _verdict(lax_exist, qt.holds, qt, lambda: f"{x} , {y}")
-            if pdot.laxator_domain(x, y):
-                _verdict(lax_comm, qt.invertible, qt, lambda: f"{x} , {y}")
+    sides = pdot._laxator_sides
+    for i in spans:
+        for j in spans:
+            key = pdot._laxator_key(i, j)
+            verdict = pdot._verdict(key, sides)
+
+            def where() -> str:
+                return f"{span(i)} , {span(j)}"
+
+            _check_square(lax_exist, verdict > 0, lambda: sides(key), where)
+            if pdot.laxator_domain(span(i), span(j)):
+                _check_square(lax_comm, verdict > 1, lambda: sides(key), where)
             else:
                 off_domain_total += 1
-                if not qt.invertible:
+                if verdict < 2:
                     off_domain_failures += 1
                     if off_domain_failures <= 3:
-                        lax_comm.note(f"off-domain strict inequality: {x} , {y}")
+                        lax_comm.note(f"off-domain strict inequality: {where()}")
     lax_comm.note(
         f"off-domain pairs checked: {off_domain_total}, "
         f"strict inequalities: {off_domain_failures}"
@@ -593,9 +685,10 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     )
     # quadratic in composable pairs; identity-pair columns are covered in
     # full, the rest on a deterministic stride
-    for r, c, _, ok in lax_comp_verdicts(pdot, composable, lax_comp_sample(composable)):
+    sample = lax_comp_sample([(span(i), span(j)) for i, j in composable])
+    for r, c, _, ok in lax_comp_verdicts(pdot, composable, sample):
         (a, a2), (x, x2) = composable[r], composable[c]
-        lax_comp.check(ok, lambda: f"{a};{a2} with {x};{x2}")
+        lax_comp.check(ok, lambda: f"{span(a)};{span(a2)} with {span(x)};{span(x2)}")
     n = len(composable)
     lax_comp.note(f"pair-pairs sampled: {lax_comp.instances} of {n * n}")
 
@@ -607,8 +700,8 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     # so each distinct square is checked once and its verdict reused;
     # every (pair, square) instance is still recorded
     bc_verdicts: dict[PullbackSquare, str | None] = {}
-    for x in spans:
-        for y in spans:
+    for x in map(span, spans):
+        for y in map(span, spans):
             if not pdot.laxator_domain(x, y):
                 continue
             for sq in proof_squares(x.right, y.right):
@@ -620,13 +713,17 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
 
     unit_c = rep.clause("pdot.unit-cell", "the unit square is an equality")
     qt = pdot.unit_cell()
-    _verdict(unit_c, qt.invertible, qt, lambda: "unit")
+    _check_square(unit_c, qt.invertible, qt.sides, lambda: "unit")
 
     sym_c = rep.clause("pdot.symmetry-cell", "the symmetry square is an equality")
-    for x in spans:
-        for y in spans:
-            qt = pdot.symmetry_cell(x, y)
-            _verdict(sym_c, qt.invertible, qt, lambda: f"{x} , {y}")
+    sides = pdot._image_sides
+    for i in spans:
+        for j in spans:
+            key = pdot._symmetry_key(i, j)
+            _check_square(
+                sym_c, pdot._verdict(key, sides) > 1, lambda: sides(key),
+                lambda: f"{span(i)} , {span(j)}",
+            )
 
     return rep
 

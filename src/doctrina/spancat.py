@@ -157,8 +157,10 @@ class SpanCategory:
     def __init__(self, triple: AdequateTriple):
         self.triple = triple
         # the pullback of every cospan a loose composite has met, kept as
-        # long as this category
+        # long as this category, and for each factor cospan of
+        # ``interchange`` its apex indexed by the pair of projections
         self._pullbacks: dict[tuple[FinFn, FinFn], Pullback] = {}
+        self._indexes: dict[tuple[FinFn, FinFn], dict[tuple[int, int], int]] = {}
 
     # -- loose arrows -------------------------------------------------
 
@@ -177,6 +179,17 @@ class SpanCategory:
             pb = self._pullbacks[key] = pullback(x, y)
         return pb
 
+    def _pullback_index(self, u: tuple[FinFn, FinFn]) -> dict[tuple[int, int], int]:
+        """The element of the pullback of ``u`` at each pair of its
+        projections' values, built once per cospan."""
+        index = self._indexes.get(u)
+        if index is None:
+            pb = self._pullback(*u)
+            index = self._indexes[u] = {
+                pq: m for m, pq in enumerate(zip(pb.p.table, pb.q.table))
+            }
+        return index
+
     def interchange(self, u: tuple[FinFn, FinFn], v: tuple[FinFn, FinFn]) -> FinFn:
         """The canonical bijection σ from the pullback of the product
         cospan ``u × v`` onto the row-major product of the pullbacks of
@@ -190,8 +203,7 @@ class SpanCategory:
         first, second = self._pullback(*u), self._pullback(*v)
         # whole.p lands in u[0].dom x v[0].dom, whole.q in u[1].dom x v[1].dom
         np, nq = v[0].dom.size, v[1].dom.size
-        index1 = {pq: m for m, pq in enumerate(zip(first.p.table, first.q.table))}
-        index2 = {pq: m for m, pq in enumerate(zip(second.p.table, second.q.table))}
+        index1, index2 = self._pullback_index(u), self._pullback_index(v)
         n2 = second.apex.size
         table = tuple([
             index1[i // np, j // nq] * n2 + index2[i % np, j % nq]

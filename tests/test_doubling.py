@@ -901,6 +901,49 @@ def test_verify_pdot_matches_reference(name, triple):
     assert got == _verify_pdot_reference(pdot, triple)
 
 
+@pytest.mark.parametrize("name", list(SEARCH_DOCTRINES))
+def test_span_methods_agree_after_verify_pdot(name):
+    # verify_pdot reads its verdicts on span ids; the cell methods that take
+    # spans resolve the ids and read the same tables, so after a run they
+    # answer every instance as a fresh PDot that decides each square itself
+    if name == "NonFunctorialDoctrine":
+        pytest.skip("its substitution is not functorial, so it has no double extension")
+    make = SEARCH_DOCTRINES[name]
+    pdot = PDot(make(trivial_triple(2)))
+    verify_pdot(pdot, 2)
+    fresh = PDot(make(trivial_triple(2)))
+    inst = _instances("all-all")
+
+    def flags(method, *args):
+        got, want = method(pdot, *args), method(fresh, *args)
+        assert (got.holds, got.invertible) == (want.holds, want.invertible), args
+
+    for x, y, _ in inst.composable:
+        flags(PDot.compositor, x, y)
+    for x in inst.spans:
+        for y in inst.spans:
+            flags(PDot.laxator_cell, x, y)
+            flags(PDot.symmetry_cell, x, y)
+    for c in inst.cells:
+        flags(PDot.cell_image, c)
+
+
+def test_verify_pdot_hashes_few_spans(monkeypatch):
+    # the clause loops key their squares on span ids, so a Span is hashed
+    # where a span is first met, not on every lookup: powerset at bound 2
+    # hashed 340,984 before spans had ids
+    hashed = [0]
+    span_hash = Span.__hash__
+
+    def counting(self):
+        hashed[0] += 1
+        return span_hash(self)
+
+    monkeypatch.setattr(Span, "__hash__", counting)
+    verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
+    assert hashed[0] == 26943
+
+
 # -- the table-only square test against composing and comparing maps -------
 
 
