@@ -24,8 +24,9 @@ the layer that makes them true.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .errors import NonFunctorial, NotAPullback, ShapeMismatch
 from .finset import (
@@ -52,36 +53,26 @@ from .poskit import MonotoneMap, chain, map_product
 from .report import Clause, Report
 from .spancat import CellData, Span, SpanCell, SpanCategory
 
+# a square of the double extension as the side ids (top, bottom, left, right)
+Square = tuple[int, int, int, int]
 
+
+@dataclass(frozen=True)
 class QtCell:
     """A candidate square in the quintet double category over Pos.
 
     The square is a cell exactly when bottom after left lies pointwise
     below right after top (``holds``), and a commuter exactly when the
     two composites are equal (``invertible``): on a poset, antisymmetry
-    makes the reverse inequality the same thing as equality.  Its four
-    sides come from ``sides()`` on first read, so a square whose verdict
-    was decided for equal sides is built only if something reads them.
+    makes the reverse inequality the same thing as equality.
     """
 
-    def __init__(
-        self,
-        sides: Callable[[], tuple[MonotoneMap, ...]],
-        holds: bool,
-        invertible: bool,
-    ):
-        self.sides = sides
-        self.holds = holds
-        self.invertible = invertible
-
-    @cached_property
-    def _built(self) -> tuple[MonotoneMap, ...]:
-        return self.sides()
-
-    top = property(lambda self: self._built[0])
-    bottom = property(lambda self: self._built[1])
-    left = property(lambda self: self._built[2])
-    right = property(lambda self: self._built[3])
+    top: MonotoneMap
+    bottom: MonotoneMap
+    left: MonotoneMap
+    right: MonotoneMap
+    holds: bool
+    invertible: bool
 
 
 def _qt_cell(top, bottom, left, right) -> QtCell:
@@ -99,7 +90,7 @@ def _qt_cell(top, bottom, left, right) -> QtCell:
     invertible = lower == upper
     leq = bottom.cod.leq
     holds = invertible or all((leq[v] >> w) & 1 for v, w in zip(lower, upper))
-    return QtCell(lambda: (top, bottom, left, right), holds, invertible)
+    return QtCell(top, bottom, left, right, holds, invertible)
 
 
 def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
@@ -109,45 +100,47 @@ def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
     return "shape"
 
 
-def _check_square(clause: Clause, ok: bool, sides: Callable[[], tuple], where) -> None:
-    """Record one cell verdict; a failure's witness is the instance
-    ``where()`` names and the first entry at which the two composites of
-    the square differ, its sides (top, bottom, left, right) rebuilt by
-    ``sides()``."""
+def _check_square(clause: Clause, ok: bool, pdot: PDot, sq: Square, where) -> None:
+    """Record one verdict on the square ``sq``; a failure's witness is
+    the instance ``where()`` names and the first entry at which the two
+    composites of the square differ."""
     def witness():
-        top, bottom, left, right = sides()
+        top, bottom, left, right = pdot._sides(sq)
         return f"{where()}: {_first_diff(left.then(bottom), top.then(right))}"
 
     clause.check(ok, witness)
 
 
-@lru_cache(maxsize=None)
 def product_span(x: Span, y: Span) -> Span:
     return Span(fn_product(x.left, y.left), fn_product(x.right, y.right))
 
 
 class PDot:
-    """The double extension of a doctrine, with its loose images and
-    squares keyed on small ints.
+    """The double extension of a doctrine, with its spans, side maps and
+    squares numbered by small ints.
 
     Every span it meets gets an id, the next free int, the first time a
     span equal to it is seen (``span_id``); on a fresh ``PDot``,
     ``verify_pdot`` makes its universe ids 0..n-1 in ``enumerate_spans``
-    order.  A finite set is fixed by its size, which serves as its id,
-    and every side map of a square is interned by value (``_intern``).
+    order.  A finite set is fixed by its size, which serves as its id.
     Loose composites and product spans are tables by pair of span ids,
     loose images by span id, μ(A, B) and the substitution along the swap
     A × B -> B × A by pair of sizes; each entry is filled on first use.
 
-    A square is fixed by the ids of its sides.  Each form of key is built
-    in one method from ids (``_compositor_key``: three; ``_image_key``,
-    for a cell image and the symmetry square alike: four;
-    ``_laxator_key``: five; the unitor's: one), so keys of different
-    forms never meet.  ``_verdict`` decides a square on its key's first
-    sight and keeps only ``holds + invertible``; the sides are rebuilt
-    from the key when read.  The cell methods that take spans resolve
-    their ids and return a ``QtCell``; ``verify_pdot`` reads verdicts on
-    ids."""
+    Every side map of a square has a side id.  Loose images,
+    substitutions, μ and the unit maps are interned by value
+    (``_intern``), so equal maps have one id; the product L(x) × L(y) on
+    top of a laxator square has an id per pair of image ids, and its
+    table is built each time its square is decided or read, never kept.
+    A square is the tuple (top, bottom, left, right) of its side ids
+    (``Square``), built from span ids by ``_cell_square``,
+    ``_laxator_square``, ``_symmetry_square`` and ``_unit_square``.
+    ``_verdict`` decides a square on its first sight and keeps only
+    ``holds + invertible``; ``_sides`` reads its maps back.  The
+    compositor and the unitor are equalities of interned maps
+    (``_compositor_ids``, ``_unitor_ids``).  The cell methods that take
+    spans resolve their ids and return a ``QtCell``; ``verify_pdot``
+    reads verdicts on ids."""
 
     def __init__(self, doctrine: Doctrine):
         self.d = doctrine
@@ -162,12 +155,16 @@ class PDot:
         self._loose: list[int | None] = []
         self._composite: dict[tuple[int, int], int] = {}
         self._product: dict[tuple[int, int], int] = {}
-        self._maps: list[MonotoneMap] = []
+        # per side id: an interned map, or the pair of map ids whose
+        # product the side is
+        self._maps: list[MonotoneMap | tuple[int, int]] = []
         self._by_table: dict[tuple[int, ...], list[int]] = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._then: dict[tuple[int, int], int] = {}
         self._subst: dict[FinFn, int] = {}
         self._mu: dict[tuple[int, int], int] = {}
         self._swap: dict[tuple[int, int], int] = {}
-        self._verdicts: dict[tuple[int, ...], int] = {}
+        self._verdicts: dict[Square, int] = {}
         # strictly functorial substitution is a construction precondition,
         # probed on the sets the pasting clauses range over
         probe = check_subst_functorial(doctrine, min(PAIR_BOUND, doctrine.triple.universe))
@@ -215,7 +212,7 @@ class PDot:
             k = self._product[i, j] = self.span_id(xy)
         return k
 
-    # -- images -----------------------------------------------------------
+    # -- side maps ----------------------------------------------------------
 
     def _intern(self, m: MonotoneMap) -> int:
         """The id of the first map seen equal to ``m``.  Maps are looked
@@ -229,6 +226,22 @@ class PDot:
         self._maps.append(m)
         return ids[-1]
 
+    def _side(self, k: int) -> MonotoneMap:
+        """The map of side id ``k``; a product side is built anew."""
+        m = self._maps[k]
+        if type(m) is tuple:
+            u, v = m
+            return map_product(self._maps[u], self._maps[v])
+        return m
+
+    def _product_side(self, u: int, v: int) -> int:
+        """The side id of the product of maps ``u`` and ``v``."""
+        k = self._products.get((u, v))
+        if k is None:
+            k = self._products[u, v] = len(self._maps)
+            self._maps.append((u, v))
+        return k
+
     def _loose_id(self, i: int) -> int:
         """The map id of the loose image of span ``i``."""
         k = self._loose[i]
@@ -241,6 +254,13 @@ class PDot:
         """Substitute along the left leg, quantify along the right; equal
         images are one object."""
         return self._maps[self._loose_id(self.span_id(x))]
+
+    def _then_id(self, u: int, v: int) -> int:
+        """The map id of map ``u`` followed by map ``v``."""
+        k = self._then.get((u, v))
+        if k is None:
+            k = self._then[u, v] = self._intern(self._maps[u].then(self._maps[v]))
+        return k
 
     def _subst_id(self, f: FinFn) -> int:
         k = self._subst.get(f)
@@ -265,61 +285,52 @@ class PDot:
 
     # -- squares ----------------------------------------------------------
 
-    def _verdict(self, key: tuple[int, ...], sides: Callable[[tuple], tuple]) -> int:
-        """``holds + invertible`` of the square ``sides(key)`` builds,
-        decided on the first sight of ``key`` and read back on every
-        later one: a commuter is a cell, so the pair of flags is their
-        sum."""
-        verdict = self._verdicts.get(key)
+    def _sides(self, sq: Square) -> tuple[MonotoneMap, ...]:
+        return tuple([self._side(k) for k in sq])
+
+    def _verdict(self, sq: Square) -> int:
+        """``holds + invertible`` of the square ``sq``, decided on its
+        first sight and read back on every later one: a commuter is a
+        cell, so the pair of flags is their sum."""
+        verdict = self._verdicts.get(sq)
         if verdict is None:
-            qt = _qt_cell(*sides(key))
-            verdict = self._verdicts[key] = qt.holds + qt.invertible
+            qt = _qt_cell(*self._sides(sq))
+            verdict = self._verdicts[sq] = qt.holds + qt.invertible
         return verdict
 
-    def _cell(self, key: tuple[int, ...], sides: Callable[[tuple], tuple]) -> QtCell:
-        verdict = self._verdict(key, sides)
-        return QtCell(lambda: sides(key), verdict > 0, verdict > 1)
+    def _cell(self, sq: Square) -> QtCell:
+        verdict = self._verdict(sq)
+        return QtCell(*self._sides(sq), verdict > 0, verdict > 1)
 
-    def _compositor_key(self, i: int, j: int) -> tuple[int, int, int]:
+    def _cell_square(self, src: int, dst: int, left: FinFn, right: FinFn) -> Square:
+        """The image of a morphism from span ``src`` to span ``dst`` with
+        tight maps ``left`` and ``right``."""
         ids = self._loose_id
-        return ids(self._composite_id(i, j)), ids(i), ids(j)
+        return ids(dst), ids(src), self._subst_id(left), self._subst_id(right)
 
-    def _compositor_sides(self, key: tuple[int, int, int]) -> tuple[MonotoneMap, ...]:
-        lhs, x, y = (self._maps[k] for k in key)
-        return lhs, x.then(y), MonotoneMap.identity(lhs.dom), MonotoneMap.identity(lhs.cod)
-
-    def _image_key(self, top: int, bottom: int, left: int, right: int) -> tuple[int, ...]:
-        """The key of the square with the loose images of spans ``top``
-        and ``bottom`` and the substitutions of map ids ``left`` and
-        ``right`` for its sides: the shape of a cell image and of the
-        symmetry square, which share their verdicts."""
-        return self._loose_id(top), self._loose_id(bottom), left, right
-
-    def _image_sides(self, key: tuple[int, ...]) -> tuple[MonotoneMap, ...]:
-        return tuple([self._maps[k] for k in key])
-
-    def _cell_key(self, src: int, dst: int, left: FinFn, right: FinFn) -> tuple[int, ...]:
-        return self._image_key(dst, src, self._subst_id(left), self._subst_id(right))
-
-    def _laxator_key(self, i: int, j: int) -> tuple[int, ...]:
-        """The ids of the images of spans ``i`` and ``j`` (which fix the
-        top, their product), of μ on their sources and on their targets,
-        and of the image of their product span."""
+    def _laxator_square(self, i: int, j: int) -> Square:
+        """L(x) × L(y) against L(x ⊗ y), joined by μ on the sources and on
+        the targets of spans ``i`` and ``j``."""
         ids, src, tgt = self._loose_id, self._source, self._target
         return (
-            ids(i), ids(j), self._mu_id(src[i], src[j]), self._mu_id(tgt[i], tgt[j]),
-            ids(self._product_id(i, j)),
+            self._product_side(ids(i), ids(j)), ids(self._product_id(i, j)),
+            self._mu_id(src[i], src[j]), self._mu_id(tgt[i], tgt[j]),
         )
 
-    def _laxator_sides(self, key: tuple[int, ...]) -> tuple[MonotoneMap, ...]:
-        x, y, mu_s, mu_t, xy = (self._maps[k] for k in key)
-        return map_product(x, y), xy, mu_s, mu_t
-
-    def _symmetry_key(self, i: int, j: int) -> tuple[int, ...]:
-        src, tgt = self._source, self._target
-        return self._image_key(
-            self._product_id(j, i), self._product_id(i, j),
+    def _symmetry_square(self, i: int, j: int) -> Square:
+        """L(y ⊗ x) against L(x ⊗ y), joined by substitution along the
+        swaps of the feet of spans ``i`` and ``j``."""
+        ids, src, tgt = self._loose_id, self._source, self._target
+        return (
+            ids(self._product_id(j, i)), ids(self._product_id(i, j)),
             self._swap_id(src[i], src[j]), self._swap_id(tgt[i], tgt[j]),
+        )
+
+    def _unit_square(self) -> Square:
+        i0 = self._intern(external_unit_map(self.d))
+        return (
+            self._intern(MonotoneMap.identity(chain(1))),
+            self._loose_id(self.span_id(Span.identity(terminal()))), i0, i0,
         )
 
     def cell_image(self, cell: SpanCell | CellData) -> QtCell:
@@ -327,24 +338,36 @@ class PDot:
         it is a genuine cell when ``holds``.  It reads the boundary only,
         so a bare ``CellData`` serves as well as a ``SpanCell``."""
         src, dst = self.span_id(cell.src), self.span_id(cell.dst)
-        key = self._cell_key(src, dst, cell.tight_left, cell.tight_right)
-        return self._cell(key, self._image_sides)
+        return self._cell(self._cell_square(src, dst, cell.tight_left, cell.tight_right))
 
     # -- structure cells --------------------------------------------------
+
+    def _compositor_ids(self, i: int, j: int) -> tuple[int, int]:
+        """The map ids of L(x ; y) and of L(x) ; L(y) for spans ``i`` and
+        ``j``: loose functoriality is their equality."""
+        ids = self._loose_id
+        return ids(self._composite_id(i, j)), self._then_id(ids(i), ids(j))
+
+    def _unitor_ids(self, a: FinSet) -> tuple[int, int]:
+        """The map ids of the image of the identity span on ``a`` and of
+        the identity on its fiber."""
+        ident = MonotoneMap.identity(self.d.fiber(a).carrier)
+        return self._loose_id(self.span_id(Span.identity(a))), self._intern(ident)
+
+    def _equality(self, ids: tuple[int, int]) -> QtCell:
+        """The square with maps ``ids`` on top and bottom and identities
+        for its sides: it commutes exactly when the two maps are equal."""
+        top, bottom = (self._maps[k] for k in ids)
+        ident = MonotoneMap.identity
+        return _qt_cell(top, bottom, ident(top.dom), ident(top.cod))
 
     def compositor(self, x: Span, y: Span) -> QtCell:
         """Image of a composite against the composite of images; loose
         functoriality is ``invertible``."""
-        key = self._compositor_key(self.span_id(x), self.span_id(y))
-        return self._cell(key, self._compositor_sides)
+        return self._equality(self._compositor_ids(self.span_id(x), self.span_id(y)))
 
     def unitor(self, a: FinSet) -> QtCell:
-        def sides(key):
-            m = self._maps[key[0]]
-            ident = MonotoneMap.identity(self.d.fiber(a).carrier)
-            return m, ident, MonotoneMap.identity(m.dom), MonotoneMap.identity(m.cod)
-
-        return self._cell((self._loose_id(self.span_id(Span.identity(a))),), sides)
+        return self._equality(self._unitor_ids(a))
 
     def laxator_domain(self, x: Span, y: Span) -> bool:
         """The class condition under which the laxator must be invertible:
@@ -359,22 +382,16 @@ class PDot:
     def laxator_cell(self, x: Span, y: Span) -> QtCell:
         """The laxator square exists when ``holds``; it is the commuter
         the theory guarantees on ``laxator_domain`` when ``invertible``."""
-        key = self._laxator_key(self.span_id(x), self.span_id(y))
-        return self._cell(key, self._laxator_sides)
+        return self._cell(self._laxator_square(self.span_id(x), self.span_id(y)))
 
     def unit_cell(self) -> QtCell:
-        one = terminal()
-        i0 = external_unit_map(self.d)
-        top = MonotoneMap.identity(chain(1))
-        bottom = self.loose_image(Span.identity(one))
-        return _qt_cell(top, bottom, i0, i0)
+        return self._cell(self._unit_square())
 
     def symmetry_cell(self, x: Span, y: Span) -> QtCell:
         """The image of the span symmetry square: ``L(y ⊗ x)`` against
         ``L(x ⊗ y)``, joined by substitution along the swaps of the feet.
         A symmetric lax functor makes it ``invertible``."""
-        key = self._symmetry_key(self.span_id(x), self.span_id(y))
-        return self._cell(key, self._image_sides)
+        return self._cell(self._symmetry_square(self.span_id(x), self.span_id(y)))
 
 
 @lru_cache(maxsize=None)
@@ -453,10 +470,11 @@ def lax_comp_verdicts(
     cospans (a.right, a2.left) and (x.right, x2.left); so instances with
     the key (a ; a2, x ; x2, σ) have equal left sides and one verdict.  σ
     is computed once per pair of middle cospans, and each key's left side
-    is built with ``loose_compose`` once, from its first pair.  A key is
-    an int over the indices of the distinct composites and of the
-    distinct σ.  The right side is read off ``PDot``'s product and image
-    tables, and the two sides are compared as map ids.
+    is built with ``loose_compose`` once, from its first pair, out of the
+    product spans of ``PDot``'s product table.  A key is an int over the
+    indices of the distinct composites and of the distinct σ.  The right
+    side is read off ``PDot``'s product and image tables, and the two
+    sides are compared as map ids.
     """
     cat, span = pdot.cat, pdot.span
     composites: dict[int, int] = {}
@@ -471,15 +489,7 @@ def lax_comp_verdicts(
     by_id, m, cospans = list(composites), len(composites), list(middles)
     sigmas: list[list[int | None]] = [[None] * len(middles) for _ in middles]
     sigma_ids: dict[FinFn, int] = {}
-    # the product spans the left sides are composed from, by pair of ids
-    tensors: dict[tuple[int, int], Span] = {}
-
-    def tensor(i: int, j: int) -> Span:
-        t = tensors.get((i, j))
-        if t is None:
-            t = tensors[i, j] = product_span(span(i), span(j))
-        return t
-
+    tensor = pdot._product_id
     verdicts: dict[int, bool] = {}
     for r, c in pairs:
         (ac, i), (xc, j) = rows[r], rows[c]
@@ -491,10 +501,10 @@ def lax_comp_verdicts(
         ok = verdicts.get(key)
         if ok is None:
             (a, a2), (x, x2) = composable[r], composable[c]
-            rhs = pdot._loose_id(pdot._product_id(by_id[ac], by_id[xc]))
+            rhs = pdot._loose_id(tensor(by_id[ac], by_id[xc]))
             # interned after the right side, the left side finds that
             # side's id when they are equal
-            lhs = cat.loose_compose(tensor(a, x), tensor(a2, x2))
+            lhs = cat.loose_compose(span(tensor(a, x)), span(tensor(a2, x2)))
             ok = verdicts[key] = pdot._loose_id(pdot.span_id(lhs)) == rhs
         yield r, c, key, ok
 
@@ -508,7 +518,6 @@ def _cell_existence(rep: Report, pdot: PDot, bound: int) -> None:
     exist = rep.clause(
         "pdot.cell-existence", "every span morphism induces a genuine square"
     )
-    sides = pdot._image_sides
     src = dst = None
     for c in pdot.cat.enumerate_cell_data(bound):
         if c.src is not src or c.dst is not dst:
@@ -520,90 +529,62 @@ def _cell_existence(rep: Report, pdot: PDot, bound: int) -> None:
         if tights in seen:
             continue
         seen.add(tights)
-        key = pdot._cell_key(s, t, *tights)
-        _check_square(
-            exist, pdot._verdict(key, sides) > 0, lambda: sides(key),
-            lambda: f"{SpanCell(*c)}",
-        )
+        sq = pdot._cell_square(s, t, *tights)
+        _check_square(exist, pdot._verdict(sq) > 0, pdot, sq, lambda: f"{SpanCell(*c)}")
     exist.note(f"distinct boundaries: {exist.instances}")
 
 
 def verify_pdot(pdot: PDot, max_size: int) -> Report:
     """Run every coherence clause over the enumerated universe.
 
-    Each verdict is the ``holds`` or ``invertible`` flag of a ``QtCell``,
-    so a broken doctrine yields failing clauses, never an exception.
-    Tight images are substitutions, so tight functoriality and laxator
-    naturality are doctrine laws, carried by ``doctrine.subst-identity``,
-    ``doctrine.subst-compose`` and ``doctrine.laxator-natural`` in
-    ``check_doctrine``.  Pasting cells needs no clause of its own: a
-    vertically pasted image has composites of tight images for its sides
-    (``doctrine.subst-compose``), a horizontally pasted one composites of
-    loose images (``pdot.compositor``).  Only laws some doctrine can fail
-    are clauses: strict units of loose composition (pullback along an
-    identity) and swap naturality (``map_product`` and ``swap_map``) hold
-    for any doctrine and are tested with ``spancat`` and ``poskit``.  The
+    Each verdict is a map equality or the ``holds`` or ``invertible``
+    flag of a square, so a broken doctrine yields failing clauses, never
+    an exception.  Tight images are substitutions, so tight
+    functoriality and laxator naturality are doctrine laws, carried by
+    ``doctrine.subst-identity``, ``doctrine.subst-compose`` and
+    ``doctrine.laxator-natural`` in ``check_doctrine``.  Pasting cells
+    needs no clause of its own: a vertically pasted image has composites
+    of tight images for its sides (``doctrine.subst-compose``), a
+    horizontally pasted one composites of loose images
+    (``pdot.compositor``).  Only laws some doctrine can fail are clauses:
+    strict units of loose composition (pullback along an identity) and
+    swap naturality (``map_product`` and ``swap_map``) hold for any
+    doctrine and are tested with ``spancat`` and ``poskit``.  The
     map-level clauses (unitor, laxator unitality) scale with
     ``max_size``.  The clauses quadratic in spans or cells run over the
     universe at ``min(max_size, PAIR_BOUND)``, the bound at which those
     properties are stated; ``pdot.compositor`` carries the bound in a
-    note.
-    A witness naming a span, map or cell is a callable, formatted only
-    for a failure its clause keeps.
+    note.  A witness naming a span, map or cell is a callable, formatted
+    only for a failure its clause keeps.
 
     Work that recurs is done once and its verdict reused; every instance
     is still counted, and a failing one gets its own witness.  The
-    clauses range over span ids (``PDot.universe``): the loops quadratic
-    or cubic in spans read composites, product spans, loose images, μ and
-    the swaps from ``PDot``'s tables by id, so a ``Span`` is hashed where
-    it is first met (26,943 times for powerset at bound 2), not at every
-    lookup.  The square clauses (the unitor, ``pdot.compositor``,
-    ``pdot.cell-existence``, the laxator clauses and
-    ``pdot.symmetry-cell``) build each square's key from those ids
-    (``PDot._compositor_key``, ``_cell_key``, ``_laxator_key``,
-    ``_symmetry_key``), and ``PDot`` decides each distinct square once,
-    on its key's first sight; a failing instance's witness is read off
-    its square, rebuilt from the key on demand.
-    On powerset at bound 2 the 43 spans have 26 distinct loose images,
-    and 314 of the 971 compositor squares, 1,639 of the 4,943 cell
-    squares, 676 of the 1,849 laxator squares and 202 of the 1,849
-    symmetry squares are decided; the other 26 symmetry squares are cell
-    squares, and the 9 squares of ``pdot.laxator-unital`` are laxator
-    squares.  ``pdot.double-assoc`` and ``pdot.laxator-compositional``
-    compare the ids of interned images.  The proof squares of
-    ``pdot.laxator-bc-squares`` depend on the right legs only, so they
-    are built once per pair of right legs, and Beck-Chevalley is checked
-    once per distinct square while every (pair, square) instance is
-    recorded, with its own witness on failure: 97 checks for 5,547
-    instances on the trivial triple at bound 2.  The stride sample of
-    ``pdot.laxator-compositional`` is enumerated directly
-    (``lax_comp_sample``), not filtered from the walk over all pairs of
-    composable pairs, and its left sides are keyed
-    (``lax_comp_verdicts``): a left side is fixed by the two composites
-    and the bijection σ of the two middle cospans, so each key's left
-    side is built once and its verdict reused.  On the trivial triple at
-    bound 2 that is 15 distinct σ over 3,461 pairs of middle cospans, and
-    4,242 left sides built for 24,550 instances.  The cells of
-    ``pdot.cell-existence`` are enumerated as bare boundaries and apex
-    maps (``SpanCategory.enumerate_cell_data``) in blocks of one span
-    pair; each distinct boundary is checked once, with the first apex map
-    seen for it, and a ``SpanCell`` is built only to format a failing
-    witness, which reads as it always has.
-    ``SpanCategory.loose_compose`` pulls back each cospan once per
-    category: powerset ``verify_pdot`` at bound 2 makes 6,483 loose
-    composites, 4,242 of them left sides, over 1,266 pullbacks.
+    clauses range over span ids (``PDot.universe``) and read composites,
+    product spans and side maps from ``PDot``'s tables by id.  The
+    unitor, ``pdot.compositor``, ``pdot.double-assoc`` and
+    ``pdot.laxator-compositional`` compare the ids of interned maps.
+    Every other square is a ``Square`` of side ids, decided once by
+    ``PDot._verdict``.  The proof squares of ``pdot.laxator-bc-squares``
+    depend on the right legs only, so Beck-Chevalley is checked once per
+    distinct square.  The stride sample of
+    ``pdot.laxator-compositional`` (``lax_comp_sample``) is keyed by
+    ``lax_comp_verdicts``, which builds each key's left side once.  The
+    cells of ``pdot.cell-existence`` are bare boundaries and apex maps
+    (``SpanCategory.enumerate_cell_data``), each distinct boundary
+    checked once; a ``SpanCell`` is built only to format a failing
+    witness.
     """
     rep = Report()
     d = pdot.d
     pair_bound = min(max_size, PAIR_BOUND)
     spans = pdot.universe(pair_bound)
-    span = pdot.span
+    span, maps = pdot.span, pdot._maps
     objs = Universe(pdot.triple, max_size).objects
 
     unitor = rep.clause("pdot.unitor", "identity spans map to identity maps")
     for a in objs:
-        qt = pdot.unitor(a)
-        _check_square(unitor, qt.invertible, qt.sides, lambda: f"A={a.size}")
+        lhs, rhs = pdot._unitor_ids(a)
+        unitor.check(lhs == rhs, lambda: f"A={a.size}: {_first_diff(maps[rhs], maps[lhs])}")
 
     comp = rep.clause(
         "pdot.compositor",
@@ -611,13 +592,11 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     )
     source, target = pdot._source.__getitem__, pdot._target.__getitem__
     composable = list(matching(spans, spans, target, source))
-    sides = pdot._compositor_sides
     for i, j in composable:
-        key = pdot._compositor_key(i, j)
-        _check_square(
-            comp, pdot._verdict(key, sides) > 1, lambda: sides(key),
-            lambda: f"{span(i)} ; {span(j)}",
-        )
+        lhs, rhs = pdot._compositor_ids(i, j)
+        comp.check(lhs == rhs, lambda: (
+            f"{span(i)} ; {span(j)}: {_first_diff(maps[rhs], maps[lhs])}"
+        ))
     comp.note(f"span universe bounded at {pair_bound}")
 
     assoc = rep.clause(
@@ -628,8 +607,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     for (i, j), k in matching(composable, spans, lambda ij: target(ij[1]), source):
         lhs, rhs = image(xy(xy(i, j), k)), image(xy(i, xy(j, k)))
         assoc.check(lhs == rhs, lambda: (
-            f"{span(i)} ; {span(j)} ; {span(k)}: "
-            f"{_first_diff(pdot._maps[lhs], pdot._maps[rhs])}"
+            f"{span(i)} ; {span(j)} ; {span(k)}: {_first_diff(maps[lhs], maps[rhs])}"
         ))
 
     _cell_existence(rep, pdot, pair_bound)
@@ -643,18 +621,17 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     )
     off_domain_failures = 0
     off_domain_total = 0
-    sides = pdot._laxator_sides
     for i in spans:
         for j in spans:
-            key = pdot._laxator_key(i, j)
-            verdict = pdot._verdict(key, sides)
+            sq = pdot._laxator_square(i, j)
+            verdict = pdot._verdict(sq)
 
             def where() -> str:
                 return f"{span(i)} , {span(j)}"
 
-            _check_square(lax_exist, verdict > 0, lambda: sides(key), where)
+            _check_square(lax_exist, verdict > 0, pdot, sq, where)
             if pdot.laxator_domain(span(i), span(j)):
-                _check_square(lax_comm, verdict > 1, lambda: sides(key), where)
+                _check_square(lax_comm, verdict > 1, pdot, sq, where)
             else:
                 off_domain_total += 1
                 if verdict < 2:
@@ -712,17 +689,15 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
                 bc_clause.check(tail is None, lambda: f"{x} , {y}: {tail}")
 
     unit_c = rep.clause("pdot.unit-cell", "the unit square is an equality")
-    qt = pdot.unit_cell()
-    _check_square(unit_c, qt.invertible, qt.sides, lambda: "unit")
+    sq = pdot._unit_square()
+    _check_square(unit_c, pdot._verdict(sq) > 1, pdot, sq, lambda: "unit")
 
     sym_c = rep.clause("pdot.symmetry-cell", "the symmetry square is an equality")
-    sides = pdot._image_sides
     for i in spans:
         for j in spans:
-            key = pdot._symmetry_key(i, j)
+            sq = pdot._symmetry_square(i, j)
             _check_square(
-                sym_c, pdot._verdict(key, sides) > 1, lambda: sides(key),
-                lambda: f"{span(i)} , {span(j)}",
+                sym_c, pdot._verdict(sq) > 1, pdot, sq, lambda: f"{span(i)} , {span(j)}"
             )
 
     return rep
@@ -733,31 +708,20 @@ def search_offdomain_witness(pdot: PDot, max_size: int) -> str | None:
     class domain whose laxator square is not a commuter.  Returns a
     witness string, or None when no such pair exists at this bound.
 
-    The square is ``PDot.laxator_cell``'s, with the doctrine's own μ
-    (``external_laxator``) and loose images on three sides, and the span
-    action of x ⊗ y (``Doctrine.span_action``, one table per relation the
-    product spans trace) on the fourth; the two composites are compared
-    as carrier indices, and ``product_span``'s cache stays empty.  The
-    witness names the entry s·|P(B)| + t of the square where the two
-    composites first differ."""
-    d = pdot.d
-    spans = list(pdot.cat.enumerate_spans(max_size))
-    objs = Universe(pdot.triple, max_size).objects
-    mu = {(a, b): external_laxator(d, a, b).table for a in objs for b in objs}
-    for x in spans:
-        lx = pdot.loose_image(x).table
-        for y in spans:
-            if pdot.laxator_domain(x, y):
+    The square is ``pdot.laxator-commuter``'s (``PDot._laxator_square``),
+    decided by ``PDot._verdict``.  The witness names the entry
+    s·|P(B)| + t of the square where the two composites first differ."""
+    span = pdot.span
+    spans = pdot.universe(max_size)
+    for i in spans:
+        for j in spans:
+            if pdot.laxator_domain(span(i), span(j)):
                 continue
-            ly = pdot.loose_image(y)
-            act = d.span_action(
-                fn_product(x.left, y.left), fn_product(x.right, y.right)
-            ).table
-            mu_cd, n = mu[x.target, y.target], ly.cod.size
-            lower = [act[j] for j in mu[x.source, y.source]]
-            upper = [mu_cd[u * n + v] for u in lx for v in ly.table]
-            if lower != upper:
-                i = next(i for i, (p, q) in enumerate(zip(lower, upper)) if p != q)
-                s, t = divmod(i, ly.dom.size)
-                return f"{x} , {y} at ({s}, {t})"
+            sq = pdot._laxator_square(i, j)
+            if pdot._verdict(sq) < 2:
+                top, bottom, left, right = pdot._sides(sq)
+                pairs = zip(left.then(bottom).table, top.then(right).table)
+                k = next(k for k, (p, q) in enumerate(pairs) if p != q)
+                s, t = divmod(k, pdot.loose_image(span(j)).dom.size)
+                return f"{span(i)} , {span(j)} at ({s}, {t})"
     return None

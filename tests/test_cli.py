@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from hypothesis import given, strategies as st
@@ -612,60 +613,90 @@ class TestRoundtripCommand:
             assert records[name]["witnesses"][0] == witness
 
 
+def run_in_child(setup: str, argv: list[str], result: str) -> list:
+    """``[exit code, result]`` of ``main(argv)`` run in a fresh
+    interpreter after the statements ``setup``, ``result`` being an
+    expression evaluated there and read back as JSON.  Counts of what
+    the module-level caches build are taken in the child, where every
+    cache starts empty, so no test clears a cache of this session."""
+    code = "\n".join([
+        "import collections, contextlib, io, json",
+        "from doctrina import doctrine, poskit",
+        "from doctrina.cli import main",
+        textwrap.dedent(setup),
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    rc = main({argv!r})",
+        f"print(json.dumps([rc, {result}]))",
+    ])
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestOrdersBuiltOnce:
     @pytest.mark.parametrize("command", ["verify", "roundtrip"])
-    def test_each_tropical_order_is_validated_once(self, capsys, monkeypatch, command):
+    def test_each_tropical_order_is_validated_once(self, command):
         # every product of two fiber orders is a cached power, so no order
         # is built twice; the one exception is the unbalanced product
         # P(2) x P(1), whose 125 elements order like P(3) = P(1) x P(2)
-        for cached in (poskit.chain, poskit.product_poset, poskit.power_poset,
-                       poskit.trop_value_poset):
-            cached.cache_clear()
-        validated = collections.Counter()
-        validate = poskit.Poset.__post_init__
+        rc, validated = run_in_child(
+            """
+            validated = collections.Counter()
+            validate = poskit.Poset.__post_init__
 
-        def counting(p):
-            validate(p)
-            validated[p.size, p.leq] += 1
+            def counting(p):
+                validate(p)
+                validated[p.size, p.leq] += 1
 
-        monkeypatch.setattr(poskit.Poset, "__post_init__", counting)
-        rc, _, _ = run_main([command, "--fiber", "tropical", "--max-size", "2"], capsys)
+            poskit.Poset.__post_init__ = counting
+            """,
+            [command, "--fiber", "tropical", "--max-size", "2"],
+            "[[size, n] for (size, _), n in validated.items()]",
+        )
         assert rc == 0
-        sizes = collections.Counter(size for size, _ in validated.elements())
+        sizes = collections.Counter()
+        for size, n in validated:
+            sizes[size] += n
         assert sizes == {1: 1, 5: 1, 25: 1, 125: 2, 625: 1}
-        assert [size for (size, _), n in validated.items() if n > 1] == [125]
+        assert [size for size, n in validated if n > 1] == [125]
 
 
 class TestOneTablePerRelation:
-    def test_span_actions_share_relation_tables(self, capsys, monkeypatch):
+    def test_span_actions_share_relation_tables(self):
         # a span acts through the relation it traces, so the 1,936 span
         # actions of the tropical extension build one table per distinct
         # relation and one column per distinct set of joined slots
-        from doctrina import doctrine
+        rc, (calls, tables, columns) = run_in_child(
+            """
+            calls = collections.Counter()
+            doctrines = set()
+            span_action, span_table = doctrine.Doctrine.span_action, doctrine.span_table
 
-        poskit.join_column.cache_clear()
-        calls = collections.Counter()
-        doctrines = set()
-        span_action, span_table = doctrine.Doctrine.span_action, doctrine.span_table
+            def counting(self, left, right):
+                calls["span_action"] += 1
+                doctrines.add(self)
+                return span_action(self, left, right)
 
-        def counting(self, left, right):
-            calls["span_action"] += 1
-            doctrines.add(self)
-            return span_action(self, left, right)
+            def counting_table(*args):
+                calls["span_table"] += 1
+                return span_table(*args)
 
-        def counting_table(*args):
-            calls["span_table"] += 1
-            return span_table(*args)
-
-        monkeypatch.setattr(doctrine.Doctrine, "span_action", counting)
-        monkeypatch.setattr(doctrine, "span_table", counting_table)
-        rc, _, _ = run_main(["verify", "--fiber", "tropical", "--max-size", "2"], capsys)
+            doctrine.Doctrine.span_action = counting
+            doctrine.span_table = counting_table
+            """,
+            ["verify", "--fiber", "tropical", "--max-size", "2"],
+            "[calls, [len(d._tables) for d in doctrines],"
+            " poskit.join_column.cache_info().misses]",
+        )
         assert rc == 0
         assert calls["span_action"] == 1936
         # the doctrine keeps each table it builds, and builds each once
-        (d,) = doctrines
-        assert calls["span_table"] == len(d._tables) == 251
-        assert poskit.join_column.cache_info().misses == 17
+        assert tables == [calls["span_table"]] == [251]
+        assert columns == 17
 
 
 class TestWitnessesFormattedOnFailureOnly:

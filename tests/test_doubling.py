@@ -440,33 +440,38 @@ def test_lax_comp_key_rule(triple, bound, walk, keys):
     assert len(_lax_comp_keys(cat, composable, pairs)) == keys
 
 
+def _calls_per_clause(monkeypatch, cls, name, run):
+    """Count the calls of ``cls.name`` made while each clause is the one
+    opened last, during ``run()``."""
+    counts = collections.Counter()
+    opened = [None]
+    clause, method = Report.clause, getattr(cls, name)
+
+    def opening(self, clause_id, law):
+        opened[0] = clause_id
+        return clause(self, clause_id, law)
+
+    def counting(*args):
+        counts[opened[0]] += 1
+        return method(*args)
+
+    monkeypatch.setattr(Report, "clause", opening)
+    monkeypatch.setattr(cls, name, counting)
+    return run(), counts
+
+
 class TestLeftSidesBuiltOnce:
     def test_each_key_builds_its_left_side_once(self, monkeypatch):
-        # the left sides are the loose composites of product spans: one
-        # build per key, where a build per instance made 24,550
-        from doctrina import doubling
-
-        made = set()
-        built = []
-
-        def recording(x, y, _product_span=product_span):
-            s = _product_span(x, y)
-            made.add(id(s))
-            return s
-
-        loose_compose = SpanCategory.loose_compose
-
-        def counting(self, x, y):
-            if id(x) in made:
-                built.append((x, y))
-            return loose_compose(self, x, y)
-
-        monkeypatch.setattr(doubling, "product_span", recording)
-        monkeypatch.setattr(SpanCategory, "loose_compose", counting)
-        rep = verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
+        # the clause's loose composites are its left sides, composed of
+        # product spans: one build per key, where a build per instance
+        # made 24,550; the composites of its rows are the compositor's
+        rep, built = _calls_per_clause(
+            monkeypatch, SpanCategory, "loose_compose",
+            lambda: verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2),
+        )
         assert rep.find("pdot.laxator-compositional").instances == 24550
         # the keys of the sample, as test_lax_comp_key_rule counts them
-        assert len(built) == 4242
+        assert built["pdot.laxator-compositional"] == 4242
 
 
 class TestSquaresDecidedOnce:
@@ -482,21 +487,10 @@ class TestSquaresDecidedOnce:
     def test_each_distinct_square_decided_once(self, monkeypatch):
         from doctrina import doubling
 
-        decided = collections.Counter()
-        opened = [None]
-        clause, qt_cell = Report.clause, doubling._qt_cell
-
-        def opening(self, clause_id, law):
-            opened[0] = clause_id
-            return clause(self, clause_id, law)
-
-        def deciding(*sides):
-            decided[opened[0]] += 1
-            return qt_cell(*sides)
-
-        monkeypatch.setattr(Report, "clause", opening)
-        monkeypatch.setattr(doubling, "_qt_cell", deciding)
-        rep = verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
+        pdot = PDot(powerset_doctrine(trivial_triple(2)))
+        rep, decided = _calls_per_clause(
+            monkeypatch, doubling, "_qt_cell", lambda: verify_pdot(pdot, 2)
+        )
         instances = {c.clause: c.instances for c in rep.clauses}
         assert [instances[c] for c in (
             "pdot.compositor", "pdot.cell-existence", "pdot.laxator-cell",
@@ -505,15 +499,16 @@ class TestSquaresDecidedOnce:
         # the laxator squares are decided with pdot.laxator-commuter the
         # clause opened last; the nine squares of pdot.laxator-unital are
         # laxator squares already decided, and 26 symmetry squares are
-        # squares of pdot.cell-existence
+        # squares of pdot.cell-existence.  The unitor and the compositor
+        # compare interned maps: L(x) ; L(y) is interned once per pair of
+        # image ids
         assert decided == {
-            "pdot.unitor": 3,
-            "pdot.compositor": 314,
             "pdot.cell-existence": 1639,
             "pdot.laxator-commuter": 676,
             "pdot.unit-cell": 1,
             "pdot.symmetry-cell": 202,
         }
+        assert len(pdot._then) == 314
 
 
 SUITES = {
@@ -568,12 +563,10 @@ class TestOffDomainSearch:
             "Span(FinFn(2->2:[0, 1]), FinFn(2->1:[0, 0])) at (0, 0)"
         )
 
-    def test_search_leaves_product_span_cache_alone(self, monkeypatch):
-        # the search visits each product span once: caching them all
-        # would only hold memory.  Its span tables are its doctrine's, so
-        # they go with it: a second doctrine builds every table again
+    def test_search_span_tables_go_with_the_doctrine(self, monkeypatch):
+        # the search's span tables are its doctrine's, so they go with
+        # it: a second doctrine builds every table again
         cfg = AdequateTriple(2, MorClass.injections(), MorClass.all())
-        product_span.cache_clear()
         built = collections.Counter()
         span_table = doctrine.span_table
 
@@ -587,7 +580,6 @@ class TestOffDomainSearch:
             assert search_offdomain_witness(PDot(d), 2) is None
             assert set(built) == set(d._tables)
             assert set(built.values()) == {rounds}
-        assert product_span.cache_info().currsize == 0
 
     def test_surjection_triple_always_on_domain(self):
         d = powerset_doctrine(surjection_triple(2))
@@ -928,6 +920,19 @@ def test_span_methods_agree_after_verify_pdot(name):
         flags(PDot.cell_image, c)
 
 
+# NonFunctorialDoctrine has no double extension
+@pytest.mark.parametrize("name", [n for n in SEARCH_DOCTRINES if n != "NonFunctorialDoctrine"])
+def test_each_square_is_fixed_by_its_side_ids(name):
+    # a square is decided once, under the ids of its sides; its kept
+    # verdict must be the verdict of the sides the ids resolve to
+    pdot = PDot(SEARCH_DOCTRINES[name](trivial_triple(2)))
+    verify_pdot(pdot, 2)
+    assert len(pdot._verdicts) > 2000
+    for sq, verdict in pdot._verdicts.items():
+        qt = _qt_cell(*pdot._sides(sq))
+        assert verdict == qt.holds + qt.invertible, sq
+
+
 def test_verify_pdot_hashes_few_spans(monkeypatch):
     # the clause loops key their squares on span ids, so a Span is hashed
     # where a span is first met, not on every lookup: powerset at bound 2
@@ -941,7 +946,7 @@ def test_verify_pdot_hashes_few_spans(monkeypatch):
 
     monkeypatch.setattr(Span, "__hash__", counting)
     verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
-    assert hashed[0] == 26943
+    assert hashed[0] == 17221
 
 
 # -- the table-only square test against composing and comparing maps -------
