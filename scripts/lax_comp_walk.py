@@ -10,15 +10,21 @@ at bound 2.  This script walks all of them, for the powerset and tropical
   with ``SpanCategory.loose_compose`` and compared with the right side
   L((a ; a2) ⊗ (x ; x2)).  Each left side is also compared with the one
   first built for its key (a ; a2, x ; x2, σ), σ from
-  ``SpanCategory.interchange``: the key rule the clause relies on.
+  ``SpanCategory.interchange``: the key rule the clause relies on.  Where
+  σ is the identity, the left side's span must be the right side's span
+  (a ; a2) ⊗ (x ; x2) itself: the rule by which the clause decides those
+  keys without building a left side.
 * keyed, through ``doubling.lax_comp_verdicts``, the code the clause
   runs, over the span ids of ``PDot.universe``: it builds each key's
-  left side once and reuses its verdict.
+  left side once, by reindexing the right side's span along σ, and
+  reuses its verdict.
 
 It prints, per doctrine, the failures of both walks, the distinct keys
 and the seconds of the keyed walk, then the instances and seconds of the
-walk instance by instance (shared by every doctrine).  It exits 1 if the
-key rule fails on some instance or the two walks disagree on a count.
+walk instance by instance (shared by every doctrine), and the instances
+and keys whose σ is the identity.  It exits 1 if the key rule or the
+identity rule fails on some instance or the two walks disagree on a
+count.
 
     PYTHONPATH=src python3 scripts/lax_comp_walk.py [--bound 2]
 """
@@ -55,9 +61,10 @@ def composable_pairs(cat: SpanCategory, bound: int) -> list:
     return list(matching(spans, spans, attrgetter("target"), attrgetter("source")))
 
 
-def walk_each(pdots: dict, bound: int) -> tuple[int, dict, int, int]:
-    """Instances, failures per doctrine, distinct keys and the instances
-    on which the key rule fails, building every left side."""
+def walk_each(pdots: dict, bound: int) -> tuple[int, dict, int, int, int, int]:
+    """Instances, failures per doctrine, distinct keys, the instances on
+    which the key rule or the identity rule fails, and the instances and
+    keys whose σ is the identity, building every left side."""
     cat = SpanCategory(trivial_triple(bound))
     composable = composable_pairs(cat, bound)
     canon: dict = {}
@@ -65,21 +72,26 @@ def walk_each(pdots: dict, bound: int) -> tuple[int, dict, int, int]:
     sigmas: dict = {}
     first: dict = {}
     failures = dict.fromkeys(pdots, 0)
-    broken = 0
+    broken = identities = 0
     for r, (a, a2) in enumerate(composable):
         for c, (x, x2) in enumerate(composable):
             lhs = cat.loose_compose(product_span(a, x), product_span(a2, x2))
             rhs = product_span(comps[r], comps[c])
             u, v = (a.right, a2.left), (x.right, x2.left)
-            sigma = sigmas.get((u, v))
-            if sigma is None:
-                sigma = sigmas[u, v] = cat.interchange(u, v)
+            if (u, v) not in sigmas:
+                sigma = cat.interchange(u, v)
+                sigmas[u, v] = sigma, sigma.is_identity
+            sigma, identity = sigmas[u, v]
             if lhs != first.setdefault((comps[r], comps[c], sigma), lhs):
                 broken += 1
+            if identity:
+                identities += 1
+                broken += lhs != rhs
             for name, pdot in pdots.items():
                 if pdot.loose_image(lhs) != pdot.loose_image(rhs):
                     failures[name] += 1
-    return len(composable) ** 2, failures, len(first), broken
+    identity_keys = sum(sigma.is_identity for _, _, sigma in first)
+    return len(composable) ** 2, failures, len(first), broken, identities, identity_keys
 
 
 def walk_keyed(pdot: PDot, bound: int) -> tuple[int, int, int]:
@@ -118,7 +130,9 @@ def main() -> int:
         keyed[name] = walk_keyed(pdot, bound), time.perf_counter() - start
 
     start = time.perf_counter()
-    total, each, keys, broken = walk_each({n: PDot(pdots[n].d) for n in pdots}, bound)
+    total, each, keys, broken, identities, identity_keys = walk_each(
+        {n: PDot(pdots[n].d) for n in pdots}, bound
+    )
     each_s = time.perf_counter() - start
 
     ok = broken == 0
@@ -129,7 +143,9 @@ def main() -> int:
         print(f"{name:<28} {instances:>9} {nkeys:>6} "
               f"{each[name]:>9} {failures:>10} {secs:>7.2f}")
     print(f"instance by instance: {total} instances, {keys} keys, "
-          f"key rule broken on {broken}, {each_s:.1f} s for all doctrines")
+          f"key or identity rule broken on {broken}, {each_s:.1f} s for all doctrines")
+    print(f"identity σ: {identities} instances and {identity_keys} keys, leaving "
+          f"{total - identities} instances and {keys - identity_keys} keys")
     print("OK" if ok else "MISMATCH")
     return 0 if ok else 1
 

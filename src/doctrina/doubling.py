@@ -33,7 +33,7 @@ from .finset import (
     FinFn,
     FinSet,
     Universe,
-    compose,  # noqa: F401  (perfbench's tracer tests patch this binding)
+    compose,
     fn_product,
     matching,
     product,
@@ -469,12 +469,14 @@ def lax_comp_verdicts(
     (``SpanCategory.interchange``), which depends only on the middle
     cospans (a.right, a2.left) and (x.right, x2.left); so instances with
     the key (a ; a2, x ; x2, σ) have equal left sides and one verdict.  σ
-    is computed once per pair of middle cospans, and each key's left side
-    is built with ``loose_compose`` once, from its first pair, out of the
-    product spans of ``PDot``'s product table.  A key is an int over the
-    indices of the distinct composites and of the distinct σ.  The right
-    side is read off ``PDot``'s product and image tables, and the two
-    sides are compared as map ids.
+    is computed once per pair of middle cospans.  A key is an int over
+    the indices of the distinct composites and of the distinct σ.  Each
+    key's right side is read off ``PDot``'s product and image tables, and
+    its loose image computed, once.  Where σ is the identity the left
+    side is the right side's span itself, so the key holds for any
+    doctrine; otherwise the left side is built once, with both legs of
+    the right side's span reindexed along σ, and the two sides are
+    compared as map ids.
     """
     cat, span = pdot.cat, pdot.span
     composites: dict[int, int] = {}
@@ -489,6 +491,8 @@ def lax_comp_verdicts(
     by_id, m, cospans = list(composites), len(composites), list(middles)
     sigmas: list[list[int | None]] = [[None] * len(middles) for _ in middles]
     sigma_ids: dict[FinFn, int] = {}
+    # per σ id: σ, or None where it is the identity
+    reindex: list[FinFn | None] = []
     tensor = pdot._product_id
     verdicts: dict[int, bool] = {}
     for r, c in pairs:
@@ -497,15 +501,23 @@ def lax_comp_verdicts(
         if s is None:
             sigma = cat.interchange(cospans[i], cospans[j])
             s = sigmas[i][j] = sigma_ids.setdefault(sigma, len(sigma_ids))
+            if s == len(reindex):
+                reindex.append(None if sigma.is_identity else sigma)
         key = (s * m + ac) * m + xc
         ok = verdicts.get(key)
         if ok is None:
-            (a, a2), (x, x2) = composable[r], composable[c]
-            rhs = pdot._loose_id(tensor(by_id[ac], by_id[xc]))
-            # interned after the right side, the left side finds that
-            # side's id when they are equal
-            lhs = cat.loose_compose(span(tensor(a, x)), span(tensor(a2, x2)))
-            ok = verdicts[key] = pdot._loose_id(pdot.span_id(lhs)) == rhs
+            k = tensor(by_id[ac], by_id[xc])
+            rhs = pdot._loose_id(k)
+            sigma = reindex[s]
+            if sigma is None:
+                ok = True
+            else:
+                # interned after the right side, the left side finds that
+                # side's id when they are equal
+                y = span(k)
+                lhs = Span(compose(sigma, y.left), compose(sigma, y.right))
+                ok = pdot._loose_id(pdot.span_id(lhs)) == rhs
+            verdicts[key] = ok
         yield r, c, key, ok
 
 
@@ -559,16 +571,22 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
 
     Work that recurs is done once and its verdict reused; every instance
     is still counted, and a failing one gets its own witness.  The
-    clauses range over span ids (``PDot.universe``) and read composites,
-    product spans and side maps from ``PDot``'s tables by id.  The
-    unitor, ``pdot.compositor``, ``pdot.double-assoc`` and
+    quadratic clauses ``pdot.double-assoc``,
+    ``pdot.laxator-compositional`` and ``pdot.laxator-bc-squares`` count
+    their passing instances in one ``Clause.check`` and check each
+    failing one on its own, in enumeration order.  The clauses range
+    over span ids (``PDot.universe``) and read composites, product spans
+    and side maps from ``PDot``'s tables by id.  The unitor,
+    ``pdot.compositor``, ``pdot.double-assoc`` and
     ``pdot.laxator-compositional`` compare the ids of interned maps.
     Every other square is a ``Square`` of side ids, decided once by
     ``PDot._verdict``.  The proof squares of ``pdot.laxator-bc-squares``
     depend on the right legs only, so Beck-Chevalley is checked once per
     distinct square.  The stride sample of
     ``pdot.laxator-compositional`` (``lax_comp_sample``) is keyed by
-    ``lax_comp_verdicts``, which builds each key's left side once.  The
+    ``lax_comp_verdicts``, which decides a key whose σ is the identity
+    at once and builds any other key's left side once, by reindexing
+    its right side's span along σ.  The
     cells of ``pdot.cell-existence`` are bare boundaries and apex maps
     (``SpanCategory.enumerate_cell_data``), each distinct boundary
     checked once; a ``SpanCell`` is built only to format a failing
@@ -603,12 +621,25 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         "pdot.double-assoc",
         "the two bracketings of a triple composite have equal images",
     )
+    # each composable pair (i, j) with its composite, then each pair
+    # (j, k) with its composite, in the order of k
     xy, image = pdot._composite_id, pdot._loose_id
-    for (i, j), k in matching(composable, spans, lambda ij: target(ij[1]), source):
-        lhs, rhs = image(xy(xy(i, j), k)), image(xy(i, xy(j, k)))
-        assoc.check(lhs == rhs, lambda: (
-            f"{span(i)} ; {span(j)} ; {span(k)}: {_first_diff(maps[lhs], maps[rhs])}"
-        ))
+    paired = [(i, j, xy(i, j)) for i, j in composable]
+    after: dict[int, list[tuple[int, int]]] = {}
+    for j, k, jk in paired:
+        after.setdefault(j, []).append((k, jk))
+    passed = 0
+    for i, j, ij in paired:
+        for k, jk in after.get(j, ()):
+            lhs, rhs = image(xy(ij, k)), image(xy(i, jk))
+            if lhs == rhs:
+                passed += 1
+            else:
+                assoc.check(False, lambda: (
+                    f"{span(i)} ; {span(j)} ; {span(k)}: "
+                    f"{_first_diff(maps[lhs], maps[rhs])}"
+                ))
+    assoc.check(True, count=passed)
 
     _cell_existence(rep, pdot, pair_bound)
 
@@ -663,9 +694,14 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     # quadratic in composable pairs; identity-pair columns are covered in
     # full, the rest on a deterministic stride
     sample = lax_comp_sample([(span(i), span(j)) for i, j in composable])
+    passed = 0
     for r, c, _, ok in lax_comp_verdicts(pdot, composable, sample):
-        (a, a2), (x, x2) = composable[r], composable[c]
-        lax_comp.check(ok, lambda: f"{span(a)};{span(a2)} with {span(x)};{span(x2)}")
+        if ok:
+            passed += 1
+        else:
+            (a, a2), (x, x2) = composable[r], composable[c]
+            lax_comp.check(False, lambda: f"{span(a)};{span(a2)} with {span(x)};{span(x2)}")
+    lax_comp.check(True, count=passed)
     n = len(composable)
     lax_comp.note(f"pair-pairs sampled: {lax_comp.instances} of {n * n}")
 
@@ -677,6 +713,7 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     # so each distinct square is checked once and its verdict reused;
     # every (pair, square) instance is still recorded
     bc_verdicts: dict[PullbackSquare, str | None] = {}
+    passed = 0
     for x in map(span, spans):
         for y in map(span, spans):
             if not pdot.laxator_domain(x, y):
@@ -686,7 +723,11 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
                     tail = bc_verdicts[sq]
                 else:
                     tail = bc_verdicts[sq] = _bc_failure(d, sq)
-                bc_clause.check(tail is None, lambda: f"{x} , {y}: {tail}")
+                if tail is None:
+                    passed += 1
+                else:
+                    bc_clause.check(False, lambda: f"{x} , {y}: {tail}")
+    bc_clause.check(True, count=passed)
 
     unit_c = rep.clause("pdot.unit-cell", "the unit square is an equality")
     sq = pdot._unit_square()

@@ -25,12 +25,17 @@ class Clause:
     witnesses: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def check(self, ok: bool, witness: str | Callable[[], str] = "") -> bool:
-        """Record one checked instance; keep the witness of a failure while
-        a slot is free, calling it first if it is a callable."""
-        self.instances += 1
+    def check(
+        self, ok: bool, witness: str | Callable[[], str] = "", count: int = 1
+    ) -> bool:
+        """Record ``count`` checked instances with the verdict ``ok``; keep
+        the witness of a failure while a slot is free, calling it first if
+        it is a callable.  Passing instances are recorded in bulk with a
+        count; a failing one is best checked on its own, so each keeps its
+        witness slot."""
+        self.instances += count
         if not ok:
-            self.failures += 1
+            self.failures += count
             if len(self.witnesses) < MAX_WITNESSES:
                 self.witnesses.append(witness() if callable(witness) else witness)
         return ok

@@ -28,9 +28,7 @@ from .finset import (
     Pullback,
     Universe,
     compose,
-    fn_product,
     matching,
-    product,
     pullback,
 )
 from .report import Report
@@ -158,9 +156,9 @@ class SpanCategory:
         self.triple = triple
         # the pullback of every cospan a loose composite has met, kept as
         # long as this category, and for each factor cospan of
-        # ``interchange`` its apex indexed by the pair of projections
+        # ``interchange`` its apex grouped by the first projection
         self._pullbacks: dict[tuple[FinFn, FinFn], Pullback] = {}
-        self._indexes: dict[tuple[FinFn, FinFn], dict[tuple[int, int], int]] = {}
+        self._rows: dict[tuple[FinFn, FinFn], list[list[int]]] = {}
 
     # -- loose arrows -------------------------------------------------
 
@@ -179,37 +177,46 @@ class SpanCategory:
             pb = self._pullbacks[key] = pullback(x, y)
         return pb
 
-    def _pullback_index(self, u: tuple[FinFn, FinFn]) -> dict[tuple[int, int], int]:
-        """The element of the pullback of ``u`` at each pair of its
-        projections' values, built once per cospan."""
-        index = self._indexes.get(u)
-        if index is None:
-            pb = self._pullback(*u)
-            index = self._indexes[u] = {
-                pq: m for m, pq in enumerate(zip(pb.p.table, pb.q.table))
-            }
-        return index
-
     def interchange(self, u: tuple[FinFn, FinFn], v: tuple[FinFn, FinFn]) -> FinFn:
         """The canonical bijection σ from the pullback of the product
         cospan ``u × v`` onto the row-major product of the pullbacks of
-        ``u`` and ``v``: limits commute with limits.  It is read off the
-        three pullbacks as ``finset.pullback`` builds them, so each
-        projection of the product cospan's pullback is σ followed by the
-        product of the matching projections of the other two.  Hence
-        ``(a ⊗ x) ; (a2 ⊗ x2)`` is ``(a ; a2) ⊗ (x ; x2)`` with its legs
-        reindexed along σ, for middle cospans u and v."""
-        whole = self._pullback(fn_product(u[0], v[0]), fn_product(u[1], v[1]))
-        first, second = self._pullback(*u), self._pullback(*v)
-        # whole.p lands in u[0].dom x v[0].dom, whole.q in u[1].dom x v[1].dom
-        np, nq = v[0].dom.size, v[1].dom.size
-        index1, index2 = self._pullback_index(u), self._pullback_index(v)
-        n2 = second.apex.size
+        ``u`` and ``v``: limits commute with limits.  Each projection of
+        the product cospan's pullback, as ``finset.pullback`` builds it,
+        is σ followed by the product of the matching projections of the
+        other two.  Hence ``(a ⊗ x) ; (a2 ⊗ x2)`` is ``(a ; a2) ⊗ (x ; x2)``
+        with its legs reindexed along σ, for middle cospans u and v, and
+        is that very span when σ is the identity.
+
+        σ is read off the two factor pullbacks alone (``_pullback_rows``):
+        an element (i1, j1) of the first and (i2, j2) of the second meet
+        in the product cospan's pullback, which lists them in the order
+        ``finset.pullback`` does.  That order is lexicographic in
+        (i1, i2, j1, j2), except when both left legs are identities: every
+        pullback here then takes its shortcut along the identity and lists
+        its apex in the order of the right legs' domains, (j1, j2) for the
+        product, so σ is the identity."""
+        if u[0].is_identity and v[0].is_identity:
+            return FinFn.identity(FinSet(u[1].dom.size * v[1].dom.size))
+        rows1, rows2 = self._pullback_rows(u), self._pullback_rows(v)
+        n2 = self._pullback(*v).apex.size
         table = tuple([
-            index1[i // np, j // nq] * n2 + index2[i % np, j % nq]
-            for i, j in zip(whole.p.table, whole.q.table)
+            m1 * n2 + m2 for r1 in rows1 for r2 in rows2 for m1 in r1 for m2 in r2
         ])
-        return FinFn(whole.apex, product(first.apex, second.apex).prod, table)
+        n = FinSet(len(table))
+        return FinFn(n, n, table)
+
+    def _pullback_rows(self, u: tuple[FinFn, FinFn]) -> list[list[int]]:
+        """The elements (i, j) of the pullback of ``u`` grouped by i,
+        lexicographic in (i, j); built once per cospan."""
+        rows = self._rows.get(u)
+        if rows is None:
+            pb = self._pullback(*u)
+            pt, qt = pb.p.table, pb.q.table
+            groups: dict[int, list[int]] = {}
+            for m in sorted(range(pb.apex.size), key=lambda m: (pt[m], qt[m])):
+                groups.setdefault(pt[m], []).append(m)
+            rows = self._rows[u] = list(groups.values())
+        return rows
 
     def loose_compose(self, x: Span, y: Span) -> Span:
         if x.target != y.source:

@@ -462,16 +462,38 @@ def _calls_per_clause(monkeypatch, cls, name, run):
 
 class TestLeftSidesBuiltOnce:
     def test_each_key_builds_its_left_side_once(self, monkeypatch):
-        # the clause's loose composites are its left sides, composed of
-        # product spans: one build per key, where a build per instance
-        # made 24,550; the composites of its rows are the compositor's
-        rep, built = _calls_per_clause(
-            monkeypatch, SpanCategory, "loose_compose",
-            lambda: verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2),
-        )
+        # the clause builds no loose composite: a key's left side is its
+        # right side's span with both legs reindexed along σ, two
+        # composites of tables built once per key; a key whose σ is the
+        # identity has the right side's span for its left side and builds
+        # nothing.  Composing each left side from product spans made
+        # 4,242 loose composites, one per key
+        from doctrina import doubling
+
+        def run():
+            return verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
+
+        _, composed = _calls_per_clause(monkeypatch, SpanCategory, "loose_compose", run)
+        rep, reindexed = _calls_per_clause(monkeypatch, doubling, "compose", run)
         assert rep.find("pdot.laxator-compositional").instances == 24550
-        # the keys of the sample, as test_lax_comp_key_rule counts them
-        assert built["pdot.laxator-compositional"] == 4242
+        assert "pdot.laxator-compositional" not in composed
+        # the keys of the sample, as test_lax_comp_key_rule counts them,
+        # by whether their σ is the identity
+        pdot = PDot(powerset_doctrine(trivial_triple(2)))
+        span = pdot.span
+        spans = pdot.universe(2)
+        composable = [(i, j) for i in spans for j in spans if span(i).target == span(j).source]
+        sigma = lru_cache(maxsize=None)(pdot.cat.interchange)
+        keys = set()
+        for r, c in lax_comp_sample([(span(i), span(j)) for i, j in composable]):
+            (a, a2), (x, x2) = composable[r], composable[c]
+            keys.add((
+                pdot._composite_id(a, a2), pdot._composite_id(x, x2),
+                sigma((span(a).right, span(a2).left), (span(x).right, span(x2).left)),
+            ))
+        moved = sum(not s.is_identity for _, _, s in keys)
+        assert (len(keys), moved) == (4242, 1426)
+        assert reindexed == {"pdot.laxator-compositional": 2 * moved}
 
 
 class TestSquaresDecidedOnce:
@@ -936,7 +958,8 @@ def test_each_square_is_fixed_by_its_side_ids(name):
 def test_verify_pdot_hashes_few_spans(monkeypatch):
     # the clause loops key their squares on span ids, so a Span is hashed
     # where a span is first met, not on every lookup: powerset at bound 2
-    # hashed 340,984 before spans had ids
+    # hashed 340,984 before spans had ids, and 17,221 while the left sides
+    # of pdot.laxator-compositional were composed of product spans
     hashed = [0]
     span_hash = Span.__hash__
 
@@ -946,7 +969,7 @@ def test_verify_pdot_hashes_few_spans(monkeypatch):
 
     monkeypatch.setattr(Span, "__hash__", counting)
     verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
-    assert hashed[0] == 17221
+    assert hashed[0] == 14405
 
 
 # -- the table-only square test against composing and comparing maps -------
