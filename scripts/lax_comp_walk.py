@@ -1,10 +1,11 @@
 """Walk every instance of ``pdot.laxator-compositional``, not a sample.
 
 ``verify_pdot`` checks a stride sample of the pairs of composable span
-pairs (``lax_comp_sample``): 24,550 of the 942,841 on the trivial triple
-at bound 2.  This script walks all of them, for the powerset and tropical
-(cap 2) doctrines and every mutant of ``tests/mutants.py``
-(``mutants.doctrines()``), in two ways:
+pairs: 24,550 of the 942,841 on the trivial triple at bound 2, of which
+it decides the 2,176 whose σ is not the identity
+(``doubling.LaxCompositional.sample``).  This script walks all of them,
+for the powerset and tropical (cap 2) doctrines and every mutant of
+``tests/mutants.py`` (``mutants.doctrines()``), in two ways:
 
 * instance by instance: every left side L((a ⊗ x) ; (a2 ⊗ x2)) is built
   with ``SpanCategory.loose_compose`` and compared with the right side
@@ -19,12 +20,18 @@ at bound 2.  This script walks all of them, for the powerset and tropical
   left side once, by reindexing the right side's span along σ, and
   reuses its verdict.
 
-It prints, per doctrine, the failures of both walks, the distinct keys
-and the seconds of the keyed walk, then the instances and seconds of the
-walk instance by instance (shared by every doctrine), and the instances
-and keys whose σ is the identity.  It exits 1 if the key rule or the
-identity rule fails on some instance or the two walks disagree on a
-count.
+It also checks the class rule on every pair of middle cospans: σ of two
+cospans is σ of the first cospans met of their classes
+(``SpanCategory.interchange_class``), so the clause builds σ once per
+pair of classes.
+
+It prints the classes and the pairs of classes whose σ is not the
+identity, then, per doctrine, the failures of both walks, the distinct
+keys and the seconds of the keyed walk, then the instances and seconds
+of the walk instance by instance (shared by every doctrine), and the
+instances and keys whose σ is the identity.  It exits 1 if the class
+rule, the key rule or the identity rule fails somewhere or the two walks
+disagree on a count.
 
     PYTHONPATH=src python3 scripts/lax_comp_walk.py [--bound 2]
 """
@@ -59,6 +66,28 @@ def doctrines() -> dict:
 def composable_pairs(cat: SpanCategory, bound: int) -> list:
     spans = list(cat.enumerate_spans(bound))
     return list(matching(spans, spans, attrgetter("target"), attrgetter("source")))
+
+
+def check_classes(bound: int) -> tuple[int, int, int, int, int]:
+    """Middle cospans, their classes, the pairs of classes whose σ is not
+    the identity, and the pairs of middle cospans, with those on which
+    σ is not σ of their classes' first members."""
+    cat = SpanCategory(trivial_triple(bound))
+    middles = list(dict.fromkeys(
+        (a.right, a2.left) for a, a2 in composable_pairs(cat, bound)
+    ))
+    first: dict = {}
+    for u in middles:
+        first.setdefault(cat.interchange_class(u), u)
+    rep = {u: first[cat.interchange_class(u)] for u in middles}
+    broken = sum(
+        cat.interchange(u, v) != cat.interchange(rep[u], rep[v])
+        for u in middles for v in middles
+    )
+    moved = sum(
+        not cat.interchange(u, v).is_identity for u in first.values() for v in first.values()
+    )
+    return len(middles), len(first), moved, len(middles) ** 2, broken
 
 
 def walk_each(pdots: dict, bound: int) -> tuple[int, dict, int, int, int, int]:
@@ -124,6 +153,11 @@ def main() -> int:
         except NonFunctorial as e:
             print(f"{name}: skipped, no double extension: {e}")
 
+    middles, classes, moved, pairs, misclassed = check_classes(bound)
+    print(f"σ classes: {classes} of {middles} middle cospans, {moved} of "
+          f"{classes ** 2} class pairs not the identity, class rule broken "
+          f"on {misclassed} of {pairs} middle pairs")
+
     keyed = {}
     for name, pdot in pdots.items():
         start = time.perf_counter()
@@ -135,7 +169,7 @@ def main() -> int:
     )
     each_s = time.perf_counter() - start
 
-    ok = broken == 0
+    ok = misclassed == 0 and broken == 0
     print(f"{'doctrine':<28} {'instances':>9} {'keys':>6} "
           f"{'fail each':>9} {'fail keyed':>10} {'keyed s':>7}")
     for name, ((instances, failures, nkeys), secs) in keyed.items():

@@ -19,6 +19,7 @@ from doctrina.finset import (
     bang,
     compose,
     injection_right_triple,
+    matching,
     pullback,
     surjection_triple,
     swap_fn,
@@ -49,10 +50,12 @@ from doctrina.doctrine import (
     tropical_doctrine,
 )
 from doctrina.doubling import (
+    LAX_COMP_STRIDE,
+    LaxCompositional,
     PDot,
     _bc_failure,
     _qt_cell,
-    lax_comp_sample,
+    lax_comp_verdicts,
     product_span,
     proof_squares,
     search_offdomain_witness,
@@ -371,6 +374,24 @@ def _old_lax_comp_walk(composable):
             seen += 1
             if (ids_left and (x.is_identity or x2.is_identity)) or seen % 53 == 1:
                 yield r, c
+
+
+def lax_comp_sample(composable):
+    """The ``(row, column)`` index pairs into ``composable`` that
+    ``pdot.laxator-compositional`` samples, row-major: every
+    ``LAX_COMP_STRIDE``-th pair of the row-major walk starting with the
+    first, and every pair whose row and column both hold an identity.
+    The oracle of ``LaxCompositional.sample``, which walks only the
+    pairs that can fail."""
+    n = len(composable)
+    ids = [a.is_identity or b.is_identity for a, b in composable]
+    id_cols = [c for c, flag in enumerate(ids) if flag]
+    for r in range(n):
+        cols = range((-r * n) % LAX_COMP_STRIDE, n, LAX_COMP_STRIDE)
+        if ids[r]:
+            cols = sorted(set(cols).union(id_cols))
+        for c in cols:
+            yield r, c
 
 
 @pytest.mark.parametrize("triple, bound", [
@@ -742,6 +763,45 @@ def test_keyed_lax_comp_matches_reference(name):
     assert got["failures"] == SURJ_LAX_COMP_FAILURES.get(name, 0)
 
 
+# failures of pdot.laxator-compositional on all-all at bound 2; 0 for
+# every doctrine not named
+LAX_COMP_FAILURES = {
+    "DroppedApexDoctrine": 190,
+    "DroppedApexTropicalDoctrine": 190,
+    "PairApexDoctrine": 120,
+    "SkippedApexDoctrine": 384,
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_DOCTRINES))
+def test_lax_comp_decides_only_failable_instances(name):
+    # the clause decides only the sampled instances whose σ is not the
+    # identity (2,176 of 24,550) and counts the rest; its instances and
+    # its failing pairs, in order, are those of the whole sample walked
+    # pair by pair
+    try:
+        pdot = PDot(SEARCH_DOCTRINES[name](trivial_triple(2)))
+    except NonFunctorial as e:
+        pytest.skip(f"{name} has no double extension: {e}")
+    clause = verify_pdot(pdot, 2).find("pdot.laxator-compositional")
+    span, spans = pdot.span, pdot.universe(2)
+    composable = list(matching(
+        spans, spans, pdot._target.__getitem__, pdot._source.__getitem__
+    ))
+    sample = list(lax_comp_sample([(span(i), span(j)) for i, j in composable]))
+    want = [(r, c) for r, c, _, ok in lax_comp_verdicts(pdot, composable, sample) if not ok]
+    lax = LaxCompositional(pdot, composable)
+    instances, decided = lax.sample()
+    assert (instances, len(decided)) == (len(sample), 2176) == (24550, 2176)
+    assert [(r, c) for r, c in decided if not lax.verdict(r, c)[1]] == want
+    assert len(want) == LAX_COMP_FAILURES.get(name, 0)
+    assert (clause.instances, clause.failures) == (24550, len(want))
+    assert clause.witnesses == [
+        f"{span(a)};{span(a2)} with {span(x)};{span(x2)}"
+        for (a, a2), (x, x2) in ((composable[r], composable[c]) for r, c in want[:5])
+    ]
+
+
 # -- verify_pdot against a reference that builds every square -------------
 
 
@@ -958,8 +1018,9 @@ def test_each_square_is_fixed_by_its_side_ids(name):
 def test_verify_pdot_hashes_few_spans(monkeypatch):
     # the clause loops key their squares on span ids, so a Span is hashed
     # where a span is first met, not on every lookup: powerset at bound 2
-    # hashed 340,984 before spans had ids, and 17,221 while the left sides
-    # of pdot.laxator-compositional were composed of product spans
+    # hashed 340,984 before spans had ids, 17,221 while the left sides
+    # of pdot.laxator-compositional were composed of product spans, and
+    # 14,405 while that clause built the right side of every sampled key
     hashed = [0]
     span_hash = Span.__hash__
 
@@ -969,7 +1030,7 @@ def test_verify_pdot_hashes_few_spans(monkeypatch):
 
     monkeypatch.setattr(Span, "__hash__", counting)
     verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
-    assert hashed[0] == 14405
+    assert hashed[0] == 13428
 
 
 # -- the table-only square test against composing and comparing maps -------

@@ -153,6 +153,43 @@ class TestLooseComposition:
         shortcut = [(u, v) for u, v in pairs if u[0].is_identity and v[0].is_identity]
         assert len(shortcut) == 121 and set(shortcut) <= set(identities)
 
+    def test_interchange_by_class(self, monkeypatch):
+        # σ reads a middle cospan only through its class: at bound 2 the
+        # 59 middle cospans fall into 10 classes, σ of two cospans is σ of
+        # their classes' first members on all 3,481 pairs, and 16 of the
+        # 100 pairs of classes have a σ that is not the identity
+        from doctrina.doctrine import powerset_doctrine
+        from doctrina.doubling import PDot, verify_pdot
+
+        cat2 = SpanCategory(trivial_triple(2))
+        spans = list(cat2.enumerate_spans(2))
+        middles = list(dict.fromkeys(
+            (x.right, y.left) for x in spans for y in spans if x.target == y.source
+        ))
+        first = {}
+        for u in middles:
+            first.setdefault(cat2.interchange_class(u), u)
+        assert (len(middles), len(first)) == (59, 10)
+        rep = {u: first[cat2.interchange_class(u)] for u in middles}
+        for u in middles:
+            for v in middles:
+                assert cat2.interchange(u, v) == cat2.interchange(rep[u], rep[v])
+        reps = list(first.values())
+        moved = [(u, v) for u in reps for v in reps if not cat2.interchange(u, v).is_identity]
+        assert len(moved) == 16
+        # so verify_pdot builds σ once per pair of classes, where it built
+        # it once per pair of middle cospans it met, 3,461 times
+        calls = [0]
+        interchange = SpanCategory.interchange
+
+        def counting(self, u, v):
+            calls[0] += 1
+            return interchange(self, u, v)
+
+        monkeypatch.setattr(SpanCategory, "interchange", counting)
+        verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
+        assert calls[0] == 100
+
     def test_obj_mismatch(self, cat):
         x = cat.span(bang(FinSet(2)), FinFn.identity(FinSet(2)))
         with pytest.raises(ObjMismatch):
