@@ -15,10 +15,10 @@ for the powerset and tropical (cap 2) doctrines and every mutant of
   σ is the identity, the left side's span must be the right side's span
   (a ; a2) ⊗ (x ; x2) itself: the rule by which the clause decides those
   keys without building a left side.
-* keyed, through ``doubling.lax_comp_verdicts``, the code the clause
-  runs, over the span ids of ``PDot.universe``: it builds each key's
-  left side once, by reindexing the right side's span along σ, and
-  reuses its verdict.
+* keyed, through ``doubling.LaxCompositional.verdict``, the code the
+  clause runs, over the span ids of ``PDot.universe``: it builds each
+  key's left side once, by reindexing the right side's span along σ,
+  and reuses its verdict.
 
 It also checks the class rule on every pair of middle cospans: σ of two
 cospans is σ of the first cospans met of their classes
@@ -46,7 +46,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from doctrina.doctrine import powerset_doctrine, tropical_doctrine
-from doctrina.doubling import PDot, lax_comp_verdicts, product_span
+from doctrina.doubling import LaxCompositional, PDot, product_span
 from doctrina.errors import NonFunctorial
 from doctrina.finset import matching, trivial_triple
 from doctrina.spancat import SpanCategory
@@ -129,14 +129,16 @@ def walk_keyed(pdot: PDot, bound: int) -> tuple[int, int, int]:
     composable = list(matching(
         spans, spans, lambda i: pdot.span(i).target, lambda i: pdot.span(i).source
     ))
+    lax = LaxCompositional(pdot, composable)
     n = len(composable)
-    pairs = ((r, c) for r in range(n) for c in range(n))
     instances = failures = 0
     keys = set()
-    for _, _, key, ok in lax_comp_verdicts(pdot, composable, pairs):
-        instances += 1
-        failures += not ok
-        keys.add(key)
+    for r in range(n):
+        for c in range(n):
+            key, ok = lax.verdict(r, c)
+            instances += 1
+            failures += not ok
+            keys.add(key)
     return instances, failures, len(keys)
 
 

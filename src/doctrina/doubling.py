@@ -25,10 +25,8 @@ the layer that makes them true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
 
-from .errors import NonFunctorial, NotAPullback, ShapeMismatch
+from .errors import NonFunctorial, ShapeMismatch
 from .finset import (
     FinFn,
     FinSet,
@@ -36,15 +34,12 @@ from .finset import (
     compose,
     fn_product,
     matching,
-    product,
     swap_fn,
     terminal,
 )
 from .doctrine import (
     PAIR_BOUND,
     Doctrine,
-    PullbackSquare,
-    check_beck_chevalley,
     check_subst_functorial,
     external_laxator,
     external_unit_map,
@@ -394,45 +389,6 @@ class PDot:
         return self._cell(self._symmetry_square(self.span_id(x), self.span_id(y)))
 
 
-@lru_cache(maxsize=None)
-def proof_squares(x2: FinFn, y2: FinFn) -> tuple[PullbackSquare, ...]:
-    """The three designated squares behind the laxator-commuter argument
-    for spans with right legs ``x2`` and ``y2``: base change of each right
-    leg along a projection, and the middle exchange square between the
-    two product modifications.  The apexes are the legs' domains, so the
-    squares depend on nothing else."""
-    xx, yy = x2.dom, y2.dom
-    x2c, y2c = x2.cod, y2.cod
-    sq1 = PullbackSquare(
-        top=fn_product(x2, FinFn.identity(y2c)),
-        left=product(xx, y2c).pa,
-        right=product(x2c, y2c).pa,
-        bottom=x2,
-    )
-    sq2 = PullbackSquare(
-        top=product(x2c, yy).pb,
-        left=fn_product(FinFn.identity(x2c), y2),
-        right=y2,
-        bottom=product(x2c, y2c).pb,
-    )
-    sq3 = PullbackSquare(
-        top=fn_product(x2, FinFn.identity(yy)),
-        left=fn_product(FinFn.identity(xx), y2),
-        right=fn_product(FinFn.identity(x2c), y2),
-        bottom=fn_product(x2, FinFn.identity(y2c)),
-    )
-    return sq1, sq2, sq3
-
-
-def _bc_failure(d: Doctrine, sq: PullbackSquare) -> str | None:
-    """``None`` when Beck-Chevalley holds around ``sq``, otherwise the
-    tail of the witness: the square, or why it is not designated."""
-    try:
-        return None if check_beck_chevalley(d, sq).passed else str(sq)
-    except NotAPullback as e:
-        return str(e)
-
-
 LAX_COMP_STRIDE = 53
 
 
@@ -556,22 +512,6 @@ class LaxCompositional:
         return instances, pairs
 
 
-def lax_comp_verdicts(
-    pdot: PDot,
-    composable: list[tuple[int, int]],
-    pairs: Iterable[tuple[int, int]],
-) -> Iterator[tuple[int, int, int, bool]]:
-    """``(row, column, key, verdict)`` for each index pair into
-    ``composable``, a list of pairs of span ids, in the order of
-    ``pairs``: whether the laxator respects loose composition there,
-    decided by key (``LaxCompositional``), σ built once per pair of
-    middle-cospan classes."""
-    lax = LaxCompositional(pdot, composable)
-    for r, c in pairs:
-        key, ok = lax.verdict(r, c)
-        yield r, c, key, ok
-
-
 def _cell_existence(rep: Report, pdot: PDot, bound: int) -> None:
     """``pdot.cell-existence``.  A cell's induced square depends only on
     its boundary (the apex map never enters the image), so each distinct
@@ -605,7 +545,11 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     an exception.  Tight images are substitutions, so tight
     functoriality and laxator naturality are doctrine laws, carried by
     ``doctrine.subst-identity``, ``doctrine.subst-compose`` and
-    ``doctrine.laxator-natural`` in ``check_doctrine``.  Pasting cells
+    ``doctrine.laxator-natural`` in ``check_doctrine``.  The
+    Beck-Chevalley squares behind the laxator-commuter argument depend
+    only on the right legs of a span pair, so they are doctrine squares,
+    carried by ``doctrine.beck-chevalley`` (``doctrine.proof_squares``).
+    Pasting cells
     needs no clause of its own: a vertically pasted image has composites
     of tight images for its sides (``doctrine.subst-compose``), a
     horizontally pasted one composites of loose images
@@ -622,25 +566,23 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
 
     Work that recurs is done once and its verdict reused; every instance
     is still counted, and a failing one gets its own witness.  The
-    quadratic clauses ``pdot.double-assoc``,
-    ``pdot.laxator-compositional`` and ``pdot.laxator-bc-squares`` count
-    their passing instances in one ``Clause.check`` and check each
-    failing one on its own, in enumeration order.  The clauses range
+    quadratic clauses ``pdot.double-assoc`` and
+    ``pdot.laxator-compositional`` count their passing instances in one
+    ``Clause.check`` and check each failing one on its own, in
+    enumeration order.  The clauses range
     over span ids (``PDot.universe``) and read composites, product spans
     and side maps from ``PDot``'s tables by id.  The unitor,
     ``pdot.compositor``, ``pdot.double-assoc`` and
     ``pdot.laxator-compositional`` compare the ids of interned maps.
     Every other square is a ``Square`` of side ids, decided once by
-    ``PDot._verdict``.  The proof squares of ``pdot.laxator-bc-squares``
-    depend on the right legs only, so Beck-Chevalley is checked once per
-    distinct square.  ``pdot.laxator-compositional`` checks a stride
+    ``PDot._verdict``.  ``pdot.laxator-compositional`` checks a stride
     sample, keyed by ``LaxCompositional``, which builds σ once per pair
     of middle-cospan classes.  It walks only the sampled instances whose
     σ is not the identity (``LaxCompositional.sample``), building each
     such key's left side once, by reindexing its right side's span
     along σ; the rest of the sample passes for any doctrine and is
-    counted.  The
-    cells of ``pdot.cell-existence`` are bare boundaries and apex maps
+    counted.  The cells of ``pdot.cell-existence`` are bare boundaries
+    and apex maps
     (``SpanCategory.enumerate_cell_data``), each distinct boundary
     checked once; a ``SpanCell`` is built only to format a failing
     witness.
@@ -758,30 +700,6 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     n = len(composable)
     lax_comp.note(f"pair-pairs sampled: {lax_comp.instances} of {n * n}")
 
-    bc_clause = rep.clause(
-        "pdot.laxator-bc-squares",
-        "the three designated squares behind the commuter argument commute",
-    )
-    # the squares depend on the right legs only and recur across pairs,
-    # so each distinct square is checked once and its verdict reused;
-    # every (pair, square) instance is still recorded
-    bc_verdicts: dict[PullbackSquare, str | None] = {}
-    passed = 0
-    for x in map(span, spans):
-        for y in map(span, spans):
-            if not pdot.laxator_domain(x, y):
-                continue
-            for sq in proof_squares(x.right, y.right):
-                if sq in bc_verdicts:
-                    tail = bc_verdicts[sq]
-                else:
-                    tail = bc_verdicts[sq] = _bc_failure(d, sq)
-                if tail is None:
-                    passed += 1
-                else:
-                    bc_clause.check(False, lambda: f"{x} , {y}: {tail}")
-    bc_clause.check(True, count=passed)
-
     unit_c = rep.clause("pdot.unit-cell", "the unit square is an equality")
     sq = pdot._unit_square()
     _check_square(unit_c, pdot._verdict(sq) > 1, pdot, sq, lambda: "unit")
@@ -795,27 +713,3 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
             )
 
     return rep
-
-
-def search_offdomain_witness(pdot: PDot, max_size: int) -> str | None:
-    """Search the whole span universe for a pair outside the guaranteed
-    class domain whose laxator square is not a commuter.  Returns a
-    witness string, or None when no such pair exists at this bound.
-
-    The square is ``pdot.laxator-commuter``'s (``PDot._laxator_square``),
-    decided by ``PDot._verdict``.  The witness names the entry
-    s·|P(B)| + t of the square where the two composites first differ."""
-    span = pdot.span
-    spans = pdot.universe(max_size)
-    for i in spans:
-        for j in spans:
-            if pdot.laxator_domain(span(i), span(j)):
-                continue
-            sq = pdot._laxator_square(i, j)
-            if pdot._verdict(sq) < 2:
-                top, bottom, left, right = pdot._sides(sq)
-                pairs = zip(left.then(bottom).table, top.then(right).table)
-                k = next(k for k, (p, q) in enumerate(pairs) if p != q)
-                s, t = divmod(k, pdot.loose_image(span(j)).dom.size)
-                return f"{span(i)} , {span(j)} at ({s}, {t})"
-    return None

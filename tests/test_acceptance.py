@@ -27,7 +27,7 @@ from doctrina.doctrine import (
     tropical_doctrine,
 )
 from doctrina.poskit import check_mono_poset
-from doctrina.doubling import PDot, search_offdomain_witness, verify_pdot
+from doctrina.doubling import PDot, verify_pdot
 from doctrina.errors import NonFunctorial
 from doctrina.extraction import roundtrip
 from doctrina.spancat import SpanCategory
@@ -46,6 +46,7 @@ from mutants import (
     NonFunctorialDoctrine,
     SwappedAdjointDoctrine,
 )
+from offdomain import search_offdomain_witness
 
 
 @pytest.fixture

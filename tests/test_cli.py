@@ -283,12 +283,12 @@ class TestVerify:
         )
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "59bbe32e203ec94f5bdd0e51b6f7a5dedb302eeb400d201baf34ecd4e802e9ec"
+            "7f1fecc9fca2c2180f95d95169ecb46a6ff00107da4a2211528881a0103396df"
         )
 
     @pytest.mark.parametrize("argv, digest", [
         (["verify"],
-         "b4bd2e8422bd92df91b88f8b1d5eee3610f46d2656a5ad700efaa71ae345ef20"),
+         "986986aa8664f7846560e012e84687c7a872e6b480c12ce2e18ce33c9b20f642"),
         (["roundtrip"],
          "142b318e3c10da63308e55d9b8a0d6b0eac9bde7c1a7313e1851965890bef487"),
         (["roundtrip", "--fiber", "powerset"],
@@ -304,7 +304,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, digest", [
         (["verify", "--fiber", "tropical"],
-         "ae26cd218d389a17b55550fa0656748b8f5de169f8450e3be551500512267cdb"),
+         "80bc0916af32903f56aaa25379210351bf721215855899203e90d70b251e821c"),
         (["roundtrip", "--fiber", "tropical"],
          "61204ccc12ce52b8ee3569bf5298fd36d22e18b46b857986ac5c14f6a1691871"),
     ], ids=["verify", "roundtrip"])

@@ -42,23 +42,23 @@ from doctrina.poskit import (
 )
 from doctrina import doctrine
 from doctrina.doctrine import (
+    beck_chevalley_squares,
     check_beck_chevalley,
     check_doctrine,
     external_laxator,
     external_unit_map,
+    generated_pullbacks,
+    is_clr_pullback,
     powerset_doctrine,
+    proof_squares,
     tropical_doctrine,
 )
 from doctrina.doubling import (
     LAX_COMP_STRIDE,
     LaxCompositional,
     PDot,
-    _bc_failure,
     _qt_cell,
-    lax_comp_verdicts,
     product_span,
-    proof_squares,
-    search_offdomain_witness,
     verify_pdot,
 )
 from doctrina.extraction import roundtrip
@@ -75,6 +75,7 @@ from mutants import (
     SkippedApexDoctrine,
     SwappedAdjointDoctrine,
 )
+from offdomain import search_offdomain_witness
 
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
@@ -105,9 +106,7 @@ PAIR_LAX_COMP_WITNESS = (
     "Span(FinFn(2->2:[1, 0]), FinFn(2->2:[0, 1]))"
 )
 SATURATED_BC_WITNESS = (
-    "Span(FinFn(1->1:[0]), FinFn(1->2:[0])) , "
-    "Span(FinFn(0->0:[]), FinFn(0->2:[])): "
-    "PullbackSquare(top=FinFn(2->4:[0, 1]), left=FinFn(2->1:[0, 0]), "
+    "square PullbackSquare(top=FinFn(2->4:[0, 1]), left=FinFn(2->1:[0, 0]), "
     "right=FinFn(4->2:[0, 0, 1, 1]), bottom=FinFn(1->2:[0]))"
 )
 PAIR_APEX_CELL_WITNESS = (
@@ -118,7 +117,7 @@ PAIR_APEX_CELL_WITNESS = (
 )
 # sha256 of the tropical (cap 2) report at bound 2
 TROPICAL_REPORT_SHA256 = (
-    "3337936d630856ed4944762c3e8687e8097126450df9a6baab68730421688082"
+    "cc97683b02482dbcc35bc8d99e519a5cb21233399da20e76c9e73df517c6d73c"
 )
 
 
@@ -337,17 +336,19 @@ class TestVerifySuite:
         assert dropped_apex_report.find("pdot.symmetry-cell").passed
 
     def test_saturated_projection_fails_bc_squares(self, triple2):
-        # the quantifier is read only by the proof squares, so they are
-        # the one clause that fails; squares recur across pairs, and every
-        # (pair, square) instance still counts and gets its own witness
-        rep = verify_pdot(PDot(SaturatedProjectionDoctrine(triple2)), 2)
-        bc = rep.find("pdot.laxator-bc-squares")
-        assert (bc.instances, bc.failures) == (5547, 544)
+        # the saturated quantifier is read only by proof squares, none of
+        # them generated, so doctrine.beck-chevalley is the one clause
+        # that fails, and the double extension passes every pdot.* clause
+        d = SaturatedProjectionDoctrine(triple2)
+        rep = check_doctrine(d, 2)
+        bc = rep.find("doctrine.beck-chevalley")
+        assert (bc.instances, bc.failures) == (122, 4)
         assert bc.witnesses[0] == SATURATED_BC_WITNESS
-        assert len(set(bc.witnesses)) == len(bc.witnesses) == 5
+        assert len(set(bc.witnesses)) == 4
         assert [c.clause for c in rep.clauses if not c.passed] == [
-            "pdot.laxator-bc-squares"
+            "doctrine.beck-chevalley"
         ]
+        assert verify_pdot(PDot(d), 2).passed
 
     def test_pair_apex_fails_cell_existence(self, triple2):
         # a cell's witness is built from its bare data only on failure,
@@ -789,7 +790,8 @@ def test_lax_comp_decides_only_failable_instances(name):
         spans, spans, pdot._target.__getitem__, pdot._source.__getitem__
     ))
     sample = list(lax_comp_sample([(span(i), span(j)) for i, j in composable]))
-    want = [(r, c) for r, c, _, ok in lax_comp_verdicts(pdot, composable, sample) if not ok]
+    walk = LaxCompositional(pdot, composable)
+    want = [(r, c) for r, c in sample if not walk.verdict(r, c)[1]]
     lax = LaxCompositional(pdot, composable)
     instances, decided = lax.sample()
     assert (instances, len(decided)) == (len(sample), 2176) == (24550, 2176)
@@ -930,17 +932,6 @@ def _verify_pdot_reference(pdot, triple):
 
     rep.clauses.append(_lax_comp_reference(L, triple))
 
-    bc = rep.clause(
-        "pdot.laxator-bc-squares",
-        "the three designated squares behind the commuter argument commute",
-    )
-    for x in spans:
-        for y in spans:
-            if pdot.laxator_domain(x, y):
-                for sq in proof_squares(x.right, y.right):
-                    tail = _bc_failure(d, sq)
-                    bc.check(tail is None, lambda: f"{x} , {y}: {tail}")
-
     unit = rep.clause("pdot.unit-cell", "the unit square is an equality")
     i0 = external_unit_map(d)
     sq = _reference_square(
@@ -958,6 +949,52 @@ def _verify_pdot_reference(pdot, triple):
             )
             _check_square(sym, sq.invertible, sq, lambda: f"{x} , {y}")
     return [c.to_record() for c in rep.clauses]
+
+
+# distinct proof squares of the laxator's class domain at bounds 1 and 2
+PROOF_SQUARES = {"all-all": (5, 97), "surj-right": (1, 15), "inj-right": (5, 60)}
+
+
+@pytest.mark.parametrize("triple", list(REFERENCE_TRIPLES))
+def test_beck_chevalley_takes_every_proof_square(triple):
+    # the proof squares depend only on the right legs, so
+    # doctrine.beck-chevalley takes them from the pairs of right legs
+    # (f in R, g in L ∩ R); the walk over the span pairs on the
+    # laxator's class domain is the oracle: the pairs of right legs reach
+    # the same squares, each designated, and the clause checks them all
+    for bound, count in zip((1, 2), PROOF_SQUARES[triple]):
+        t = REFERENCE_TRIPLES[triple](bound)
+        pdot = PDot(powerset_doctrine(t))
+        spans = list(pdot.cat.enumerate_spans(bound))
+        walked = {
+            sq for x in spans for y in spans if pdot.laxator_domain(x, y)
+            for sq in proof_squares(x.right, y.right)
+        }
+        right = Universe(t, bound).right
+        paired = {
+            sq for f in right for g in right if t.left.contains(g)
+            for sq in proof_squares(f, g)
+        }
+        assert paired == walked and len(walked) == count
+        assert all(is_clr_pullback(sq, t) for sq in walked)
+        squares = beck_chevalley_squares(t, bound)
+        assert len(set(squares)) == len(squares)
+        assert set(squares) == set(generated_pullbacks(t, bound)) | walked
+
+
+# failures of doctrine.beck-chevalley at bound 2 on all-all (of 122
+# squares) and surj-right (of 32); none for a doctrine not named
+BC_FAILURES = {"NonFunctorialDoctrine": (11, 1), "SaturatedProjectionDoctrine": (4, 0)}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_DOCTRINES))
+def test_beck_chevalley_verdicts(name):
+    got = []
+    for triple in (trivial_triple(2), surjection_triple(2)):
+        bc = check_doctrine(SEARCH_DOCTRINES[name](triple), 2).find("doctrine.beck-chevalley")
+        got.append((bc.instances, bc.failures))
+    fails = BC_FAILURES.get(name, (0, 0))
+    assert got == [(122, fails[0]), (32, fails[1])]
 
 
 @pytest.mark.parametrize("triple", list(REFERENCE_TRIPLES))
