@@ -1,11 +1,15 @@
-"""Walk every instance of ``pdot.laxator-compositional``, not a sample.
+"""Walk every instance of ``pdot.laxator-compositional``, not a sample,
+and check the associator rule of ``pdot.double-assoc``.
 
-``verify_pdot`` checks a stride sample of the pairs of composable span
-pairs: 24,550 of the 942,841 on the trivial triple at bound 2, of which
-it decides the 2,176 whose σ is not the identity
-(``doubling.LaxCompositional.sample``).  This script walks all of them,
-for the powerset and tropical (cap 2) doctrines and every mutant of
-``tests/mutants.py`` (``mutants.doctrines()``), in two ways:
+Both clauses compare the loose images of two spans that differ by a
+canonical apex isomorphism, and decide only the instances where the two
+spans differ (``doubling.LaxCompositional``).  ``verify_pdot`` checks a
+stride sample of the pairs of composable span pairs: 24,550 of the
+942,841 on the trivial triple at bound 2, of which it decides the 2,176
+whose σ is not the identity (``LaxCompositional.sample``).  This script
+walks all of them, for the powerset and tropical (cap 2) doctrines and
+every mutant of ``tests/mutants.py`` (``mutants.doctrines()``), in two
+ways:
 
 * instance by instance: every left side L((a ⊗ x) ; (a2 ⊗ x2)) is built
   with ``SpanCategory.loose_compose`` and compared with the right side
@@ -25,13 +29,22 @@ cospans is σ of the first cospans met of their classes
 (``SpanCategory.interchange_class``), so the clause builds σ once per
 pair of classes.
 
+For ``pdot.double-assoc`` it composes both bracketings (x ; y) ; z and
+x ; (y ; z) of every composable triple with ``loose_compose``.  Where the
+two composites differ, they must have one multiset of (left, right) apex
+images, so that the associator between them is an apex isomorphism; and
+per doctrine, the instances whose two images differ must be exactly as
+many as the clause's failures in ``verify_pdot``.
+
 It prints the classes and the pairs of classes whose σ is not the
 identity, then, per doctrine, the failures of both walks, the distinct
-keys and the seconds of the keyed walk, then the instances and seconds
-of the walk instance by instance (shared by every doctrine), and the
-instances and keys whose σ is the identity.  It exits 1 if the class
-rule, the key rule or the identity rule fails somewhere or the two walks
-disagree on a count.
+keys and the seconds of the keyed walk, and the failures of
+``pdot.double-assoc`` walked and in the clause; then the instances and
+seconds of the walk instance by instance (shared by every doctrine), the
+instances and keys whose σ is the identity, and the associator's
+instances, those whose two composites differ, and their distinct pairs.
+It exits 1 if the class rule, the key rule, the identity rule or the
+associator rule fails somewhere, or two counts that must agree do not.
 
     PYTHONPATH=src python3 scripts/lax_comp_walk.py [--bound 2]
 """
@@ -46,7 +59,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from doctrina.doctrine import powerset_doctrine, tropical_doctrine
-from doctrina.doubling import LaxCompositional, PDot, product_span
+from doctrina.doubling import LaxCompositional, PDot, product_span, verify_pdot
 from doctrina.errors import NonFunctorial
 from doctrina.finset import matching, trivial_triple
 from doctrina.spancat import SpanCategory
@@ -142,6 +155,42 @@ def walk_keyed(pdot: PDot, bound: int) -> tuple[int, int, int]:
     return instances, failures, len(keys)
 
 
+def walk_assoc(pdots: dict, bound: int) -> tuple[int, int, int, int, dict]:
+    """Instances of ``pdot.double-assoc``, those whose two composites
+    differ, their distinct pairs, the pairs that break the associator
+    rule, and the failures per doctrine, imaging only unequal
+    composites."""
+    cat = SpanCategory(trivial_triple(bound))
+    composable = composable_pairs(cat, bound)
+    comps: dict = {}
+
+    def comp(x, y):
+        if (x, y) not in comps:
+            comps[x, y] = cat.loose_compose(x, y)
+        return comps[x, y]
+
+    after: dict = {}
+    for y, z in composable:
+        after.setdefault(y, []).append(z)
+    instances, unequal = 0, []
+    for x, y in composable:
+        for z in after.get(y, ()):
+            instances += 1
+            xy_z, x_yz = comp(comp(x, y), z), comp(x, comp(y, z))
+            if xy_z != x_yz:
+                unequal.append((xy_z, x_yz))
+    pairs = set(unequal)
+    broken = sum(
+        sorted(zip(s.left.table, s.right.table)) != sorted(zip(t.left.table, t.right.table))
+        for s, t in pairs
+    )
+    failures = {
+        name: sum(pdot.loose_image(s) != pdot.loose_image(t) for s, t in unequal)
+        for name, pdot in pdots.items()
+    }
+    return instances, len(unequal), len(pairs), broken, failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--bound", type=int, default=2)
@@ -165,23 +214,37 @@ def main() -> int:
         start = time.perf_counter()
         keyed[name] = walk_keyed(pdot, bound), time.perf_counter() - start
 
+    assoc, unequal, assoc_pairs, assoc_broken, assoc_walked = walk_assoc(
+        {n: PDot(pdots[n].d) for n in pdots}, bound
+    )
+    assoc_clause = {
+        n: verify_pdot(PDot(pdots[n].d), bound).find("pdot.double-assoc") for n in pdots
+    }
+
     start = time.perf_counter()
     total, each, keys, broken, identities, identity_keys = walk_each(
         {n: PDot(pdots[n].d) for n in pdots}, bound
     )
     each_s = time.perf_counter() - start
 
-    ok = misclassed == 0 and broken == 0
+    ok = misclassed == 0 and broken == 0 and assoc_broken == 0
     print(f"{'doctrine':<28} {'instances':>9} {'keys':>6} "
-          f"{'fail each':>9} {'fail keyed':>10} {'keyed s':>7}")
+          f"{'fail each':>9} {'fail keyed':>10} {'keyed s':>7} "
+          f"{'α walked':>8} {'α clause':>8}")
     for name, ((instances, failures, nkeys), secs) in keyed.items():
+        clause = assoc_clause[name]
         ok &= (instances, failures, nkeys) == (total, each[name], keys)
+        ok &= (clause.instances, clause.failures) == (assoc, assoc_walked[name])
         print(f"{name:<28} {instances:>9} {nkeys:>6} "
-              f"{each[name]:>9} {failures:>10} {secs:>7.2f}")
+              f"{each[name]:>9} {failures:>10} {secs:>7.2f} "
+              f"{assoc_walked[name]:>8} {clause.failures:>8}")
     print(f"instance by instance: {total} instances, {keys} keys, "
           f"key or identity rule broken on {broken}, {each_s:.1f} s for all doctrines")
     print(f"identity σ: {identities} instances and {identity_keys} keys, leaving "
           f"{total - identities} instances and {keys - identity_keys} keys")
+    print(f"associator: {assoc} instances, {unequal} with two different "
+          f"composites in {assoc_pairs} distinct pairs, apex images differ "
+          f"on {assoc_broken} pairs")
     print("OK" if ok else "MISMATCH")
     return 0 if ok else 1
 

@@ -62,7 +62,6 @@ from .poskit import (
     MonotoneMap,
     boolean_meet,
     bottom_element,
-    chain,
     iso_maps,
     join_table,
     map_product,
@@ -246,38 +245,33 @@ def external_unit(d: Doctrine) -> int:
     return d.fiber(terminal()).unit
 
 
-def external_unit_map(d: Doctrine) -> MonotoneMap:
-    return monotone_map(chain(1), d.fiber(terminal()).carrier, (external_unit(d),))
-
-
 # ---------------------------------------------------------------------------
 # designated pullback squares
 
 
 @dataclass(frozen=True)
 class PullbackSquare:
-    """A commuting square: top: A -> I, left: A -> B, right: I -> J,
-    bottom: B -> J, with right(top(.)) = bottom(left(.))."""
+    """A square top: A -> I, left: A -> B, right: I -> J, bottom: B -> J.
+    Construction checks nothing; ``is_pullback`` checks the corners, and
+    commutation follows from its comparison with the chosen pullback."""
 
     top: FinFn
     left: FinFn
     right: FinFn
     bottom: FinFn
 
-    def __post_init__(self) -> None:
-        if (
-            self.top.dom != self.left.dom
-            or self.top.cod != self.right.dom
-            or self.left.cod != self.bottom.dom
-            or self.right.cod != self.bottom.cod
-        ):
-            raise ValueError("square corners do not match")
-        if compose(self.top, self.right) != compose(self.left, self.bottom):
-            raise ValueError("square does not commute")
-
 
 def is_pullback(sq: PullbackSquare) -> bool:
-    """The apex corner is a genuine limit of the cospan (bottom, right)."""
+    """The corners match and the apex corner is a genuine limit of the
+    cospan (bottom, right): its (left, top) pairs are the pullback's
+    pairs, each once, so the square commutes."""
+    if (
+        sq.top.dom != sq.left.dom
+        or sq.top.cod != sq.right.dom
+        or sq.left.cod != sq.bottom.dom
+        or sq.right.cod != sq.bottom.cod
+    ):
+        return False
     apex, p, q = pullback(sq.bottom, sq.right)
     if apex.size != sq.top.dom.size:
         return False

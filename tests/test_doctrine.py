@@ -35,6 +35,7 @@ from doctrina.doctrine import (
     external_laxator,
     external_unit,
     generated_pullbacks,
+    is_pullback,
     powerset_doctrine,
     square_from_cospan,
     tropical_doctrine,
@@ -192,6 +193,18 @@ class TestBeckChevalley:
             right=c,
             bottom=c,
         )
+        with pytest.raises(NotAPullback):
+            check_beck_chevalley(pow2, sq)
+
+    @pytest.mark.parametrize("bottom", [
+        FinFn(FinSet(3), FinSet(2), (0, 1, 1)),  # its domain is not left's codomain
+        FinFn(FinSet(2), FinSet(2), (1, 0)),  # the square does not commute
+    ], ids=["mis-cornered", "not-commuting"])
+    def test_malformed_square_rejected(self, pow2, bottom):
+        # a square is validated once, by the pullback test of the checker
+        i2 = FinFn.identity(FinSet(2))
+        sq = PullbackSquare(top=i2, left=i2, right=i2, bottom=bottom)
+        assert not is_pullback(sq)
         with pytest.raises(NotAPullback):
             check_beck_chevalley(pow2, sq)
 

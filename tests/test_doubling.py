@@ -46,7 +46,7 @@ from doctrina.doctrine import (
     check_beck_chevalley,
     check_doctrine,
     external_laxator,
-    external_unit_map,
+    external_unit,
     generated_pullbacks,
     is_clr_pullback,
     powerset_doctrine,
@@ -117,7 +117,7 @@ PAIR_APEX_CELL_WITNESS = (
 )
 # sha256 of the tropical (cap 2) report at bound 2
 TROPICAL_REPORT_SHA256 = (
-    "cc97683b02482dbcc35bc8d99e519a5cb21233399da20e76c9e73df517c6d73c"
+    "2b7d803689e6f9dd301485100d4f9a7faf4697a830c7052f8d1fba3f8280667e"
 )
 
 
@@ -226,13 +226,16 @@ class TestUnitorAndUnits:
         for n in (1, 2, 3):
             assert ppow.unitor(FinSet(n)).invertible
 
-    def test_unit_cell_powerset_full_point(self, ppow):
-        qt = ppow.unit_cell()
-        assert qt.invertible
-        assert qt.left.table == (1,)
+    # the unit square, the identity of P(1) over the external unit on
+    # both sides, commutes exactly when L(id_1) fixes the unit; the
+    # unitor at A = 1 makes L(id_1) the identity, so it needs no clause
+    def test_external_unit_powerset_full_point(self, ppow):
+        assert external_unit(ppow.d) == 1
+        assert ppow.loose_image(Span.identity(terminal())).table[1] == 1
 
-    def test_unit_cell_tropical_zero(self, ptrop):
-        assert ptrop.unit_cell().left.table == (0,)
+    def test_external_unit_tropical_zero(self, ptrop):
+        assert external_unit(ptrop.d) == 0
+        assert ptrop.loose_image(Span.identity(terminal())).table[0] == 0
 
 
 class TestLaxator:
@@ -549,7 +552,6 @@ class TestSquaresDecidedOnce:
         assert decided == {
             "pdot.cell-existence": 1639,
             "pdot.laxator-commuter": 676,
-            "pdot.unit-cell": 1,
             "pdot.symmetry-cell": 202,
         }
         assert len(pdot._then) == 314
@@ -729,6 +731,43 @@ def _instances(triple):
         ],
         lax_comp_total=len(composable) ** 2,
     )
+
+
+# pdot.double-assoc at bound 2: its instances, those whose two
+# bracketings are different spans, and the distinct pairs of those spans
+ASSOC_SPLIT = {
+    "all-all": (22739, 62, 26),
+    "surj-right": (1648, 34, 22),
+    "inj-right": (5420, 20, 10),
+}
+
+
+@pytest.mark.parametrize("triple", list(REFERENCE_TRIPLES))
+def test_double_assoc_split_by_composite_ids(triple):
+    # two bracketings composed to one span hold for every doctrine; the
+    # others are the only instances that can fail, and their spans are
+    # apex-isomorphic: one multiset of (left, right) apex images
+    inst = _instances(triple)
+    unequal = [(xy_z, x_yz) for *_, xy_z, x_yz in inst.assoc if xy_z != x_yz]
+    assert (len(inst.assoc), len(unequal), len(set(unequal))) == ASSOC_SPLIT[triple]
+    for xy_z, x_yz in set(unequal):
+        assert sorted(zip(xy_z.left.table, xy_z.right.table)) == sorted(
+            zip(x_yz.left.table, x_yz.right.table)
+        )
+
+
+@pytest.mark.parametrize("triple", list(REFERENCE_TRIPLES))
+def test_double_assoc_images_only_unequal_ids(monkeypatch, triple):
+    # the clause compares composite span ids first and looks up the two
+    # loose images only where they differ: 124 lookups on all-all, where
+    # imaging both bracketings of every instance made 45,478
+    def run():
+        return verify_pdot(PDot(powerset_doctrine(REFERENCE_TRIPLES[triple](2))), 2)
+
+    rep, imaged = _calls_per_clause(monkeypatch, PDot, "_loose_id", run)
+    instances, unequal, _ = ASSOC_SPLIT[triple]
+    assert rep.find("pdot.double-assoc").instances == instances
+    assert imaged["pdot.double-assoc"] == 2 * unequal
 
 
 def _lax_comp_reference(image, triple):
@@ -932,13 +971,6 @@ def _verify_pdot_reference(pdot, triple):
 
     rep.clauses.append(_lax_comp_reference(L, triple))
 
-    unit = rep.clause("pdot.unit-cell", "the unit square is an equality")
-    i0 = external_unit_map(d)
-    sq = _reference_square(
-        MonotoneMap.identity(chain(1)), L(Span.identity(terminal())), i0, i0
-    )
-    _check_square(unit, sq.invertible, sq, lambda: "unit")
-
     sym = rep.clause("pdot.symmetry-cell", "the symmetry square is an equality")
     for x in spans:
         for y in spans:
@@ -1056,8 +1088,9 @@ def test_verify_pdot_hashes_few_spans(monkeypatch):
     # the clause loops key their squares on span ids, so a Span is hashed
     # where a span is first met, not on every lookup: powerset at bound 2
     # hashed 340,984 before spans had ids, 17,221 while the left sides
-    # of pdot.laxator-compositional were composed of product spans, and
-    # 14,405 while that clause built the right side of every sampled key
+    # of pdot.laxator-compositional were composed of product spans,
+    # 14,405 while that clause built the right side of every sampled key,
+    # and 13,428 while pdot.unit-cell looked up the identity span on 1
     hashed = [0]
     span_hash = Span.__hash__
 
@@ -1067,7 +1100,7 @@ def test_verify_pdot_hashes_few_spans(monkeypatch):
 
     monkeypatch.setattr(Span, "__hash__", counting)
     verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
-    assert hashed[0] == 13428
+    assert hashed[0] == 13427
 
 
 # -- the table-only square test against composing and comparing maps -------
