@@ -14,8 +14,10 @@ fails.
 The loose functoriality clause (``compositor``) is quantifier-
 substitution commutation in disguise, and the laxator-commuter clause is
 the projection formula in disguise; both are checked as outright map
-equalities on the domains where the theory guarantees them, and recorded
-as empirical verdicts outside those domains.  The symmetry clause is the
+equalities.  The compositor is checked on every composable pair of
+spans.  The commuter is checked on the class domain where the theory
+guarantees it (``laxator_domain``); outside it, its strict inequalities
+are only counted, in the clause's notes.  The symmetry clause is the
 image of the square that swaps the factors of a product span, so it
 rests on the span action; identities that hold whatever the doctrine
 (swap naturality, strict units of span composition) are tested with

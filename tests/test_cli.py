@@ -293,11 +293,15 @@ class TestVerify:
          "142b318e3c10da63308e55d9b8a0d6b0eac9bde7c1a7313e1851965890bef487"),
         (["roundtrip", "--fiber", "powerset"],
          "b533a80e405365cc102d20241093ccaea03df178f98ca743fa67bdf134d80e80"),
-    ], ids=["verify", "roundtrip", "roundtrip-powerset"])
+        (["verify", "--max-size", "3", "--fiber", "powerset"],
+         "d0ff07a21ed482a34bb1e078db69cef3d19f5f83d01f1ee69bddea2fd0998fd4"),
+    ], ids=["verify", "roundtrip", "roundtrip-powerset", "verify-powerset-size-3"])
     def test_default_report_bytes(self, capsys, argv, digest):
-        # pinned bytes of the CLI defaults and of the powerset round trip:
-        # the powerset doctrine is the stock one over the 2-chain, and its
-        # reports are what the bitmask doctrine printed
+        # pinned bytes of the CLI defaults, of the powerset round trip and
+        # of powerset at bound 3: the powerset doctrine is the stock one
+        # over the 2-chain, and its reports are what the bitmask doctrine
+        # printed; bound 3 is the one pinned report whose Galois and
+        # Frobenius clauses range over maps between 3-element sets
         rc, out, _ = run_main(argv, capsys)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
