@@ -151,6 +151,20 @@ def _guard_size(args) -> None:
                 f"{size}**{slots} elements, above the cost guard ({MAX_FIBER_SIZE}); "
                 "rerun with --force"
             )
+    if args.fiber in ("tropical", "both"):
+        _guard_cap(args)
+
+
+def _guard_cap(args) -> None:
+    # a min-plus doctrine tabulates V's join and tensor, and the external
+    # tensor orders P(1) x P(1): (k + 2)**2 entries each, whatever the
+    # number of slots
+    size = max(args.k, 1) + 2
+    if not args.force and size * size > MAX_FIBER_SIZE:
+        raise ValueError(
+            f"the min-plus tables for --k {args.k} have {size}**2 entries, "
+            f"above the cost guard ({MAX_FIBER_SIZE}); rerun with --force"
+        )
 
 
 def _adequacy(triple: AdequateTriple) -> Report:
@@ -203,6 +217,7 @@ def cmd_eval(args) -> int:
     if semantics == "rel":
         d = doctrine_mod.powerset_doctrine(triple)
     else:
+        _guard_cap(args)
         d = doctrine_mod.tropical_doctrine(triple, args.k)
     result = uwd.evaluate(w, system, d, corpus.types)
     print(uwd.format_predicate(result, semantics, corpus.types, args.k))
@@ -262,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--k", type=int, default=3)
     pe.add_argument("--check", action="store_true",
                     help="compare against the brute-force oracle")
+    pe.add_argument("--force", action="store_true",
+                    help="allow a cost cap beyond the cost guard")
     pe.set_defaults(fn=cmd_eval)
     return parser
 

@@ -19,10 +19,12 @@ so that evaluation never builds a fiber.
 ``span_action`` is the one checked entry point for the span action as a
 map between foot fibers, and every cover pair of its domain is checked
 order-preserving.  Its join over fibres is idempotent, so the action
-depends only on the relation the span traces, and the whole table is
-built once per relation (``poskit.span_table``, kept per doctrine),
-unless a subclass redefines ``_act``: then it applies ``_act`` to every
-value.  Substitution and quantifiers are tabulated value by value, never
+depends only on the relation the span traces: the map is built once per
+relation (its table by ``poskit.span_table``), kept per doctrine and
+returned to every span that traces it, unless a subclass redefines
+``_act``: then it applies ``_act`` to every value.  Substitution is
+tabulated from the value tuples of its codomain by Horner passes, one
+per slot of its domain, and quantifiers value by value; neither goes
 through ``_act`` or the relation tables, so the clauses that set them
 beside span actions compare two independent computations:
 ``roundtrip.subst`` and ``roundtrip.exists``, and the squares with
@@ -108,8 +110,8 @@ class Doctrine:
         self._subst: dict[FinFn, MonotoneMap] = {}
         self._exists: dict[FinFn, MonotoneMap] = {}
         self._lax: dict[tuple[FinSet, FinSet], MonotoneMap] = {}
-        # span-action index tables, one per (source slots, relation)
-        self._tables: dict[tuple, tuple[int, ...]] = {}
+        # stock span-action maps, one per (source slots, relation)
+        self._tables: dict[tuple, MonotoneMap] = {}
 
     def fiber(self, a: FinSet) -> MonoPoset:
         if a not in self._fibers:
@@ -163,38 +165,46 @@ class Doctrine:
             raise ClassViolation(f"no quantifier along {right}: not in R")
 
     def _span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
-        """The span action of a checked span.  With the stock ``_act`` the
-        table is that of the relation the span traces: target slot j joins
+        """The span action of a checked span.  With the stock ``_act`` it
+        is the map of the relation the span traces: target slot j joins
         the source slots its fibre reaches (``poskit.span_table``), and
-        every cover pair is checked.  Otherwise one ``_act`` per value, so
-        the action a subclass defines is the one the law suites check."""
-        p1 = self.fiber(left.cod).carrier
-        p2 = self.fiber(right.cod).carrier
+        every cover pair is checked.  The key (source size, fibres) fixes
+        both feet, so the map is built once per relation and every span
+        tracing it gets that one object.  Otherwise one ``_act`` per
+        value, so the action a subclass defines is the one the law suites
+        check."""
         if type(self)._act is Doctrine._act:
             fibres = [set() for _ in range(right.cod.size)]
             for i, j in zip(left.table, right.table):
                 fibres[j].add(i)
             key = (left.cod.size, tuple(tuple(sorted(f)) for f in fibres))
-            table = self._tables.get(key)
-            if table is None:
-                table = self._tables[key] = span_table(self.values.carrier, *key)
-            return MonotoneMap(p1, p2, table)
+            m = self._tables.get(key)
+            if m is None:
+                m = self._tables[key] = MonotoneMap(
+                    self.fiber(left.cod).carrier,
+                    self.fiber(right.cod).carrier,
+                    span_table(self.values.carrier, *key),
+                )
+            return m
         index = value_index(right.cod.size, self._size)
         images = [
             index[self._act(left, right, v)]
             for v in value_tuples(left.cod.size, self._size)
         ]
-        return monotone_map(p1, p2, images)
+        return monotone_map(
+            self.fiber(left.cod).carrier, self.fiber(right.cod).carrier, images
+        )
 
     def _make_fiber(self, a: FinSet) -> MonoPoset:
         return power_fiber(self.values, a.size)
 
     def _make_subst(self, f: FinFn) -> MonotoneMap:
-        index = value_index(f.dom.size, self._size)
-        table = [
-            index[tuple([psi[b] for b in f.table])]
-            for psi in value_tuples(f.cod.size, self._size)
-        ]
+        """The index of psi ∘ f for every value tuple psi of the codomain,
+        by Horner's rule over the domain's slots, last slot first."""
+        size, tuples = self._size, value_tuples(f.cod.size, self._size)
+        table = [0] * len(tuples)
+        for b in reversed(f.table):
+            table = [t * size + psi[b] for t, psi in zip(table, tuples)]
         return monotone_map(self.fiber(f.cod).carrier, self.fiber(f.dom).carrier, table)
 
     def _make_exists(self, f: FinFn) -> MonotoneMap:

@@ -39,7 +39,7 @@ from .finset import (
     swap_fn,
 )
 from .doctrine import PAIR_BOUND, Doctrine, check_subst_functorial, external_laxator
-from .poskit import MonotoneMap, map_product
+from .poskit import MonotoneMap, map_product, product_poset
 from .report import Clause, Report
 from .spancat import CellData, Span, SpanCell, SpanCategory
 
@@ -65,22 +65,36 @@ class QtCell:
     invertible: bool
 
 
+def _check_sides(top_dom, top_cod, bottom, left, right) -> None:
+    """Raise ``ShapeMismatch`` where the sides of a square, with a top
+    from ``top_dom`` to ``top_cod``, do not meet, as composing and
+    comparing them would."""
+    if left.cod != bottom.dom or top_cod != right.dom:
+        raise ShapeMismatch("composition across different posets")
+    if left.dom != top_dom or bottom.cod != right.cod:
+        raise ShapeMismatch("2-cells need parallel maps")
+
+
+def _decide(bottom: MonotoneMap, left: MonotoneMap, upper: list[int]) -> int:
+    """``holds + invertible`` of a square whose sides meet, from the table
+    ``upper`` of top then right: left then bottom is tabulated here and
+    compared with it.  Equal tables hold by reflexivity; only unequal
+    ones need the pointwise pass.  Every square is decided here."""
+    bt = bottom.table
+    lower = [bt[v] for v in left.table]
+    if lower == upper:
+        return 2
+    leq = bottom.cod.leq
+    return int(all((leq[v] >> w) & 1 for v, w in zip(lower, upper)))
+
+
 def _qt_cell(top, bottom, left, right) -> QtCell:
     """Decide the square on the tables of its two composites, left then
-    bottom against top then right; sides that do not meet raise
-    ``ShapeMismatch`` as composing and comparing them would."""
-    if left.cod != bottom.dom or top.cod != right.dom:
-        raise ShapeMismatch("composition across different posets")
-    if left.dom != top.dom or bottom.cod != right.cod:
-        raise ShapeMismatch("2-cells need parallel maps")
-    bt, rt = bottom.table, right.table
-    lower = [bt[v] for v in left.table]
-    upper = [rt[v] for v in top.table]
-    # equal tables hold by reflexivity; only unequal ones need the pointwise pass
-    invertible = lower == upper
-    leq = bottom.cod.leq
-    holds = invertible or all((leq[v] >> w) & 1 for v, w in zip(lower, upper))
-    return QtCell(top, bottom, left, right, holds, invertible)
+    bottom against top then right (``_decide``)."""
+    _check_sides(top.dom, top.cod, bottom, left, right)
+    rt = right.table
+    verdict = _decide(bottom, left, [rt[v] for v in top.table])
+    return QtCell(top, bottom, left, right, verdict > 0, verdict > 1)
 
 
 def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
@@ -120,8 +134,10 @@ class PDot:
     Every side map of a square has a side id.  Loose images,
     substitutions, μ and the identity maps are interned by value
     (``_intern``), so equal maps have one id; the product L(x) × L(y) on
-    top of a laxator square has an id per pair of image ids, and its
-    table is built each time its square is decided or read, never kept.
+    top of a laxator square has an id per pair of image ids.  Its table
+    is never kept: ``_verdict`` decides the square on the factor tables,
+    and the product map is built only when the square's sides are read
+    (``_sides``, for a witness or ``laxator_cell``).
     A square is the tuple (top, bottom, left, right) of its side ids
     (``Square``), built from span ids by ``_cell_square``,
     ``_laxator_square`` and ``_symmetry_square``.
@@ -281,11 +297,28 @@ class PDot:
     def _verdict(self, sq: Square) -> int:
         """``holds + invertible`` of the square ``sq``, decided on its
         first sight and read back on every later one: a commuter is a
-        cell, so the pair of flags is their sum."""
+        cell, so the pair of flags is their sum.  A product top L(x) ×
+        L(y) is never built: top then right is read off the factor
+        tables, ``rt[x * gc + y]`` for x in the table of L(x) and y in
+        that of L(y), and the sides are checked against the cached
+        product orders."""
         verdict = self._verdicts.get(sq)
         if verdict is None:
-            qt = _qt_cell(*self._sides(sq))
-            verdict = self._verdicts[sq] = qt.holds + qt.invertible
+            top = self._maps[sq[0]]
+            if type(top) is not tuple:
+                qt = _qt_cell(*self._sides(sq))
+                verdict = qt.holds + qt.invertible
+            else:
+                f, g = (self._maps[k] for k in top)
+                bottom, left, right = (self._maps[k] for k in sq[1:])
+                _check_sides(
+                    product_poset(f.dom, g.dom), product_poset(f.cod, g.cod),
+                    bottom, left, right,
+                )
+                rt, gc = right.table, g.cod.size
+                upper = [rt[x * gc + y] for x in f.table for y in g.table]
+                verdict = _decide(bottom, left, upper)
+            self._verdicts[sq] = verdict
         return verdict
 
     def _cell(self, sq: Square) -> QtCell:

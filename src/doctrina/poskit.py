@@ -448,12 +448,17 @@ def span_table(order: Poset, n: int, fibres: tuple[tuple[int, ...], ...]) -> tup
     """The action of the relation whose target slot j reaches the source
     slots ``fibres[j]``, on every predicate of the n-slot fiber: an index
     table into the fiber of ``len(fibres)`` slots, by Horner's rule over
-    the ``join_column`` of each fibre, last slot first.  A map into a
-    product order is monotone exactly when each component is, so the
-    checked columns check the table.  Not cached here: a doctrine keeps
-    the tables of its own span actions, and drops them with itself."""
-    table = [0] * order.size**n
-    for fib in reversed(fibres):
+    the ``join_column`` of each fibre, starting from the last slot's
+    column (all zeros, the one element of the 0-slot fiber, when there
+    is no slot).  A map into a product order is monotone exactly when
+    each component is, so the checked columns check the table.  Not
+    cached here: a doctrine keeps the maps of its own span actions, and
+    drops them with itself."""
+    if not fibres:
+        return (0,) * order.size**n
+    *rest, last = fibres
+    table = join_column(order, n, last)
+    for fib in reversed(rest):
         col = join_column(order, n, fib)
         table = [t * order.size + c for t, c in zip(table, col)]
     return tuple(table)

@@ -12,7 +12,7 @@ import textwrap
 import pytest
 from hypothesis import given, strategies as st
 
-from doctrina import poskit, uwd
+from doctrina import doctrine, finset, poskit, uwd
 from doctrina.cli import load_triple_file, main
 from doctrina.errors import DoctrinaError
 from doctrina.finset import AdequateTriple, FinFn, FinSet, MorClass
@@ -193,12 +193,41 @@ class TestEval:
         path.write_text(json.dumps(doc))
         rc, out, err = run_main(
             ["eval", "--input", str(path), "--diagram", "swap", "--system", "costs",
-             "--k", "300", "--check"],
+             "--k", "300", "--check", "--force"],
             capsys,
         )
         assert rc == 0
         assert json.loads(out) == [280, 260, 299, "inf"]
         assert "oracle: match" in err
+
+    @pytest.mark.parametrize("k, force, rc", [
+        (62, False, 0), (63, False, 2), (63, True, 0),
+    ])
+    def test_cap_guard(self, capsys, k, force, rc):
+        # a min-plus evaluation tabulates V's join and tensor, (k + 2)**2
+        # entries each: 4,096 at k = 62 is the most the guard lets through
+        argv = ["eval", "--input", CORPUS, "--diagram", "relational-composition",
+                "--system", "chain-costs", "--k", str(k), "--check"]
+        got, out, err = run_main(argv + ["--force"] * force, capsys)
+        assert got == rc
+        if rc:
+            assert out == ""
+            assert err == (
+                f"error: the min-plus tables for --k {k} have {k + 2}**2 entries, "
+                "above the cost guard (4096); rerun with --force\n"
+            )
+        else:
+            assert json.loads(out) == [3, "inf", "inf", "inf"]
+            assert err == "oracle: match\n"
+
+    def test_cap_guard_spares_relational_systems(self, capsys):
+        # a relational evaluation builds no min-plus table
+        rc, out, _ = run_main(
+            ["eval", "--input", CORPUS, "--diagram", "relational-composition",
+             "--system", "join-input", "--k", "1000", "--check"],
+            capsys,
+        )
+        assert (rc, out) == (0, "1\n")
 
     def test_unknown_diagram_exit_2(self, capsys):
         rc, _, _ = run_main(
@@ -365,6 +394,21 @@ class TestVerify:
         rc, _, err = run_main(["verify", "--max-size", "5"], capsys)
         assert rc == 2
         assert "force" in err
+
+    @pytest.mark.parametrize("command", ["verify", "roundtrip"])
+    def test_cap_guard_at_one_slot(self, capsys, command):
+        # at --max-size 1 the fibers have k + 2 elements, but V's tables
+        # and the order of P(1) x P(1) still have (k + 2)**2
+        rc, out, err = run_main(
+            [command, "--max-size", "1", "--fiber", "tropical", "--k", "63"], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert "min-plus tables for --k 63 have 65**2 entries" in err
+        rc, _, _ = run_main(
+            [command, "--max-size", "1", "--fiber", "powerset", "--k", "63"], capsys
+        )
+        assert rc == 0
 
     @pytest.mark.parametrize("command", ["verify", "roundtrip"])
     def test_fiber_size_guard_exit_2(self, capsys, command):
@@ -679,16 +723,20 @@ class TestOneTablePerRelation:
         # and pdot.double-assoc images no triple composite whose two
         # bracketings have one span id (1,799 actions when it did); every
         # column is still built
-        rc, (calls, tables, columns) = run_in_child(
+        rc, (calls, tables, columns, maps) = run_in_child(
             """
             calls = collections.Counter()
             doctrines = set()
+            # every map returned, kept alive so that distinct maps keep
+            # distinct ids
+            actions = []
             span_action, span_table = doctrine.Doctrine.span_action, doctrine.span_table
 
             def counting(self, left, right):
                 calls["span_action"] += 1
                 doctrines.add(self)
-                return span_action(self, left, right)
+                actions.append(span_action(self, left, right))
+                return actions[-1]
 
             def counting_table(*args):
                 calls["span_table"] += 1
@@ -699,13 +747,61 @@ class TestOneTablePerRelation:
             """,
             ["verify", "--fiber", "tropical", "--max-size", "2"],
             "[calls, [len(d._tables) for d in doctrines],"
-            " poskit.join_column.cache_info().misses]",
+            " poskit.join_column.cache_info().misses,"
+            " len({id(m) for m in actions})]",
         )
         assert rc == 0
         assert calls["span_action"] == 1795
-        # the doctrine keeps each table it builds, and builds each once
+        # the doctrine keeps the map of each table it builds, and builds
+        # each table once
         assert tables == [calls["span_table"]] == [250]
         assert columns == 17
+        # one map object per relation, returned to every span tracing
+        # it; each action built a map of its own (1,795) when the
+        # doctrine kept bare tables
+        assert maps == 250
+
+    def test_spans_of_one_relation_share_one_map(self):
+        # apexes of 2 and 3 points, both tracing the relation that sends
+        # both source slots to the one target slot
+        d = doctrine.tropical_doctrine(finset.trivial_triple(2))
+        two, three = FinSet(2), FinSet(3)
+        x = d.span_action(FinFn(two, two, (0, 1)), finset.bang(two))
+        y = d.span_action(FinFn(three, two, (1, 0, 1)), finset.bang(three))
+        z = d.span_action(FinFn(two, two, (0, 0)), finset.bang(two))
+        assert x is y
+        assert z is not x and z.table != x.table
+
+    def test_laxator_squares_build_no_product_map(self):
+        # laxator squares are decided on the factor tables of their top,
+        # so in a passing run the doubling binding of map_product builds
+        # only the tops that the nine laxator_cell reads of
+        # pdot.laxator-unital return (685 calls when every decided
+        # square built its top, 676 of them for pdot.laxator-commuter)
+        rc, products = run_in_child(
+            """
+            from doctrina import doubling, report
+
+            products = collections.Counter()
+            opened = [None]
+            clause, map_product = report.Report.clause, doubling.map_product
+
+            def opening(self, clause_id, law):
+                opened[0] = clause_id
+                return clause(self, clause_id, law)
+
+            def counting(f, g):
+                products[opened[0]] += 1
+                return map_product(f, g)
+
+            report.Report.clause = opening
+            doubling.map_product = counting
+            """,
+            ["verify", "--fiber", "tropical", "--max-size", "2"],
+            "products",
+        )
+        assert rc == 0
+        assert products == {"pdot.laxator-unital": 9}
 
 
 class TestWitnessesFormattedOnFailureOnly:

@@ -8,10 +8,12 @@ from doctrina.finset import (
     FinSet,
     Universe,
     finsets,
+    fn_product,
     functions,
     injection_right_triple,
     product,
     surjection_triple,
+    swap_fn,
     trivial_triple,
 )
 from doctrina.poskit import (
@@ -136,6 +138,35 @@ class TestTropicalDoctrine:
             assert any(x.source.size == 0 for x in spans)
             assert any(x.target.size == 0 for x in spans)
             assert any(len(set(x.right.table)) < x.target.size for x in spans)
+
+
+def per_value_subst_table(d: Doctrine, f: FinFn) -> tuple[int, ...]:
+    """The reference for substitution along f: for each value tuple psi
+    of the codomain, in codec order, the index of psi ∘ f, looked up as
+    a tuple."""
+    index = value_index(f.dom.size, d._size)
+    return tuple(
+        index[tuple([psi[b] for b in f.table])]
+        for psi in value_tuples(f.cod.size, d._size)
+    )
+
+
+class TestSubstitutionTables:
+    @pytest.mark.parametrize(
+        "values", [boolean_meet(), min_plus(3), LATTICES[0], LATTICES[1]],
+        ids=["boolean", "min-plus-3", "M3-meet", "N5-meet"],
+    )
+    def test_horner_passes_are_the_per_value_table(self, values):
+        # every map at bound 2, their products and the swaps, up to 4
+        # slots on either side
+        d = Doctrine(trivial_triple(2), values)
+        maps = Universe(trivial_triple(2), 2).maps
+        sets = [FinSet(n) for n in range(3)]
+        wide = [fn_product(f, g) for f in maps for g in maps]
+        swaps = [swap_fn(a, b) for a in sets for b in sets]
+        assert max(f.dom.size for f in wide) == max(f.cod.size for f in swaps) == 4
+        for f in maps + wide + swaps:
+            assert d.subst(f).table == per_value_subst_table(d, f), f
 
 
 class TestAdjunction:

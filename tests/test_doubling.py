@@ -532,11 +532,13 @@ class TestSquaresDecidedOnce:
         assert len(set(images)) == len({id(m) for m in images}) == 26
 
     def test_each_distinct_square_decided_once(self, monkeypatch):
+        # counted at the one decider, which both the product path of
+        # ``PDot._verdict`` and ``_qt_cell`` call
         from doctrina import doubling
 
         pdot = PDot(powerset_doctrine(trivial_triple(2)))
         rep, decided = _calls_per_clause(
-            monkeypatch, doubling, "_qt_cell", lambda: verify_pdot(pdot, 2)
+            monkeypatch, doubling, "_decide", lambda: verify_pdot(pdot, 2)
         )
         instances = {c.clause: c.instances for c in rep.clauses}
         assert [instances[c] for c in (
@@ -661,6 +663,34 @@ def test_search_agrees_with_verify_pdot(name):
     else:
         first = lax.notes[0].removeprefix("off-domain strict inequality: ")
         assert witness is not None and witness.rsplit(" at ", 1)[0] == first
+
+
+@pytest.mark.parametrize("triple", [
+    trivial_triple, surjection_triple, injection_right_triple,
+], ids=["all-all", "surj-right", "inj-right"])
+def test_laxator_verdicts_match_composed_sides(triple):
+    # ``PDot._verdict`` decides a laxator square on the factor tables of
+    # its top L(x) × L(y); ``_qt_cell`` on the sides ``_sides`` builds,
+    # the product map included.  Every distinct laxator square of every
+    # doctrine with a double extension gets one verdict from both; the
+    # apex mutants fail some, so the comparison covers all three verdicts
+    seen = collections.Counter()
+    refused = []
+    stock = {"powerset": powerset_doctrine, "tropical": tropical_doctrine}
+    for name, make in {**stock, **mutants.doctrines()}.items():
+        try:
+            pdot = PDot(make(triple(2)))
+        except NonFunctorial:
+            refused.append(name)
+            continue
+        spans = pdot.universe(2)
+        for sq in dict.fromkeys(pdot._laxator_square(i, j) for i in spans for j in spans):
+            verdict = pdot._verdict(sq)
+            qt = _qt_cell(*pdot._sides(sq))
+            assert verdict == qt.holds + qt.invertible, (name, sq)
+            seen[verdict] += 1
+    assert refused == ["NonFunctorialDoctrine"]
+    assert set(seen) == {0, 1, 2}
 
 
 def test_tropical_subclass_act_is_the_span_action():
