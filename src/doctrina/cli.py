@@ -126,14 +126,11 @@ def _prefix(report: Report, tag: str) -> Report:
 
 
 def _emit(report: Report, args) -> None:
-    payload = report.summary() if args.summary else report.to_jsonl()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_jsonl() + "\n")
-        if args.summary:
-            print(payload)
-    else:
-        print(payload)
+    if args.summary or not args.out:
+        print(report.summary() if args.summary else report.to_jsonl())
 
 
 def _guard_size(args) -> None:

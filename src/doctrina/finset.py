@@ -5,6 +5,7 @@ that constructions are *literally* equal whenever the theory says they are
 canonically isomorphic:
 
 * elements of a ``FinSet`` are the dense indices ``0..size-1``;
+* there is one ``FinSet`` object per size, so equality of sets is identity;
 * product pairs are row-major: ``(i, j) -> i * b.size + j``, tabulated
   for products and symmetries of maps by ``product_table``/``swap_table``;
 * pullback apices enumerate matching pairs in lexicographic order, except
@@ -17,24 +18,41 @@ canonically isomorphic:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CodMismatch, DomMismatch, LabelClash
 from .report import Report
 
 
-@dataclass(frozen=True)
 class FinSet:
-    """A finite set; its elements are the indices 0..size-1."""
+    """A finite set, the indices 0..size-1: one immutable object per size."""
 
-    size: int
+    __slots__ = ("size", "_hash")
+    _interned: dict[int, "FinSet"] = {}
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"negative size {self.size}")
+    def __new__(cls, size: int) -> "FinSet":
+        n = index(size)
+        if n not in cls._interned:
+            if n < 0:
+                raise ValueError(f"negative size {n}")
+            self = cls._interned[n] = object.__new__(cls)
+            object.__setattr__(self, "size", n)
+            object.__setattr__(self, "_hash", hash((n,)))
+        return cls._interned[n]
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return FinSet, (self.size,)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.size))

@@ -16,6 +16,7 @@ from doctrina import doctrine, finset, poskit, uwd
 from doctrina.cli import load_triple_file, main
 from doctrina.errors import DoctrinaError
 from doctrina.finset import AdequateTriple, FinFn, FinSet, MorClass
+from doctrina.report import Report
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = str(DATA / "uwd_corpus.json")
@@ -480,6 +481,24 @@ class TestVerify:
             )
             assert rc == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("summary", [[], ["--summary"]])
+    def test_out_serialises_the_report_once(self, capsys, monkeypatch, tmp_path, summary):
+        # the file holds what stdout holds without --out, and stdout holds
+        # the summary or nothing
+        argv = ["verify", "--fiber", "powerset", "--max-size", "1"]
+        _, plain, _ = run_main(argv, capsys)
+        _, shown, _ = run_main(argv + summary, capsys)
+        calls = []
+        to_jsonl = Report.to_jsonl
+        monkeypatch.setattr(
+            Report, "to_jsonl", lambda report: calls.append(1) or to_jsonl(report)
+        )
+        path = tmp_path / "report.jsonl"
+        rc, out, _ = run_main(argv + summary + ["--out", str(path)], capsys)
+        assert rc == 0 and len(calls) == 1
+        assert path.read_text(encoding="utf-8") == plain
+        assert out == (shown if summary else "")
 
     def test_custom_triple_file(self, capsys, tmp_path):
         spec = {"universe": 2, "left": "all", "right": "surj",

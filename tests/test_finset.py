@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -9,6 +11,7 @@ from doctrina.finset import (
     AdequateTriple,
     FinFn,
     FinSet,
+    LabelledFinSet,
     MorClass,
     Universe,
     bang,
@@ -29,6 +32,7 @@ from doctrina.finset import (
     terminal,
     trivial_triple,
 )
+from doctrina.uwd import TypeAssignment, denote
 
 
 def brute_pullback_pairs(x, y):
@@ -75,6 +79,56 @@ class TestValueSemantics:
             with pytest.raises(FrozenInstanceError):
                 setattr(f, attr, ())
         assert not hasattr(f, "__dict__")
+
+
+class TestOneFinSetPerSize:
+    """A finite set is fixed by its size, and is one object per size."""
+
+    def test_one_object_per_size(self):
+        for n in range(6):
+            assert FinSet(n) is FinSet(n)
+            assert FinSet(n) == FinSet(n) and FinSet(n) != FinSet(n + 1)
+        assert LabelledFinSet.of("w", "v", "w").base is FinSet(3)
+        assert product(FinSet(2), FinSet(3)).prod is FinSet(6)
+        assert fn_product(FinFn.identity(FinSet(2)), bang(FinSet(2))).cod is FinSet(2)
+        ctx = LabelledFinSet.of("w", "v")
+        assert denote(ctx, TypeAssignment({"w": 2, "v": 3})) is FinSet(6)
+        assert pullback(bang(FinSet(2)), bang(FinSet(3))).apex is FinSet(6)
+
+    def test_immutable(self):
+        a = FinSet(2)
+        for attr in ("size", "_hash", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(a, attr, 3)
+            with pytest.raises(FrozenInstanceError):
+                delattr(a, attr)
+        assert a.size == 2 and not hasattr(a, "__dict__")
+
+    def test_copy_and_pickle_return_the_interned_object(self):
+        a = FinSet(4)
+        assert copy.copy(a) is a and copy.deepcopy(a) is a
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(a, protocol)) is a
+        f = FinFn(FinSet(2), FinSet(3), (2, 0))
+        for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and g.dom is f.dom and g.cod is f.cod
+
+    def test_hash_is_the_dataclass_hash(self):
+        # the hash the former frozen dataclass gave, so every FinFn and
+        # Span hash, and every hash-ordered container, is unchanged
+        # (the FinFn figure is that of a 64-bit build)
+        for n in range(6):
+            assert hash(FinSet(n)) == hash((n,))
+        assert hash(FinFn(FinSet(2), FinSet(3), (2, 0))) == -1575861588701281296
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2", None])
+    def test_non_integer_size_refused(self, size):
+        with pytest.raises(TypeError):
+            FinSet(size)
+
+    def test_negative_size_refused(self):
+        with pytest.raises(ValueError, match="negative size -1"):
+            FinSet(-1)
 
 
 class TestCompose:
