@@ -110,7 +110,7 @@ class Doctrine:
         self._subst: dict[FinFn, MonotoneMap] = {}
         self._exists: dict[FinFn, MonotoneMap] = {}
         self._lax: dict[tuple[FinSet, FinSet], MonotoneMap] = {}
-        # stock span-action maps, one per (source slots, relation)
+        # stock span-action maps, one per (source size, target size, relation)
         self._tables: dict[tuple, MonotoneMap] = {}
 
     def fiber(self, a: FinSet) -> MonoPoset:
@@ -168,22 +168,23 @@ class Doctrine:
         """The span action of a checked span.  With the stock ``_act`` it
         is the map of the relation the span traces: target slot j joins
         the source slots its fibre reaches (``poskit.span_table``), and
-        every cover pair is checked.  The key (source size, fibres) fixes
-        both feet, so the map is built once per relation and every span
-        tracing it gets that one object.  Otherwise one ``_act`` per
-        value, so the action a subclass defines is the one the law suites
-        check."""
+        every cover pair is checked.  The key (source size, target size,
+        relation as a set of (j, i) pairs) fixes both feet, so the map is
+        built once per relation and every span tracing it gets that one
+        object; the relation is sorted into fibres only to build it.
+        Otherwise one ``_act`` per value, so the action a subclass
+        defines is the one the law suites check."""
         if type(self)._act is Doctrine._act:
-            fibres = [set() for _ in range(right.cod.size)]
-            for i, j in zip(left.table, right.table):
-                fibres[j].add(i)
-            key = (left.cod.size, tuple(tuple(sorted(f)) for f in fibres))
-            m = self._tables.get(key)
+            n, k = left.cod.size, right.cod.size
+            m = self._tables.get(key := (n, k, frozenset(zip(right.table, left.table))))
             if m is None:
+                fibres: list[list[int]] = [[] for _ in range(k)]
+                for j, i in sorted(key[2]):
+                    fibres[j].append(i)
                 m = self._tables[key] = MonotoneMap(
                     self.fiber(left.cod).carrier,
                     self.fiber(right.cod).carrier,
-                    span_table(self.values.carrier, *key),
+                    span_table(self.values.carrier, n, tuple(map(tuple, fibres))),
                 )
             return m
         index = value_index(right.cod.size, self._size)

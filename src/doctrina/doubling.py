@@ -33,7 +33,7 @@ from .finset import (
     FinFn,
     FinSet,
     Universe,
-    compose,
+    compose,  # not called here; perfbench's tests expect every module's binding
     fn_product,
     matching,
     swap_fn,
@@ -104,15 +104,15 @@ def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
     return "shape"
 
 
-def _check_square(clause: Clause, ok: bool, pdot: PDot, sq: Square, where) -> None:
-    """Record one verdict on the square ``sq``; a failure's witness is
-    the instance ``where()`` names and the first entry at which the two
+def _fail_square(clause: Clause, pdot: PDot, sq: Square, where) -> None:
+    """Record a failed instance on the square ``sq``: its witness is the
+    instance ``where()`` names and the first entry at which the two
     composites of the square differ."""
     def witness():
         top, bottom, left, right = pdot._sides(sq)
         return f"{where()}: {_first_diff(left.then(bottom), top.then(right))}"
 
-    clause.check(ok, witness)
+    clause.check(False, witness)
 
 
 def product_span(x: Span, y: Span) -> Span:
@@ -139,7 +139,8 @@ class PDot:
     and the product map is built only when the square's sides are read
     (``_sides``, for a witness or ``laxator_cell``).
     A square is the tuple (top, bottom, left, right) of its side ids
-    (``Square``), built from span ids by ``_cell_square``,
+    (``Square``): L(dst), L(src) and the substitutions along the tight
+    maps for a cell (``cell_image``), or built from span ids by
     ``_laxator_square`` and ``_symmetry_square``.
     ``_verdict`` decides a square on its first sight and keeps only
     ``holds + invertible``; ``_sides`` reads its maps back.  The
@@ -306,8 +307,10 @@ class PDot:
         if verdict is None:
             top = self._maps[sq[0]]
             if type(top) is not tuple:
-                qt = _qt_cell(*self._sides(sq))
-                verdict = qt.holds + qt.invertible
+                bottom, left, right = (self._maps[k] for k in sq[1:])
+                _check_sides(top.dom, top.cod, bottom, left, right)
+                rt = right.table
+                verdict = _decide(bottom, left, [rt[v] for v in top.table])
             else:
                 f, g = (self._maps[k] for k in top)
                 bottom, left, right = (self._maps[k] for k in sq[1:])
@@ -324,12 +327,6 @@ class PDot:
     def _cell(self, sq: Square) -> QtCell:
         verdict = self._verdict(sq)
         return QtCell(*self._sides(sq), verdict > 0, verdict > 1)
-
-    def _cell_square(self, src: int, dst: int, left: FinFn, right: FinFn) -> Square:
-        """The image of a morphism from span ``src`` to span ``dst`` with
-        tight maps ``left`` and ``right``."""
-        ids = self._loose_id
-        return ids(dst), ids(src), self._subst_id(left), self._subst_id(right)
 
     def _laxator_square(self, i: int, j: int) -> Square:
         """L(x) × L(y) against L(x ⊗ y), joined by μ on the sources and on
@@ -353,8 +350,9 @@ class PDot:
         """The square a morphism of spans induces between loose images;
         it is a genuine cell when ``holds``.  It reads the boundary only,
         so a bare ``CellData`` serves as well as a ``SpanCell``."""
-        src, dst = self.span_id(cell.src), self.span_id(cell.dst)
-        return self._cell(self._cell_square(src, dst, cell.tight_left, cell.tight_right))
+        ids, subst = self._loose_id, self._subst_id
+        src, dst = ids(self.span_id(cell.src)), ids(self.span_id(cell.dst))
+        return self._cell((dst, src, subst(cell.tight_left), subst(cell.tight_right)))
 
     # -- structure cells --------------------------------------------------
 
@@ -436,8 +434,9 @@ class LaxCompositional:
     the distinct composites and of the distinct σ.  A key whose σ is the
     identity holds at once and builds nothing.  Any other key's right
     side is read off ``PDot``'s product and image tables and its left
-    side built with both legs of the right side's span reindexed along
-    σ, once; the two sides are compared as map ids.
+    side built once, each leg of the right side's span reindexed along
+    σ by tuple indexing (``leg.table[v]`` for v in σ's table, not
+    ``compose``); the two sides are compared as map ids.
     """
 
     def __init__(self, pdot: PDot, composable: list[tuple[int, int]]):
@@ -488,8 +487,10 @@ class LaxCompositional:
             rhs = pdot._loose_id(k)
             # interned after the right side, the left side finds that
             # side's id when they are equal
-            y = pdot.span(k)
-            lhs = Span(compose(sigma, y.left), compose(sigma, y.right))
+            y, st = pdot.span(k), sigma.table
+            lhs = Span(*[
+                FinFn(sigma.dom, f.cod, tuple([f.table[v] for v in st])) for f in (y.left, y.right)
+            ])
             ok = self.verdicts[key] = pdot._loose_id(pdot.span_id(lhs)) == rhs
         return key, ok
 
@@ -521,25 +522,29 @@ class LaxCompositional:
 def _cell_existence(rep: Report, pdot: PDot, bound: int) -> None:
     """``pdot.cell-existence``.  A cell's induced square depends only on
     its boundary (the apex map never enters the image), so each distinct
-    boundary is checked once, with the first apex map seen for it.  The
-    cells come in blocks of one (src, dst) pair, so the spans are looked
-    up once per block and the tight maps seen are kept for one block."""
+    boundary is checked once, with the first apex map seen for it, as
+    ``SpanCategory.cell_boundaries`` yields them: the loose ids are read
+    once per span of a (src, dst) block, a tight left map's substitution
+    id once per group, and the square is a tuple of ids."""
     exist = rep.clause(
         "pdot.cell-existence", "every span morphism induces a genuine square"
     )
+    ids, subst, verdict = pdot._loose_id, pdot._subst_id, pdot._verdict
     src = dst = None
-    for c in pdot.cat.enumerate_cell_data(bound):
-        if c.src is not src or c.dst is not dst:
-            if c.src is not src:
-                src, s = c.src, pdot.span_id(c.src)
-            dst, t = c.dst, pdot.span_id(c.dst)
-            seen: set[tuple[FinFn, FinFn]] = set()
-        tights = c.tight_left, c.tight_right
-        if tights in seen:
-            continue
-        seen.add(tights)
-        sq = pdot._cell_square(s, t, *tights)
-        _check_square(exist, pdot._verdict(sq) > 0, pdot, sq, lambda: f"{SpanCell(*c)}")
+    checked = 0
+    for c_src, c_dst, tl, matches in pdot.cat.cell_boundaries(bound):
+        if c_src is not src:
+            src, s = c_src, ids(pdot.span_id(c_src))
+        if c_dst is not dst:
+            dst, t = c_dst, ids(pdot.span_id(c_dst))
+        left = subst(tl)
+        for am, trs in matches:
+            checked += len(trs)
+            for tr in trs:
+                sq = (t, s, left, subst(tr))
+                if not verdict(sq):
+                    _fail_square(exist, pdot, sq, lambda: f"{SpanCell(src, dst, tl, tr, am)}")
+    exist.check(True, count=checked - exist.failures)
     exist.note(f"distinct boundaries: {exist.instances}")
 
 
@@ -573,13 +578,14 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     only for a failure its clause keeps.
 
     Every instance is counted, and each failing one is checked on its
-    own, in enumeration order; passing instances may be counted in one
-    ``Clause.check``.  The clauses range over span ids
+    own, with its witness, in enumeration order; a clause's passes are
+    counted in one ``Clause.check``.  The clauses range over span ids
     (``PDot.universe``) and read composites, product spans and side maps
-    from ``PDot``'s tables by id.  The unitor, ``pdot.compositor``,
-    ``pdot.double-assoc`` and ``pdot.laxator-compositional`` compare the
-    ids of interned maps; every other square is a ``Square`` of side
-    ids, decided once by ``PDot._verdict``.  ``pdot.double-assoc`` and
+    from ``PDot``'s tables by id, building each on its first sight.  The
+    unitor, ``pdot.compositor``, ``pdot.double-assoc`` (by whole rows of
+    composite ids) and ``pdot.laxator-compositional`` compare the ids of
+    interned maps; every other square is a ``Square`` of side ids,
+    decided once by ``PDot._verdict``.  ``pdot.double-assoc`` and
     ``pdot.laxator-compositional`` compare images only where their
     canonical isomorphism is not the identity, by the rule in
     ``LaxCompositional``'s docstring; ``pdot.laxator-compositional``
@@ -607,38 +613,46 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     composable = list(matching(spans, spans, target, source))
     for i, j in composable:
         lhs, rhs = pdot._compositor_ids(i, j)
-        comp.check(lhs == rhs, lambda: (
-            f"{span(i)} ; {span(j)}: {_first_diff(maps[rhs], maps[lhs])}"
-        ))
+        if lhs != rhs:
+            comp.check(False, lambda: (
+                f"{span(i)} ; {span(j)}: {_first_diff(maps[rhs], maps[lhs])}"
+            ))
+    comp.check(True, count=len(composable) - comp.failures)
     comp.note(f"span universe bounded at {pair_bound}")
 
     assoc = rep.clause(
         "pdot.double-assoc",
         "the two bracketings of a triple composite have equal images",
     )
-    # each composable pair (i, j) with its composite, then each pair
-    # (j, k) with its composite, in the order of k; two bracketings with
-    # one span id hold by construction, so only the others are imaged
-    xy, image = pdot._composite_id, pdot._loose_id
+    # per composable pair (i, j), the row of composite ids of each
+    # bracketing over the pairs (j, k), read off ``PDot._composite`` and
+    # composed on a miss; two bracketings with one span id hold by
+    # construction, so only rows that differ are walked and imaged
+    xy, image, known = pdot._composite_id, pdot._loose_id, pdot._composite.get
     paired = [(i, j, xy(i, j)) for i, j in composable]
-    after: dict[int, list[tuple[int, int]]] = {}
+    after: dict[int, tuple[list[int], list[int]]] = {}
     for j, k, jk in paired:
-        after.setdefault(j, []).append((k, jk))
+        ks, jks = after.setdefault(j, ([], []))
+        ks.append(k)
+        jks.append(jk)
     passed = 0
     for i, j, ij in paired:
-        for k, jk in after.get(j, ()):
-            xy_z, x_yz = xy(ij, k), xy(i, jk)
-            if xy_z == x_yz:
-                passed += 1
-                continue
-            lhs, rhs = image(xy_z), image(x_yz)
-            if lhs == rhs:
-                passed += 1
-            else:
-                assoc.check(False, lambda: (
-                    f"{span(i)} ; {span(j)} ; {span(k)}: "
-                    f"{_first_diff(maps[lhs], maps[rhs])}"
-                ))
+        ks, jks = after.get(j, ((), ()))
+        lefts = [c if (c := known((ij, k))) is not None else xy(ij, k) for k in ks]
+        rights = [c if (c := known((i, jk))) is not None else xy(i, jk) for jk in jks]
+        if lefts == rights:
+            passed += len(ks)
+            continue
+        for k, xy_z, x_yz in zip(ks, lefts, rights):
+            if xy_z != x_yz:
+                lhs, rhs = image(xy_z), image(x_yz)
+                if lhs != rhs:
+                    assoc.check(False, lambda: (
+                        f"{span(i)} ; {span(j)} ; {span(k)}: "
+                        f"{_first_diff(maps[lhs], maps[rhs])}"
+                    ))
+                    continue
+            passed += 1
     assoc.check(True, count=passed)
 
     _cell_existence(rep, pdot, pair_bound)
@@ -652,23 +666,23 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     )
     off_domain_failures = 0
     off_domain_total = 0
+    pairs = len(spans) ** 2
     for i in spans:
         for j in spans:
             sq = pdot._laxator_square(i, j)
             verdict = pdot._verdict(sq)
-
-            def where() -> str:
-                return f"{span(i)} , {span(j)}"
-
-            _check_square(lax_exist, verdict > 0, pdot, sq, where)
-            if pdot.laxator_domain(span(i), span(j)):
-                _check_square(lax_comm, verdict > 1, pdot, sq, where)
-            else:
+            if not verdict:
+                _fail_square(lax_exist, pdot, sq, lambda: f"{span(i)} , {span(j)}")
+            if not pdot.laxator_domain(span(i), span(j)):
                 off_domain_total += 1
                 if verdict < 2:
                     off_domain_failures += 1
                     if off_domain_failures <= 3:
-                        lax_comm.note(f"off-domain strict inequality: {where()}")
+                        lax_comm.note(f"off-domain strict inequality: {span(i)} , {span(j)}")
+            elif verdict < 2:
+                _fail_square(lax_comm, pdot, sq, lambda: f"{span(i)} , {span(j)}")
+    lax_exist.check(True, count=pairs - lax_exist.failures)
+    lax_comm.check(True, count=pairs - off_domain_total - lax_comm.failures)
     lax_comm.note(
         f"off-domain pairs checked: {off_domain_total}, "
         f"strict inequalities: {off_domain_failures}"
@@ -709,8 +723,8 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
     for i in spans:
         for j in spans:
             sq = pdot._symmetry_square(i, j)
-            _check_square(
-                sym_c, pdot._verdict(sq) > 1, pdot, sq, lambda: f"{span(i)} , {span(j)}"
-            )
+            if pdot._verdict(sq) < 2:
+                _fail_square(sym_c, pdot, sq, lambda: f"{span(i)} , {span(j)}")
+    sym_c.check(True, count=pairs - sym_c.failures)
 
     return rep

@@ -411,17 +411,22 @@ class Universe:
     codomain, then table; ``left`` and ``right`` are the members of each
     class, in the order of ``maps``.  Every suite ranges over these lists
     (paired up by ``matching``), which is what fixes the order of every
-    report.
+    report.  One universe per (triple, bound) is built, on first use, and
+    shared by every suite, so equal maps are one object: never change it.
     """
 
-    def __init__(self, triple: AdequateTriple, bound: int):
-        self.objects = list(finsets(bound, triple.nonempty_only))
-        self.hom = {
-            (a, b): list(functions(a, b)) for a in self.objects for b in self.objects
-        }
-        self.maps = [f for fs in self.hom.values() for f in fs]
-        self.left = [f for f in self.maps if triple.left.contains(f)]
-        self.right = [f for f in self.maps if triple.right.contains(f)]
+    _built: dict[tuple[AdequateTriple, int], "Universe"] = {}
+
+    def __new__(cls, triple: AdequateTriple, bound: int) -> "Universe":
+        u = cls._built.get((triple, bound))
+        if u is None:
+            u = cls._built[triple, bound] = object.__new__(cls)
+            u.objects = list(finsets(bound, triple.nonempty_only))
+            u.hom = {(a, b): list(functions(a, b)) for a in u.objects for b in u.objects}
+            u.maps = [f for fs in u.hom.values() for f in fs]
+            u.left = [f for f in u.maps if triple.left.contains(f)]
+            u.right = [f for f in u.maps if triple.right.contains(f)]
+        return u
 
 
 def check_adequate_triple(t: AdequateTriple) -> Report:

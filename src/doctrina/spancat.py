@@ -345,12 +345,30 @@ class SpanCategory:
 
     def enumerate_cell_data(self, max_size: int) -> Iterator[CellData]:
         """Every morphism of spans bounded by ``max_size``, unvalidated:
+        the groups of ``cell_groups``, flattened."""
+        for src, dst, tl, matches in self.cell_groups(max_size):
+            for am, trs in matches:
+                for tr in trs:
+                    yield CellData(src, dst, tl, tr, am)
+
+    def cell_boundaries(self, max_size: int) -> Iterator[tuple]:
+        """The groups of ``cell_groups`` with each boundary once, with the
+        first apex map seen for it: apex maps that admit the same tight
+        right maps share one list of them, so only the first apex map
+        with each list is kept."""
+        for src, dst, tl, matches in self.cell_groups(max_size):
+            firsts: dict[int, FinFn] = {}
+            kept = [(am, trs) for am, trs in matches if firsts.setdefault(id(trs), am) is am]
+            yield src, dst, tl, kept
+
+    def cell_groups(self, max_size: int) -> Iterator[tuple]:
+        """The morphisms of spans bounded by ``max_size``, grouped as
+        (src, dst, tight left map, [(apex map, [tight right map, ...])]):
         span pairs in ``enumerate_spans`` order, then the tight left map,
-        the apex map and the tight right map, each lexicographic.  The
-        two squares are matched as tables: apex maps into ``dst`` are
-        grouped by their composite with ``dst.left``, tight right maps
-        out of ``src`` by their composite with ``src.right``, over the
-        universe's function lists."""
+        the apex map and the tight right map, each lexicographic.  Apex
+        maps into ``dst`` are grouped by their composite with ``dst.left``,
+        tight right maps out of ``src`` by their composite with
+        ``src.right`` (one shared list per composite), and matched."""
         spans = list(self.enumerate_spans(max_size))
         u = Universe(self.triple, max_size)
         objs, fns = u.objects, u.hom
@@ -378,9 +396,10 @@ class SpanCategory:
                 by_right = right_maps[src, dst.target]
                 for tl in fns[src.source, dst.source]:
                     want_left = tuple([tl.table[v] for v in sl])
-                    for am, want_right in by_left.get(want_left, ()):
-                        for tr in by_right.get(want_right, ()):
-                            yield CellData(src, dst, tl, tr, am)
+                    matches = [(am, trs) for am, want_right in by_left.get(want_left, ())
+                               if (trs := by_right.get(want_right))]
+                    if matches:
+                        yield src, dst, tl, matches
 
     def enumerate_cells(self, max_size: int) -> Iterator[SpanCell]:
         """``enumerate_cell_data`` as validated cells."""

@@ -488,18 +488,35 @@ def _calls_per_clause(monkeypatch, cls, name, run):
 class TestLeftSidesBuiltOnce:
     def test_each_key_builds_its_left_side_once(self, monkeypatch):
         # the clause builds no loose composite: a key's left side is its
-        # right side's span with both legs reindexed along σ, two
-        # composites of tables built once per key; a key whose σ is the
-        # identity has the right side's span for its left side and builds
-        # nothing.  Composing each left side from product spans made
-        # 4,242 loose composites, one per key
+        # right side's span with both legs reindexed along σ by tuple
+        # indexing, built once per key; a key whose σ is the identity has
+        # the right side's span for its left side and builds nothing.
+        # Composing each left side from product spans made 4,242 loose
+        # composites, one per key
         from doctrina import doubling
 
         def run():
             return verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
 
         _, composed = _calls_per_clause(monkeypatch, SpanCategory, "loose_compose", run)
-        rep, reindexed = _calls_per_clause(monkeypatch, doubling, "compose", run)
+        # the maps doubling builds are the legs; a span looked up with
+        # two of them for its legs is a left side built
+        legs, made = set(), []
+        sides = [0]
+        fin_fn, span_id = doubling.FinFn, PDot.span_id
+
+        def leg(*args):
+            made.append(fin_fn(*args))
+            legs.add(id(made[-1]))
+            return made[-1]
+
+        def looked_up(self, x):
+            sides[0] += id(x.left) in legs and id(x.right) in legs
+            return span_id(self, x)
+
+        monkeypatch.setattr(doubling, "FinFn", leg)
+        monkeypatch.setattr(PDot, "span_id", looked_up)
+        rep, reindexed = _calls_per_clause(monkeypatch, doubling, "FinFn", run)
         assert rep.find("pdot.laxator-compositional").instances == 24550
         assert "pdot.laxator-compositional" not in composed
         # the keys of the sample, as test_lax_comp_key_rule counts them,
@@ -519,6 +536,7 @@ class TestLeftSidesBuiltOnce:
         moved = sum(not s.is_identity for _, _, s in keys)
         assert (len(keys), moved) == (4242, 1426)
         assert reindexed == {"pdot.laxator-compositional": 2 * moved}
+        assert sides[0] == moved
 
 
 class TestSquaresDecidedOnce:
@@ -622,11 +640,17 @@ class TestOffDomainSearch:
             built[n, fibres] += 1
             return span_table(order, n, fibres)
 
+        def fibres(key):
+            # a key is (source size, target size, set of (j, i) pairs);
+            # span_table gets the source size and the fibre of each j
+            n, k, relation = key
+            return n, tuple(tuple(sorted(i for j2, i in relation if j2 == j)) for j in range(k))
+
         monkeypatch.setattr(doctrine, "span_table", counting)
         for rounds in (1, 2):
             d = powerset_doctrine(cfg)
             assert search_offdomain_witness(PDot(d), 2) is None
-            assert set(built) == set(d._tables)
+            assert sorted(map(fibres, d._tables)) == sorted(built)
             assert set(built.values()) == {rounds}
 
     def test_surjection_triple_always_on_domain(self):
@@ -761,6 +785,114 @@ def _instances(triple):
         ],
         lax_comp_total=len(composable) ** 2,
     )
+
+
+# the reference triples and injections on the left, where the laxator
+# has off-domain pairs
+PINNED_TRIPLES = {
+    **REFERENCE_TRIPLES,
+    "inj-left": lambda n: AdequateTriple(n, MorClass.injections(), MorClass.all()),
+}
+
+# sha256 of ``verify_pdot(PDot(d), 2).to_jsonl()`` for the stock
+# doctrines and every mutant on each pinned triple: every count, witness
+# and note of every clause, whatever order span ids are given in and
+# however passes are counted.  NonFunctorialDoctrine has no double
+# extension, so PDot refuses it
+VERIFY_PDOT_SHA256 = {
+    ("powerset", "all-all"):
+        "2b7d803689e6f9dd301485100d4f9a7faf4697a830c7052f8d1fba3f8280667e",
+    ("powerset", "surj-right"):
+        "4b394236f2f8de6dd06d371d5bedd1962bfc8934c9022fbe59b027ba27aaeb5f",
+    ("powerset", "inj-right"):
+        "465b4e570e8215647d2e03846d87f1da7dd3f4ac8241c532a8e3b96c75428091",
+    ("tropical", "all-all"):
+        "2b7d803689e6f9dd301485100d4f9a7faf4697a830c7052f8d1fba3f8280667e",
+    ("tropical", "surj-right"):
+        "4b394236f2f8de6dd06d371d5bedd1962bfc8934c9022fbe59b027ba27aaeb5f",
+    ("tropical", "inj-right"):
+        "465b4e570e8215647d2e03846d87f1da7dd3f4ac8241c532a8e3b96c75428091",
+    ("BrokenTensorDoctrine", "all-all"):
+        "5be5b9e2307f118ffaf0b46338467e05c46c84172de2110b6e030abba31ea22b",
+    ("BrokenTensorDoctrine", "surj-right"):
+        "4b394236f2f8de6dd06d371d5bedd1962bfc8934c9022fbe59b027ba27aaeb5f",
+    ("BrokenTensorDoctrine", "inj-right"):
+        "9627855493b34fafed0feaf7177da31afee100e025c974055a6eeb4eb6157072",
+    ("DroppedApexDoctrine", "all-all"):
+        "5a75da63487d2f9d8881985ef8f340b8d72a30698539f1876fe5000aa08f61c8",
+    ("DroppedApexDoctrine", "surj-right"):
+        "1e3dd14a5b65cd67a781e7cc8d79255622cf76c31ce7387decb7c04c4e5a47bb",
+    ("DroppedApexDoctrine", "inj-right"):
+        "046238b0118572efd6a0b9f782576527feeb26030c50984133f42abc076cb0ec",
+    ("DroppedApexTropicalDoctrine", "all-all"):
+        "1c3a2a46d183da946a03084b987badb74b5a1c85250ca6b7b552be385bea66ba",
+    ("DroppedApexTropicalDoctrine", "surj-right"):
+        "160ff2bd819107c8a97c06d3075d292dbb3fb4a313fa51d88629d6fc106d7881",
+    ("DroppedApexTropicalDoctrine", "inj-right"):
+        "945fa849637a864060c249d14c5f78a8a1ec4bdc1555250d9bd4b7dbd2f944b8",
+    ("NonFunctorialDoctrine", "all-all"):
+        "NonFunctorial",
+    ("NonFunctorialDoctrine", "surj-right"):
+        "NonFunctorial",
+    ("NonFunctorialDoctrine", "inj-right"):
+        "NonFunctorial",
+    ("PairApexDoctrine", "all-all"):
+        "2a0227acde69698b8e13d739066718160127ebb1a42c724043104f721b790136",
+    ("PairApexDoctrine", "surj-right"):
+        "cb9e07c4358e461dd9c58f9833b5fd86eee514ff9ac296985b159a5036e07d16",
+    ("PairApexDoctrine", "inj-right"):
+        "7faef10381b88fcb88080267a6454aef3bcdaf4cda4ba9b8419abda98fc452fb",
+    ("SaturatedProjectionDoctrine", "all-all"):
+        "2b7d803689e6f9dd301485100d4f9a7faf4697a830c7052f8d1fba3f8280667e",
+    ("SaturatedProjectionDoctrine", "surj-right"):
+        "4b394236f2f8de6dd06d371d5bedd1962bfc8934c9022fbe59b027ba27aaeb5f",
+    ("SaturatedProjectionDoctrine", "inj-right"):
+        "465b4e570e8215647d2e03846d87f1da7dd3f4ac8241c532a8e3b96c75428091",
+    ("SkippedApexDoctrine", "all-all"):
+        "4788a28bdd16c0cfe2be96a9504c5d9634cc0a8411f68844b39920c6bcab7846",
+    ("SkippedApexDoctrine", "surj-right"):
+        "9a7e59ac9b12cd40a49eab5732cc9576a4f859957c3e012bb149cd6cd61dcfb5",
+    ("SkippedApexDoctrine", "inj-right"):
+        "57cef0ca46d82e7e3cd409a15b348deb344f3fb7127abf738d34884493c3fbf1",
+    ("SwappedAdjointDoctrine", "all-all"):
+        "2b7d803689e6f9dd301485100d4f9a7faf4697a830c7052f8d1fba3f8280667e",
+    ("SwappedAdjointDoctrine", "surj-right"):
+        "4b394236f2f8de6dd06d371d5bedd1962bfc8934c9022fbe59b027ba27aaeb5f",
+    ("SwappedAdjointDoctrine", "inj-right"):
+        "465b4e570e8215647d2e03846d87f1da7dd3f4ac8241c532a8e3b96c75428091",
+    ("powerset", "inj-left"):
+        "8099d69af1281f96d013ae270455fdcf39ab7df4814fe04f23a92a8a636d00a5",
+    ("tropical", "inj-left"):
+        "8099d69af1281f96d013ae270455fdcf39ab7df4814fe04f23a92a8a636d00a5",
+    ("BrokenTensorDoctrine", "inj-left"):
+        "2cdde3c9438f3b2df41e23d8d8a99cf947ccdaa5c81fad19c399eb4cadc01fe9",
+    ("DroppedApexDoctrine", "inj-left"):
+        "e4809132685226ca0802de5fe341a5c5da65d7f9e30947b070f8e7a10595742d",
+    ("DroppedApexTropicalDoctrine", "inj-left"):
+        "dcb7e38d6a86750da351314fe22294a76927ded7d4c1a82a915a4fc30913df4a",
+    ("NonFunctorialDoctrine", "inj-left"):
+        "NonFunctorial",
+    ("PairApexDoctrine", "inj-left"):
+        "0367182798761b89b488cd91d01b009ddcdaec8a1947080ed59a041c8d7ba9a7",
+    ("SaturatedProjectionDoctrine", "inj-left"):
+        "8099d69af1281f96d013ae270455fdcf39ab7df4814fe04f23a92a8a636d00a5",
+    ("SkippedApexDoctrine", "inj-left"):
+        "2e42f3a5730cf0ca9ce858cb8d1bf86ecc74e8de7ed08a0764d554fd69a3a2ec",
+    ("SwappedAdjointDoctrine", "inj-left"):
+        "8099d69af1281f96d013ae270455fdcf39ab7df4814fe04f23a92a8a636d00a5",
+}
+
+
+@pytest.mark.parametrize("name, triple", list(VERIFY_PDOT_SHA256))
+def test_verify_pdot_records_pinned(name, triple):
+    want = VERIFY_PDOT_SHA256[name, triple]
+    d = SEARCH_DOCTRINES[name](PINNED_TRIPLES[triple](2))
+    if want == "NonFunctorial":
+        with pytest.raises(NonFunctorial):
+            PDot(d)
+        return
+    got = verify_pdot(PDot(d), 2).to_jsonl()
+    assert hashlib.sha256(got.encode()).hexdigest() == want
 
 
 # pdot.double-assoc at bound 2: its instances, those whose two

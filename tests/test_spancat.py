@@ -451,3 +451,11 @@ def test_cell_data_matches_definition(triple, bound, boundaries):
         data_seen.setdefault(c[:4], c.apex_map)
     assert list(data_seen.items()) == list(first_seen.items())
     assert len(first_seen) == boundaries
+    # the boundary stream holds each boundary once, in order, with its
+    # first apex map
+    distinct = [
+        ((src, dst, tl, tr), am)
+        for src, dst, tl, matches in cat.cell_boundaries(bound)
+        for am, trs in matches for tr in trs
+    ]
+    assert distinct == list(first_seen.items())

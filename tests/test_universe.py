@@ -7,11 +7,20 @@ from operator import attrgetter
 
 import pytest
 
-from doctrina.doctrine import generated_pullbacks, is_clr_pullback, square_from_cospan
+from doctrina.doctrine import (
+    check_doctrine,
+    generated_pullbacks,
+    is_clr_pullback,
+    powerset_doctrine,
+    square_from_cospan,
+)
+from doctrina.doubling import PDot, verify_pdot
+from doctrina.extraction import roundtrip
 from doctrina.finset import (
     AdequateTriple,
     MorClass,
     Universe,
+    check_adequate_triple,
     cospans,
     finsets,
     functions,
@@ -135,3 +144,45 @@ def test_matching_keeps_both_orders():
     assert list(matching(xs, ys, first, first)) == [
         ("b1", "b8"), ("a1", "a9"), ("a1", "a7"), ("b2", "b8"),
     ]
+
+
+def test_one_universe_per_triple_and_bound():
+    # built once and shared, as a FinSet is: equal triples with equal
+    # bounds give the one object, so every suite meets the same maps
+    t = trivial_triple(2)
+    assert Universe(t, 2) is Universe(t, 2) is Universe(trivial_triple(2), 2)
+    assert Universe(t, 1) is not Universe(t, 2)
+    assert Universe(surjection_triple(2), 2) is not Universe(t, 2)
+
+
+def _contents(u):
+    return u.objects[:], {k: v[:] for k, v in u.hom.items()}, u.maps[:], u.left[:], u.right[:]
+
+
+@pytest.mark.parametrize("name", ["all-all", "surj-right"])
+def test_suites_leave_the_shared_lists_alone(name):
+    # every suite reads the shared lists and none may change them: after
+    # the suites they still hold what they were built with, and a second
+    # round of the suites leaves them as the first did
+    t = TRIPLES[name](2)
+    d = powerset_doctrine(t)
+
+    def suites():
+        check_adequate_triple(t)
+        check_doctrine(d, 2)
+        SpanCategory(t).check_triangles(2)
+        verify_pdot(PDot(d), 2)
+        roundtrip(d, 2)
+
+    suites()
+    shared = {bound: u for (triple, bound), u in Universe._built.items() if triple == t}
+    assert 2 in shared
+    before = {bound: _contents(u) for bound, u in shared.items()}
+    suites()
+    for bound, u in shared.items():
+        assert _contents(u) == before[bound]
+        assert u.objects == list(finsets(bound, t.nonempty_only))
+        assert u.hom == {(a, b): list(functions(a, b)) for a in u.objects for b in u.objects}
+        assert u.maps == list(ref_maps(t, bound))
+        assert u.left == [f for f in u.maps if t.left.contains(f)]
+        assert u.right == [f for f in u.maps if t.right.contains(f)]
