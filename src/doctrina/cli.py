@@ -106,6 +106,11 @@ def _resolve_triple(args) -> AdequateTriple:
             )
         if triple.universe < 1:
             raise ValueError("universe bound must be at least 1")
+        if args.max_size > triple.universe:
+            raise ValueError(
+                f"--max-size {args.max_size} exceeds the triple file's universe "
+                f"{triple.universe}, the bound its adequacy is checked up to"
+            )
         return triple
     return TRIPLES[args.triple](max(args.max_size, 1))
 

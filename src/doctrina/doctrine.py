@@ -18,17 +18,19 @@ so that evaluation never builds a fiber.
 
 ``span_action`` is the one checked entry point for the span action as a
 map between foot fibers, and every cover pair of its domain is checked
-order-preserving.  Its join over fibres is idempotent, so the action
-depends only on the relation the span traces: the map is built once per
-relation (its table by ``poskit.span_table``), kept per doctrine and
-returned to every span that traces it, unless a subclass redefines
-``_act``: then it applies ``_act`` to every value.  Substitution is
-tabulated from the value tuples of its codomain by Horner passes, one
-per slot of its domain, and quantifiers value by value; neither goes
-through ``_act`` or the relation tables, so the clauses that set them
-beside span actions compare two independent computations:
+order-preserving.  It and ``act`` read a span through one hook,
+``_legs``, the leg tables the action joins over.  Joins are idempotent,
+so the action depends only on the relation those tables trace:
+``span_action`` builds its map once per relation (``poskit.span_table``)
+and keeps it per doctrine; ``act`` folds the joins over one value.
+Substitution is tabulated by Horner passes over the value tuples of its
+codomain, one per slot of its domain, and quantifiers value by value;
+neither reads ``_legs`` or the relation tables, so the clauses that set
+them beside span actions compare two independent computations:
 ``roundtrip.subst`` and ``roundtrip.exists``, and the squares with
 substitution sides, ``pdot.cell-existence`` and ``pdot.symmetry-cell``.
+A subclass overrides ``_make_fiber``, ``_make_subst``, ``_make_exists``,
+``_legs`` or ``_span_action``, as ``Doctrine`` says.
 
 The checkers at the bottom verify, exhaustively over a finite universe,
 every law the theory demands: functoriality, strong monoidality of
@@ -96,7 +98,15 @@ class Doctrine:
     """The doctrine of ``values``-valued predicates, with cached fibers,
     substitution and quantifiers.  The order of ``values`` must be a
     lattice (its joins are derived from it); its tensor laws are trusted,
-    not checked."""
+    not checked.
+
+    A subclass overrides ``_make_fiber``, ``_make_subst`` and
+    ``_make_exists``; ``_legs`` for a pointwise span action, which
+    ``act`` and ``span_action`` both follow; and ``_span_action`` for
+    any other action (a single-entry perturbation, say), which ``act``
+    does not follow.  The hooks are no interface class of their own:
+    the benchmark's tracer wraps ``act``, ``pair_predicate``, ``subst``,
+    ``exists`` and ``span_action`` in ``vars(Doctrine)``."""
 
     def __init__(self, triple: AdequateTriple, values: MonoPoset):
         self.triple = triple
@@ -142,7 +152,7 @@ class Doctrine:
         """Span action on a single predicate value; never materialises a
         fiber, so the feet may be denoted products of arbitrary size."""
         self._check_span(left, right)
-        return self._act(left, right, pred)
+        return self._join_fold(*self._legs(left, right), pred, right.cod.size)
 
     def pair_predicate(
         self, a: FinSet, b: FinSet, p: tuple[int, ...], q: tuple[int, ...]
@@ -165,36 +175,24 @@ class Doctrine:
             raise ClassViolation(f"no quantifier along {right}: not in R")
 
     def _span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
-        """The span action of a checked span.  With the stock ``_act`` it
-        is the map of the relation the span traces: target slot j joins
-        the source slots its fibre reaches (``poskit.span_table``), and
+        """The map of the relation a checked span's ``_legs`` trace:
+        target slot j joins the source slots its fibre reaches, and
         every cover pair is checked.  The key (source size, target size,
-        relation as a set of (j, i) pairs) fixes both feet, so the map is
-        built once per relation and every span tracing it gets that one
-        object; the relation is sorted into fibres only to build it.
-        Otherwise one ``_act`` per value, so the action a subclass
-        defines is the one the law suites check."""
-        if type(self)._act is Doctrine._act:
-            n, k = left.cod.size, right.cod.size
-            m = self._tables.get(key := (n, k, frozenset(zip(right.table, left.table))))
-            if m is None:
-                fibres: list[list[int]] = [[] for _ in range(k)]
-                for j, i in sorted(key[2]):
-                    fibres[j].append(i)
-                m = self._tables[key] = MonotoneMap(
-                    self.fiber(left.cod).carrier,
-                    self.fiber(right.cod).carrier,
-                    span_table(self.values.carrier, n, tuple(map(tuple, fibres))),
-                )
-            return m
-        index = value_index(right.cod.size, self._size)
-        images = [
-            index[self._act(left, right, v)]
-            for v in value_tuples(left.cod.size, self._size)
-        ]
-        return monotone_map(
-            self.fiber(left.cod).carrier, self.fiber(right.cod).carrier, images
-        )
+        relation as a set of (j, i) pairs) fixes both feet, so every span
+        tracing the relation gets one map, sorted into fibres once."""
+        lt, rt = self._legs(left, right)
+        n, k = left.cod.size, right.cod.size
+        m = self._tables.get(key := (n, k, frozenset(zip(rt, lt))))
+        if m is None:
+            fibres: list[list[int]] = [[] for _ in range(k)]
+            for j, i in sorted(key[2]):
+                fibres[j].append(i)
+            m = self._tables[key] = MonotoneMap(
+                self.fiber(left.cod).carrier,
+                self.fiber(right.cod).carrier,
+                span_table(self.values.carrier, n, tuple(map(tuple, fibres))),
+            )
+        return m
 
     def _make_fiber(self, a: FinSet) -> MonoPoset:
         return power_fiber(self.values, a.size)
@@ -225,8 +223,9 @@ class Doctrine:
             vals[j] = join[vals[j]][pred[i]]
         return tuple(vals)
 
-    def _act(self, left: FinFn, right: FinFn, pred: tuple[int, ...]) -> tuple[int, ...]:
-        return self._join_fold(left.table, right.table, pred, right.cod.size)
+    def _legs(self, left: FinFn, right: FinFn) -> tuple[tuple, tuple]:
+        """The leg tables the span action joins over: every apex element."""
+        return left.table, right.table
 
 
 def powerset_doctrine(triple: AdequateTriple) -> Doctrine:

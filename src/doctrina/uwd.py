@@ -343,13 +343,21 @@ def json_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
             raise ValueError(f"unknown key {json.dumps(key)} in {what}")
 
 
+def _required(spec: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a spec without one of ``keys``, naming the spec and key."""
+    for key in keys:
+        if key not in spec:
+            raise ValueError(f"{what}: missing key {json.dumps(key)}")
+
+
 def _labelled(labels: list, types: TypeAssignment, what: str) -> LabelledFinSet:
     """A label list from a file; a string is not one (``"wv"`` would read
     as the labels ``w``, ``v``)."""
     if not isinstance(labels, list) or not all(type(t) is str for t in labels):
         raise ValueError(f"{what} {json.dumps(labels)} is not a list of labels")
     for lab in labels:
-        types.size(lab)  # raises on unknown labels
+        if lab not in types.domains:
+            raise ValueError(f"{what}: no domain for label {json.dumps(lab)}")
     return LabelledFinSet(FinSet(len(labels)), tuple(labels))
 
 
@@ -395,24 +403,42 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     diagrams: dict[str, UwdDiagram] = {}
     for name, spec in _object(doc.get("diagrams", {}), "diagrams").items():
         spec = _object(spec, f"diagram {name}")
-        json_keys(spec, ("inner", "junctions", "outer", "f", "g"), f"diagram {name}")
+        keys = ("inner", "junctions", "outer", "f", "g")
+        json_keys(spec, keys, f"diagram {name}")
+        _required(spec, keys, f"diagram {name}")
         inner = _labelled(spec["inner"], types, f"diagram {name}: inner")
         junctions = _labelled(spec["junctions"], types, f"diagram {name}: junctions")
         outer = _labelled(spec["outer"], types, f"diagram {name}: outer")
-        legs = []
-        for leg, ports in (("f", inner), ("g", outer)):
+        k, legs = junctions.base.size, []
+        for leg, side, ports in (("f", "inner", inner), ("g", "outer", outer)):
             table = spec[leg]
             if not isinstance(table, list) or any(type(j) is not int for j in table):
                 raise ValueError(
                     f"diagram {name}: {leg} {json.dumps(table)} is not a list of junctions"
                 )
+            if len(table) != ports.base.size:
+                raise ValueError(
+                    f"diagram {name}: {leg} has length {len(table)}, not the "
+                    f"number of {side} ports ({ports.base.size})"
+                )
+            if table and (min(table) < 0 or max(table) >= k):
+                p, j = next((p, j) for p, j in enumerate(table) if not 0 <= j < k)
+                raise ValueError(
+                    f"diagram {name}: {leg} sends {side} port {p} to junction {j}, "
+                    f"outside the {k} junctions"
+                )
             legs.append(FinFn(ports.base, junctions.base, tuple(table)))
-        diagrams[name] = UwdDiagram(inner, junctions, outer, *legs)
+        try:
+            diagrams[name] = UwdDiagram(inner, junctions, outer, *legs)
+        except LabelClash as e:
+            raise LabelClash(f"diagram {name}: {e}") from None
 
     systems: dict[str, tuple[System, str]] = {}
     for name, spec in _object(doc.get("systems", {}), "systems").items():
         spec = _object(spec, f"system {name}")
-        json_keys(spec, ("context", "semantics", "data"), f"system {name}")
+        keys = ("context", "semantics", "data")
+        json_keys(spec, keys, f"system {name}")
+        _required(spec, keys, f"system {name}")
         ctx = _labelled(spec["context"], types, f"system {name}: context")
         semantics = spec["semantics"]
         data = spec["data"]

@@ -2,8 +2,10 @@
 
 Every class takes the triple and, apart from ``DroppedApexDoctrine``,
 works over the 2-chain under meet, where a subset's carrier index is its
-bitmask.  ``doctrines()`` names each mutant instance the suites and
-scripts run."""
+bitmask.  The three apex mutants drop apex elements in ``_legs``, the
+hook both ``span_action`` and ``act`` read, so each acts through the
+relation its remaining leg entries trace.  ``doctrines()`` names each
+mutant instance the suites and scripts run."""
 
 import inspect
 import sys
@@ -70,17 +72,15 @@ class DroppedApexDoctrine(Doctrine):
     and the double extension builds; but loose composites and product
     spans, the only spans that large at bound 2, lose loose
     functoriality, and a companion span over a 3-element set no longer
-    acts as substitution.  Its ``_act`` replaces the stock one, so the
-    span action must be computed value by value through it, not from the
-    stock relation tables."""
+    acts as substitution."""
 
     def __init__(self, triple, values: MonoPoset | None = None):
         super().__init__(triple, boolean_meet() if values is None else values)
 
-    def _act(self, left: FinFn, right: FinFn, pred: tuple) -> tuple:
+    def _legs(self, left: FinFn, right: FinFn) -> tuple[tuple, tuple]:
         n = left.dom.size
         keep = n - 1 if n >= 3 else n
-        return self._join_fold(left.table[:keep], right.table[:keep], pred, right.cod.size)
+        return left.table[:keep], right.table[:keep]
 
 
 class SkippedApexDoctrine(_Boolean):
@@ -89,11 +89,11 @@ class SkippedApexDoctrine(_Boolean):
     fixed by the swap, so the images of ``x ⊗ y`` and ``y ⊗ x`` no longer
     agree across the symmetry: the symmetry axiom fails."""
 
-    def _act(self, left: FinFn, right: FinFn, pred: tuple) -> tuple:
+    def _legs(self, left: FinFn, right: FinFn) -> tuple[tuple, tuple]:
         lt, rt = left.table, right.table
         if len(lt) >= 3:
-            lt, rt = lt[:1] + lt[2:], rt[:1] + rt[2:]
-        return self._join_fold(lt, rt, pred, right.cod.size)
+            return lt[:1] + lt[2:], rt[:1] + rt[2:]
+        return lt, rt
 
 
 class PairApexDoctrine(_Boolean):
@@ -104,9 +104,9 @@ class PairApexDoctrine(_Boolean):
     so ``pdot.cell-existence`` fails, along with the clauses that act by
     a two-element identity or product apex."""
 
-    def _act(self, left: FinFn, right: FinFn, pred: tuple) -> tuple:
+    def _legs(self, left: FinFn, right: FinFn) -> tuple[tuple, tuple]:
         skip = 1 if left.dom.size == 2 else 0
-        return self._join_fold(left.table[skip:], right.table[skip:], pred, right.cod.size)
+        return left.table[skip:], right.table[skip:]
 
 
 SATURATED = product(FinSet(2), FinSet(2)).pa

@@ -449,6 +449,27 @@ class TestVerify:
         assert out == ""
         assert err == "error: universe bound must be at least 1\n"
 
+    @pytest.mark.parametrize("command", ["verify", "roundtrip"])
+    @pytest.mark.parametrize("left, right", [("all", "inj"), ("inj", "all")])
+    def test_max_size_above_triple_file_universe_exit_2(
+        self, capsys, tmp_path, command, left, right
+    ):
+        # adequacy is checked only up to the file's universe, so the suites
+        # may not run above it: with universe 1 and --max-size 2, all-inj
+        # passed everything although its built-in twin fails
+        # triple.projections, and inj-all crashed verify on a square
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps({"universe": 1, "left": left, "right": right}))
+        rc, out, err = run_main(
+            [command, "--max-size", "2", "--triple-file", str(path)], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            "error: --max-size 2 exceeds the triple file's universe 1, "
+            "the bound its adequacy is checked up to\n"
+        )
+
     @pytest.mark.parametrize("left, witness", [
         ("all", "f=FinFn(0->0:[]): composite legs escaped their classes"),
         ({"explicit": [{"dom": 0, "cod": 1, "table": []},

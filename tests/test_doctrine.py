@@ -1,4 +1,5 @@
 import operator
+from functools import partial
 
 import pytest
 
@@ -22,6 +23,7 @@ from doctrina.poskit import (
     boolean_meet,
     chain,
     min_plus,
+    monotone_map,
     power_poset,
     trop_index,
     trop_values,
@@ -50,7 +52,6 @@ from doctrina.spancat import SpanCategory
 
 from mutants import (
     PERTURBED,
-    DroppedApexDoctrine,
     NonFunctorialDoctrine,
     SwappedAdjointDoctrine,
     doctrines,
@@ -61,13 +62,37 @@ from test_poskit import M3, N5, meet_monoid
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
 
 
-class PerValueDoctrine(Doctrine):
-    """The stock join fold as a redefined ``_act``, so that the span
-    action is computed value by value: the reference for the relation
-    tables."""
+def per_value_span_action(d: Doctrine, left: FinFn, right: FinFn):
+    """The reference for the relation tables: for each value tuple of the
+    source, in codec order, target slot j joins its entries at the
+    ``d._legs`` pairs (i, j), starting from the bottom; each image is
+    looked up as a tuple, and ``monotone_map`` checks every cover pair."""
+    lt, rt = d._legs(left, right)
+    index = value_index(right.cod.size, d._size)
+    images = []
+    for v in value_tuples(left.cod.size, d._size):
+        vals = [d.bottom] * right.cod.size
+        for i, j in zip(lt, rt):
+            vals[j] = d._join[vals[j]][v[i]]
+        images.append(index[tuple(vals)])
+    return monotone_map(d.fiber(left.cod).carrier, d.fiber(right.cod).carrier, images)
 
-    def _act(self, left, right, pred):
-        return self._join_fold(left.table, right.table, pred, right.cod.size)
+
+def action_spans(triple):
+    """Every span at bound 2, then products of spans between 2-element
+    feet, whose feet have 4 slots and whose apexes have up to 4 elements."""
+    spans = list(SpanCategory(triple).enumerate_spans(2))
+    square = [x for x in spans if x.source.size == x.target.size == 2]
+    wide = [product_span(x, y) for x, y in zip(square, square[3:] + square[:3])]
+    assert len(wide) >= 8
+    return spans + wide
+
+
+class PerValueDoctrine(Doctrine):
+    """The stock doctrine with its span action computed value by value."""
+
+    def _span_action(self, left, right):
+        return per_value_span_action(self, left, right)
 
 
 UNION = MonoPoset(chain(2), operator.or_, 0)
@@ -117,22 +142,21 @@ class TestTropicalDoctrine:
             tropical_doctrine(trivial_triple(2), 0)
 
     @pytest.mark.parametrize(
-        "values", [min_plus(1), min_plus(2), min_plus(3)] + LATTICES,
-        ids=["1", "2", "3"] + LATTICE_IDS,
+        "make",
+        [partial(Doctrine, values=v) for v in [min_plus(1), min_plus(2), min_plus(3)] + LATTICES]
+        + list(doctrines().values()),
+        ids=["1", "2", "3"] + LATTICE_IDS + list(doctrines()),
     )
     @pytest.mark.parametrize("triple, empties", [
         (trivial_triple(2), True), (surjection_triple(2), False),
     ], ids=["all-all", "surj-right"])
-    def test_packed_span_action_is_the_per_value_table(self, triple, empties, values):
-        # every span at bound 2, and products of spans between 2-element
-        # feet, whose feet have 4 slots
-        d, ref = Doctrine(triple, values), PerValueDoctrine(triple, values)
-        spans = list(SpanCategory(triple).enumerate_spans(2))
-        square = [x for x in spans if x.source.size == x.target.size == 2]
-        wide = [product_span(x, y) for x, y in zip(square, square[3:] + square[:3])]
-        assert len(wide) >= 8
-        for x in spans + wide:
-            assert d.span_action(x.left, x.right) == ref.span_action(x.left, x.right), x
+    def test_packed_span_action_is_the_per_value_table(self, triple, empties, make):
+        # the mutants' ``_legs`` drop apex elements, so they take the
+        # relation tables too
+        d = make(triple)
+        spans = action_spans(triple)
+        for x in spans:
+            assert d.span_action(x.left, x.right) == per_value_span_action(d, x.left, x.right), x
         if empties:
             # empty feet, and right legs that leave a fibre empty
             assert any(x.source.size == 0 for x in spans)
@@ -449,6 +473,22 @@ LAW_TRIPLES = {
 
 @pytest.mark.parametrize("triple", list(LAW_TRIPLES))
 @pytest.mark.parametrize("name", list(LAW_DOCTRINES))
+def test_act_is_the_span_action_value_by_value(name, triple):
+    # evaluation's ``act`` and the law suites' ``span_action`` read one
+    # definition of the action: on every span at bound 2, and on products
+    # of spans, whose apexes are large enough for the apex mutants, the
+    # image of every source value under ``act`` is the map's image of its
+    # index
+    d = LAW_DOCTRINES[name](LAW_TRIPLES[triple](2))
+    for x in action_spans(d.triple):
+        n, k = x.source.size, x.target.size
+        index = value_index(k, d._size)
+        acted = [index[d.act(x.left, x.right, v)] for v in value_tuples(n, d._size)]
+        assert tuple(acted) == d.span_action(x.left, x.right).table, x
+
+
+@pytest.mark.parametrize("triple", list(LAW_TRIPLES))
+@pytest.mark.parametrize("name", list(LAW_DOCTRINES))
 def test_failing_clauses(name, triple):
     d = LAW_DOCTRINES[name](LAW_TRIPLES[triple](2))
     reports = [check_doctrine(d, 2)]
@@ -505,29 +545,6 @@ class TestValuedDoctrine:
             assert all(len(set(legs[w].table)) < legs[w].cod.size for w in fro.witnesses)
         else:
             assert failing == {}
-
-    def test_stock_act_takes_the_relation_tables(self, monkeypatch):
-        # every valued doctrine with the stock ``_act`` computes its span
-        # action through the relation tables, not a silent per-value
-        # fallback; a class that redefines ``_act`` goes through it.  Each
-        # class gets its own function, so that none is the stock one.
-        def per_value():
-            def act(*args):
-                raise AssertionError("per-value span action")
-            return act
-
-        triple = trivial_triple(2)
-        spans = list(SpanCategory(triple).enumerate_spans(2))
-        monkeypatch.setattr(Doctrine, "_act", per_value())
-        values = (boolean_meet(), min_plus(3), meet_monoid(power_poset(chain(2), 2)), UNION)
-        for v in values:
-            d = Doctrine(triple, v)
-            for x in spans:
-                d.span_action(x.left, x.right)
-        monkeypatch.setattr(DroppedApexDoctrine, "_act", per_value())
-        for v in values:
-            with pytest.raises(AssertionError, match="per-value"):
-                DroppedApexDoctrine(triple, v).span_action(CONST21, CONST21)
 
     def test_non_lattice_values_rejected(self):
         # a bottom below two maximal elements, then two incomparable ones

@@ -717,9 +717,10 @@ def test_laxator_verdicts_match_composed_sides(triple):
     assert set(seen) == {0, 1, 2}
 
 
-def test_tropical_subclass_act_is_the_span_action():
-    # the stock min-plus action is computed from relation tables; a
-    # subclass that redefines ``_act`` must have its own action checked
+def test_tropical_subclass_legs_are_the_span_action():
+    # the span action is computed from the relation its ``_legs`` trace,
+    # so a subclass that drops an apex element there has that action
+    # checked, over min-plus as over the 2-chain
     rep = verify_pdot(PDot(DroppedApexDoctrine(trivial_triple(2), min_plus(1))), 2)
     comp = rep.find("pdot.compositor")
     assert comp.failures == 12

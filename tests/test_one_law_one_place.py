@@ -2,8 +2,11 @@
 ``doctrine.check_beck_chevalley`` and reported by
 ``doctrine.beck-chevalley`` alone, so no other package module calls it.
 The other single-law checkers are held to the modules whose clauses
-report them (``CALLERS``).  The sources are read with ``ast``, so a call
-under any name the function is imported as counts as well."""
+report them (``CALLERS``).  The span action has one definition too:
+only ``doctrine.py`` folds joins (``_join_fold``), and no class defines
+``_act``, a hook the suites no longer read, so a subclass that redefined
+it would be silently ignored.  The sources are read with ``ast``, so a
+call under any name the function is imported as counts as well."""
 
 import ast
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "doctrina"
 LAW = "check_beck_chevalley"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SOURCES = MODULES + sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # each other single-law checker, and the package modules that may call
 # it: ``roundtrip.frobenius`` cross-checks the rebuilt Frobenius
@@ -64,3 +68,22 @@ def test_laws_are_checked_only_where_they_are_reported(path):
     for law, allowed in CALLERS.items():
         lines = [] if path.name in allowed else list(calls(path, law))
         assert not lines, f"{path.name} calls {law} on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_joins_are_folded_only_in_doctrine(path):
+    lines = [] if path == PACKAGE / "doctrine.py" else list(calls(path, "_join_fold"))
+    assert not lines, f"{path.name} calls _join_fold on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_class_defines_act(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        stmt.lineno
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if (isinstance(stmt, ast.FunctionDef) and stmt.name == "_act")
+        or any(isinstance(t, ast.Name) and t.id == "_act" for t in getattr(stmt, "targets", ()))
+    ]
+    assert not lines, f"{path.name} defines _act on lines {lines}"

@@ -518,6 +518,48 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="not a list of junctions"):
             load_corpus(doc)
 
+    @staticmethod
+    def _named_doc():
+        return {
+            "labels": ["w", "v"], "domains": {"w": 2, "v": 3},
+            "diagrams": {"d": {"inner": ["w", "v"], "junctions": ["w", "v"],
+                               "outer": ["v"], "f": [0, 1], "g": [1]}},
+            "systems": {"x": {"context": ["w"], "semantics": "rel", "data": "1"}},
+        }
+
+    @pytest.mark.parametrize("entry, key", [
+        *(("diagrams", key) for key in ("inner", "junctions", "outer", "f", "g")),
+        *(("systems", key) for key in ("context", "semantics", "data")),
+    ])
+    def test_missing_key_names_entry_and_key(self, entry, key):
+        # a missing key was a bare KeyError, printed as "error: 'g'"
+        doc = self._named_doc()
+        load_corpus(doc)
+        name = "d" if entry == "diagrams" else "x"
+        del doc[entry][name][key]
+        what = "diagram d" if entry == "diagrams" else "system x"
+        with pytest.raises(ValueError) as exc:
+            load_corpus(doc)
+        assert str(exc.value) == f'{what}: missing key "{key}"'
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("f", [0, 2], "f sends inner port 1 to junction 2, outside the 2 junctions"),
+        ("g", [-1], "g sends outer port 0 to junction -1, outside the 2 junctions"),
+        ("f", [0], "f has length 1, not the number of inner ports (2)"),
+        ("g", [1, 1], "g has length 2, not the number of outer ports (1)"),
+        ("f", [1, 0], "inner port 0 (w) on junction 1 (v)"),
+        ("inner", ["w", "q"], 'inner: no domain for label "q"'),
+    ], ids=["f-outside", "g-negative", "f-short", "g-long", "label-clash", "unknown-label"])
+    def test_bad_leg_names_diagram_and_leg(self, field, value, message):
+        # a leg table out of range or of the wrong length named neither
+        # the diagram nor the leg
+        doc = self._named_doc()
+        load_corpus(doc)
+        doc["diagrams"]["d"][field] = value
+        with pytest.raises((ValueError, LabelClash)) as exc:
+            load_corpus(doc)
+        assert str(exc.value) == f"diagram d: {message}"
+
     def test_cost_array_length_checked(self):
         doc = {
             "labels": ["w"], "domains": {"w": 2}, "diagrams": {},
