@@ -62,12 +62,9 @@ def _json_map(m) -> FinFn:
 
 
 def _class_from_spec(spec) -> MorClass:
-    if spec == "all":
-        return MorClass.all()
-    if spec == "inj":
-        return MorClass.injections()
-    if spec == "surj":
-        return MorClass.surjections()
+    # a bare kind names its class; an explicit class needs its members
+    if spec != "explicit" and spec in MorClass.ALL_KINDS:
+        return MorClass(spec)
     if isinstance(spec, dict) and isinstance(spec.get("explicit"), list):
         uwd.json_keys(spec, ("explicit",), "class spec")
         return MorClass.explicit(_json_map(m) for m in spec["explicit"])
@@ -77,8 +74,7 @@ def _class_from_spec(spec) -> MorClass:
 def load_triple_file(path: str) -> AdequateTriple:
     """Decode a triple file; a value of the wrong JSON type is an error,
     never coerced."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = uwd.load_json_file(path)
     if not isinstance(doc, dict):
         raise ValueError("triple file must hold a JSON object")
     uwd.json_keys(doc, ("universe", "left", "right", "nonempty_only"), "triple file")

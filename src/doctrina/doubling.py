@@ -6,10 +6,10 @@ between the induced maps.  Because the fibers are posets, every piece of
 coherence data collapses to a pair of pointwise inequalities, and the
 whole battery of coherence axioms reduces to map equalities.  Each
 ``PDot`` cell method returns its square as a ``QtCell`` whose ``holds``
-and ``invertible`` flags are the verdicts; nothing here raises on a
-failed law.  The ``verify_pdot`` suite records each axiom as one clause
-over an enumerated universe and reports witnesses for anything that
-fails.
+and ``invertible`` flags are the verdicts, all decided by one method,
+``PDot._verdict``; nothing here raises on a failed law.  The
+``verify_pdot`` suite records each axiom as one clause over an
+enumerated universe and reports witnesses for anything that fails.
 
 The loose functoriality clause (``compositor``) is quantifier-
 substitution commutation in disguise, and the laxator-commuter clause is
@@ -88,15 +88,6 @@ def _decide(bottom: MonotoneMap, left: MonotoneMap, upper: list[int]) -> int:
     return int(all((leq[v] >> w) & 1 for v, w in zip(lower, upper)))
 
 
-def _qt_cell(top, bottom, left, right) -> QtCell:
-    """Decide the square on the tables of its two composites, left then
-    bottom against top then right (``_decide``)."""
-    _check_sides(top.dom, top.cod, bottom, left, right)
-    rt = right.table
-    verdict = _decide(bottom, left, [rt[v] for v in top.table])
-    return QtCell(top, bottom, left, right, verdict > 0, verdict > 1)
-
-
 def _first_diff(f: MonotoneMap, g: MonotoneMap) -> str:
     for i, (x, y) in enumerate(zip(f.table, g.table)):
         if x != y:
@@ -142,12 +133,15 @@ class PDot:
     (``Square``): L(dst), L(src) and the substitutions along the tight
     maps for a cell (``cell_image``), or built from span ids by
     ``_laxator_square`` and ``_symmetry_square``.
-    ``_verdict`` decides a square on its first sight and keeps only
-    ``holds + invertible``; ``_sides`` reads its maps back.  The
-    compositor and the unitor are equalities of interned maps
-    (``_compositor_ids``, ``_unitor_ids``).  The cell methods that take
-    spans resolve their ids and return a ``QtCell``; ``verify_pdot``
-    reads verdicts on ids."""
+    The compositor and the unitor are equalities of interned maps
+    (``_compositor_ids``, ``_unitor_ids``); as squares, those maps are
+    joined by interned identities (``_equality_square``).  ``_verdict``
+    decides a square on its first sight and keeps only ``holds +
+    invertible``; ``_sides`` reads its maps back.  It is the only
+    decider: every cell method that takes spans resolves their ids to a
+    ``Square`` and returns ``_cell`` of it, a ``QtCell`` of its sides
+    and ``_verdict``'s flags, and ``verify_pdot`` reads verdicts on
+    ids."""
 
     def __init__(self, doctrine: Doctrine):
         self.d = doctrine
@@ -298,30 +292,28 @@ class PDot:
     def _verdict(self, sq: Square) -> int:
         """``holds + invertible`` of the square ``sq``, decided on its
         first sight and read back on every later one: a commuter is a
-        cell, so the pair of flags is their sum.  A product top L(x) ×
-        L(y) is never built: top then right is read off the factor
-        tables, ``rt[x * gc + y]`` for x in the table of L(x) and y in
-        that of L(y), and the sides are checked against the cached
-        product orders."""
+        cell, so the pair of flags is their sum.  It is the one place a
+        square is decided.  The sides are checked before top then right
+        is tabulated, so sides that do not meet raise ``ShapeMismatch``,
+        not an ``IndexError``.  A product top L(x) × L(y) is never built:
+        its sides are checked against the cached product orders, and top
+        then right is read off the factor tables, ``rt[x * gc + y]`` for
+        x in the table of L(x) and y in that of L(y)."""
         verdict = self._verdicts.get(sq)
         if verdict is None:
             top = self._maps[sq[0]]
+            bottom, left, right = (self._maps[k] for k in sq[1:])
+            rt = right.table
             if type(top) is not tuple:
-                bottom, left, right = (self._maps[k] for k in sq[1:])
                 _check_sides(top.dom, top.cod, bottom, left, right)
-                rt = right.table
-                verdict = _decide(bottom, left, [rt[v] for v in top.table])
+                upper = [rt[v] for v in top.table]
             else:
                 f, g = (self._maps[k] for k in top)
-                bottom, left, right = (self._maps[k] for k in sq[1:])
-                _check_sides(
-                    product_poset(f.dom, g.dom), product_poset(f.cod, g.cod),
-                    bottom, left, right,
-                )
-                rt, gc = right.table, g.cod.size
+                dom, cod = product_poset(f.dom, g.dom), product_poset(f.cod, g.cod)
+                _check_sides(dom, cod, bottom, left, right)
+                gc = g.cod.size
                 upper = [rt[x * gc + y] for x in f.table for y in g.table]
-                verdict = _decide(bottom, left, upper)
-            self._verdicts[sq] = verdict
+            verdict = self._verdicts[sq] = _decide(bottom, left, upper)
         return verdict
 
     def _cell(self, sq: Square) -> QtCell:
@@ -368,20 +360,20 @@ class PDot:
         ident = MonotoneMap.identity(self.d.fiber(a).carrier)
         return self._loose_id(self.span_id(Span.identity(a))), self._intern(ident)
 
-    def _equality(self, ids: tuple[int, int]) -> QtCell:
-        """The square with maps ``ids`` on top and bottom and identities
-        for its sides: it commutes exactly when the two maps are equal."""
-        top, bottom = (self._maps[k] for k in ids)
-        ident = MonotoneMap.identity
-        return _qt_cell(top, bottom, ident(top.dom), ident(top.cod))
+    def _equality_square(self, top: int, bottom: int) -> Square:
+        """Maps ``top`` and ``bottom`` joined by interned identities: the
+        square commutes exactly when the two maps are equal."""
+        m, ident = self._maps[top], MonotoneMap.identity
+        return top, bottom, self._intern(ident(m.dom)), self._intern(ident(m.cod))
 
     def compositor(self, x: Span, y: Span) -> QtCell:
         """Image of a composite against the composite of images; loose
         functoriality is ``invertible``."""
-        return self._equality(self._compositor_ids(self.span_id(x), self.span_id(y)))
+        ids = self._compositor_ids(self.span_id(x), self.span_id(y))
+        return self._cell(self._equality_square(*ids))
 
     def unitor(self, a: FinSet) -> QtCell:
-        return self._equality(self._unitor_ids(a))
+        return self._cell(self._equality_square(*self._unitor_ids(a)))
 
     def laxator_domain(self, x: Span, y: Span) -> bool:
         """The class condition under which the laxator must be invertible:

@@ -197,18 +197,12 @@ def pushout(
 
     out_labels = None
     if labels is not None:
-        left_labels, right_labels = labels
         merged: list = [None] * apex.size
-        for i in range(n1):
-            k = i1.table[i]
-            if merged[k] is not None and merged[k] != left_labels[i]:
-                raise LabelClash(f"class {k}: {merged[k]!r} vs {left_labels[i]!r}")
-            merged[k] = left_labels[i]
-        for j in range(n2):
-            k = i2.table[j]
-            if merged[k] is not None and merged[k] != right_labels[j]:
-                raise LabelClash(f"class {k}: {merged[k]!r} vs {right_labels[j]!r}")
-            merged[k] = right_labels[j]
+        for inj, block in zip((i1, i2), labels):
+            for k, label in zip(inj.table, block, strict=True):
+                if merged[k] is not None and merged[k] != label:
+                    raise LabelClash(f"class {k}: {merged[k]!r} vs {label!r}")
+                merged[k] = label
         out_labels = tuple(merged)
     return Pushout(apex, i1, i2, out_labels)
 

@@ -336,6 +336,16 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def load_json_file(path: str):
+    """Decode the JSON file at ``path``.  A document nested deeper than
+    the decoder can recurse is a ``ValueError`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def json_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
     """Refuse a key outside ``keys``: it would be ignored, unread."""
     for key in obj:
@@ -476,8 +486,7 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
 
 
 def load_corpus_file(path: str, cap: int = 3) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_corpus(json.load(fh), cap=cap)
+    return load_corpus(load_json_file(path), cap=cap)
 
 
 def format_predicate(sys: System, semantics: str, types: TypeAssignment, cap: int) -> str:

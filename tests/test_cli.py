@@ -93,6 +93,17 @@ class TestEval:
         assert rc == 2
         assert "error" in err
 
+    def test_deeply_nested_input_exit_2(self, capsys, tmp_path):
+        # past the decoder's recursion limit: an input error, not a crash
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        rc, out, err = run_main(
+            ["eval", "--input", str(deep), "--diagram", "x", "--system", "y"],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: {deep}: JSON nested too deeply to decode\n"
+
     def test_negative_mask_exit_2(self, capsys, tmp_path):
         doc = json.loads((DATA / "uwd_corpus.json").read_text())
         doc["systems"]["join-input"]["data"] = "-1"
@@ -569,6 +580,18 @@ class TestVerify:
         assert f'unknown key "{key}"' in err
 
     @pytest.mark.parametrize("command", ["verify", "roundtrip"])
+    def test_deeply_nested_triple_file_exit_2(self, capsys, tmp_path, command):
+        # past the decoder's recursion limit: an input error, not a crash
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        rc, out, err = run_main(
+            [command, "--fiber", "powerset", "--max-size", "1", "--triple-file", str(deep)],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: {deep}: JSON nested too deeply to decode\n"
+
+    @pytest.mark.parametrize("command", ["verify", "roundtrip"])
     def test_triple_and_triple_file_exclusive(self, capsys, tmp_path, command):
         # --triple was silently dropped for the file's triple
         path = tmp_path / "triple.json"
@@ -600,6 +623,28 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("kind", ["all", "inj", "surj"])
+    def test_bare_class_kind(self, tmp_path, kind):
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps({"universe": 1, "left": kind, "right": kind}))
+        t = load_triple_file(str(path))
+        assert t.left == t.right == MorClass(kind)
+
+    @pytest.mark.parametrize("spec", [
+        "explicit", "injections", "ALL", "", 0, None, ["all"], {"explicit": "all"}, {},
+    ])
+    def test_bad_class_spec_exit_2(self, capsys, tmp_path, spec):
+        # only the three bare kinds name a class; an explicit one needs
+        # its member list
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps({"universe": 1, "left": spec}))
+        rc, out, err = run_main(
+            ["verify", "--fiber", "powerset", "--max-size", "1", "--triple-file", str(path)],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: bad class spec {spec!r}\n"
 
 
 JSON_SCALARS = st.one_of(

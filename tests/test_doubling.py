@@ -53,11 +53,12 @@ from doctrina.doctrine import (
     proof_squares,
     tropical_doctrine,
 )
+from doctrina import doubling
 from doctrina.doubling import (
     LAX_COMP_STRIDE,
     LaxCompositional,
     PDot,
-    _qt_cell,
+    QtCell,
     product_span,
     verify_pdot,
 )
@@ -79,6 +80,16 @@ from offdomain import search_offdomain_witness
 
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
+
+
+def _qt_cell(top, bottom, left, right) -> QtCell:
+    """The reference verdict of a square given as maps: its sides checked
+    and its two composites compared by the decider ``PDot._verdict``
+    calls, with no memo and no ids."""
+    doubling._check_sides(top.dom, top.cod, bottom, left, right)
+    rt = right.table
+    verdict = doubling._decide(bottom, left, [rt[v] for v in top.table])
+    return QtCell(top, bottom, left, right, verdict > 0, verdict > 1)
 
 # first witnesses of DroppedApexDoctrine at bound 2, pinned because
 # witnesses are formatted only on failure, apart from the checks
@@ -493,8 +504,6 @@ class TestLeftSidesBuiltOnce:
         # the right side's span for its left side and builds nothing.
         # Composing each left side from product spans made 4,242 loose
         # composites, one per key
-        from doctrina import doubling
-
         def run():
             return verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
 
@@ -550,10 +559,8 @@ class TestSquaresDecidedOnce:
         assert len(set(images)) == len({id(m) for m in images}) == 26
 
     def test_each_distinct_square_decided_once(self, monkeypatch):
-        # counted at the one decider, which both the product path of
-        # ``PDot._verdict`` and ``_qt_cell`` call
-        from doctrina import doubling
-
+        # counted at ``_decide``, which ``PDot._verdict`` calls for a
+        # square of either kind of top
         pdot = PDot(powerset_doctrine(trivial_triple(2)))
         rep, decided = _calls_per_clause(
             monkeypatch, doubling, "_decide", lambda: verify_pdot(pdot, 2)
@@ -1226,12 +1233,35 @@ def test_span_methods_agree_after_verify_pdot(name):
 
     for x, y, _ in inst.composable:
         flags(PDot.compositor, x, y)
+    for a in inst.objs:
+        flags(PDot.unitor, a)
     for x in inst.spans:
         for y in inst.spans:
             flags(PDot.laxator_cell, x, y)
             flags(PDot.symmetry_cell, x, y)
     for c in inst.cells:
         flags(PDot.cell_image, c)
+
+
+# NonFunctorialDoctrine has no double extension
+@pytest.mark.parametrize("name", [n for n in SEARCH_DOCTRINES if n != "NonFunctorialDoctrine"])
+def test_compositor_and_unitor_match_the_reference_decider(name):
+    # ``compositor`` and ``unitor`` decide an equality square of interned
+    # ids through ``PDot._verdict``; the reference decides the same maps,
+    # built here from loose images and joined by fresh identities
+    pdot = PDot(SEARCH_DOCTRINES[name](trivial_triple(2)))
+    inst, ident, image = _instances("all-all"), MonotoneMap.identity, pdot.loose_image
+
+    def agree(qt, top, bottom):
+        want = _qt_cell(top, bottom, ident(top.dom), ident(top.cod))
+        assert (qt.top, qt.bottom) == (top, bottom)
+        assert (qt.holds, qt.invertible) == (want.holds, want.invertible)
+
+    for x, y, xy in inst.composable:
+        agree(pdot.compositor(x, y), image(xy), image(x).then(image(y)))
+    for a in inst.objs:
+        fiber = pdot.d.fiber(a).carrier
+        agree(pdot.unitor(a), image(Span.identity(a)), ident(fiber))
 
 
 # NonFunctorialDoctrine has no double extension

@@ -285,6 +285,25 @@ class TestPushout:
         with pytest.raises(LabelClash):
             pushout(f, g, labels=(("a", "b"), ("c", "d")))
 
+    def test_label_clash_messages(self):
+        # labels merge left block first, so a clash inside the left block
+        # names its two left labels, and a clash across the blocks names
+        # the left label against the right one
+        f = FinFn(FinSet(2), FinSet(2), (0, 1))
+        g = FinFn(FinSet(2), FinSet(1), (0, 0))
+        with pytest.raises(LabelClash, match=r"^class 0: 'a' vs 'b'$"):
+            pushout(f, g, labels=(("a", "b"), ("a",)))
+        f = FinFn(FinSet(1), FinSet(2), (1,))
+        g = FinFn(FinSet(1), FinSet(1), (0,))
+        with pytest.raises(LabelClash, match=r"^class 1: 'b' vs 'c'$"):
+            pushout(f, g, labels=(("a", "b"), ("c",)))
+
+    def test_labels_must_match_the_codomains(self):
+        f = FinFn(FinSet(1), FinSet(2), (0,))
+        g = FinFn(FinSet(1), FinSet(2), (1,))
+        with pytest.raises(ValueError):
+            pushout(f, g, labels=(("a",), ("c", "a")))
+
     def test_dom_mismatch(self):
         f = FinFn(FinSet(1), FinSet(2), (0,))
         g = FinFn(FinSet(2), FinSet(2), (0, 1))

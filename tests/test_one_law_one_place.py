@@ -5,7 +5,10 @@ The other single-law checkers are held to the modules whose clauses
 report them (``CALLERS``).  The span action has one definition too:
 only ``doctrine.py`` folds joins (``_join_fold``), and no class defines
 ``_act``, a hook the suites no longer read, so a subclass that redefined
-it would be silently ignored.  The sources are read with ``ast``, so a
+it would be silently ignored.  A square is decided in one place as
+well: only ``PDot._verdict`` calls ``doubling._decide`` and
+``doubling._check_sides``, and no package module defines a second
+decider (``SECOND_DECIDERS``).  The sources are read with ``ast``, so a
 call under any name the function is imported as counts as well."""
 
 import ast
@@ -27,22 +30,42 @@ CALLERS = {
     "frobenius_via_Bhat": {"extraction.py"},
 }
 
+# the square decider's helpers, and the one definition that may call them
+DECIDER_HELPERS = ("_decide", "_check_sides")
+DECIDER = "PDot._verdict"
+# the span-taking decider and its entry point that ``PDot._verdict``
+# replaced
+SECOND_DECIDERS = ("_qt_cell", "_equality")
 
-def calls(path: Path, name: str):
-    """The lines on which ``path`` calls ``name``, bare, as an attribute,
-    or under a name it is imported as."""
+
+def scoped_calls(path: Path, name: str):
+    """``(scope, line)`` for each call of ``name`` in ``path``, bare, as an
+    attribute, or under a name it is imported as; the scope is the dotted
+    name of the enclosing classes and functions, ``""`` at module level."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = {name} | {
         alias.asname
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for alias in node.names if alias.name == name and alias.asname
     }
-    for node in ast.walk(tree):
+
+    def walk(node, scope):
         if isinstance(node, ast.Call):
             f = node.func
             called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             if called in names:
-                yield node.lineno
+                yield scope, node.lineno
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+
+    yield from walk(tree, "")
+
+
+def calls(path: Path, name: str):
+    """The lines on which ``path`` calls ``name`` (``scoped_calls``)."""
+    return (line for _, line in scoped_calls(path, name))
 
 
 def test_the_law_is_called_in_doctrine():
@@ -87,3 +110,29 @@ def test_no_class_defines_act(path):
         or any(isinstance(t, ast.Name) and t.id == "_act" for t in getattr(stmt, "targets", ()))
     ]
     assert not lines, f"{path.name} defines _act on lines {lines}"
+
+
+@pytest.mark.parametrize("helper", DECIDER_HELPERS)
+def test_the_decider_calls_its_helpers(helper):
+    scopes = {scope for scope, _ in scoped_calls(PACKAGE / "doubling.py", helper)}
+    assert DECIDER in scopes
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("helper", DECIDER_HELPERS)
+def test_squares_are_decided_only_in_verdict(path, helper):
+    lines = [line for scope, line in scoped_calls(path, helper) if scope != DECIDER]
+    assert not lines, f"{path.name} calls {helper} outside {DECIDER} on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_second_decider_is_defined(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in SECOND_DECIDERS)
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and node.id in SECOND_DECIDERS)
+    ]
+    assert not lines, f"{path.name} defines a second decider on lines {lines}"
