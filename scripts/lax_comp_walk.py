@@ -59,13 +59,14 @@ from operator import attrgetter
 from pathlib import Path
 
 from doctrina.doctrine import powerset_doctrine, tropical_doctrine
-from doctrina.doubling import LaxCompositional, PDot, product_span, verify_pdot
+from doctrina.doubling import LaxCompositional, PDot, verify_pdot
 from doctrina.errors import NonFunctorial
 from doctrina.finset import matching, trivial_triple
 from doctrina.spancat import SpanCategory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import mutants  # noqa: E402
+from spans import product_span  # noqa: E402
 
 
 def doctrines() -> dict:

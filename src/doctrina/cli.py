@@ -35,6 +35,11 @@ MAX_UNGUARDED_SIZE = 4
 # the largest fiber the suites may build unforced: the external tensor
 # reaches the fiber over max-size x max-size slots
 MAX_FIBER_SIZE = 4096
+# the most tuples an eval input's contexts may denote unforced: a system's
+# data is decoded into one entry per tuple of its context, and evaluation
+# tabulates its reindexing maps over the junction tuples, about 80 bytes
+# a tuple in all, so this keeps a run near 350 MB
+MAX_DENOTED_SIZE = 1 << 22
 
 TRIPLES = {
     "all-all": trivial_triple,
@@ -204,7 +209,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    corpus = uwd.load_corpus_file(args.input, cap=args.k)
+    bound = None if args.force else MAX_DENOTED_SIZE
+    corpus = uwd.load_corpus_file(args.input, cap=args.k, max_size=bound)
     if args.diagram not in corpus.diagrams:
         raise ValueError(f"no diagram named {args.diagram!r}")
     if args.system not in corpus.systems:
@@ -276,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--check", action="store_true",
                     help="compare against the brute-force oracle")
     pe.add_argument("--force", action="store_true",
-                    help="allow a cost cap beyond the cost guard")
+                    help="allow a cost cap or an input beyond the cost guard")
     pe.set_defaults(fn=cmd_eval)
     return parser
 

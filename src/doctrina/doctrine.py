@@ -18,11 +18,14 @@ so that evaluation never builds a fiber.
 
 ``span_action`` is the one checked entry point for the span action as a
 map between foot fibers, and every cover pair of its domain is checked
-order-preserving.  It and ``act`` read a span through one hook,
-``_legs``, the leg tables the action joins over.  Joins are idempotent,
-so the action depends only on the relation those tables trace:
-``span_action`` builds its map once per relation (``poskit.span_table``)
-and keeps it per doctrine; ``act`` folds the joins over one value.
+order-preserving.  It takes a span as its foot sizes and leg tables, as
+``doubling.PDot`` keys spans, so that no caller builds a map or a span
+to ask for one.  It and ``act`` read a span through one hook, ``_legs``,
+from leg tables to the leg tables the action joins over.  Joins are
+idempotent, so the action depends only on the relation those tables
+trace: ``span_action`` builds its map once per relation
+(``poskit.span_table``) and keeps it per doctrine; ``act`` folds the
+joins over one value.
 Substitution is tabulated by Horner passes over the value tuples of its
 codomain, one per slot of its domain, and quantifiers value by value;
 neither reads ``_legs`` or the relation tables, so the clauses that set
@@ -101,12 +104,14 @@ class Doctrine:
     not checked.
 
     A subclass overrides ``_make_fiber``, ``_make_subst`` and
-    ``_make_exists``; ``_legs`` for a pointwise span action, which
-    ``act`` and ``span_action`` both follow; and ``_span_action`` for
-    any other action (a single-entry perturbation, say), which ``act``
-    does not follow.  The hooks are no interface class of their own:
-    the benchmark's tracer wraps ``act``, ``pair_predicate``, ``subst``,
-    ``exists`` and ``span_action`` in ``vars(Doctrine)``."""
+    ``_make_exists``; ``_legs(lt, rt)`` for a pointwise span action,
+    which ``act`` and ``span_action`` both follow; and
+    ``_span_action(n, k, lt, rt)`` for any other action (a single-entry
+    perturbation, say), which ``act`` does not follow.  Both hooks take
+    a span's leg tables, whose length is the apex size; ``n`` and ``k``
+    are the sizes of its feet.  The hooks are no interface class of
+    their own: the benchmark's tracer wraps ``act``, ``pair_predicate``,
+    ``subst``, ``exists`` and ``span_action`` in ``vars(Doctrine)``."""
 
     def __init__(self, triple: AdequateTriple, values: MonoPoset):
         self.triple = triple
@@ -140,19 +145,26 @@ class Doctrine:
             self._exists[f] = self._make_exists(f)
         return self._exists[f]
 
-    def span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
-        """Substitute along ``left`` then quantify along ``right``, as one
-        map between the foot fibers, checked order-preserving on every
-        cover pair.  Computed directly (``_span_action``) so that a large
-        apex never forces materialising an intermediate fiber."""
-        self._check_span(left, right)
-        return self._span_action(left, right)
+    def span_action(
+        self, n: int, k: int, lt: tuple[int, ...], rt: tuple[int, ...]
+    ) -> MonotoneMap:
+        """Substitute along the left leg then quantify along the right
+        leg of the span n <- apex -> k with leg tables ``lt`` and ``rt``,
+        as one map between the foot fibers, checked order-preserving on
+        every cover pair.  Computed directly (``_span_action``) so that a
+        large apex never forces materialising an intermediate fiber."""
+        for table, size in ((lt, n), (rt, k)):
+            if table and (min(table) < 0 or max(table) >= size):
+                raise ValueError("table entry outside codomain")
+        self._check_span(lt, rt, k)
+        return self._span_action(n, k, lt, rt)
 
     def act(self, left: FinFn, right: FinFn, pred: tuple[int, ...]) -> tuple[int, ...]:
         """Span action on a single predicate value; never materialises a
         fiber, so the feet may be denoted products of arbitrary size."""
-        self._check_span(left, right)
-        return self._join_fold(*self._legs(left, right), pred, right.cod.size)
+        k = right.cod.size
+        self._check_span(left.table, right.table, k)
+        return self._join_fold(*self._legs(left.table, right.table), pred, k)
 
     def pair_predicate(
         self, a: FinSet, b: FinSet, p: tuple[int, ...], q: tuple[int, ...]
@@ -168,28 +180,32 @@ class Doctrine:
             extend(blocks[x])
         return tuple(joint)
 
-    def _check_span(self, left: FinFn, right: FinFn) -> None:
-        if left.dom != right.dom:
+    def _check_span(self, lt: tuple[int, ...], rt: tuple[int, ...], k: int) -> None:
+        """The legs share an apex, and the right leg, into a set of size
+        ``k``, is in R."""
+        if len(lt) != len(rt):
             raise ValueError("span legs must share an apex")
-        if not self.triple.right.contains(right):
+        if not self.triple.right.has(rt, k):
+            right = FinFn(FinSet(len(rt)), FinSet(k), rt)
             raise ClassViolation(f"no quantifier along {right}: not in R")
 
-    def _span_action(self, left: FinFn, right: FinFn) -> MonotoneMap:
+    def _span_action(
+        self, n: int, k: int, lt: tuple[int, ...], rt: tuple[int, ...]
+    ) -> MonotoneMap:
         """The map of the relation a checked span's ``_legs`` trace:
         target slot j joins the source slots its fibre reaches, and
         every cover pair is checked.  The key (source size, target size,
         relation as a set of (j, i) pairs) fixes both feet, so every span
         tracing the relation gets one map, sorted into fibres once."""
-        lt, rt = self._legs(left, right)
-        n, k = left.cod.size, right.cod.size
+        lt, rt = self._legs(lt, rt)
         m = self._tables.get(key := (n, k, frozenset(zip(rt, lt))))
         if m is None:
             fibres: list[list[int]] = [[] for _ in range(k)]
             for j, i in sorted(key[2]):
                 fibres[j].append(i)
             m = self._tables[key] = MonotoneMap(
-                self.fiber(left.cod).carrier,
-                self.fiber(right.cod).carrier,
+                self.fiber(FinSet(n)).carrier,
+                self.fiber(FinSet(k)).carrier,
                 span_table(self.values.carrier, n, tuple(map(tuple, fibres))),
             )
         return m
@@ -223,9 +239,10 @@ class Doctrine:
             vals[j] = join[vals[j]][pred[i]]
         return tuple(vals)
 
-    def _legs(self, left: FinFn, right: FinFn) -> tuple[tuple, tuple]:
-        """The leg tables the span action joins over: every apex element."""
-        return left.table, right.table
+    def _legs(self, lt: tuple[int, ...], rt: tuple[int, ...]) -> tuple[tuple, tuple]:
+        """The leg tables the span action joins over, from the span's leg
+        tables: every apex element."""
+        return lt, rt
 
 
 def powerset_doctrine(triple: AdequateTriple) -> Doctrine:

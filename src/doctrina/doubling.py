@@ -34,14 +34,13 @@ from .finset import (
     FinSet,
     Universe,
     compose,  # not called here; perfbench's tests expect every module's binding
-    fn_product,
     matching,
     swap_fn,
 )
 from .doctrine import PAIR_BOUND, Doctrine, check_subst_functorial, external_laxator
 from .poskit import MonotoneMap, map_product, product_poset
 from .report import Clause, Report
-from .spancat import CellData, Span, SpanCell, SpanCategory
+from .spancat import CellData, Span, SpanCell, SpanCategory, SpanKey, product_key
 
 # a square of the double extension as the side ids (top, bottom, left, right)
 Square = tuple[int, int, int, int]
@@ -106,21 +105,25 @@ def _fail_square(clause: Clause, pdot: PDot, sq: Square, where) -> None:
     clause.check(False, witness)
 
 
-def product_span(x: Span, y: Span) -> Span:
-    return Span(fn_product(x.left, y.left), fn_product(x.right, y.right))
-
-
 class PDot:
     """The double extension of a doctrine, with its spans, side maps and
     squares numbered by small ints.
 
-    Every span it meets gets an id, the next free int, the first time a
-    span equal to it is seen (``span_id``); on a fresh ``PDot``,
+    A span is keyed by its ``SpanKey``, (source size, target size, left
+    table, right table), and gets an id, the next free int, the first
+    time its key is seen (``_key_id``); on a fresh ``PDot``,
     ``verify_pdot`` makes its universe ids 0..n-1 in ``enumerate_spans``
     order.  A finite set is fixed by its size, which serves as its id.
-    Loose composites and product spans are tables by pair of span ids,
-    loose images by span id, μ(A, B) and the substitution along the swap
-    A × B -> B × A by pair of sizes; each entry is filled on first use.
+    Loose composites (``SpanCategory.compose_keys``), product spans
+    (``spancat.product_key``) and the reindexed left sides of
+    ``LaxCompositional`` are computed on keys, and loose images are
+    decided on them (``Doctrine.span_action``), so none builds a map or
+    a span.  A ``Span`` exists only where a caller passes one in
+    (``span_id``, which keys it by its tables) or asks for one (``span``,
+    built on first call and kept).  Loose composites and product spans
+    are tables by pair of span ids, loose images by span id, μ(A, B) and
+    the substitution along the swap A × B -> B × A by pair of sizes;
+    each entry is filled on first use.
 
     Every side map of a square has a side id.  Loose images,
     substitutions, μ and the identity maps are interned by value
@@ -147,10 +150,12 @@ class PDot:
         self.d = doctrine
         self.triple = doctrine.triple
         self.cat = SpanCategory(doctrine.triple)
-        self._spans: list[Span] = []
-        self._span_ids: dict[Span, int] = {}
-        # per span id: the sizes of its source and target, and its loose
+        self._span_ids: dict[SpanKey, int] = {}
+        # per span id: its key, its ``Span`` once one is passed in or
+        # asked for, the sizes of its source and target, and its loose
         # image's map id
+        self._keys: list[SpanKey] = []
+        self._spans: list[Span | None] = []
         self._source: list[int] = []
         self._target: list[int] = []
         self._loose: list[int | None] = []
@@ -175,19 +180,38 @@ class PDot:
 
     # -- span ids ---------------------------------------------------------
 
-    def span_id(self, x: Span) -> int:
-        """The id of the first span seen equal to ``x``."""
-        i = self._span_ids.get(x)
+    def _key_id(self, key: SpanKey) -> int:
+        """The id of the span ``key``, the next free int on its first
+        sight."""
+        i = self._span_ids.get(key)
         if i is None:
-            i = self._span_ids[x] = len(self._spans)
-            self._spans.append(x)
-            self._source.append(x.left.cod.size)
-            self._target.append(x.right.cod.size)
+            i = self._span_ids[key] = len(self._keys)
+            self._keys.append(key)
+            self._spans.append(None)
+            self._source.append(key[0])
+            self._target.append(key[1])
             self._loose.append(None)
         return i
 
+    def span_id(self, x: Span) -> int:
+        """The id of the span ``x``, keyed by its tables; ``x`` is kept as
+        the span of its id if none is yet."""
+        i = self._key_id(x.key)
+        if self._spans[i] is None:
+            self._spans[i] = x
+        return i
+
     def span(self, i: int) -> Span:
-        return self._spans[i]
+        """The span of id ``i``, built on the first call that needs it."""
+        x = self._spans[i]
+        if x is None:
+            x = self._spans[i] = Span.of(self._keys[i])
+        return x
+
+    def _identity_id(self, n: int) -> int:
+        """The id of the identity span on the set of size ``n``."""
+        ident = tuple(range(n))
+        return self._key_id((n, n, ident, ident))
 
     def universe(self, bound: int) -> list[int]:
         """The ids of the spans bounded by ``bound``, in
@@ -197,20 +221,19 @@ class PDot:
     def _composite_id(self, i: int, j: int) -> int:
         k = self._composite.get((i, j))
         if k is None:
-            x, y = self._spans[i], self._spans[j]
-            k = self._composite[i, j] = self.span_id(self.cat.loose_compose(x, y))
+            keys = self._keys
+            k = self._composite[i, j] = self._key_id(self.cat.compose_keys(keys[i], keys[j]))
         return k
 
     def composite(self, x: Span, y: Span) -> Span:
         """The loose composite ``x ; y``, computed once per pair of ids
         and returned as the first span seen equal to it."""
-        return self._spans[self._composite_id(self.span_id(x), self.span_id(y))]
+        return self.span(self._composite_id(self.span_id(x), self.span_id(y)))
 
     def _product_id(self, i: int, j: int) -> int:
         k = self._product.get((i, j))
         if k is None:
-            xy = product_span(self._spans[i], self._spans[j])
-            k = self._product[i, j] = self.span_id(xy)
+            k = self._product[i, j] = self._key_id(product_key(self._keys[i], self._keys[j]))
         return k
 
     # -- side maps ----------------------------------------------------------
@@ -247,8 +270,7 @@ class PDot:
         """The map id of the loose image of span ``i``."""
         k = self._loose[i]
         if k is None:
-            x = self._spans[i]
-            k = self._loose[i] = self._intern(self.d.span_action(x.left, x.right))
+            k = self._loose[i] = self._intern(self.d.span_action(*self._keys[i]))
         return k
 
     def loose_image(self, x: Span) -> MonotoneMap:
@@ -358,7 +380,7 @@ class PDot:
         """The map ids of the image of the identity span on ``a`` and of
         the identity on its fiber."""
         ident = MonotoneMap.identity(self.d.fiber(a).carrier)
-        return self._loose_id(self.span_id(Span.identity(a))), self._intern(ident)
+        return self._loose_id(self._identity_id(a.size)), self._intern(ident)
 
     def _equality_square(self, top: int, bottom: int) -> Square:
         """Maps ``top`` and ``bottom`` joined by interned identities: the
@@ -426,9 +448,9 @@ class LaxCompositional:
     the distinct composites and of the distinct σ.  A key whose σ is the
     identity holds at once and builds nothing.  Any other key's right
     side is read off ``PDot``'s product and image tables and its left
-    side built once, each leg of the right side's span reindexed along
-    σ by tuple indexing (``leg.table[v]`` for v in σ's table, not
-    ``compose``); the two sides are compared as map ids.
+    side's span key looked up once: the right side's with each leg table
+    reindexed along σ by tuple indexing (``table[v]`` for v in σ's
+    table); the two sides are compared as map ids.
     """
 
     def __init__(self, pdot: PDot, composable: list[tuple[int, int]]):
@@ -449,8 +471,8 @@ class LaxCompositional:
             self.rows.append((ac, k))
         self.by_id, self.m = list(composites), len(composites)
         sigma_ids: dict[FinFn, int] = {}
-        # per σ id: σ, or None where it is the identity
-        self.reindex: list[FinFn | None] = []
+        # per σ id: the table of σ, or None where it is the identity
+        self.reindex: list[tuple[int, ...] | None] = []
         # per pair of classes: the id of its σ
         self.sigmas: list[list[int]] = []
         for u in firsts:
@@ -459,7 +481,7 @@ class LaxCompositional:
                 sigma = cat.interchange(u, v)
                 s = sigma_ids.setdefault(sigma, len(sigma_ids))
                 if s == len(self.reindex):
-                    self.reindex.append(None if sigma.is_identity else sigma)
+                    self.reindex.append(None if sigma.is_identity else sigma.table)
                 ids.append(s)
             self.sigmas.append(ids)
         self.verdicts: dict[int, bool] = {}
@@ -479,11 +501,9 @@ class LaxCompositional:
             rhs = pdot._loose_id(k)
             # interned after the right side, the left side finds that
             # side's id when they are equal
-            y, st = pdot.span(k), sigma.table
-            lhs = Span(*[
-                FinFn(sigma.dom, f.cod, tuple([f.table[v] for v in st])) for f in (y.left, y.right)
-            ])
-            ok = self.verdicts[key] = pdot._loose_id(pdot.span_id(lhs)) == rhs
+            n, m, lt, rt = pdot._keys[k]
+            lhs = n, m, tuple([lt[v] for v in sigma]), tuple([rt[v] for v in sigma])
+            ok = self.verdicts[key] = pdot._loose_id(pdot._key_id(lhs)) == rhs
         return key, ok
 
     def sample(self) -> tuple[int, list[tuple[int, int]]]:
@@ -684,9 +704,10 @@ def verify_pdot(pdot: PDot, max_size: int) -> Report:
         "pdot.laxator-unital",
         "the laxator on identity spans collapses to the external tensor",
     )
+    ident = pdot._identity_id
     for a in objs:
         for b in objs:
-            qt = pdot.laxator_cell(Span.identity(a), Span.identity(b))
+            qt = pdot._cell(pdot._laxator_square(ident(a.size), ident(b.size)))
             mu = external_laxator(d, a, b)
             lax_unit.check(
                 qt.invertible and qt.top.then(qt.right) == mu,

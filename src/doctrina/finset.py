@@ -333,6 +333,8 @@ class MorClass:
 
     kind: str  # "all" | "inj" | "surj" | "explicit"
     members: Optional[frozenset[FinFn]] = None
+    # the members as (codomain size, table), what ``has`` looks up
+    _tables: frozenset = field(init=False, repr=False, compare=False)
 
     ALL_KINDS = ("all", "inj", "surj", "explicit")
 
@@ -341,6 +343,8 @@ class MorClass:
             raise ValueError(f"unknown class kind {self.kind!r}")
         if (self.kind == "explicit") != (self.members is not None):
             raise ValueError("explicit classes and only they carry members")
+        tables = frozenset((f.cod.size, f.table) for f in self.members or ())
+        object.__setattr__(self, "_tables", tables)
 
     @staticmethod
     def all() -> "MorClass":
@@ -358,14 +362,20 @@ class MorClass:
     def explicit(maps) -> "MorClass":
         return MorClass("explicit", frozenset(maps))
 
-    def contains(self, f: FinFn) -> bool:
+    def has(self, table: tuple[int, ...], cod: int) -> bool:
+        """Whether the map with ``table`` into the set of size ``cod`` is
+        in the class: the one place membership is decided, on tables, so
+        that a caller holding only tables builds no ``FinFn``."""
         if self.kind == "all":
             return True
         if self.kind == "inj":
-            return f.is_injective
+            return len(set(table)) == len(table)
         if self.kind == "surj":
-            return f.is_surjective
-        return f in self.members  # type: ignore[operator]
+            return len(set(table)) == cod
+        return (cod, table) in self._tables
+
+    def contains(self, f: FinFn) -> bool:
+        return self.has(f.table, f.cod.size)
 
 
 @dataclass(frozen=True)

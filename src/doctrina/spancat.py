@@ -11,7 +11,10 @@ out as adjunction units and counits.
 Loose composition is by pullback and is strictly unital thanks to the
 identity convention in :mod:`doctrina.finset`; associativity holds only
 up to the canonical mediating bijection, which the property suite checks
-but composites never carry.
+but composites never carry.  It has one implementation, on span keys,
+a span's foot sizes and leg tables (``SpanCategory.compose_keys``), with
+the product span beside it (``product_key``); ``loose_compose`` wraps it
+for ``Span`` values.
 """
 
 from __future__ import annotations
@@ -29,9 +32,28 @@ from .finset import (
     Universe,
     compose,
     matching,
+    product_table,
     pullback,
 )
 from .report import Report
+
+
+# a span as its feet's sizes and its leg tables, (source size, target
+# size, left table, right table): all that fixes it, since the apex is
+# the length of either table
+SpanKey = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+
+
+def _is_identity(table: tuple[int, ...], cod: int) -> bool:
+    return len(table) == cod and table == tuple(range(cod))
+
+
+def product_key(x: SpanKey, y: SpanKey) -> SpanKey:
+    """The product span x ⊗ y, each leg the product of the two legs on
+    row-major products (``finset.fn_product``'s table)."""
+    n, k, lt, rt = x
+    n2, k2, lt2, rt2 = y
+    return n * n2, k * k2, product_table(lt, lt2, n2), product_table(rt, rt2, k2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +71,18 @@ class Span:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def key(self) -> SpanKey:
+        """The span as (source size, target size, left table, right table)."""
+        return self.left.cod.size, self.right.cod.size, self.left.table, self.right.table
+
+    @staticmethod
+    def of(key: SpanKey) -> "Span":
+        """The span whose ``key`` is ``key``."""
+        n, k, lt, rt = key
+        apex = FinSet(len(lt))
+        return Span(FinFn(apex, FinSet(n), lt), FinFn(apex, FinSet(k), rt))
 
     @property
     def apex(self) -> FinSet:
@@ -154,9 +188,10 @@ class SpanCategory:
 
     def __init__(self, triple: AdequateTriple):
         self.triple = triple
-        # the pullback of every cospan a loose composite has met, kept as
-        # long as this category, and for each factor cospan of
-        # ``interchange`` its apex grouped by the first projection
+        # the pullback of every cospan ``interchange`` or ``cell_hcompose``
+        # has met, kept as long as this category, and for each factor
+        # cospan of ``interchange`` its apex grouped by the first
+        # projection
         self._pullbacks: dict[tuple[FinFn, FinFn], Pullback] = {}
         self._rows: dict[tuple[FinFn, FinFn], tuple[tuple[int, ...], ...]] = {}
 
@@ -227,14 +262,35 @@ class SpanCategory:
         return u[0].is_identity, rows
 
     def loose_compose(self, x: Span, y: Span) -> Span:
-        if x.target != y.source:
-            raise ObjMismatch(f"{x} then {y}: middle objects differ")
-        _, p, q = self._pullback(x.right, y.left)
-        left = compose(p, x.left)
-        right = compose(q, y.right)
-        if not self.triple.left.contains(left) or not self.triple.right.contains(right):
+        return Span.of(self.compose_keys(x.key, y.key))
+
+    def compose_keys(self, x: SpanKey, y: SpanKey) -> SpanKey:
+        """The loose composite ``x ; y`` on keys, the one implementation
+        of loose composition: each leg of the composite is a projection
+        of the pullback of the middle cospan (x's right leg, y's left
+        leg) followed by the outer leg, with the apex ordered as
+        ``finset.pullback`` orders it.  A pullback along an identity is
+        the other leg, so an identity middle leg keeps the other span's
+        apex.  The composite's legs must stay in their classes."""
+        n, mid, lt, rt = x
+        mid2, k, lt2, rt2 = y
+        if mid != mid2:
+            raise ObjMismatch(f"{Span.of(x)} then {Span.of(y)}: middle objects differ")
+        if _is_identity(lt2, mid):
+            left, right = lt, tuple([rt2[v] for v in rt])
+        elif _is_identity(rt, mid):
+            left, right = tuple([lt[v] for v in lt2]), rt2
+        else:
+            over: list[list[int]] = [[] for _ in range(mid)]
+            for b, v in enumerate(lt2):
+                over[v].append(b)
+            # the pairs (a, b) with rt[a] == lt2[b], lexicographic
+            pairs = [(a, b) for a, v in enumerate(rt) for b in over[v]]
+            left = tuple([lt[a] for a, _ in pairs])
+            right = tuple([rt2[b] for _, b in pairs])
+        if not self.triple.left.has(left, n) or not self.triple.right.has(right, k):
             raise ClassViolation("composite legs escaped their classes")
-        return Span(left, right)
+        return n, k, left, right
 
     # -- cells --------------------------------------------------------
 

@@ -378,7 +378,28 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def load_corpus(doc: dict, cap: int = 3) -> Corpus:
+def _check_size(
+    ctx: LabelledFinSet, types: TypeAssignment, max_size: int | None, what: str
+) -> None:
+    """Refuse a context whose denoted product has more than ``max_size``
+    tuples, multiplying only until the product passes the bound (an
+    empty domain anywhere makes it empty)."""
+    if max_size is None:
+        return
+    sizes = [types.size(lab) for lab in ctx.labels]
+    if 0 in sizes:
+        return
+    n = 1
+    for size in sizes:
+        n *= size
+        if n > max_size:
+            raise ValueError(
+                f"{what} denotes more than {max_size} tuples, above the size "
+                "guard; rerun with --force"
+            )
+
+
+def load_corpus(doc: dict, cap: int = 3, max_size: int | None = None) -> Corpus:
     """Parse the diagram/system interchange dictionary.
 
     Top-level keys: labels (a list of strings), domains (a natural number
@@ -391,7 +412,9 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     cost data is an array of natural numbers (saturating above the cap)
     with "inf" for infinity.  Arrays are 0-indexed, row-major, port 0
     most significant.  Anything else raises ``ValueError``; each check is
-    one pass over the data as given.
+    one pass over the data as given.  With ``max_size`` set, a system
+    context or a diagram's inner, junction or outer set whose denoted
+    product has more tuples is refused before anything is built over it.
     """
     doc = _object(doc, "a diagram/system document")
     json_keys(doc, ("labels", "domains", "diagrams", "systems"), "the document")
@@ -419,6 +442,8 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
         inner = _labelled(spec["inner"], types, f"diagram {name}: inner")
         junctions = _labelled(spec["junctions"], types, f"diagram {name}: junctions")
         outer = _labelled(spec["outer"], types, f"diagram {name}: outer")
+        for side, ports in (("inner", inner), ("junctions", junctions), ("outer", outer)):
+            _check_size(ports, types, max_size, f"diagram {name}: {side}")
         k, legs = junctions.base.size, []
         for leg, side, ports in (("f", "inner", inner), ("g", "outer", outer)):
             table = spec[leg]
@@ -450,6 +475,7 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
         json_keys(spec, keys, f"system {name}")
         _required(spec, keys, f"system {name}")
         ctx = _labelled(spec["context"], types, f"system {name}: context")
+        _check_size(ctx, types, max_size, f"system {name}: context")
         semantics = spec["semantics"]
         data = spec["data"]
         n = denote(ctx, types).size
@@ -485,8 +511,8 @@ def load_corpus(doc: dict, cap: int = 3) -> Corpus:
     return Corpus(types, diagrams, systems)
 
 
-def load_corpus_file(path: str, cap: int = 3) -> Corpus:
-    return load_corpus(load_json_file(path), cap=cap)
+def load_corpus_file(path: str, cap: int = 3, max_size: int | None = None) -> Corpus:
+    return load_corpus(load_json_file(path), cap=cap, max_size=max_size)
 
 
 def format_predicate(sys: System, semantics: str, types: TypeAssignment, cap: int) -> str:

@@ -4,8 +4,10 @@ Every class takes the triple and, apart from ``DroppedApexDoctrine``,
 works over the 2-chain under meet, where a subset's carrier index is its
 bitmask.  The three apex mutants drop apex elements in ``_legs``, the
 hook both ``span_action`` and ``act`` read, so each acts through the
-relation its remaining leg entries trace.  ``doctrines()`` names each
-mutant instance the suites and scripts run."""
+relation its remaining leg entries trace.  ``_legs`` takes and returns
+leg tables, and the apex size is the length of either table.
+``doctrines()`` names each mutant instance the suites and scripts
+run."""
 
 import inspect
 import sys
@@ -77,10 +79,10 @@ class DroppedApexDoctrine(Doctrine):
     def __init__(self, triple, values: MonoPoset | None = None):
         super().__init__(triple, boolean_meet() if values is None else values)
 
-    def _legs(self, left: FinFn, right: FinFn) -> tuple[tuple, tuple]:
-        n = left.dom.size
+    def _legs(self, lt: tuple, rt: tuple) -> tuple[tuple, tuple]:
+        n = len(lt)
         keep = n - 1 if n >= 3 else n
-        return left.table[:keep], right.table[:keep]
+        return lt[:keep], rt[:keep]
 
 
 class SkippedApexDoctrine(_Boolean):
@@ -89,8 +91,7 @@ class SkippedApexDoctrine(_Boolean):
     fixed by the swap, so the images of ``x ⊗ y`` and ``y ⊗ x`` no longer
     agree across the symmetry: the symmetry axiom fails."""
 
-    def _legs(self, left: FinFn, right: FinFn) -> tuple[tuple, tuple]:
-        lt, rt = left.table, right.table
+    def _legs(self, lt: tuple, rt: tuple) -> tuple[tuple, tuple]:
         if len(lt) >= 3:
             return lt[:1] + lt[2:], rt[:1] + rt[2:]
         return lt, rt
@@ -104,9 +105,9 @@ class PairApexDoctrine(_Boolean):
     so ``pdot.cell-existence`` fails, along with the clauses that act by
     a two-element identity or product apex."""
 
-    def _legs(self, left: FinFn, right: FinFn) -> tuple[tuple, tuple]:
-        skip = 1 if left.dom.size == 2 else 0
-        return left.table[skip:], right.table[skip:]
+    def _legs(self, lt: tuple, rt: tuple) -> tuple[tuple, tuple]:
+        skip = 1 if len(lt) == 2 else 0
+        return lt[skip:], rt[skip:]
 
 
 SATURATED = product(FinSet(2), FinSet(2)).pa

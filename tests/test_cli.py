@@ -45,6 +45,13 @@ CORPUS_EVAL = {
 }
 
 
+# pinned sha256 of the reports of the benchmark's verify and roundtrip
+# commands (max size 2, cap 3)
+POWERSET_VERIFY = "dfee1ecc29ca42599b18cea4679c8fc829a035348014901cf83b2a86b6a9c8eb"
+TROPICAL_VERIFY = "aff906fd3643a11c360e5e7144aad941ecc0eae7217a8a7c60fe7957931d55df"
+TROPICAL_ROUNDTRIP = "61204ccc12ce52b8ee3569bf5298fd36d22e18b46b857986ac5c14f6a1691871"
+
+
 class TestEval:
     @pytest.mark.parametrize("diagram, system", list(CORPUS_EVAL))
     def test_corpus_pair_output(self, capsys, diagram, system):
@@ -131,6 +138,65 @@ class TestEval:
         assert rc == 2
         assert out == ""
         assert "not a list of labels" in err
+
+    @pytest.mark.parametrize("entry, diagram, context", [
+        ("system s: context", None, ["a"] * 3),
+        ("diagram d: inner", {"inner": ["a"] * 3, "junctions": ["a"], "outer": [],
+                              "f": [0, 0, 0], "g": []}, ["w"]),
+        ("diagram d: junctions", {"inner": [], "junctions": ["a"] * 3, "outer": [],
+                                  "f": [], "g": []}, ["w"]),
+        ("diagram d: outer", {"inner": [], "junctions": ["a"], "outer": ["a"] * 3,
+                              "f": [], "g": [0, 0, 0]}, ["w"]),
+    ])
+    def test_astronomical_context_exit_2(self, capsys, tmp_path, entry, diagram, context):
+        # three ports on a domain of 2**20 denote 2**60 tuples: refused at
+        # load, before the mask is decoded or a table is built over them
+        small = {"inner": ["w"], "junctions": ["w"], "outer": ["w"], "f": [0], "g": [0]}
+        doc = {
+            "labels": ["a", "w"], "domains": {"a": 2 ** 20, "w": 2},
+            "diagrams": {"d": diagram or small},
+            "systems": {"s": {"context": context, "semantics": "rel", "data": "3"}},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_main(
+            ["eval", "--input", str(path), "--diagram", "d", "--system", "s"], capsys
+        )
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: {entry} denotes more than 4194304 tuples, above the size "
+            "guard; rerun with --force\n"
+        )
+
+    def test_force_lifts_the_size_guard(self, capsys, tmp_path, monkeypatch):
+        # checked against a lowered guard: 8 tuples over a guard of 4
+        from doctrina import cli
+
+        monkeypatch.setattr(cli, "MAX_DENOTED_SIZE", 4)
+        ports = ["w"] * 3
+        doc = {
+            "labels": ["w"], "domains": {"w": 2},
+            "diagrams": {"d": {"inner": ports, "junctions": ports, "outer": ports,
+                               "f": [0, 1, 2], "g": [0, 1, 2]}},
+            "systems": {"s": {"context": ports, "semantics": "rel", "data": "a5"}},
+        }
+        path = tmp_path / "eight.json"
+        path.write_text(json.dumps(doc))
+        argv = ["eval", "--input", str(path), "--diagram", "d", "--system", "s", "--check"]
+        rc, out, err = run_main(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: diagram d: inner denotes more than 4 tuples")
+        assert run_main(argv + ["--force"], capsys) == (0, "a5\n", "oracle: match\n")
+
+    def test_empty_domain_denotes_nothing(self):
+        # a product with an empty factor is empty, however large the rest
+        doc = {
+            "labels": ["a", "z"], "domains": {"a": 2 ** 20, "z": 0},
+            "systems": {"s": {"context": ["a"] * 3 + ["z"], "semantics": "trop",
+                              "data": []}},
+        }
+        corpus = uwd.load_corpus(doc, max_size=4)
+        assert corpus.systems["s"][0].predicate == ()
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["domains"].update(w=2.9),
@@ -323,9 +389,7 @@ class TestVerify:
             ["verify", "--fiber", "powerset", "--max-size", "2"], capsys
         )
         assert rc == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "dfee1ecc29ca42599b18cea4679c8fc829a035348014901cf83b2a86b6a9c8eb"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == POWERSET_VERIFY
 
     @pytest.mark.parametrize("argv, digest", [
         (["verify"],
@@ -348,10 +412,8 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, digest", [
-        (["verify", "--fiber", "tropical"],
-         "aff906fd3643a11c360e5e7144aad941ecc0eae7217a8a7c60fe7957931d55df"),
-        (["roundtrip", "--fiber", "tropical"],
-         "61204ccc12ce52b8ee3569bf5298fd36d22e18b46b857986ac5c14f6a1691871"),
+        (["verify", "--fiber", "tropical"], TROPICAL_VERIFY),
+        (["roundtrip", "--fiber", "tropical"], TROPICAL_ROUNDTRIP),
     ], ids=["verify", "roundtrip"])
     def test_tropical_report_bytes(self, capsys, argv, digest):
         # pinned bytes of the benchmark's tropical commands (cap 3): the
@@ -817,10 +879,10 @@ class TestOneTablePerRelation:
             actions = []
             span_action, span_table = doctrine.Doctrine.span_action, doctrine.span_table
 
-            def counting(self, left, right):
+            def counting(self, *key):
                 calls["span_action"] += 1
                 doctrines.add(self)
-                actions.append(span_action(self, left, right))
+                actions.append(span_action(self, *key))
                 return actions[-1]
 
             def counting_table(*args):
@@ -850,10 +912,9 @@ class TestOneTablePerRelation:
         # apexes of 2 and 3 points, both tracing the relation that sends
         # both source slots to the one target slot
         d = doctrine.tropical_doctrine(finset.trivial_triple(2))
-        two, three = FinSet(2), FinSet(3)
-        x = d.span_action(FinFn(two, two, (0, 1)), finset.bang(two))
-        y = d.span_action(FinFn(three, two, (1, 0, 1)), finset.bang(three))
-        z = d.span_action(FinFn(two, two, (0, 0)), finset.bang(two))
+        x = d.span_action(2, 1, (0, 1), (0, 0))
+        y = d.span_action(2, 1, (1, 0, 1), (0, 0, 0))
+        z = d.span_action(2, 1, (0, 0), (0, 0))
         assert x is y
         assert z is not x and z.table != x.table
 
@@ -906,6 +967,26 @@ class TestWitnessesFormattedOnFailureOnly:
         rc, _, _ = run_main([command, "--fiber", "tropical"], capsys)
         assert rc == 0
         assert calls == {}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--fiber", "powerset"], POWERSET_VERIFY),
+    (["verify", "--fiber", "tropical"], TROPICAL_VERIFY),
+    (["roundtrip", "--fiber", "tropical"], TROPICAL_ROUNDTRIP),
+], ids=["verify-powerset", "verify-tropical", "roundtrip-tropical"])
+def test_reports_do_not_depend_on_the_hash_seed(argv, digest):
+    # spans, relations and squares are keyed by tuples and frozensets of
+    # ints, whose iteration order must never reach a report: a fresh
+    # process under either hash seed prints the pinned bytes
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "doctrina", *argv],
+            capture_output=True,
+            cwd=str(pathlib.Path(__file__).parent.parent),
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, seed
 
 
 class TestEntryPoint:

@@ -46,7 +46,7 @@ from doctrina.doctrine import (
     tropical_doctrine,
 )
 
-from doctrina.doubling import PDot, product_span, verify_pdot
+from doctrina.doubling import PDot, verify_pdot
 from doctrina.extraction import roundtrip
 from doctrina.spancat import SpanCategory
 
@@ -56,26 +56,28 @@ from mutants import (
     SwappedAdjointDoctrine,
     doctrines,
 )
+from spans import product_span
 from test_poskit import M3, N5, meet_monoid
 
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
 
 
-def per_value_span_action(d: Doctrine, left: FinFn, right: FinFn):
-    """The reference for the relation tables: for each value tuple of the
+def per_value_span_action(d: Doctrine, n: int, k: int, lt: tuple, rt: tuple):
+    """The reference for the relation tables, on the span n <- apex -> k
+    with leg tables ``lt`` and ``rt``: for each value tuple of the
     source, in codec order, target slot j joins its entries at the
     ``d._legs`` pairs (i, j), starting from the bottom; each image is
     looked up as a tuple, and ``monotone_map`` checks every cover pair."""
-    lt, rt = d._legs(left, right)
-    index = value_index(right.cod.size, d._size)
+    lt, rt = d._legs(lt, rt)
+    index = value_index(k, d._size)
     images = []
-    for v in value_tuples(left.cod.size, d._size):
-        vals = [d.bottom] * right.cod.size
+    for v in value_tuples(n, d._size):
+        vals = [d.bottom] * k
         for i, j in zip(lt, rt):
             vals[j] = d._join[vals[j]][v[i]]
         images.append(index[tuple(vals)])
-    return monotone_map(d.fiber(left.cod).carrier, d.fiber(right.cod).carrier, images)
+    return monotone_map(d.fiber(FinSet(n)).carrier, d.fiber(FinSet(k)).carrier, images)
 
 
 def action_spans(triple):
@@ -91,8 +93,8 @@ def action_spans(triple):
 class PerValueDoctrine(Doctrine):
     """The stock doctrine with its span action computed value by value."""
 
-    def _span_action(self, left, right):
-        return per_value_span_action(self, left, right)
+    def _span_action(self, n, k, lt, rt):
+        return per_value_span_action(self, n, k, lt, rt)
 
 
 UNION = MonoPoset(chain(2), operator.or_, 0)
@@ -156,7 +158,7 @@ class TestTropicalDoctrine:
         d = make(triple)
         spans = action_spans(triple)
         for x in spans:
-            assert d.span_action(x.left, x.right) == per_value_span_action(d, x.left, x.right), x
+            assert d.span_action(*x.key) == per_value_span_action(d, *x.key), x
         if empties:
             # empty feet, and right legs that leave a fibre empty
             assert any(x.source.size == 0 for x in spans)
@@ -214,6 +216,34 @@ class TestAdjunction:
         d = powerset_doctrine(surjection_triple(2))
         with pytest.raises(ClassViolation):
             d.exists(FinFn(FinSet(1), FinSet(2), (0,)))
+
+    def test_span_actions_refuse_right_legs_out_of_r(self):
+        # the span action decides its right leg's class on the table, and
+        # refuses it as the quantifier along it does, with one message,
+        # whether it takes tables (``span_action``) or maps (``act``)
+        d = powerset_doctrine(injection_right_triple(2))
+        refused = 0
+        for f in Universe(d.triple, 2).maps:
+            left = FinFn.identity(f.dom)
+            if d.triple.right.contains(f):
+                d.span_action(f.dom.size, f.cod.size, left.table, f.table)
+                continue
+            with pytest.raises(ClassViolation) as want:
+                d.exists(f)
+            with pytest.raises(ClassViolation) as tables:
+                d.span_action(f.dom.size, f.cod.size, left.table, f.table)
+            with pytest.raises(ClassViolation) as maps:
+                d.act(left, f, (0,) * f.dom.size)
+            assert str(tables.value) == str(maps.value) == str(want.value)
+            refused += 1
+        assert refused == 3
+
+    def test_span_action_checks_its_tables(self, pow2):
+        with pytest.raises(ValueError, match="share an apex"):
+            pow2.span_action(1, 1, (0, 0), (0,))
+        for lt, rt in (((1,), (0,)), ((0,), (1,)), ((-1,), (0,))):
+            with pytest.raises(ValueError, match="outside codomain"):
+                pow2.span_action(1, 1, lt, rt)
 
 
 class TestBeckChevalley:
@@ -386,7 +416,7 @@ class TestDoctrineSuite:
         for d in (pow2, trop2):
             left = FinFn(FinSet(3), FinSet(2), (0, 0, 1))
             right = FinFn(FinSet(3), FinSet(2), (1, 0, 1))
-            assert d.span_action(left, right) == d.subst(left).then(
+            assert d.span_action(2, 2, left.table, right.table) == d.subst(left).then(
                 d.exists(right)
             )
 
@@ -484,7 +514,7 @@ def test_act_is_the_span_action_value_by_value(name, triple):
         n, k = x.source.size, x.target.size
         index = value_index(k, d._size)
         acted = [index[d.act(x.left, x.right, v)] for v in value_tuples(n, d._size)]
-        assert tuple(acted) == d.span_action(x.left, x.right).table, x
+        assert tuple(acted) == d.span_action(*x.key).table, x
 
 
 @pytest.mark.parametrize("triple", list(LAW_TRIPLES))

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from doctrina.errors import NonFunctorial, ShapeMismatch
+from doctrina.errors import ClassViolation, NonFunctorial, ObjMismatch, ShapeMismatch
 from doctrina.finset import (
     AdequateTriple,
     FinFn,
@@ -59,7 +59,6 @@ from doctrina.doubling import (
     LaxCompositional,
     PDot,
     QtCell,
-    product_span,
     verify_pdot,
 )
 from doctrina.extraction import roundtrip
@@ -77,6 +76,7 @@ from mutants import (
     SwappedAdjointDoctrine,
 )
 from offdomain import search_offdomain_witness
+from spans import product_span, pullback_composite
 
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
@@ -210,15 +210,53 @@ class TestCompositor:
         conj = cat.conjoint_of(CONST21).span
         assert ptrop.compositor(comp, conj).invertible
 
-    def test_cached_composite_is_loose_compose(self, pow2):
-        pdot = PDot(pow2)
+    def test_cached_composite_is_loose_compose(self):
+        # ``PDot`` composes and multiplies spans on their leg tables: each
+        # composite and product id must be the span that ``loose_compose``
+        # and the references from ``finset.pullback`` and
+        # ``finset.fn_product`` build, on every pinned triple
+        composable = {}
+        for name, make in PINNED_TRIPLES.items():
+            triple = make(2)
+            pdot = PDot(powerset_doctrine(triple))
+            spans = list(pdot.cat.enumerate_spans(2))
+            pairs = [(x, y) for x in spans for y in spans if x.target == y.source]
+            composable[name] = len(pairs)
+            for x, y in pairs:
+                xy = pdot.composite(x, y)
+                assert xy == pdot.cat.loose_compose(x, y) == pullback_composite(triple, x, y)
+                assert pdot.composite(x, y) is xy
+            ids = [pdot.span_id(x) for x in spans]
+            for x, i in zip(spans, ids):
+                for y, j in zip(spans, ids):
+                    assert pdot.span(pdot._product_id(i, j)) == product_span(x, y)
+        assert composable == {"all-all": 971, "surj-right": 172, "inj-right": 380, "inj-left": 380}
+
+    def test_composite_refusals_are_loose_compose_refusals(self):
+        # a right class of identities and maps onto one point is not
+        # closed under pullback, so composites escape it; the table path
+        # refuses each with the exception and message of the reference,
+        # as it refuses spans whose middle objects differ
+        maps = Universe(trivial_triple(2), 2).maps
+        right = MorClass.explicit(f for f in maps if f.is_identity or f.cod.size == 1)
+        triple = AdequateTriple(2, MorClass.all(), right)
+        pdot = PDot(powerset_doctrine(triple))
         spans = list(pdot.cat.enumerate_spans(2))
-        pairs = [(x, y) for x in spans for y in spans if x.target == y.source]
-        assert len(pairs) == 971
-        for x, y in pairs:
-            xy = pdot.composite(x, y)
-            assert xy == pdot.cat.loose_compose(x, y)
-            assert pdot.composite(x, y) is xy
+
+        def outcome(compose, x, y):
+            try:
+                return compose(x, y)
+            except (ClassViolation, ObjMismatch) as e:
+                return type(e), str(e)
+
+        seen = collections.Counter()
+        for x in spans:
+            for y in spans:
+                want = outcome(partial(pullback_composite, triple), x, y)
+                assert outcome(pdot.composite, x, y) == want
+                assert outcome(pdot.cat.loose_compose, x, y) == want
+                seen[want[0] if type(want) is tuple else Span] += 1
+        assert seen == {Span: 108, ClassViolation: 13, ObjMismatch: 240}
 
     def test_functorial_on_all_pairs(self, ppow):
         spans = list(ppow.cat.enumerate_spans(2))
@@ -476,9 +514,10 @@ def test_lax_comp_key_rule(triple, bound, walk, keys):
     assert len(_lax_comp_keys(cat, composable, pairs)) == keys
 
 
-def _calls_per_clause(monkeypatch, cls, name, run):
-    """Count the calls of ``cls.name`` made while each clause is the one
-    opened last, during ``run()``."""
+def _calls_per_clause(monkeypatch, cls, name, run, counted=lambda *args: True):
+    """Count the calls of ``cls.name`` for which ``counted`` holds of the
+    arguments, made while each clause is the one opened last, during
+    ``run()``."""
     counts = collections.Counter()
     opened = [None]
     clause, method = Report.clause, getattr(cls, name)
@@ -488,7 +527,7 @@ def _calls_per_clause(monkeypatch, cls, name, run):
         return clause(self, clause_id, law)
 
     def counting(*args):
-        counts[opened[0]] += 1
+        counts[opened[0]] += counted(*args)
         return method(*args)
 
     monkeypatch.setattr(Report, "clause", opening)
@@ -498,34 +537,39 @@ def _calls_per_clause(monkeypatch, cls, name, run):
 
 class TestLeftSidesBuiltOnce:
     def test_each_key_builds_its_left_side_once(self, monkeypatch):
-        # the clause builds no loose composite: a key's left side is its
-        # right side's span with both legs reindexed along σ by tuple
-        # indexing, built once per key; a key whose σ is the identity has
-        # the right side's span for its left side and builds nothing.
-        # Composing each left side from product spans made 4,242 loose
-        # composites, one per key
+        # the clause builds no loose composite and no FinFn or Span: a
+        # key's left side is its right side's span key with both leg
+        # tables reindexed along σ by tuple indexing, looked up once per
+        # key; a key whose σ is the identity has the right side's span for
+        # its left side and looks up nothing.  Composing each left side
+        # from product spans made 4,242 loose composites, one per key, and
+        # building each left side as a Span made 2,852 legs and 1,426 spans
         def run():
             return verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
 
         _, composed = _calls_per_clause(monkeypatch, SpanCategory, "loose_compose", run)
-        # the maps doubling builds are the legs; a span looked up with
-        # two of them for its legs is a left side built
-        legs, made = set(), []
-        sides = [0]
-        fin_fn, span_id = doubling.FinFn, PDot.span_id
+        # the keys of composites and product spans by id, kept alive so
+        # that their ids stay theirs; any other key the clause looks up is
+        # a left side
+        made = {}
+        product_key, compose_keys = doubling.product_key, SpanCategory.compose_keys
 
-        def leg(*args):
-            made.append(fin_fn(*args))
-            legs.add(id(made[-1]))
-            return made[-1]
+        def product(*args):
+            key = product_key(*args)
+            made[id(key)] = key
+            return key
 
-        def looked_up(self, x):
-            sides[0] += id(x.left) in legs and id(x.right) in legs
-            return span_id(self, x)
+        def composite(self, *args):
+            key = compose_keys(self, *args)
+            made[id(key)] = key
+            return key
 
-        monkeypatch.setattr(doubling, "FinFn", leg)
-        monkeypatch.setattr(PDot, "span_id", looked_up)
-        rep, reindexed = _calls_per_clause(monkeypatch, doubling, "FinFn", run)
+        monkeypatch.setattr(doubling, "product_key", product)
+        monkeypatch.setattr(SpanCategory, "compose_keys", composite)
+        _, legs = _calls_per_clause(monkeypatch, doubling, "FinFn", run)
+        rep, sides = _calls_per_clause(
+            monkeypatch, PDot, "_key_id", run, lambda self, key: id(key) not in made
+        )
         assert rep.find("pdot.laxator-compositional").instances == 24550
         assert "pdot.laxator-compositional" not in composed
         # the keys of the sample, as test_lax_comp_key_rule counts them,
@@ -544,8 +588,8 @@ class TestLeftSidesBuiltOnce:
             ))
         moved = sum(not s.is_identity for _, _, s in keys)
         assert (len(keys), moved) == (4242, 1426)
-        assert reindexed == {"pdot.laxator-compositional": 2 * moved}
-        assert sides[0] == moved
+        assert sides["pdot.laxator-compositional"] == moved
+        assert legs == {}
 
 
 class TestSquaresDecidedOnce:
@@ -1277,13 +1321,48 @@ def test_each_square_is_fixed_by_its_side_ids(name):
         assert verdict == qt.holds + qt.invertible, sq
 
 
+def test_passing_verify_pdot_builds_no_span_in_doubling(monkeypatch):
+    # ``PDot`` keys spans by their tables and composes, multiplies and
+    # reindexes them on tables, so a passing run builds no FinFn and no
+    # Span in doubling, directly or through a Span constructor; the spans
+    # it meets are the universe's, built by ``enumerate_spans``
+    built = collections.Counter()
+    constructors = {"of", "identity", "companion", "conjoint"}
+
+    def counting(cls):
+        post_init = cls.__post_init__
+
+        def counted(self):
+            # frame 1 is the dataclass ``__init__``, frame 2 its caller
+            caller = sys._getframe(2)
+            if caller.f_code.co_name in constructors:
+                caller = caller.f_back
+            if caller.f_globals.get("__name__") == "doctrina.doubling":
+                built[cls.__name__] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    counting(FinFn)
+    counting(Span)
+    rep = verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
+    assert rep.passed
+    assert built == {}
+    # the same count sees a Span that doubling asks for
+    pdot = PDot(powerset_doctrine(trivial_triple(2)))
+    pdot.span(pdot._identity_id(2))
+    assert built == {"Span": 1, "FinFn": 2}
+
+
 def test_verify_pdot_hashes_few_spans(monkeypatch):
-    # the clause loops key their squares on span ids, so a Span is hashed
-    # where a span is first met, not on every lookup: powerset at bound 2
-    # hashed 340,984 before spans had ids, 17,221 while the left sides
-    # of pdot.laxator-compositional were composed of product spans,
+    # the clause loops key their squares on span ids, and ``PDot`` keys
+    # a span by its tables, so no Span is hashed in doubling: the 3,956
+    # left are the keys of ``SpanCategory.cell_groups``.  Powerset at
+    # bound 2 hashed 340,984 before spans had ids, 17,221 while the left
+    # sides of pdot.laxator-compositional were composed of product spans,
     # 14,405 while that clause built the right side of every sampled key,
-    # and 13,428 while pdot.unit-cell looked up the identity span on 1
+    # 13,428 while pdot.unit-cell looked up the identity span on 1, and
+    # 13,427 while ``PDot`` keyed spans by ``Span``
     hashed = [0]
     span_hash = Span.__hash__
 
@@ -1293,7 +1372,7 @@ def test_verify_pdot_hashes_few_spans(monkeypatch):
 
     monkeypatch.setattr(Span, "__hash__", counting)
     verify_pdot(PDot(powerset_doctrine(trivial_triple(2))), 2)
-    assert hashed[0] == 13427
+    assert hashed[0] == 3956
 
 
 # -- the table-only square test against composing and comparing maps -------

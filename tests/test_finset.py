@@ -411,3 +411,27 @@ class TestAdequateTriples:
     def test_universe_bound_guard(self):
         with pytest.raises(ValueError):
             check_adequate_triple(AdequateTriple(0, MorClass.all(), MorClass.all()))
+
+
+def test_table_membership_is_the_map_membership():
+    # ``MorClass.has`` decides membership on a table and a codomain
+    # size, and ``contains`` reads it; both must agree with the class's
+    # definition on every map between sets of at most 3 elements
+    maps = [f for a in finsets(3) for b in finsets(3) for f in functions(a, b)]
+    members = frozenset(f for f in maps if f.dom.size == f.cod.size or f.cod.size == 1)
+    defined = {
+        "all": lambda f: True,
+        "inj": lambda f: f.is_injective,
+        "surj": lambda f: f.is_surjective,
+        "explicit": lambda f: f in members,
+    }
+    classes = {
+        "all": MorClass.all(), "inj": MorClass.injections(),
+        "surj": MorClass.surjections(), "explicit": MorClass.explicit(members),
+    }
+    for kind, cls in classes.items():
+        verdicts = [defined[kind](f) for f in maps]
+        assert [cls.has(f.table, f.cod.size) for f in maps] == verdicts, kind
+        assert [cls.contains(f) for f in maps] == verdicts, kind
+        if kind != "all":
+            assert any(verdicts) and not all(verdicts), kind
