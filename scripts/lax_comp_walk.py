@@ -24,7 +24,8 @@ ways:
   key's left side once, by reindexing the right side's span along σ,
   and reuses its verdict.
 
-It also checks the class rule on every pair of middle cospans: σ of two
+It also checks the class rule on every pair of middle cospans, each
+given as its leg tables and the size of its middle set: σ of two
 cospans is σ of the first cospans met of their classes
 (``SpanCategory.interchange_class``), so the clause builds σ once per
 pair of classes.
@@ -66,7 +67,7 @@ from doctrina.spancat import SpanCategory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import mutants  # noqa: E402
-from spans import product_span  # noqa: E402
+from spans import cospan, product_span  # noqa: E402
 
 
 def doctrines() -> dict:
@@ -88,7 +89,7 @@ def check_classes(bound: int) -> tuple[int, int, int, int, int]:
     σ is not σ of their classes' first members."""
     cat = SpanCategory(trivial_triple(bound))
     middles = list(dict.fromkeys(
-        (a.right, a2.left) for a, a2 in composable_pairs(cat, bound)
+        cospan(a.right, a2.left) for a, a2 in composable_pairs(cat, bound)
     ))
     first: dict = {}
     for u in middles:
@@ -120,7 +121,7 @@ def walk_each(pdots: dict, bound: int) -> tuple[int, dict, int, int, int, int]:
         for c, (x, x2) in enumerate(composable):
             lhs = cat.loose_compose(product_span(a, x), product_span(a2, x2))
             rhs = product_span(comps[r], comps[c])
-            u, v = (a.right, a2.left), (x.right, x2.left)
+            u, v = cospan(a.right, a2.left), cospan(x.right, x2.left)
             if (u, v) not in sigmas:
                 sigma = cat.interchange(u, v)
                 sigmas[u, v] = sigma, sigma.is_identity

@@ -40,7 +40,7 @@ from .finset import (
 from .doctrine import PAIR_BOUND, Doctrine, check_subst_functorial, external_laxator
 from .poskit import MonotoneMap, map_product, product_poset
 from .report import Clause, Report
-from .spancat import CellData, Span, SpanCell, SpanCategory, SpanKey, product_key
+from .spancat import CellData, Cospan, Span, SpanCell, SpanCategory, SpanKey, product_key
 
 # a square of the double extension as the side ids (top, bottom, left, right)
 Square = tuple[int, int, int, int]
@@ -441,7 +441,9 @@ class LaxCompositional:
     Here the left side is the right side's span reindexed along σ
     (``SpanCategory.interchange``), which depends only on the classes
     (``SpanCategory.interchange_class``) of the middle cospans
-    (a.right, a2.left) and (x.right, x2.left); so instances with the key
+    (a.right, a2.left) and (x.right, x2.left), read off ``PDot``'s span
+    keys as leg tables and the size of the middle set, with no ``Span``
+    built; so instances with the key
     (a ; a2, x ; x2, σ) have equal left sides and one verdict.  σ is
     built once per pair of classes and interned by value, so classes
     with equal σ share their keys.  A key is an int over the indices of
@@ -455,15 +457,16 @@ class LaxCompositional:
 
     def __init__(self, pdot: PDot, composable: list[tuple[int, int]]):
         self.pdot, self.composable = pdot, composable
-        cat, span = pdot.cat, pdot.span
+        cat, keys = pdot.cat, pdot._keys
         composites: dict[int, int] = {}
         classes: dict[tuple, int] = {}
         # the first middle cospan of each class
-        firsts: list[tuple[FinFn, FinFn]] = []
+        firsts: list[Cospan] = []
         # per row: the index of its composite and the class of its middle
         self.rows: list[tuple[int, int]] = []
         for a, a2 in composable:
-            u = span(a).right, span(a2).left
+            _, mid, _, rt = keys[a]
+            u = rt, keys[a2][2], mid
             k = classes.setdefault(cat.interchange_class(u), len(classes))
             if k == len(firsts):
                 firsts.append(u)

@@ -10,7 +10,8 @@ canonically isomorphic:
   for products and symmetries of maps by ``product_table``/``swap_table``;
 * pullback apices enumerate matching pairs in lexicographic order, except
   that a pullback along an identity is the other map itself (the unitary
-  convention), returned verbatim;
+  convention); ``pullback_tables`` decides this order, on tables, for
+  every pullback in the package;
 * pushout classes are ordered by their least representative in the
   disjoint union (left block first).
 """
@@ -124,27 +125,40 @@ class Pullback(NamedTuple):
     q: FinFn  # apex -> y.dom
 
 
-def pullback(x: FinFn, y: FinFn) -> Pullback:
-    """Pullback of the cospan ``x.dom -> Z <- y.dom``.
+def pullback_tables(
+    xt: tuple[int, ...], yt: tuple[int, ...], z: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The projection tables (p, q) of the pullback of the cospan
+    ``a -> Z <- b`` given by its tables ``xt`` and ``yt`` and the size
+    ``z`` of Z: the one place a pullback's apex is ordered.
 
-    The apex lists the pairs (a, b) with x(a) = y(b) in lexicographic
-    order; p and q are the coordinate projections.  A pullback along an
-    identity is the other map, verbatim.
+    The apex lists the pairs (a, b) with xt[a] = yt[b] in lexicographic
+    order.  A pullback along an identity is the other map: p is the
+    identity and q is ``xt`` when ``yt`` is the identity, and otherwise
+    p is ``yt`` and q the identity when ``xt`` is.
+    """
+    ident = tuple(range(z))
+    if yt == ident:
+        return tuple(range(len(xt))), xt
+    if xt == ident:
+        return yt, tuple(range(len(yt)))
+    over: list[list[int]] = [[] for _ in range(z)]
+    for b, v in enumerate(yt):
+        over[v].append(b)
+    pairs = [(a, b) for a, v in enumerate(xt) for b in over[v]]
+    return tuple([a for a, _ in pairs]), tuple([b for _, b in pairs])
+
+
+def pullback(x: FinFn, y: FinFn) -> Pullback:
+    """Pullback of the cospan ``x.dom -> Z <- y.dom``, with the apex
+    ordered by ``pullback_tables``; p and q are the coordinate
+    projections.
     """
     if x.cod != y.cod:
         raise CodMismatch(f"cospan legs disagree: {x} vs {y}")
-    if y.is_identity:
-        return Pullback(x.dom, FinFn.identity(x.dom), x)
-    if x.is_identity:
-        return Pullback(y.dom, y, FinFn.identity(y.dom))
-    pairs = [
-        (a, b) for a in range(x.dom.size) for b in range(y.dom.size)
-        if x.table[a] == y.table[b]
-    ]
-    apex = FinSet(len(pairs))
-    p = FinFn(apex, x.dom, tuple(a for a, _ in pairs))
-    q = FinFn(apex, y.dom, tuple(b for _, b in pairs))
-    return Pullback(apex, p, q)
+    p, q = pullback_tables(x.table, y.table, x.cod.size)
+    apex = FinSet(len(p))
+    return Pullback(apex, FinFn(apex, x.dom, p), FinFn(apex, y.dom, q))
 
 
 class Pushout(NamedTuple):

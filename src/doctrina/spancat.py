@@ -14,7 +14,10 @@ up to the canonical mediating bijection, which the property suite checks
 but composites never carry.  It has one implementation, on span keys,
 a span's foot sizes and leg tables (``SpanCategory.compose_keys``), with
 the product span beside it (``product_key``); ``loose_compose`` wraps it
-for ``Span`` values.
+for ``Span`` values.  Every pullback here, of a composite, of a
+horizontal pasting of cells (``cell_hcompose``) or of a factor cospan of
+σ (``interchange_class``), takes its apex order from
+``finset.pullback_tables``, as ``finset.pullback`` does.
 """
 
 from __future__ import annotations
@@ -28,12 +31,11 @@ from .finset import (
     AdequateTriple,
     FinFn,
     FinSet,
-    Pullback,
     Universe,
     compose,
     matching,
     product_table,
-    pullback,
+    pullback_tables,
 )
 from .report import Report
 
@@ -43,9 +45,9 @@ from .report import Report
 # the length of either table
 SpanKey = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
-
-def _is_identity(table: tuple[int, ...], cod: int) -> bool:
-    return len(table) == cod and table == tuple(range(cod))
+# a cospan as its two leg tables and the size of its middle set, the
+# arguments of ``finset.pullback_tables``
+Cospan = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 def product_key(x: SpanKey, y: SpanKey) -> SpanKey:
@@ -188,12 +190,9 @@ class SpanCategory:
 
     def __init__(self, triple: AdequateTriple):
         self.triple = triple
-        # the pullback of every cospan ``interchange`` or ``cell_hcompose``
-        # has met, kept as long as this category, and for each factor
-        # cospan of ``interchange`` its apex grouped by the first
-        # projection
-        self._pullbacks: dict[tuple[FinFn, FinFn], Pullback] = {}
-        self._rows: dict[tuple[FinFn, FinFn], tuple[tuple[int, ...], ...]] = {}
+        # for each factor cospan of ``interchange``, kept as long as this
+        # category: its pullback's apex grouped by the first projection
+        self._rows: dict[Cospan, tuple[tuple[int, ...], ...]] = {}
 
     # -- loose arrows -------------------------------------------------
 
@@ -204,28 +203,22 @@ class SpanCategory:
             raise ClassViolation(f"right leg {right} not in R")
         return Span(left, right)
 
-    def _pullback(self, x: FinFn, y: FinFn) -> Pullback:
-        """``finset.pullback(x, y)``, computed once per cospan."""
-        key = (x, y)
-        pb = self._pullbacks.get(key)
-        if pb is None:
-            pb = self._pullbacks[key] = pullback(x, y)
-        return pb
-
-    def interchange(self, u: tuple[FinFn, FinFn], v: tuple[FinFn, FinFn]) -> FinFn:
+    def interchange(self, u: Cospan, v: Cospan) -> FinFn:
         """The canonical bijection σ from the pullback of the product
         cospan ``u × v`` onto the row-major product of the pullbacks of
-        ``u`` and ``v``: limits commute with limits.  Each projection of
-        the product cospan's pullback, as ``finset.pullback`` builds it,
-        is σ followed by the product of the matching projections of the
-        other two.  Hence ``(a ⊗ x) ; (a2 ⊗ x2)`` is ``(a ; a2) ⊗ (x ; x2)``
-        with its legs reindexed along σ, for middle cospans u and v, and
-        is that very span when σ is the identity.
+        ``u`` and ``v``: limits commute with limits.  A cospan is given
+        by its leg tables and the size of its middle set (``Cospan``).
+        Each projection of the product cospan's pullback, as
+        ``finset.pullback_tables`` orders it, is σ followed by the product
+        of the matching projections of the other two.  Hence
+        ``(a ⊗ x) ; (a2 ⊗ x2)`` is ``(a ; a2) ⊗ (x ; x2)`` with its legs
+        reindexed along σ, for middle cospans u and v, and is that very
+        span when σ is the identity.
 
         σ is read off the two factor pullbacks alone (``interchange_class``):
         an element (i1, j1) of the first and (i2, j2) of the second meet
         in the product cospan's pullback, which lists them in the order
-        ``finset.pullback`` does.  That order is lexicographic in
+        ``finset.pullback_tables`` does.  That order is lexicographic in
         (i1, i2, j1, j2), except when both left legs are identities: every
         pullback here then takes its shortcut along the identity and lists
         its apex in the order of the right legs' domains, (j1, j2) for the
@@ -242,24 +235,24 @@ class SpanCategory:
         n = FinSet(len(table))
         return FinFn(n, n, table)
 
-    def interchange_class(
-        self, u: tuple[FinFn, FinFn]
-    ) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+    def interchange_class(self, u: Cospan) -> tuple[bool, tuple[tuple[int, ...], ...]]:
         """All that ``interchange`` reads of the cospan ``u``: whether its
         left leg is an identity, and the elements (i, j) of its pullback
         grouped by i, lexicographic in (i, j), built once per cospan.
-        Cospans of one class give one σ, on either side of
+        The middle set's size is part of the cospan: ``((0,), (0,))``
+        into a 1-element set is an identity cospan, into a 2-element set
+        it is not.  Cospans of one class give one σ, on either side of
         ``interchange``; at bound 2 the 59 middle cospans of composable
         span pairs fall into 10 classes."""
+        xt, yt, z = u
         rows = self._rows.get(u)
         if rows is None:
-            pb = self._pullback(*u)
-            pt, qt = pb.p.table, pb.q.table
+            pt, qt = pullback_tables(xt, yt, z)
             groups: dict[int, list[int]] = {}
-            for m in sorted(range(pb.apex.size), key=lambda m: (pt[m], qt[m])):
+            for m in sorted(range(len(pt)), key=lambda m: (pt[m], qt[m])):
                 groups.setdefault(pt[m], []).append(m)
             rows = self._rows[u] = tuple(map(tuple, groups.values()))
-        return u[0].is_identity, rows
+        return xt == tuple(range(z)), rows
 
     def loose_compose(self, x: Span, y: Span) -> Span:
         return Span.of(self.compose_keys(x.key, y.key))
@@ -268,26 +261,17 @@ class SpanCategory:
         """The loose composite ``x ; y`` on keys, the one implementation
         of loose composition: each leg of the composite is a projection
         of the pullback of the middle cospan (x's right leg, y's left
-        leg) followed by the outer leg, with the apex ordered as
-        ``finset.pullback`` orders it.  A pullback along an identity is
-        the other leg, so an identity middle leg keeps the other span's
-        apex.  The composite's legs must stay in their classes."""
+        leg) followed by the outer leg, with the apex ordered by
+        ``finset.pullback_tables``.  A pullback along an identity is the
+        other leg, so an identity middle leg keeps the other span's apex.
+        The composite's legs must stay in their classes."""
         n, mid, lt, rt = x
         mid2, k, lt2, rt2 = y
         if mid != mid2:
             raise ObjMismatch(f"{Span.of(x)} then {Span.of(y)}: middle objects differ")
-        if _is_identity(lt2, mid):
-            left, right = lt, tuple([rt2[v] for v in rt])
-        elif _is_identity(rt, mid):
-            left, right = tuple([lt[v] for v in lt2]), rt2
-        else:
-            over: list[list[int]] = [[] for _ in range(mid)]
-            for b, v in enumerate(lt2):
-                over[v].append(b)
-            # the pairs (a, b) with rt[a] == lt2[b], lexicographic
-            pairs = [(a, b) for a, v in enumerate(rt) for b in over[v]]
-            left = tuple([lt[a] for a, _ in pairs])
-            right = tuple([rt2[b] for _, b in pairs])
+        p, q = pullback_tables(rt, lt2, mid)
+        left = tuple([lt[a] for a in p])
+        right = tuple([rt2[b] for b in q])
         if not self.triple.left.has(left, n) or not self.triple.right.has(right, k):
             raise ClassViolation("composite legs escaped their classes")
         return n, k, left, right
@@ -311,19 +295,15 @@ class SpanCategory:
             raise BoundaryMismatch("horizontal pasting needs equal middle tights")
         src = self.loose_compose(a.src, b.src)
         dst = self.loose_compose(a.dst, b.dst)
-        s_apex, sp, sq = self._pullback(a.src.right, b.src.left)
-        d_apex, dp, dq = self._pullback(a.dst.right, b.dst.left)
-        index = {
-            (dp.table[m], dq.table[m]): m for m in range(d_apex.size)
-        }
-        table = tuple(
-            index[(a.apex_map.table[sp.table[k]], b.apex_map.table[sq.table[k]])]
-            for k in range(s_apex.size)
-        )
+        sp, sq = pullback_tables(a.src.right.table, b.src.left.table, a.src.target.size)
+        dp, dq = pullback_tables(a.dst.right.table, b.dst.left.table, a.dst.target.size)
+        index = {pair: m for m, pair in enumerate(zip(dp, dq))}
+        am, bm = a.apex_map.table, b.apex_map.table
+        table = tuple([index[am[i], bm[j]] for i, j in zip(sp, sq)])
         return SpanCell(
             src, dst,
             a.tight_left, b.tight_right,
-            FinFn(s_apex, d_apex, table),
+            FinFn(src.apex, dst.apex, table),
         )
 
     # -- companions and conjoints --------------------------------------

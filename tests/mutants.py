@@ -69,19 +69,20 @@ class NonFunctorialDoctrine(_Boolean):
 
 class DroppedApexDoctrine(Doctrine):
     """Span action that ignores the last apex element once the apex has
-    three or more, over any V (the 2-chain unless ``values`` is given).
-    Substitution and quantifiers stay intact, so every doctrine law holds
-    and the double extension builds; but loose composites and product
-    spans, the only spans that large at bound 2, lose loose
-    functoriality, and a companion span over a 3-element set no longer
-    acts as substitution."""
+    ``reach`` or more (three unless given), over any V (the 2-chain
+    unless ``values`` is given).  Substitution and quantifiers stay
+    intact, so every doctrine law holds and the double extension builds;
+    but loose composites and product spans, the only spans that large at
+    bound 2, lose loose functoriality, and a companion span over a
+    3-element set no longer acts as substitution."""
 
-    def __init__(self, triple, values: MonoPoset | None = None):
+    def __init__(self, triple, values: MonoPoset | None = None, reach: int = 3):
         super().__init__(triple, boolean_meet() if values is None else values)
+        self.reach = reach
 
     def _legs(self, lt: tuple, rt: tuple) -> tuple[tuple, tuple]:
         n = len(lt)
-        keep = n - 1 if n >= 3 else n
+        keep = n - 1 if n >= self.reach else n
         return lt[:keep], rt[:keep]
 
 

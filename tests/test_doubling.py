@@ -20,7 +20,6 @@ from doctrina.finset import (
     compose,
     injection_right_triple,
     matching,
-    pullback,
     surjection_triple,
     swap_fn,
     terminal,
@@ -76,7 +75,7 @@ from mutants import (
     SwappedAdjointDoctrine,
 )
 from offdomain import search_offdomain_witness
-from spans import product_span, pullback_composite
+from spans import brute_pullback, cospan, product_span, pullback_composite
 
 
 CONST21 = FinFn(FinSet(2), FinSet(1), (0, 0))
@@ -458,7 +457,7 @@ def test_lax_comp_sample_matches_walk(triple, bound):
 
 def test_loose_compose_on_lax_comp_left_sides(triple2):
     # the product-span composites on the left of
-    # pdot.laxator-compositional, through the per-cospan pullbacks
+    # pdot.laxator-compositional, through the reference pullbacks
     cat = SpanCategory(triple2)
     spans = list(cat.enumerate_spans(2))
     composable = [(x, y) for x in spans for y in spans if x.target == y.source]
@@ -466,7 +465,7 @@ def test_loose_compose_on_lax_comp_left_sides(triple2):
     for r, c in lax_comp_sample(composable):
         (a, a2), (x, x2) = composable[r], composable[c]
         u, v = product_span(a, x), product_span(a2, x2)
-        _, p, q = pullback(u.right, v.left)
+        _, p, q = brute_pullback(u.right, v.left)
         assert cat.loose_compose(u, v) == Span(
             compose(p, u.left), compose(q, v.right)
         )
@@ -489,7 +488,7 @@ def _lax_comp_keys(cat, composable, pairs):
         (a, a2), (x, x2) = composable[r], composable[c]
         lhs = cat.loose_compose(product_span(a, x), product_span(a2, x2))
         ac, xc = cat.loose_compose(a, a2), cat.loose_compose(x, x2)
-        sigma = cat.interchange((a.right, a2.left), (x.right, x2.left))
+        sigma = cat.interchange(cospan(a.right, a2.left), cospan(x.right, x2.left))
         rhs = product_span(ac, xc)
         assert lhs == Span(compose(sigma, rhs.left), compose(sigma, rhs.right))
         assert lhs == first.setdefault((ac, xc, sigma), lhs)
@@ -584,7 +583,9 @@ class TestLeftSidesBuiltOnce:
             (a, a2), (x, x2) = composable[r], composable[c]
             keys.add((
                 pdot._composite_id(a, a2), pdot._composite_id(x, x2),
-                sigma((span(a).right, span(a2).left), (span(x).right, span(x2).left)),
+                sigma(
+                    cospan(span(a).right, span(a2).left), cospan(span(x).right, span(x2).left)
+                ),
             ))
         moved = sum(not s.is_identity for _, _, s in keys)
         assert (len(keys), moved) == (4242, 1426)
@@ -780,6 +781,37 @@ def test_tropical_subclass_legs_are_the_span_action():
         "Span(FinFn(2->1:[0, 0]), FinFn(2->2:[0, 1])): at 1: 0 vs 3"
     )
     assert verify_pdot(PDot(tropical_doctrine(trivial_triple(2), 1)), 2).passed
+
+
+# the apex reach of the suites: (failures, instances) of every clause of
+# check_doctrine, verify_pdot and roundtrip that fails at bound 2 on
+# all-all, for DroppedApexDoctrine with each threshold.  Bound 2 acts on
+# apexes of 0, 1, 2, 4, 8 and 16 elements, so a threshold of 5 to 8 is
+# caught only by pdot.laxator-compositional's stride sample, and one of 9
+# or more by nothing.  This records a limit: it moves, with its reason,
+# when a clause reaches a larger apex (an exhaustive laxator walk, or a
+# larger bound on some clause)
+APEX_REACH = {
+    3: {
+        "pdot.compositor": (12, 971),
+        "pdot.double-assoc": (12, 22739),
+        "pdot.laxator-commuter": (256, 1849),
+        "pdot.laxator-unital": (1, 9),
+        "pdot.laxator-compositional": (190, 24550),
+        "roundtrip.frobenius": (4, 11),
+    },
+    5: {"pdot.laxator-compositional": (6, 24550)},
+    9: {},
+}
+
+
+@pytest.mark.parametrize("reach", sorted(APEX_REACH))
+def test_dropped_apex_reach(reach, triple2):
+    reports = [run(DroppedApexDoctrine(triple2, reach=reach)) for run in SUITES.values()]
+    failed = {
+        c.clause: (c.failures, c.instances) for rep in reports for c in rep.clauses if not c.passed
+    }
+    assert failed == APEX_REACH[reach]
 
 
 # failures of pdot.laxator-compositional on surj-right at bound 2; 0 for

@@ -25,6 +25,7 @@ from doctrina.finset import (
     product,
     product_table,
     pullback,
+    pullback_tables,
     pushout,
     surjection_triple,
     swap_fn,
@@ -33,6 +34,8 @@ from doctrina.finset import (
     trivial_triple,
 )
 from doctrina.uwd import TypeAssignment, denote
+
+from spans import brute_pullback
 
 
 def brute_pullback_pairs(x, y):
@@ -183,6 +186,29 @@ class TestPullback:
         apex, p, q = pullback(x, x)
         assert apex.size == 4
         assert list(zip(p.table, q.table)) == brute_pullback_pairs(x, x)
+
+    def test_tables_are_the_brute_pullback(self):
+        # every cospan of maps between sets of at most 3 elements, the
+        # empty set among them, both identity shortcuts included:
+        # ``pullback_tables`` and ``pullback`` list the reference's apex
+        # in its order
+        cospans = 0
+        for z in finsets(3):
+            for a in finsets(3):
+                for b in finsets(3):
+                    for x in functions(a, z):
+                        for y in functions(b, z):
+                            want = brute_pullback(x, y)
+                            assert pullback_tables(x.table, y.table, z.size) == (
+                                want.p.table, want.q.table
+                            )
+                            assert pullback(x, y) == want
+                            cospans += 1
+        assert cospans == 1842
+
+    def test_refuses_unequal_codomains(self):
+        with pytest.raises(CodMismatch):
+            pullback(bang(FinSet(2)), FinFn.identity(FinSet(2)))
 
     def test_matches_pair_oracle(self):
         z = FinSet(2)

@@ -8,8 +8,12 @@ only ``doctrine.py`` folds joins (``_join_fold``), and no class defines
 it would be silently ignored.  A square is decided in one place as
 well: only ``PDot._verdict`` calls ``doubling._decide`` and
 ``doubling._check_sides``, and no package module defines a second
-decider (``SECOND_DECIDERS``).  The sources are read with ``ast``, so a
-call under any name the function is imported as counts as well."""
+decider (``SECOND_DECIDERS``).  A pullback's apex is ordered in one
+place, ``finset.pullback_tables``: every pullback in the package calls
+it (``PULLBACKS``), and no module defines the second pullback or its
+cache that it replaced (``SECOND_PULLBACKS``).  The sources are read
+with ``ast``, so a call under any name the function is imported as
+counts as well."""
 
 import ast
 from pathlib import Path
@@ -36,6 +40,20 @@ DECIDER = "PDot._verdict"
 # the span-taking decider and its entry point that ``PDot._verdict``
 # replaced
 SECOND_DECIDERS = ("_qt_cell", "_equality")
+
+# the one pullback order, and the scopes, by module, that must call it
+ORDER = "pullback_tables"
+PULLBACKS = {
+    "finset.py": ("pullback",),
+    "spancat.py": (
+        "SpanCategory.compose_keys",
+        "SpanCategory.interchange_class",
+        "SpanCategory.cell_hcompose",
+    ),
+}
+# the FinFn pullback cache and the identity test of the pair loop that
+# ``pullback_tables`` replaced
+SECOND_PULLBACKS = ("_pullback", "_pullbacks", "_is_identity")
 
 
 def scoped_calls(path: Path, name: str):
@@ -136,3 +154,28 @@ def test_no_second_decider_is_defined(path):
             and node.id in SECOND_DECIDERS)
     ]
     assert not lines, f"{path.name} defines a second decider on lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "module, scope",
+    [(m, scope) for m, scopes in PULLBACKS.items() for scope in scopes],
+)
+def test_every_pullback_is_ordered_in_one_place(module, scope):
+    scopes = {found for found, _ in scoped_calls(PACKAGE / module, ORDER)}
+    assert scope in scopes, f"{module}: {scope} does not call {ORDER}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_second_pullback_is_defined(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in SECOND_PULLBACKS)
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and node.id in SECOND_PULLBACKS)
+        or (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr in SECOND_PULLBACKS)
+    ]
+    assert not lines, f"{path.name} defines a second pullback on lines {lines}"
