@@ -12,9 +12,10 @@ minimum over each fibre, infinity over an empty one).
 
 Fibers, substitution and quantifiers work on carrier indices, whose codec
 puts slot 0 least significant, so a subset's index is its bitmask.  The
-span action ``act`` and the external tensor ``pair_predicate`` work on
-the predicate's own value, a tuple of V's elements (0/1 for a relation),
-so that evaluation never builds a fiber.
+span action ``act``, the external tensor ``pair_predicate`` and the
+internal tensor ``tensor_values`` work on the predicate's own value, a
+tuple of V's elements (0/1 for a relation), so that evaluation never
+builds a fiber.
 
 ``span_action`` is the one checked entry point for the span action as a
 map between foot fibers, and every cover pair of its domain is checked
@@ -179,6 +180,15 @@ class Doctrine:
         for x in p:
             extend(blocks[x])
         return tuple(joint)
+
+    def tensor_values(self, p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+        """The internal tensor of two predicate values over one set,
+        pointwise as ``pair_predicate`` is: entry x is V's tensor of
+        ``p[x]`` and ``q[x]``."""
+        if len(p) != len(q):
+            raise ValueError("values over sets of different sizes")
+        rows = self._tensor
+        return tuple([rows[x][y] for x, y in zip(p, q)])
 
     def _check_span(self, lt: tuple[int, ...], rt: tuple[int, ...], k: int) -> None:
         """The legs share an apex, and the right leg, into a set of size

@@ -11,7 +11,13 @@ Value domains for the port types are supplied by a ``TypeAssignment``;
 contexts denote as row-major products with port 0 most significant.
 A system carries its predicate as the doctrine's own value, a tuple of
 V's elements over the denoted product: 0/1 membership for a relation,
-costs for min-plus (``cap + 1`` for infinity).  Files carry the same
+costs for min-plus (``cap + 1`` for infinity).  A tensor of systems
+keeps its two parts: evaluation pulls each part back to the junction
+assignments on its own and tensors the columns pointwise, since
+substitution is strong monoidal, so the joint predicate over the
+concatenated context is built only when something reads it.  The
+reindexing maps behind every pull-back are memoised on their shape, so
+the parts of different diagrams share them.  Files carry the same
 data as a hex mask or a cost array with "inf"; ``load_corpus`` decodes
 the mask at the boundary and ``format_predicate`` encodes it again.
 Nothing on the evaluation path encodes a predicate as an element index
@@ -23,8 +29,10 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import BoundaryMismatch, ContextMismatch, LabelClash
 from .finset import FinFn, FinSet, LabelledFinSet, compose, pushout
@@ -74,6 +82,11 @@ def all_tuples(ctx: LabelledFinSet, types: TypeAssignment):
     return itertools.product(*(types.values(lab) for lab in ctx.labels))
 
 
+# the most reindexing maps ``reindex_map`` keeps, least recently used
+# first out: an eval stream repeats a few hundred shapes
+REINDEX_MEMO = 512
+
+
 def reindex(
     ports: FinFn,
     src: LabelledFinSet,
@@ -81,24 +94,50 @@ def reindex(
     types: TypeAssignment,
 ) -> FinFn:
     """The value-level map induced by a port map src -> dst, running
-    contravariantly from assignments on dst to assignments on src.
+    contravariantly from assignments on dst to assignments on src: the
+    memoised ``reindex_map`` of its port table and domain sizes."""
+    return reindex_map(
+        ports.table,
+        tuple(map(types.size, src.labels)),
+        tuple(map(types.size, dst.labels)),
+    )
+
+
+@lru_cache(maxsize=REINDEX_MEMO)
+def reindex_map(
+    table: tuple[int, ...], src_sizes: tuple[int, ...], dst_sizes: tuple[int, ...]
+) -> FinFn:
+    """``reindex`` of the port map ``table`` between ports of the given
+    domain sizes, kept per shape, so that every diagram whose ports have
+    that table and those sizes reads one map.
 
     An assignment v on dst goes to the src index sum over src ports p of
-    v[ports(p)] * stride(p), where stride(p) is the product of the
+    v[table[p]] * stride(p), where stride(p) is the product of the
     domains of the src ports after p.  Grouped by dst port, port j adds
     v[j] times the summed strides of the src ports on it, so the table is
     built by expanding those terms row-major over the dst ports."""
-    sizes = [types.size(lab) for lab in dst.labels]
-    strides = [0] * len(sizes)
+    strides = [0] * len(dst_sizes)
     stride = 1
-    for p in reversed(range(src.base.size)):
-        strides[ports.table[p]] += stride
-        stride *= types.size(src.labels[p])
-    table = [0]
-    for n, c in zip(sizes, strides):
+    for p in reversed(range(len(table))):
+        strides[table[p]] += stride
+        stride *= src_sizes[p]
+    out = [0]
+    for n, c in zip(dst_sizes, strides):
         offsets = [v * c for v in range(n)]
-        table = [t + o for t in table for o in offsets]
-    return FinFn(denote(dst, types), FinSet(stride), tuple(table))
+        out = [t + o for t in out for o in offsets]
+    return FinFn(FinSet(len(out)), FinSet(stride), tuple(out))
+
+
+@lru_cache(maxsize=REINDEX_MEMO)
+def reader(m: FinFn) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The function reading a value at every entry of ``m``'s table, in
+    order, kept per map: one ``itemgetter`` call instead of a Python
+    call per entry (an ``itemgetter`` needs two entries to give a
+    tuple)."""
+    table = m.table
+    if len(table) > 1:
+        return itemgetter(*table)
+    return lambda values: tuple(values[i] for i in table)
 
 
 @dataclass(frozen=True)
@@ -143,14 +182,64 @@ def identity_diagram(ctx: LabelledFinSet) -> UwdDiagram:
 class System:
     """A context plus a predicate over its denotation, as the doctrine's
     value: one entry per tuple of the denoted product, row-major, 0/1
-    membership (relational) or a cost (min-plus)."""
+    membership (relational) or a cost (min-plus).  A tensor of systems
+    is a ``TensorSystem``, which keeps its parts and builds this
+    predicate only when it is read."""
 
     context: LabelledFinSet
     predicate: tuple[int, ...]
 
+    def pulled_back(
+        self, ports: FinFn, dst: LabelledFinSet, types: TypeAssignment
+    ) -> tuple[int, ...]:
+        """The predicate substituted along the port map ``ports`` from
+        the context into ``dst``: one entry per assignment on dst."""
+        return reader(reindex(ports, self.context, dst, types))(self.predicate)
+
+
+class TensorSystem(System):
+    """Two systems side by side over their concatenated context, as
+    ``tensor_systems`` makes them.  It keeps its two parts, and the
+    doctrine and types that tensor them, so a tensor of tensors is a
+    tree of the systems it was built from.  Its predicate is the joint
+    that ``Doctrine.pair_predicate`` builds from its parts' predicates,
+    built on first read and kept; ``evaluate`` never reads it."""
+
+    def __init__(
+        self, left: System, right: System, d: Doctrine, types: TypeAssignment
+    ):
+        self.context = LabelledFinSet(
+            FinSet(left.context.base.size + right.context.base.size),
+            left.context.labels + right.context.labels,
+        )
+        self.parts = (left, right)
+        self.doctrine, self.types = d, types
+
+    @cached_property
+    def predicate(self) -> tuple[int, ...]:
+        left, right = self.parts
+        a, b = denote(left.context, self.types), denote(right.context, self.types)
+        return self.doctrine.pair_predicate(a, b, left.predicate, right.predicate)
+
+    def pulled_back(
+        self, ports: FinFn, dst: LabelledFinSet, types: TypeAssignment
+    ) -> tuple[int, ...]:
+        """The joint's entries at the assignments on ``dst``, without the
+        joint: each part pulled back along its own ports, tensored
+        pointwise in the order of the parts."""
+        left, right = self.parts
+        n, j = left.context.base.size, ports.cod
+        return self.doctrine.tensor_values(
+            left.pulled_back(FinFn(left.context.base, j, ports.table[:n]), dst, types),
+            right.pulled_back(FinFn(right.context.base, j, ports.table[n:]), dst, types),
+        )
+
 
 def evaluate(w: UwdDiagram, sys: System, d: Doctrine, types: TypeAssignment) -> System:
-    """Push a system through a diagram: substitute, then quantify."""
+    """Push a system through a diagram: substitute, then quantify.  A
+    tensor of systems is substituted part by part
+    (``TensorSystem.pulled_back``), and its column over the junction
+    assignments is quantified along the span with an identity left leg."""
     if sys.context != w.inner:
         raise ContextMismatch(
             f"system context {sys.context} is not the diagram's inner boundary"
@@ -162,8 +251,15 @@ def evaluate(w: UwdDiagram, sys: System, d: Doctrine, types: TypeAssignment) -> 
                 "the quantified predicate collapses",
                 stacklevel=2,
             )
-    fhat = reindex(w.f, w.inner, w.junctions, types)
     ghat = reindex(w.g, w.outer, w.junctions, types)
+    if isinstance(sys, TensorSystem):
+        # the column is indexed by the junction assignments themselves,
+        # so the left leg is their identity (memoised like every map)
+        column = sys.pulled_back(w.f, w.junctions, types)
+        ports = FinFn.identity(w.junctions.base)
+        ident = reindex(ports, w.junctions, w.junctions, types)
+        return System(w.outer, d.act(ident, ghat, column))
+    fhat = reindex(w.f, w.inner, w.junctions, types)
     return System(w.outer, d.act(fhat, ghat, sys.predicate))
 
 
@@ -203,14 +299,11 @@ def disjoint_union(w1: UwdDiagram, w2: UwdDiagram) -> UwdDiagram:
 
 def tensor_systems(
     s1: System, s2: System, d: Doctrine, types: TypeAssignment
-) -> System:
-    """Combine independent systems over the concatenated context."""
-    ctx = LabelledFinSet(
-        FinSet(s1.context.base.size + s2.context.base.size),
-        s1.context.labels + s2.context.labels,
-    )
-    a, b = denote(s1.context, types), denote(s2.context, types)
-    return System(ctx, d.pair_predicate(a, b, s1.predicate, s2.predicate))
+) -> TensorSystem:
+    """Combine independent systems over the concatenated context.  The
+    result keeps both parts; its joint predicate is built only when read
+    (``TensorSystem``)."""
+    return TensorSystem(s1, s2, d, types)
 
 
 def functoriality_check(

@@ -367,8 +367,9 @@ class TestExternalMonoidal:
         assert external_unit(trop2) == 0  # the zero cost
 
     def test_pair_predicate_matches_laxator(self, pow2, trop2, trop2k3):
-        # uwd.tensor_systems tensors values through pair_predicate, the law
-        # suites carrier indices through external_laxator: the two must
+        # a tensor of systems (uwd.TensorSystem) builds its joint through
+        # pair_predicate, the law suites carrier indices through
+        # external_laxator: the two must
         # agree entry for entry across the fiber codec
         for d in (pow2, trop2, trop2k3):
             size = d.values.carrier.size
@@ -379,6 +380,23 @@ class TestExternalMonoidal:
                     index = value_index(product(a, b).prod.size, size)
                     joints = [d.pair_predicate(a, b, p, q) for p in va for q in vb]
                     assert [index[j] for j in joints] == list(mu.table)
+
+    def test_tensor_values_matches_fiber_tensor(self, pow2, trop2, trop2k3):
+        # uwd.evaluate tensors the columns of a tensor's parts through
+        # tensor_values, the law suites through the fiber's mul: the two
+        # must agree across the fiber codec
+        for d in (pow2, trop2, trop2k3):
+            size = d.values.carrier.size
+            for a in finsets(2):
+                fiber = d.fiber(a)
+                values = value_tuples(a.size, size)
+                index = value_index(a.size, size)
+                for p in values:
+                    for q in values:
+                        got = index[d.tensor_values(p, q)]
+                        assert got == fiber.mul(index[p], index[q])
+        with pytest.raises(ValueError):
+            pow2.tensor_values((0, 1), (1,))
 
     def test_carrier_indices_invert_values(self, pow2, trop2, trop2k3):
         # the value tuple of every element of a fiber, in carrier order,

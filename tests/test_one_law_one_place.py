@@ -11,7 +11,10 @@ well: only ``PDot._verdict`` calls ``doubling._decide`` and
 decider (``SECOND_DECIDERS``).  A pullback's apex is ordered in one
 place, ``finset.pullback_tables``: every pullback in the package calls
 it (``PULLBACKS``), and no module defines the second pullback or its
-cache that it replaced (``SECOND_PULLBACKS``).  The sources are read
+cache that it replaced (``SECOND_PULLBACKS``).  Evaluation reaches a
+doctrine only through its public methods: ``uwd.py`` reads no private
+attribute of a ``Doctrine``, so it tensors values with
+``tensor_values`` and quantifies with ``act``.  The sources are read
 with ``ast``, so a call under any name the function is imported as
 counts as well."""
 
@@ -19,6 +22,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from doctrina.doctrine import Doctrine, powerset_doctrine
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "doctrina"
 LAW = "check_beck_chevalley"
@@ -179,3 +184,18 @@ def test_no_second_pullback_is_defined(path):
             and node.attr in SECOND_PULLBACKS)
     ]
     assert not lines, f"{path.name} defines a second pullback on lines {lines}"
+
+
+def test_uwd_reads_no_private_doctrine_attribute(triple3):
+    private = {
+        name
+        for name in [*vars(Doctrine), *vars(powerset_doctrine(triple3))]
+        if name.startswith("_") and not name.startswith("__")
+    }
+    tree = ast.parse((PACKAGE / "uwd.py").read_text(encoding="utf-8"))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert private and not lines, f"uwd.py reads a private Doctrine attribute on lines {lines}"

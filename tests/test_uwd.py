@@ -1,13 +1,15 @@
 import itertools
 import json
 import random
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
 
 from doctrina.errors import BoundaryMismatch, ContextMismatch, LabelClash
 from doctrina.finset import FinFn, FinSet, LabelledFinSet, trivial_triple
-from doctrina.doctrine import powerset_doctrine, tropical_doctrine
+from doctrina.doctrine import Doctrine, powerset_doctrine, tropical_doctrine
+from doctrina.poskit import MonoPoset, chain
 from doctrina.uwd import (
     System,
     TypeAssignment,
@@ -22,7 +24,9 @@ from doctrina.uwd import (
     index_tuple,
     load_corpus,
     load_corpus_file,
+    reader,
     reindex,
+    reindex_map,
     rel_pred,
     rel_tuples,
     relational_oracle,
@@ -300,6 +304,215 @@ class TestMonoidality:
         )
         assert joint.context == separate.context
         assert joint.predicate == separate.predicate
+
+
+# a monotone, commutative, non-associative tensor on the 4-chain 0 < 1 < 2 < 3:
+# unit 3, 0 absorbing, 1⊗1 = 0, 1⊗2 = 1 and 2⊗2 = 1, so (1⊗2)⊗2 = 1 but
+# 1⊗(2⊗2) = 0
+CHAIN4 = (
+    0, 0, 0, 0,
+    0, 0, 1, 1,
+    0, 1, 1, 2,
+    0, 1, 2, 3,
+)
+D_CHAIN4 = Doctrine(trivial_triple(3), MonoPoset.tabulated(chain(4), CHAIN4, 3))
+FACTORISED = {"powerset": D_REL, "min-plus": D_TROP, "4-chain": D_CHAIN4}
+
+
+def bracketed(boxes, d, types):
+    """The tensor of ``boxes`` in the bracketing they are nested in: a
+    system is a leaf, a pair is the tensor of its two sides."""
+    if isinstance(boxes, System):
+        return boxes
+    left, right = (bracketed(b, d, types) for b in boxes)
+    return tensor_systems(left, right, d, types)
+
+
+@st.composite
+def tensor_queries(draw, d):
+    """A diagram of at most 4 junctions over domains 0 to 3, and a random
+    bracketing of 3 or 4 boxes of arity 0 to 3 into its inner boundary
+    (three, so that bracketings can differ): a junction may be on no box
+    and no outer port."""
+    values = d.values.carrier.size
+    domains = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    types = TypeAssignment({f"t{i}": n for i, n in enumerate(domains)})
+    labels = draw(st.lists(st.sampled_from(sorted(types.domains)), max_size=4))
+    junctions = LabelledFinSet.of(*labels)
+    touch = st.integers(0, len(labels) - 1) if labels else st.nothing()
+    arity = st.integers(0, 3) if labels else st.just(0)
+    boxes = []
+    for _ in range(draw(st.integers(3, 4))):
+        ports = tuple(draw(touch) for _ in range(draw(arity)))
+        ctx = LabelledFinSet.of(*(labels[j] for j in ports))
+        pred = draw(st.lists(
+            st.integers(0, values - 1),
+            min_size=denote(ctx, types).size, max_size=denote(ctx, types).size,
+        ))
+        boxes.append((ports, System(ctx, tuple(pred))))
+
+    def bracket(leaves):
+        if len(leaves) == 1:
+            return leaves[0][1]
+        cut = draw(st.integers(1, len(leaves) - 1))
+        return bracket(leaves[:cut]), bracket(leaves[cut:])
+
+    tree = bracketed(bracket(boxes), d, types)
+    outer_ports = draw(st.lists(touch, max_size=3)) if labels else []
+    outer = LabelledFinSet.of(*(labels[j] for j in outer_ports))
+    w = UwdDiagram(
+        tree.context, junctions, outer,
+        FinFn(tree.context.base, junctions.base, tuple(j for p, _ in boxes for j in p)),
+        FinFn(outer.base, junctions.base, tuple(outer_ports)),
+    )
+    return w, tree, types
+
+
+def joint_evaluation(w, tree, d, types):
+    """``evaluate`` on the tensor's joint predicate, as one system."""
+    return evaluate(w, System(tree.context, tree.predicate), d, types)
+
+
+class TestFactorisedEvaluation:
+    """``evaluate`` on a tensor of systems pulls each part back to the
+    junctions on its own; it must give the joint predicate's answer."""
+
+    @pytest.mark.parametrize("name", sorted(FACTORISED))
+    @given(data=st.data())
+    def test_equals_the_joint_path(self, name, data):
+        d = FACTORISED[name]
+        w, tree, types = data.draw(tensor_queries(d))
+        # and with every junction exposed, so that no join over a hidden
+        # junction masks a wrong entry
+        opened = UwdDiagram(
+            w.inner, w.junctions, w.junctions, w.f, FinFn.identity(w.junctions.base)
+        )
+        with warnings.catch_warnings():
+            # a dangling junction may have an empty domain
+            warnings.simplefilter("ignore", UserWarning)
+            for v in (w, opened):
+                assert evaluate(v, tree, d, types) == joint_evaluation(v, tree, d, types)
+
+    def test_the_bracketing_is_kept(self):
+        # three unary boxes 1, 2 and 2 on one junction of the 4-chain:
+        # (1⊗2)⊗2 = 1 and 1⊗(2⊗2) = 0, so a path that flattened the
+        # parts into one fold would get one bracketing wrong
+        types = TypeAssignment({"u": 1})
+        one = LabelledFinSet.of("u")
+        a, b, c = (System(one, (v,)) for v in (1, 2, 2))
+        inner = LabelledFinSet.of("u", "u", "u")
+        w = UwdDiagram(
+            inner, one, one,
+            FinFn(inner.base, one.base, (0, 0, 0)),
+            FinFn.identity(one.base),
+        )
+        got = []
+        for shape in (((a, b), c), (a, (b, c))):
+            tree = bracketed(shape, D_CHAIN4, types)
+            got.append(evaluate(w, tree, D_CHAIN4, types))
+            assert got[-1] == joint_evaluation(w, tree, D_CHAIN4, types)
+        assert [s.predicate for s in got] == [(1,), (0,)]
+
+    def test_no_joint_on_the_evaluation_path(self, monkeypatch):
+        pair_predicate = Doctrine.pair_predicate
+        calls = []
+
+        def counting(self, *args):
+            calls.append(args)
+            return pair_predicate(self, *args)
+
+        monkeypatch.setattr(Doctrine, "pair_predicate", counting)
+        types = TypeAssignment({"v": 3})
+        pair = LabelledFinSet.of("v", "v")
+        rng = random.Random(4)
+        boxes = [System(pair, tuple(rng.randint(0, 4) for _ in range(9))) for _ in range(4)]
+        tree = bracketed(((boxes[0], boxes[1]), (boxes[2], boxes[3])), D_TROP, types)
+        junctions = LabelledFinSet.of(*["v"] * 5)
+        outer = LabelledFinSet.of("v", "v")
+        w = UwdDiagram(
+            tree.context, junctions, outer,
+            FinFn(tree.context.base, junctions.base, (0, 1, 1, 2, 2, 3, 3, 4)),
+            FinFn(outer.base, junctions.base, (0, 4)),
+        )
+        got = evaluate(w, tree, D_TROP, types)
+        assert calls == []
+        # reading the joint builds it once per tensor node, pairwise, and
+        # keeps it
+        joint = tree.predicate
+        assert len(calls) == 3 and tree.predicate is joint
+        nine = denote(pair, types)
+        left, right = (
+            pair_predicate(D_TROP, nine, nine, boxes[i].predicate, boxes[i + 1].predicate)
+            for i in (0, 2)
+        )
+        assert joint == pair_predicate(D_TROP, FinSet(81), FinSet(81), left, right)
+        assert got == evaluate(w, System(tree.context, joint), D_TROP, types)
+
+    @pytest.mark.parametrize("d, bottom", [(D_REL, 0), (D_TROP, 4)])
+    def test_empty_domain_warning(self, d, bottom):
+        # as for a single system: a junction of domain 0 on no box and
+        # no outer port still collapses the result of a tensor
+        types = TypeAssignment({"w": 2, "z": 0})
+        junctions = LabelledFinSet.of("w", "w", "z")
+        one = LabelledFinSet.of("w")
+        tree = tensor_systems(System(one, (1, 0)), System(one, (0, 1)), d, types)
+        outer = LabelledFinSet.of("w", "w")
+        w = UwdDiagram(
+            tree.context, junctions, outer,
+            FinFn(tree.context.base, junctions.base, (0, 1)),
+            FinFn(outer.base, junctions.base, (0, 1)),
+        )
+        with pytest.warns(UserWarning):
+            out = evaluate(w, tree, d, types)
+        assert out.predicate == (bottom,) * 4
+
+
+class TestReindexMemo:
+    def test_leaves_of_two_diagrams_share_a_map(self):
+        # the box on junctions (0, 1) has one port table and the same
+        # sizes in both diagrams; their other box and outer port differ
+        types = TypeAssignment({"v": 3})
+        pair = LabelledFinSet.of("v", "v")
+        junctions = LabelledFinSet.of("v", "v", "v")
+        outer = LabelledFinSet.of("v")
+        tree = tensor_systems(
+            System(pair, (0,) * 9), System(pair, (1,) * 9), D_REL, types
+        )
+
+        def diagram(f, g):
+            return UwdDiagram(
+                tree.context, junctions, outer,
+                FinFn(tree.context.base, junctions.base, f),
+                FinFn(outer.base, junctions.base, g),
+            )
+
+        reindex_map.cache_clear()
+        evaluate(diagram((0, 1, 1, 2), (0,)), tree, D_REL, types)
+        # outer port, each box and the identity on junction assignments
+        assert reindex_map.cache_info().currsize == 4
+        evaluate(diagram((0, 1, 2, 1), (2,)), tree, D_REL, types)
+        info = reindex_map.cache_info()
+        # the first box and the identity are hits; the rest are new
+        assert (info.hits, info.misses, info.currsize) == (2, 6, 6)
+
+    def test_a_shape_is_built_once(self):
+        types = TypeAssignment({"w": 2, "v": 3})
+        dst = LabelledFinSet.of("v", "w", "v")
+        src = LabelledFinSet.of("w", "v", "w")
+        case = (FinFn(src.base, dst.base, (1, 2, 1)), src, dst, types)
+        got = reindex(*case)
+        assert reindex(*case) is got
+        # another label with the same domain size is the same shape
+        same = TypeAssignment({"w": 2, "v": 3, "x": 3})
+        relabelled = LabelledFinSet.of("w", "x", "w")
+        assert reindex(FinFn(src.base, dst.base, (1, 2, 1)), relabelled, dst, same) is got
+
+    @pytest.mark.parametrize("table", [(), (2,), (0, 2, 1)])
+    def test_reader_reads_every_entry(self, table):
+        # an itemgetter of one entry gives no tuple: the reader does
+        values = (7, 8, 9)
+        m = FinFn(FinSet(len(table)), FinSet(3), table)
+        assert reader(m)(values) == tuple(values[i] for i in table)
 
 
 def reindex_by_entry(ports, src, dst, types) -> FinFn:
