@@ -1,25 +1,35 @@
-"""Measure what the reindex memo gives the eval-stream queries.
+"""Measure what the shape memos give the eval-stream queries, and how a
+path query scales with its length.
 
-``uwd.evaluate`` reads every part of a tensored system at a reindexing
-map over the junction assignments.  The maps are memoised on their shape
-(``uwd.reindex_map``, with its readers ``uwd.reader``), so a stream whose
-diagrams repeat shapes builds few of them.  This script runs the
-queries of ``perfbench/evalstream.py`` in process, the way the
-benchmark's child does (load the corpus document, tensor the boxes,
-nest a quarter of the queries, evaluate, print), twice:
+``uwd.evaluate`` evaluates a tensor of systems by joining its junctions
+out one at a time, following a plan kept per diagram shape
+(``uwd.elimination_plan``), whose steps read factors through reindexing
+maps that are memoised on their shape too (``uwd.reindex_map``, with
+its readers ``uwd.reader``).  This script runs the queries of
+``perfbench/evalstream.py`` in process, the way the benchmark's child
+does (load the corpus document, tensor the boxes, nest a quarter of the
+queries, evaluate, print), twice:
 
-* ``reuse``: the memo starts empty and fills as the stream runs, as in
-  the benchmark; it prints the memo's lookups, hits and distinct maps;
-* ``no-reuse``: the memo is cleared before every query, so every map is
-  built again: the same stream without the property the memo needs.
+* ``reuse``: the memos start empty and fill as the stream runs, as in
+  the benchmark; it prints the plan and map lookups, hits and entries
+  built;
+* ``no-reuse``: every ``uwd`` memo is cleared before every query, so
+  every plan and map is built again: the same stream without the
+  property the memos need.
 
 Per pass it prints the median and 90th percentile latency in ms (wall
 time on this machine, not the benchmark's reference speed), the queries
 per second, and the median over the queries whose diagram the stream
-has not sent before: those gain from the memo only through the parts
+has not sent before: those gain from the memos only through the parts
 they share with earlier diagrams.  Every answer is checked with
-``evalstream.check``, and the two passes must print the same answers;
-the script exits 1 otherwise.
+``evalstream.check``, and the two passes must print the same answers.
+
+Then it times a min-plus path query (domain 3, cap 3, seeded box costs)
+on k = 4, 7, 12, 24 and 48 junctions, with k - 1 binary boxes and both
+ends exposed: the first evaluation, which builds the plan, and the
+median of 200 warm ones.  Each answer is checked against the
+min-plus product of the box matrices.  The script exits 1 on any wrong
+answer.
 
     PYTHONPATH=src python3 scripts/eval_memo.py [--seed 1] [--blocks 75]
 
@@ -30,6 +40,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -39,7 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import evalstream  # noqa: E402
 from doctrina import uwd  # noqa: E402
 from doctrina.doctrine import powerset_doctrine, tropical_doctrine  # noqa: E402
-from doctrina.finset import trivial_triple  # noqa: E402
+from doctrina.finset import FinFn, LabelledFinSet, trivial_triple  # noqa: E402
 
 CAP = evalstream.CAP
 DOCTRINES = {
@@ -62,19 +74,71 @@ def answer(q: evalstream.Query) -> str:
     return uwd.format_predicate(result, q.semantics, corpus.types, CAP)
 
 
-def run(queries, clear: bool) -> tuple[list[float], list[str], float]:
-    uwd.reindex_map.cache_clear()
-    uwd.reader.cache_clear()
+def clear() -> None:
+    """Empty every memo of ``uwd``."""
+    for memo in (uwd.elimination_plan, uwd.reindex_map, uwd.reader):
+        memo.cache_clear()
+
+
+def run(queries, clear_each: bool) -> tuple[list[float], list[str], float]:
+    clear()
     latencies, printed = [], []
     start = time.perf_counter()
     for q in queries:
-        if clear:
-            uwd.reindex_map.cache_clear()
-            uwd.reader.cache_clear()
+        if clear_each:
+            clear()
         t0 = time.perf_counter()
         printed.append(answer(q))
         latencies.append(time.perf_counter() - t0)
     return latencies, printed, time.perf_counter() - start
+
+
+def path_query(k: int, rng: random.Random):
+    """A min-plus path on ``k`` junctions of domain 3 with seeded box
+    costs, both ends exposed, and its answer as the min-plus product of
+    the box matrices, saturated at infinity."""
+    types = uwd.TypeAssignment({"v": 3})
+    pair = LabelledFinSet.of("v", "v")
+    costs = [[rng.choice(evalstream.COSTS) for _ in range(9)] for _ in range(k - 1)]
+    d = DOCTRINES["trop"]
+    tree = uwd.System(pair, tuple(costs[0]))
+    for box in costs[1:]:
+        tree = uwd.tensor_systems(tree, uwd.System(pair, tuple(box)), d, types)
+    junctions = LabelledFinSet.of(*["v"] * k)
+    outer = LabelledFinSet.of("v", "v")
+    w = uwd.UwdDiagram(
+        tree.context, junctions, outer,
+        FinFn(tree.context.base, junctions.base, tuple(j for b in range(k - 1) for j in (b, b + 1))),
+        FinFn(outer.base, junctions.base, (0, k - 1)),
+    )
+    want = costs[0]
+    for box in costs[1:]:
+        want = [
+            min(min(want[3 * x + y] + box[3 * y + z] for y in range(3)), evalstream.INF)
+            for x in range(3) for z in range(3)
+        ]
+    return w, tree, types, tuple(want)
+
+
+def path_series(seed: int, repeat: int = 200) -> bool:
+    rng, ok = random.Random(seed), True
+    d = DOCTRINES["trop"]
+    for k in (4, 7, 12, 24, 48):
+        w, tree, types, want = path_query(k, rng)
+        clear()
+        t0 = time.perf_counter()
+        got = uwd.evaluate(w, tree, d, types).predicate
+        first = time.perf_counter() - t0
+        warm = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            uwd.evaluate(w, tree, d, types)
+            warm.append(time.perf_counter() - t0)
+        ok &= got == want
+        print(f"path k = {k}: {k - 1} boxes, first {first * 1e3:.3f} ms, "
+              f"warm p50 {statistics.median(warm) * 1e3:.3f} ms, "
+              f"{'right' if got == want else 'WRONG'}")
+    return ok
 
 
 def quantile(xs: list[float], p: float) -> float:
@@ -96,8 +160,8 @@ def main(argv=None) -> int:
             first.append(i)
     ok = True
     answers = {}
-    for name, clear in (("reuse", False), ("no-reuse", True)):
-        latencies, printed, elapsed = run(queries, clear)
+    for name, clear_each in (("reuse", False), ("no-reuse", True)):
+        latencies, printed, elapsed = run(queries, clear_each)
         answers[name] = printed
         wrong = sum(not evalstream.check(q, text) for q, text in zip(queries, printed))
         ok &= wrong == 0
@@ -106,14 +170,16 @@ def main(argv=None) -> int:
               f"{len(queries) / elapsed:.0f} queries/s, {wrong} wrong")
         print(f"  first-seen diagrams: {len(first)} queries, "
               f"p50 {quantile([latencies[i] for i in first], 0.5) * 1e3:.3f} ms")
-        if not clear:
-            info = uwd.reindex_map.cache_info()
-            lookups = info.hits + info.misses
-            print(f"  memo: {lookups} lookups, {info.hits} hits "
-                  f"({info.hits / lookups:.3f}), {info.currsize} maps built")
+        if not clear_each:
+            for memo, built in ((uwd.elimination_plan, "plans"), (uwd.reindex_map, "maps")):
+                info = memo.cache_info()
+                lookups = info.hits + info.misses
+                print(f"  {built}: {lookups} lookups, {info.hits} hits "
+                      f"({info.hits / lookups:.3f}), {info.currsize} built")
     same = answers["reuse"] == answers["no-reuse"]
     ok &= same
     print(f"answers equal across passes: {same}")
+    ok &= path_series(args.seed)
     return 0 if ok else 1
 
 

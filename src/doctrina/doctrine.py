@@ -12,10 +12,12 @@ minimum over each fibre, infinity over an empty one).
 
 Fibers, substitution and quantifiers work on carrier indices, whose codec
 puts slot 0 least significant, so a subset's index is its bitmask.  The
-span action ``act``, the external tensor ``pair_predicate`` and the
-internal tensor ``tensor_values`` work on the predicate's own value, a
-tuple of V's elements (0/1 for a relation), so that evaluation never
-builds a fiber.
+span action ``act``, the external tensor ``pair_predicate``, the
+internal tensor ``tensor_values`` and the join over a map's fibres
+``join_values`` work on the predicate's own value, a tuple of V's
+elements (0/1 for a relation), so that evaluation never builds a fiber.
+``factorises`` says whether a tensor of predicates may be quantified
+factor by factor; evaluation reads it, no law suite does.
 
 ``span_action`` is the one checked entry point for the span action as a
 map between foot fibers, and every cover pair of its domain is checked
@@ -51,6 +53,7 @@ instance of ``doctrine.galois``, ``doctrine.beck-chevalley`` or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterator
 
@@ -74,6 +77,7 @@ from .poskit import (
     MonotoneMap,
     boolean_meet,
     bottom_element,
+    is_commutative_quantale,
     iso_maps,
     join_table,
     map_product,
@@ -189,6 +193,32 @@ class Doctrine:
             raise ValueError("values over sets of different sizes")
         rows = self._tensor
         return tuple([rows[x][y] for x, y in zip(p, q)])
+
+    def join_values(self, p: tuple[int, ...], table: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """The join of a predicate value over the fibres of a map, pointwise
+        as ``tensor_values`` is: entry j of the result, over a set of size
+        ``k``, joins ``p[x]`` over every x with ``table[x] == j``, V's
+        bottom over an empty fibre.  This is ``act`` with an identity left
+        leg, for a caller that holds only the right leg's table; it checks
+        no class."""
+        if len(p) != len(table):
+            raise ValueError("a value and a map over sets of different sizes")
+        return self._join_fold(range(len(p)), table, p, k)
+
+    @cached_property
+    def factorises(self) -> bool:
+        """Whether a quantifier passes every tensor factor that does not
+        mention its variable, along every map: V is a commutative quantale
+        (``poskit.is_commutative_quantale``), R is all maps, and the span
+        action is the stock one (``_legs`` is not overridden).  Then a
+        tensor of systems may be evaluated by joining its junctions out
+        one at a time (``uwd.evaluate``).  Decided on first read; no law
+        suite reads it."""
+        return (
+            self.triple.right.kind == "all"
+            and type(self)._legs is Doctrine._legs
+            and is_commutative_quantale(self.values)
+        )
 
     def _check_span(self, lt: tuple[int, ...], rt: tuple[int, ...], k: int) -> None:
         """The legs share an apex, and the right leg, into a set of size

@@ -6,7 +6,9 @@ a monoidal structure (``boolean_meet``, the 2-chain under meet, and
 saturating addition), its joins (``join_table``), and its powers, the
 fibers of predicates on an n-set (``power_fiber``).  Their codec numbers a
 value tuple base |V|, slot 0 least significant, so a subset's index is
-its bitmask.  The action of a relation on a whole fiber is tabulated
+its bitmask.  ``is_commutative_quantale`` reads off V's tables whether
+its tensor is commutative, associative and distributes over every join.
+The action of a relation on a whole fiber is tabulated
 in that codec (``span_table``) from one cached, checked column per set
 of joined slots (``join_column``).  Because the carriers are posets,
 every coherence 2-cell of the theory degenerates to a boolean:
@@ -365,6 +367,28 @@ def min_plus(cap: int) -> MonoPoset:
         raise ValueError("cap must be at least 1")
     inf = cap + 1
     return MonoPoset(trop_value_poset(cap), lambda x, y: min(x + y, inf), 0)
+
+
+def is_commutative_quantale(v: MonoPoset) -> bool:
+    """Whether V's tensor is commutative and associative and preserves
+    every join of its finite lattice in each argument: the empty join
+    (x ⊗ ⊥ = ⊥) and binary joins (x ⊗ (y ∨ z) = x ⊗ y ∨ x ⊗ z), read off
+    V's tables.  Preserving joins is the pointwise closed form of
+    Frobenius: a quantifier passes a tensor factor that does not mention
+    its variable.  With commutativity and associativity, the factors may
+    be tensored in any order and bracketing."""
+    n = v.carrier.size
+    join, bottom, mul = join_table(v.carrier), bottom_element(v.carrier), v.mul
+    elements = range(n)
+    return (
+        all(mul(a, b) == mul(b, a) for a in elements for b in elements)
+        and all(mul(a, bottom) == bottom for a in elements)
+        and all(
+            mul(mul(a, b), c) == mul(a, mul(b, c))
+            and mul(a, join[b][c]) == join[mul(a, b)][mul(a, c)]
+            for a in elements for b in elements for c in elements
+        )
+    )
 
 
 def trop_index(values, cap: int) -> int:

@@ -12,14 +12,19 @@ contexts denote as row-major products with port 0 most significant.
 A system carries its predicate as the doctrine's own value, a tuple of
 V's elements over the denoted product: 0/1 membership for a relation,
 costs for min-plus (``cap + 1`` for infinity).  A tensor of systems
-keeps its two parts: evaluation pulls each part back to the junction
-assignments on its own and tensors the columns pointwise, since
-substitution is strong monoidal, so the joint predicate over the
-concatenated context is built only when something reads it.  The
-reindexing maps behind every pull-back are memoised on their shape, so
-the parts of different diagrams share them.  Files carry the same
-data as a hex mask or a cost array with "inf"; ``load_corpus`` decodes
-the mask at the boundary and ``format_predicate`` encodes it again.
+keeps its two parts, so the joint predicate over the concatenated
+context is built only when something reads it.  Under a doctrine whose
+quantifiers pass the factors that do not mention their variable
+(``Doctrine.factorises``, Frobenius reciprocity), evaluation never
+does: it joins the hidden junctions out one at a time, each of the
+factors that touch it alone (bucket elimination), following a plan kept
+per diagram shape (``elimination_plan``), so that no column spans the
+junction product.  Under any other doctrine a tensor is evaluated
+through its joint.  The reindexing maps behind every read are memoised
+on their shape, so the plans of different diagrams share them.  Files
+carry the same data as a hex mask or a cost array with "inf";
+``load_corpus`` decodes the mask at the boundary and
+``format_predicate`` encodes it again.
 Nothing on the evaluation path encodes a predicate as an element index
 of a fiber; only the law suites do.
 """
@@ -32,6 +37,7 @@ import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import prod
 from operator import itemgetter
 
 from .errors import BoundaryMismatch, ContextMismatch, LabelClash
@@ -82,8 +88,9 @@ def all_tuples(ctx: LabelledFinSet, types: TypeAssignment):
     return itertools.product(*(types.values(lab) for lab in ctx.labels))
 
 
-# the most reindexing maps ``reindex_map`` keeps, least recently used
-# first out: an eval stream repeats a few hundred shapes
+# the most reindexing maps ``reindex_map`` keeps, and the most plans
+# ``elimination_plan`` keeps, least recently used first out: an eval
+# stream repeats a few hundred shapes
 REINDEX_MEMO = 512
 
 
@@ -189,13 +196,6 @@ class System:
     context: LabelledFinSet
     predicate: tuple[int, ...]
 
-    def pulled_back(
-        self, ports: FinFn, dst: LabelledFinSet, types: TypeAssignment
-    ) -> tuple[int, ...]:
-        """The predicate substituted along the port map ``ports`` from
-        the context into ``dst``: one entry per assignment on dst."""
-        return reader(reindex(ports, self.context, dst, types))(self.predicate)
-
 
 class TensorSystem(System):
     """Two systems side by side over their concatenated context, as
@@ -203,7 +203,8 @@ class TensorSystem(System):
     doctrine and types that tensor them, so a tensor of tensors is a
     tree of the systems it was built from.  Its predicate is the joint
     that ``Doctrine.pair_predicate`` builds from its parts' predicates,
-    built on first read and kept; ``evaluate`` never reads it."""
+    built on first read and kept.  ``evaluate`` reads it only under a
+    doctrine that does not factorise (``Doctrine.factorises``)."""
 
     def __init__(
         self, left: System, right: System, d: Doctrine, types: TypeAssignment
@@ -221,25 +222,121 @@ class TensorSystem(System):
         a, b = denote(left.context, self.types), denote(right.context, self.types)
         return self.doctrine.pair_predicate(a, b, left.predicate, right.predicate)
 
-    def pulled_back(
-        self, ports: FinFn, dst: LabelledFinSet, types: TypeAssignment
-    ) -> tuple[int, ...]:
-        """The joint's entries at the assignments on ``dst``, without the
-        joint: each part pulled back along its own ports, tensored
-        pointwise in the order of the parts."""
-        left, right = self.parts
-        n, j = left.context.base.size, ports.cod
-        return self.doctrine.tensor_values(
-            left.pulled_back(FinFn(left.context.base, j, ports.table[:n]), dst, types),
-            right.pulled_back(FinFn(right.context.base, j, ports.table[n:]), dst, types),
+
+def leaves(sys: System, d: Doctrine) -> list[System]:
+    """The systems a tensor made by ``d`` was built from, in order: its
+    parts, and theirs, down to plain systems and to tensors made by
+    another doctrine, whose joint ``d`` does not build."""
+    out, stack = [], [sys]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, TensorSystem) and s.doctrine is d:
+            stack.extend(reversed(s.parts))
+        else:
+            out.append(s)
+    return out
+
+
+@dataclass(frozen=True)
+class Step:
+    """One step of an ``elimination_plan``: tensor the factors in
+    ``slots``, each read onto one set of junctions (its reader in
+    ``reads``, ``None`` where the factor is over that set already), and
+    join the column over the fibres of ``fibres`` into ``size`` entries
+    (``None`` where the column is the result as it is)."""
+
+    slots: tuple[int, ...]
+    reads: tuple[Callable[[Sequence[int]], tuple[int, ...]] | None, ...]
+    fibres: tuple[int, ...] | None
+    size: int
+
+    def run(self, d: Doctrine, factors: list[tuple[int, ...]]) -> tuple[int, ...]:
+        column = None
+        for slot, read in zip(self.slots, self.reads):
+            value = factors[slot] if read is None else read(factors[slot])
+            column = value if column is None else d.tensor_values(column, value)
+        if self.fibres is None:
+            return column
+        return d.join_values(column, self.fibres, self.size)
+
+
+@lru_cache(maxsize=REINDEX_MEMO)
+def elimination_plan(
+    tables: tuple[tuple[int, ...], ...], sizes: tuple[int, ...], outer: tuple[int, ...]
+) -> tuple[Step, ...]:
+    """The steps that evaluate a tensor of leaves whose ports lie on the
+    junctions ``tables`` (one table per leaf), over junctions of domain
+    ``sizes``, with outer ports on the junctions ``outer``, kept per
+    shape like ``reindex_map``.  The factors start as the leaves'
+    predicates, in order; each step appends one, and the last is the
+    result.
+
+    Each hidden junction that some leaf touches is joined out of the
+    factors that contain it, and only of them (Frobenius): they are read
+    onto the union of their junctions, tensored, and joined over the
+    junction's values.  The junction taken next is the one of least
+    union, by the product of its domains, the lowest index among equals
+    (greedy min-degree order).  The last step tensors what is left over
+    the kept junctions, the image of ``outer`` in first-seen order, and
+    reads the outer assignments off it; one that no kept assignment
+    reaches, where a junction exposed twice takes two values, is V's
+    bottom.  A hidden junction that no leaf touches changes nothing,
+    since joins are idempotent, unless its domain is empty: then the last
+    step is taken over it too, and every outer assignment is the bottom.
+    No column spans the junction product."""
+
+    def onto(ports: tuple[int, ...], union: tuple[int, ...]) -> FinFn:
+        # the map from assignments on ``union`` to assignments on ``ports``
+        return reindex_map(
+            tuple(map(union.index, ports)),
+            tuple(sizes[j] for j in ports),
+            tuple(sizes[j] for j in union),
         )
+
+    def step(used, union: tuple[int, ...], ports: tuple[int, ...]) -> Step:
+        # read the factors ``used`` onto ``union``, tensor them, and
+        # join the column onto ``ports``
+        return Step(
+            tuple(slot for slot, _ in used),
+            tuple(None if p == union else reader(onto(p, union)) for _, p in used),
+            None if ports == union else onto(ports, union).table,
+            prod(sizes[j] for j in ports),
+        )
+
+    # each factor by its slot and ports: a leaf's port table, whose
+    # junctions may repeat, or the junctions of the factor a step made
+    factors = list(enumerate(tables))
+    touched = {j for t in tables for j in t}
+    hidden = sorted(touched.difference(outer))
+    steps: list[Step] = []
+
+    def union_at(j: int) -> tuple[int, ...]:
+        return tuple(dict.fromkeys(k for _, p in factors if j in p for k in p))
+
+    while hidden:
+        j = min(hidden, key=lambda j: prod(sizes[k] for k in union_at(j)))
+        hidden.remove(j)
+        union = union_at(j)
+        rest = tuple(k for k in union if k != j)
+        steps.append(step([f for f in factors if j in f[1]], union, rest))
+        factors = [f for f in factors if j not in f[1]]
+        factors.append((len(tables) + len(steps) - 1, rest))
+    empty = tuple(
+        j for j, n in enumerate(sizes) if n == 0 and j not in touched and j not in outer
+    )
+    steps.append(step(factors, tuple(dict.fromkeys(outer)) + empty, outer))
+    return tuple(steps)
 
 
 def evaluate(w: UwdDiagram, sys: System, d: Doctrine, types: TypeAssignment) -> System:
     """Push a system through a diagram: substitute, then quantify.  A
-    tensor of systems is substituted part by part
-    (``TensorSystem.pulled_back``), and its column over the junction
-    assignments is quantified along the span with an identity left leg."""
+    tensor of systems under a doctrine that factorises
+    (``Doctrine.factorises``) is evaluated without its joint: its leaves
+    are read and its junctions joined out one at a time, by the
+    ``elimination_plan`` of the diagram's shape.  Under any other
+    doctrine, and for a plain system, the predicate is substituted along
+    the inner leg and quantified along the outer one (``Doctrine.act``),
+    over the junction assignments."""
     if sys.context != w.inner:
         raise ContextMismatch(
             f"system context {sys.context} is not the diagram's inner boundary"
@@ -251,15 +348,19 @@ def evaluate(w: UwdDiagram, sys: System, d: Doctrine, types: TypeAssignment) -> 
                 "the quantified predicate collapses",
                 stacklevel=2,
             )
-    ghat = reindex(w.g, w.outer, w.junctions, types)
-    if isinstance(sys, TensorSystem):
-        # the column is indexed by the junction assignments themselves,
-        # so the left leg is their identity (memoised like every map)
-        column = sys.pulled_back(w.f, w.junctions, types)
-        ports = FinFn.identity(w.junctions.base)
-        ident = reindex(ports, w.junctions, w.junctions, types)
-        return System(w.outer, d.act(ident, ghat, column))
+    if isinstance(sys, TensorSystem) and d.factorises:
+        parts, tables, start = leaves(sys, d), [], 0
+        for part in parts:
+            end = start + part.context.base.size
+            tables.append(w.f.table[start:end])
+            start = end
+        factors = [part.predicate for part in parts]
+        sizes = tuple(map(types.size, w.junctions.labels))
+        for step in elimination_plan(tuple(tables), sizes, w.g.table):
+            factors.append(step.run(d, factors))
+        return System(w.outer, factors[-1])
     fhat = reindex(w.f, w.inner, w.junctions, types)
+    ghat = reindex(w.g, w.outer, w.junctions, types)
     return System(w.outer, d.act(fhat, ghat, sys.predicate))
 
 
@@ -525,6 +626,22 @@ def load_corpus(doc: dict, cap: int = 3, max_size: int | None = None) -> Corpus:
             size = json.dumps(domains[t])
             raise ValueError(f"domain of {t!r} must be a natural number, got {size}")
     types = TypeAssignment({t: domains[t] for t in labels})
+    checked: dict[tuple, LabelledFinSet] = {}
+
+    def labelled(labels, what: str) -> LabelledFinSet:
+        """``_labelled`` once per distinct label list of the document: a
+        list that passed is found again by its tuple.  Anything else is
+        checked as it comes: a value that is no list (the tuple of
+        ``"wv"`` is that of ``["w", "v"]``), or a list with an
+        unhashable entry."""
+        if type(labels) is list:
+            try:
+                return checked[tuple(labels)]
+            except (KeyError, TypeError):
+                pass
+        ctx = _labelled(labels, types, what)
+        checked[ctx.labels] = ctx
+        return ctx
 
     diagrams: dict[str, UwdDiagram] = {}
     for name, spec in _object(doc.get("diagrams", {}), "diagrams").items():
@@ -532,9 +649,9 @@ def load_corpus(doc: dict, cap: int = 3, max_size: int | None = None) -> Corpus:
         keys = ("inner", "junctions", "outer", "f", "g")
         json_keys(spec, keys, f"diagram {name}")
         _required(spec, keys, f"diagram {name}")
-        inner = _labelled(spec["inner"], types, f"diagram {name}: inner")
-        junctions = _labelled(spec["junctions"], types, f"diagram {name}: junctions")
-        outer = _labelled(spec["outer"], types, f"diagram {name}: outer")
+        inner = labelled(spec["inner"], f"diagram {name}: inner")
+        junctions = labelled(spec["junctions"], f"diagram {name}: junctions")
+        outer = labelled(spec["outer"], f"diagram {name}: outer")
         for side, ports in (("inner", inner), ("junctions", junctions), ("outer", outer)):
             _check_size(ports, types, max_size, f"diagram {name}: {side}")
         k, legs = junctions.base.size, []
@@ -567,7 +684,7 @@ def load_corpus(doc: dict, cap: int = 3, max_size: int | None = None) -> Corpus:
         keys = ("context", "semantics", "data")
         json_keys(spec, keys, f"system {name}")
         _required(spec, keys, f"system {name}")
-        ctx = _labelled(spec["context"], types, f"system {name}: context")
+        ctx = labelled(spec["context"], f"system {name}: context")
         _check_size(ctx, types, max_size, f"system {name}: context")
         semantics = spec["semantics"]
         data = spec["data"]

@@ -398,6 +398,22 @@ class TestExternalMonoidal:
         with pytest.raises(ValueError):
             pow2.tensor_values((0, 1), (1,))
 
+    def test_join_values_matches_exists(self, pow2, trop2, trop2k3):
+        # uwd.evaluate joins junctions out through join_values, the law
+        # suites quantify through exists: the two must agree across the
+        # fiber codec
+        for d in (pow2, trop2, trop2k3):
+            size = d.values.carrier.size
+            for a in finsets(2):
+                for b in finsets(2):
+                    index = value_index(b.size, size)
+                    for f in functions(a, b):
+                        ex = d.exists(f).table
+                        for i, p in enumerate(value_tuples(a.size, size)):
+                            assert index[d.join_values(p, f.table, b.size)] == ex[i]
+        with pytest.raises(ValueError):
+            pow2.join_values((0, 1), (0,), 1)
+
     def test_carrier_indices_invert_values(self, pow2, trop2, trop2k3):
         # the value tuple of every element of a fiber, in carrier order,
         # and the codec's index back

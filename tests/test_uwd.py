@@ -1,15 +1,16 @@
 import itertools
 import json
+import operator
 import random
 import warnings
 
 import pytest
 from hypothesis import given, strategies as st
 
-from doctrina.errors import BoundaryMismatch, ContextMismatch, LabelClash
-from doctrina.finset import FinFn, FinSet, LabelledFinSet, trivial_triple
+from doctrina.errors import BoundaryMismatch, ClassViolation, ContextMismatch, LabelClash
+from doctrina.finset import FinFn, FinSet, LabelledFinSet, surjection_triple, trivial_triple
 from doctrina.doctrine import Doctrine, powerset_doctrine, tropical_doctrine
-from doctrina.poskit import MonoPoset, chain
+from doctrina.poskit import MonoPoset, chain, is_commutative_quantale, min_plus, power_poset
 from doctrina.uwd import (
     System,
     TypeAssignment,
@@ -17,6 +18,7 @@ from doctrina.uwd import (
     compose_diagrams,
     denote,
     disjoint_union,
+    elimination_plan,
     evaluate,
     format_predicate,
     functoriality_check,
@@ -38,6 +40,8 @@ from doctrina.uwd import (
 )
 
 from corpus import build_corpus
+from mutants import DroppedApexDoctrine
+from test_poskit import M3, N5, meet_monoid
 
 TYPES = TypeAssignment({"w": 2, "v": 3})
 D_REL = powerset_doctrine(trivial_triple(3))
@@ -316,7 +320,30 @@ CHAIN4 = (
     0, 1, 2, 3,
 )
 D_CHAIN4 = Doctrine(trivial_triple(3), MonoPoset.tabulated(chain(4), CHAIN4, 3))
-FACTORISED = {"powerset": D_REL, "min-plus": D_TROP, "4-chain": D_CHAIN4}
+# max on the 3-chain keeps no bottom: 2 ⊗ ⊥ = 2
+MAX3 = MonoPoset.tabulated(chain(3), [max(x, y) for x in range(3) for y in range(3)], 0)
+# x ⊗ y = x where y is not ⊥: associative, it keeps ⊥ and distributes
+# over joins, but 1 ⊗ 2 = 1 and 2 ⊗ 1 = 2 (its unit is unused)
+LEFT3 = MonoPoset.tabulated(chain(3), [x if y else 0 for x in range(3) for y in range(3)], 2)
+# the doctrines whose tensors of systems ``evaluate`` factorises, by name
+QUALIFIED = {
+    "powerset": D_REL,
+    "min-plus": D_TROP,
+    **{f"min-plus-cap{cap}": Doctrine(trivial_triple(3), min_plus(cap)) for cap in (1, 2, 4)},
+    "2x2-meet": Doctrine(trivial_triple(3), meet_monoid(power_poset(chain(2), 2))),
+}
+# and those it evaluates through the joint, each for one failed condition
+REFUSED = {
+    "4-chain": D_CHAIN4,  # not associative
+    "max-3-chain": Doctrine(trivial_triple(3), MAX3),  # no bottom kept
+    "N5-meet": Doctrine(trivial_triple(3), meet_monoid(N5)),  # not distributive
+    "M3-meet": Doctrine(trivial_triple(3), meet_monoid(M3)),  # not distributive
+    "union": Doctrine(trivial_triple(3), MonoPoset(chain(2), operator.or_, 0)),  # no bottom
+    "left-3-chain": Doctrine(trivial_triple(3), LEFT3),  # not commutative
+    "powerset-surj": powerset_doctrine(surjection_triple(3)),  # R is not all maps
+    "dropped-apex": DroppedApexDoctrine(trivial_triple(3)),  # its own _legs
+}
+FACTORISED = {**QUALIFIED, **REFUSED}
 
 
 def bracketed(boxes, d, types):
@@ -368,6 +395,15 @@ def tensor_queries(draw, d):
     return w, tree, types
 
 
+def outcome(evaluation, w, tree, d, types):
+    """What ``evaluation`` gives, or the type of the ``ClassViolation`` it
+    raises: an outer leg outside R has no quantifier."""
+    try:
+        return evaluation(w, tree, d, types)
+    except ClassViolation as e:
+        return type(e)
+
+
 def joint_evaluation(w, tree, d, types):
     """``evaluate`` on the tensor's joint predicate, as one system."""
     return evaluate(w, System(tree.context, tree.predicate), d, types)
@@ -391,7 +427,17 @@ class TestFactorisedEvaluation:
             # a dangling junction may have an empty domain
             warnings.simplefilter("ignore", UserWarning)
             for v in (w, opened):
-                assert evaluate(v, tree, d, types) == joint_evaluation(v, tree, d, types)
+                got = outcome(evaluate, v, tree, d, types)
+                assert got == outcome(joint_evaluation, v, tree, d, types)
+
+    @pytest.mark.parametrize("name", sorted(QUALIFIED) + sorted(REFUSED))
+    def test_the_guard(self, name):
+        d = QUALIFIED.get(name) or REFUSED[name]
+        assert d.factorises == (name in QUALIFIED)
+        # V's tables pass every qualified doctrine, and the two that R
+        # and ``_legs`` refuse
+        kept = name in QUALIFIED or name in ("powerset-surj", "dropped-apex")
+        assert is_commutative_quantale(d.values) == kept
 
     def test_the_bracketing_is_kept(self):
         # three unary boxes 1, 2 and 2 on one junction of the 4-chain:
@@ -411,6 +457,9 @@ class TestFactorisedEvaluation:
             tree = bracketed(shape, D_CHAIN4, types)
             got.append(evaluate(w, tree, D_CHAIN4, types))
             assert got[-1] == joint_evaluation(w, tree, D_CHAIN4, types)
+            # a doctrine that factorises reads a tensor that another one
+            # made at its joint: 2x2-meet would give 1 ∧ 2 ∧ 2 = 0 both ways
+            assert evaluate(w, tree, QUALIFIED["2x2-meet"], types) == got[-1]
         assert [s.predicate for s in got] == [(1,), (0,)]
 
     def test_no_joint_on_the_evaluation_path(self, monkeypatch):
@@ -467,6 +516,116 @@ class TestFactorisedEvaluation:
         assert out.predicate == (bottom,) * 4
 
 
+class BoxMembers:
+    """The joint of binary boxes, by the box: an inner tuple is a member
+    when each box holds its pair (``relational_oracle`` asks ``in``), and
+    costs the saturating sum of its boxes' costs (``tropical_oracle``
+    asks ``get``), so the oracles need no joint predicate."""
+
+    def __init__(self, boxes, inf):
+        self.boxes, self.inf = boxes, inf
+
+    def get(self, t, default=None):
+        cost = sum(box.get(t[2 * b:2 * b + 2], self.inf) for b, box in enumerate(self.boxes))
+        return min(cost, self.inf)
+
+    def __contains__(self, t):
+        return all(t[2 * b:2 * b + 2] in box for b, box in enumerate(self.boxes))
+
+
+@st.composite
+def shaped_queries(draw):
+    """A path, star or cycle of binary boxes on 2 to 8 junctions of
+    domains 0 to 2, with box data and 0 to 3 outer ports, repeats
+    allowed."""
+    shape = draw(st.sampled_from(["path", "star", "cycle"]))
+    k = draw(st.integers(2, 8))
+    edges = {
+        "path": [(j, j + 1) for j in range(k - 1)],
+        "star": [(0, j) for j in range(1, k)],
+        "cycle": [(j, (j + 1) % k) for j in range(k)],
+    }[shape]
+    sizes = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    types = TypeAssignment({f"d{n}": n for n in range(3)})
+    labels = [f"d{n}" for n in sizes]
+    tables = [
+        {t: draw(st.integers(0, 4)) for t in itertools.product(range(sizes[a]), range(sizes[b]))}
+        for a, b in edges
+    ]
+    outer = draw(st.lists(st.integers(0, k - 1), max_size=3))
+    return edges, labels, tables, outer, types
+
+
+class TestEliminationBeyondTheJoint:
+    """Queries whose joint predicate ``evaluate`` would not build in
+    time: against the oracles, which read the boxes, and in closed
+    form."""
+
+    @given(query=shaped_queries())
+    def test_shapes_against_the_oracles(self, query):
+        edges, labels, tables, outer, types = query
+        junctions = LabelledFinSet.of(*labels)
+        out = LabelledFinSet.of(*(labels[j] for j in outer))
+        for d, cap in ((D_REL, None), (D_TROP, 3)):
+            inf = cap + 1 if cap else 0
+            systems = []
+            for (a, b), costs in zip(edges, tables):
+                ctx = LabelledFinSet.of(labels[a], labels[b])
+                # a relation holds the pairs of cost below 2
+                pred = trop_pred(costs, ctx, types, cap) if cap else rel_pred(
+                    [t for t, c in costs.items() if c < 2], ctx, types
+                )
+                systems.append(System(ctx, pred))
+            tree = systems[0]
+            for box in systems[1:]:
+                tree = tensor_systems(tree, box, d, types)
+            w = UwdDiagram(
+                tree.context, junctions, out,
+                FinFn(tree.context.base, junctions.base, tuple(j for e in edges for j in e)),
+                FinFn(out.base, junctions.base, tuple(outer)),
+            )
+            got = evaluate(w, tree, d, types)
+            if cap:
+                want = tropical_oracle(w, BoxMembers(tables, inf), types, cap)
+                assert trop_costs(got.predicate, out, types) == want
+            else:
+                members = BoxMembers([{t for t, c in costs.items() if c < 2} for costs in tables], 0)
+                want = relational_oracle(w, members, types)
+                assert rel_tuples(got.predicate, out, types) == want
+
+    @pytest.mark.parametrize(
+        "d, equal, unequal", [(D_REL, 1, 0), (D_TROP, 0, 4)], ids=["relational", "min-plus"]
+    )
+    def test_a_path_of_48_junctions(self, d, equal, unequal):
+        # 47 equality boxes on a path of 48 junctions of domain 3, both
+        # ends exposed and the first twice: the joint would have 3**94
+        # entries, the answer holds where all three outer values agree
+        k, types = 48, TypeAssignment({"v": 3})
+        pair = LabelledFinSet.of("v", "v")
+        box = System(pair, tuple(equal if x == y else unequal for x in range(3) for y in range(3)))
+        tree = box
+        for _ in range(k - 2):
+            tree = tensor_systems(tree, box, d, types)
+        junctions = LabelledFinSet.of(*["v"] * k)
+        outer = LabelledFinSet.of("v", "v", "v")
+        f = tuple(j for b in range(k - 1) for j in (b, b + 1))
+        w = UwdDiagram(
+            tree.context, junctions, outer,
+            FinFn(tree.context.base, junctions.base, f),
+            FinFn(outer.base, junctions.base, (0, k - 1, 0)),
+        )
+        got = evaluate(w, tree, d, types)
+        assert got.predicate == tuple(
+            equal if x == y == z else unequal for x, y, z in itertools.product(range(3), repeat=3)
+        )
+        # every step joins a junction out of 3 junctions' values, 27
+        # entries, and the last reads the 27 outer assignments off 9
+        plan = elimination_plan(
+            tuple(f[i:i + 2] for i in range(0, len(f), 2)), (3,) * k, (0, k - 1, 0)
+        )
+        assert [len(s.fibres) for s in plan] == [27] * (k - 2) + [9]
+
+
 class TestReindexMemo:
     def test_leaves_of_two_diagrams_share_a_map(self):
         # the box on junctions (0, 1) has one port table and the same
@@ -487,13 +646,24 @@ class TestReindexMemo:
             )
 
         reindex_map.cache_clear()
+        elimination_plan.cache_clear()
         evaluate(diagram((0, 1, 1, 2), (0,)), tree, D_REL, types)
-        # outer port, each box and the identity on junction assignments
-        assert reindex_map.cache_info().currsize == 4
-        evaluate(diagram((0, 1, 2, 1), (2,)), tree, D_REL, types)
+        # junction 2 goes first (a union of 9 entries against 27): the
+        # second box is joined onto junction 1 through one map.  Then
+        # junction 1: the first box is read as it is, the new factor onto
+        # junctions (0, 1) through a second map, and the join onto
+        # junction 0 reuses the first
         info = reindex_map.cache_info()
-        # the first box and the identity are hits; the rest are new
-        assert (info.hits, info.misses, info.currsize) == (2, 6, 6)
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+        evaluate(diagram((0, 1, 2, 1), (2,)), tree, D_REL, types)
+        # a plan of its own, built from the same two maps: three hits
+        info = reindex_map.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
+        # and the plan is kept: a third query reads no map at all
+        evaluate(diagram((0, 1, 2, 1), (2,)), tree, D_REL, types)
+        assert reindex_map.cache_info() == info
+        plans = elimination_plan.cache_info()
+        assert (plans.hits, plans.misses, plans.currsize) == (1, 2, 2)
 
     def test_a_shape_is_built_once(self):
         types = TypeAssignment({"w": 2, "v": 3})
@@ -772,6 +942,38 @@ class TestFileFormat:
         with pytest.raises((ValueError, LabelClash)) as exc:
             load_corpus(doc)
         assert str(exc.value) == f"diagram d: {message}"
+
+    @pytest.mark.parametrize("labels, message", [
+        (["w", "q"], 'inner: no domain for label "q"'),
+        (["w", 1], 'inner ["w", 1] is not a list of labels'),
+        (["w", ["v"]], 'inner ["w", ["v"]] is not a list of labels'),
+    ], ids=["unknown-label", "not-a-label", "unhashable"])
+    def test_a_bad_label_list_is_named_at_its_first_entry(self, labels, message):
+        # a label list is checked once per document; a bad one repeated
+        # over the sides of a diagram and a system is still reported
+        # where it first appears, with the same message
+        doc = self._named_doc()
+        d, x = doc["diagrams"]["d"], doc["systems"]["x"]
+        for side in ("inner", "junctions", "outer"):
+            d[side] = labels
+        x["context"] = labels
+        with pytest.raises(ValueError) as exc:
+            load_corpus(doc)
+        assert str(exc.value) == f"diagram d: {message}"
+        del doc["diagrams"]
+        with pytest.raises(ValueError) as exc:
+            load_corpus(doc)
+        assert str(exc.value) == f"system x: {message.replace('inner', 'context')}"
+
+    def test_a_label_list_is_checked_once(self):
+        doc = self._named_doc()
+        doc["systems"]["x"]["context"] = ["w", "v"]
+        doc["systems"]["x"]["data"] = "3f"
+        corpus = load_corpus(doc)
+        # one context for every entry that carries the list
+        inner = corpus.diagrams["d"].inner
+        assert corpus.diagrams["d"].junctions is inner
+        assert corpus.systems["x"][0].context is inner
 
     def test_cost_array_length_checked(self):
         doc = {
