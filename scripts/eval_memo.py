@@ -11,11 +11,13 @@ does (load the corpus document, tensor the boxes, nest a quarter of the
 queries, evaluate, print), twice:
 
 * ``reuse``: the memos start empty and fill as the stream runs, as in
-  the benchmark; it prints the plan and map lookups, hits and entries
-  built;
+  the benchmark; it prints the lookups, hits, misses and entries kept
+  of every memo: the checked diagrams and contexts of
+  ``uwd.load_corpus``, the nestings of ``uwd.compose_diagrams``, and
+  the plans, maps and readers;
 * ``no-reuse``: every ``uwd`` memo is cleared before every query, so
-  every plan and map is built again: the same stream without the
-  property the memos need.
+  every diagram is checked and nested, and every plan and map built,
+  again: the same stream without the property the memos need.
 
 Per pass it prints the median and 90th percentile latency in ms (wall
 time on this machine, not the benchmark's reference speed), the queries
@@ -74,9 +76,19 @@ def answer(q: evalstream.Query) -> str:
     return uwd.format_predicate(result, q.semantics, corpus.types, CAP)
 
 
+MEMOS = (
+    (uwd._diagram, "diagrams"),
+    (uwd._context, "contexts"),
+    (uwd.compose_diagrams, "nestings"),
+    (uwd.elimination_plan, "plans"),
+    (uwd.reindex_map, "maps"),
+    (uwd.reader, "readers"),
+)
+
+
 def clear() -> None:
     """Empty every memo of ``uwd``."""
-    for memo in (uwd.elimination_plan, uwd.reindex_map, uwd.reader):
+    for memo, _ in MEMOS:
         memo.cache_clear()
 
 
@@ -171,11 +183,12 @@ def main(argv=None) -> int:
         print(f"  first-seen diagrams: {len(first)} queries, "
               f"p50 {quantile([latencies[i] for i in first], 0.5) * 1e3:.3f} ms")
         if not clear_each:
-            for memo, built in ((uwd.elimination_plan, "plans"), (uwd.reindex_map, "maps")):
+            for memo, built in MEMOS:
                 info = memo.cache_info()
                 lookups = info.hits + info.misses
-                print(f"  {built}: {lookups} lookups, {info.hits} hits "
-                      f"({info.hits / lookups:.3f}), {info.currsize} built")
+                print(f"  {built}: {lookups} lookups, {info.hits} hits, "
+                      f"{info.misses} misses ({info.hits / lookups:.3f}), "
+                      f"{info.currsize} kept")
     same = answers["reuse"] == answers["no-reuse"]
     ok &= same
     print(f"answers equal across passes: {same}")

@@ -24,7 +24,11 @@ through its joint.  The reindexing maps behind every read are memoised
 on their shape, so the plans of different diagrams share them.  Files
 carry the same data as a hex mask or a cost array with "inf";
 ``load_corpus`` decodes the mask at the boundary and
-``format_predicate`` encodes it again.
+``format_predicate`` encodes it again.  ``load_corpus`` also checks and
+builds each diagram once per shape, keyed on the document's domains,
+the size guard and the diagram's exact values, and any miss runs every
+check; ``compose_diagrams`` keeps each nesting, since diagrams are
+frozen.
 Nothing on the evaluation path encodes a predicate as an element index
 of a fiber; only the law suites do.
 """
@@ -88,9 +92,11 @@ def all_tuples(ctx: LabelledFinSet, types: TypeAssignment):
     return itertools.product(*(types.values(lab) for lab in ctx.labels))
 
 
-# the most reindexing maps ``reindex_map`` keeps, and the most plans
-# ``elimination_plan`` keeps, least recently used first out: an eval
-# stream repeats a few hundred shapes
+# the most entries each memo of this module keeps, least recently used
+# first out: ``reindex_map``'s maps, ``reader``'s readers,
+# ``elimination_plan``'s plans, ``compose_diagrams``' nestings, and
+# ``load_corpus``'s contexts (``_context``) and checked diagrams
+# (``_diagram``); an eval stream repeats a few hundred shapes
 REINDEX_MEMO = 512
 
 
@@ -201,20 +207,25 @@ class TensorSystem(System):
     """Two systems side by side over their concatenated context, as
     ``tensor_systems`` makes them.  It keeps its two parts, and the
     doctrine and types that tensor them, so a tensor of tensors is a
-    tree of the systems it was built from.  Its predicate is the joint
-    that ``Doctrine.pair_predicate`` builds from its parts' predicates,
-    built on first read and kept.  ``evaluate`` reads it only under a
-    doctrine that does not factorise (``Doctrine.factorises``)."""
+    tree of the systems it was built from.  Its context is built on
+    first read, once, from its leaves' labels, so the nodes inside a
+    tree build none.  Its predicate is the joint that
+    ``Doctrine.pair_predicate`` builds from its parts' predicates, built
+    on first read and kept.  ``evaluate`` reads neither under a doctrine
+    that factorises (``Doctrine.factorises``)."""
 
     def __init__(
         self, left: System, right: System, d: Doctrine, types: TypeAssignment
     ):
-        self.context = LabelledFinSet(
-            FinSet(left.context.base.size + right.context.base.size),
-            left.context.labels + right.context.labels,
-        )
         self.parts = (left, right)
         self.doctrine, self.types = d, types
+
+    @cached_property
+    def context(self) -> LabelledFinSet:
+        labels = tuple(
+            lab for leaf in leaves(self, self.doctrine) for lab in leaf.context.labels
+        )
+        return LabelledFinSet(FinSet(len(labels)), labels)
 
     @cached_property
     def predicate(self) -> tuple[int, ...]:
@@ -303,28 +314,46 @@ def elimination_plan(
             prod(sizes[j] for j in ports),
         )
 
-    # each factor by its slot and ports: a leaf's port table, whose
-    # junctions may repeat, or the junctions of the factor a step made
-    factors = list(enumerate(tables))
-    touched = {j for t in tables for j in t}
+    # each factor by its slot and ports, in slot order: a leaf's port
+    # table, whose junctions may repeat, or the junctions of the factor a
+    # step made; ``at[j]`` holds the factors on junction j, in slot order
+    # too, and ``cost[j]`` the size of their union, for each hidden j
+    factors = dict(enumerate(tables))
+    at: dict[int, dict[int, tuple[int, ...]]] = {}
+    for slot, ports in factors.items():
+        for j in ports:
+            at.setdefault(j, {})[slot] = ports
+    touched = set(at)
     hidden = sorted(touched.difference(outer))
     steps: list[Step] = []
 
     def union_at(j: int) -> tuple[int, ...]:
-        return tuple(dict.fromkeys(k for _, p in factors if j in p for k in p))
+        return tuple(dict.fromkeys(k for p in at[j].values() for k in p))
 
+    cost = {j: prod(sizes[k] for k in union_at(j)) for j in hidden}
     while hidden:
-        j = min(hidden, key=lambda j: prod(sizes[k] for k in union_at(j)))
+        j = min(hidden, key=cost.__getitem__)
         hidden.remove(j)
         union = union_at(j)
         rest = tuple(k for k in union if k != j)
-        steps.append(step([f for f in factors if j in f[1]], union, rest))
-        factors = [f for f in factors if j not in f[1]]
-        factors.append((len(tables) + len(steps) - 1, rest))
+        used = at.pop(j)
+        steps.append(step(used.items(), union, rest))
+        for slot, ports in used.items():
+            del factors[slot]
+            for k in ports:
+                if k != j:
+                    at[k].pop(slot, None)
+        # only the junctions of the union see their factors change
+        slot = len(tables) + len(steps) - 1
+        factors[slot] = rest
+        for k in rest:
+            at[k][slot] = rest
+            if k in cost:
+                cost[k] = prod(sizes[x] for x in union_at(k))
     empty = tuple(
         j for j, n in enumerate(sizes) if n == 0 and j not in touched and j not in outer
     )
-    steps.append(step(factors, tuple(dict.fromkeys(outer)) + empty, outer))
+    steps.append(step(factors.items(), tuple(dict.fromkeys(outer)) + empty, outer))
     return tuple(steps)
 
 
@@ -337,7 +366,22 @@ def evaluate(w: UwdDiagram, sys: System, d: Doctrine, types: TypeAssignment) -> 
     doctrine, and for a plain system, the predicate is substituted along
     the inner leg and quantified along the outer one (``Doctrine.act``),
     over the junction assignments."""
-    if sys.context != w.inner:
+    factorised = isinstance(sys, TensorSystem) and d.factorises
+    if factorised:
+        # the leaves' labels against the inner boundary, in the walk that
+        # cuts the inner leg into their tables: no context is built
+        parts, tables, start = leaves(sys, d), [], 0
+        labels = w.inner.labels
+        for part in parts:
+            end = start + part.context.base.size
+            if labels[start:end] != part.context.labels:
+                break
+            tables.append(w.f.table[start:end])
+            start = end
+        matched = len(tables) == len(parts) and start == len(labels)
+    else:
+        matched = sys.context == w.inner
+    if not matched:
         raise ContextMismatch(
             f"system context {sys.context} is not the diagram's inner boundary"
         )
@@ -348,12 +392,7 @@ def evaluate(w: UwdDiagram, sys: System, d: Doctrine, types: TypeAssignment) -> 
                 "the quantified predicate collapses",
                 stacklevel=2,
             )
-    if isinstance(sys, TensorSystem) and d.factorises:
-        parts, tables, start = leaves(sys, d), [], 0
-        for part in parts:
-            end = start + part.context.base.size
-            tables.append(w.f.table[start:end])
-            start = end
+    if factorised:
         factors = [part.predicate for part in parts]
         sizes = tuple(map(types.size, w.junctions.labels))
         for step in elimination_plan(tuple(tables), sizes, w.g.table):
@@ -364,8 +403,11 @@ def evaluate(w: UwdDiagram, sys: System, d: Doctrine, types: TypeAssignment) -> 
     return System(w.outer, d.act(fhat, ghat, sys.predicate))
 
 
+@lru_cache(maxsize=REINDEX_MEMO)
 def compose_diagrams(outer: UwdDiagram, inner_fill: UwdDiagram) -> UwdDiagram:
-    """Nest inner_fill into outer; junctions merge by pushout."""
+    """Nest inner_fill into outer; junctions merge by pushout.  Diagrams
+    are frozen, so the nesting is kept per pair, and a repeated nesting
+    runs no pushout."""
     if inner_fill.outer != outer.inner:
         raise BoundaryMismatch("filler's outer boundary must be the host's inner")
     po = pushout(
@@ -554,15 +596,38 @@ def _required(spec: dict, keys: tuple[str, ...], what: str) -> None:
             raise ValueError(f"{what}: missing key {json.dumps(key)}")
 
 
-def _labelled(labels: list, types: TypeAssignment, what: str) -> LabelledFinSet:
-    """A label list from a file; a string is not one (``"wv"`` would read
-    as the labels ``w``, ``v``)."""
+def _labelled(
+    labels, domains: tuple[tuple[str, int], ...], what: str
+) -> tuple[LabelledFinSet, tuple[int, ...]]:
+    """A label list from a file, as the ``_context`` of its labels under
+    the document's label-domain pairs ``domains``; a string is not one
+    (``"wv"`` would read as the labels ``w``, ``v``).  A list of strings
+    is looked up as it comes; anything else, or a list with a label
+    without a domain, is checked entry by entry for its error."""
+    if type(labels) is list and set(map(type, labels)) <= _STR:
+        try:
+            return _context(tuple(labels), domains)
+        except KeyError:
+            pass
     if not isinstance(labels, list) or not all(type(t) is str for t in labels):
         raise ValueError(f"{what} {json.dumps(labels)} is not a list of labels")
+    known = dict(domains)
     for lab in labels:
-        if lab not in types.domains:
+        if lab not in known:
             raise ValueError(f"{what}: no domain for label {json.dumps(lab)}")
-    return LabelledFinSet(FinSet(len(labels)), tuple(labels))
+    return _context(tuple(labels), domains)
+
+
+@lru_cache(maxsize=REINDEX_MEMO)
+def _context(
+    labels: tuple[str, ...], domains: tuple[tuple[str, int], ...]
+) -> tuple[LabelledFinSet, tuple[int, ...]]:
+    """The context over ``labels`` and their domain sizes under the
+    label-domain pairs ``domains`` (a ``KeyError`` for a label without
+    one), kept per list and pairs: every diagram side and system context
+    that carries the list is one object."""
+    size = dict(domains)
+    return LabelledFinSet(FinSet(len(labels)), labels), tuple(size[t] for t in labels)
 
 
 _HEX = frozenset("0123456789abcdefABCDEF")
@@ -570,18 +635,17 @@ _HEX = frozenset("0123456789abcdefABCDEF")
 # converted through the mask's binary digits, whole strings at a time
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# the exact types a file's values must have to be looked up in a memo by
+# value: ``"wv"``, ``true`` and ``1.0`` equal or hash like ``["w", "v"]``
+# and ``1``
+_LIST, _STR, _INT = {list}, {str}, {int}
 
 
-def _check_size(
-    ctx: LabelledFinSet, types: TypeAssignment, max_size: int | None, what: str
-) -> None:
-    """Refuse a context whose denoted product has more than ``max_size``
-    tuples, multiplying only until the product passes the bound (an
-    empty domain anywhere makes it empty)."""
-    if max_size is None:
-        return
-    sizes = [types.size(lab) for lab in ctx.labels]
-    if 0 in sizes:
+def _check_size(sizes: tuple[int, ...], max_size: int | None, what: str) -> None:
+    """Refuse a context whose domain sizes ``sizes`` multiply to more
+    than ``max_size`` tuples, multiplying only until the product passes
+    the bound (an empty domain anywhere makes it empty)."""
+    if max_size is None or 0 in sizes:
         return
     n = 1
     for size in sizes:
@@ -591,6 +655,49 @@ def _check_size(
                 f"{what} denotes more than {max_size} tuples, above the size "
                 "guard; rerun with --force"
             )
+
+
+def _check_diagram(
+    domains: tuple[tuple[str, int], ...], max_size: int | None, inner, junctions, outer, f, g
+) -> UwdDiagram:
+    """A diagram from a file's values, checked in order: its label lists
+    (``_labelled``), the size guard on each side, each leg's entries,
+    length and range, and the labels each leg joins (``UwdDiagram``).
+    Messages name the side or leg; ``load_corpus`` puts the diagram's
+    name in front."""
+    sides = (("inner", inner), ("junctions", junctions), ("outer", outer))
+    contexts = [_labelled(labels, domains, side) for side, labels in sides]
+    for (side, _), (_, sizes) in zip(sides, contexts):
+        _check_size(sizes, max_size, side)
+    (inner, _), (junctions, _), (outer, _) = contexts
+    k, legs = junctions.base.size, []
+    for leg, table, side, ports in (("f", f, "inner", inner), ("g", g, "outer", outer)):
+        if not isinstance(table, list) or any(type(j) is not int for j in table):
+            raise ValueError(f"{leg} {json.dumps(table)} is not a list of junctions")
+        if len(table) != ports.base.size:
+            raise ValueError(
+                f"{leg} has length {len(table)}, not the number of {side} ports "
+                f"({ports.base.size})"
+            )
+        if table and (min(table) < 0 or max(table) >= k):
+            p, j = next((p, j) for p, j in enumerate(table) if not 0 <= j < k)
+            raise ValueError(
+                f"{leg} sends {side} port {p} to junction {j}, outside the {k} junctions"
+            )
+        legs.append(FinFn(ports.base, junctions.base, tuple(table)))
+    return UwdDiagram(inner, junctions, outer, *legs)
+
+
+@lru_cache(maxsize=REINDEX_MEMO)
+def _diagram(
+    domains: tuple[tuple[str, int], ...], max_size: int | None, *values: tuple
+) -> UwdDiagram:
+    """``_check_diagram`` of the tuples of a diagram's inner, junctions,
+    outer, f and g, kept per document label-domain pairs, size guard and
+    values: a repeated diagram is checked and built once, and is one
+    object.  Only values of the exact types ``load_corpus`` pre-checks
+    come here; an error is raised again on every call, never kept."""
+    return _check_diagram(domains, max_size, *map(list, values))
 
 
 def load_corpus(doc: dict, cap: int = 3, max_size: int | None = None) -> Corpus:
@@ -609,6 +716,17 @@ def load_corpus(doc: dict, cap: int = 3, max_size: int | None = None) -> Corpus:
     one pass over the data as given.  With ``max_size`` set, a system
     context or a diagram's inner, junction or outer set whose denoted
     product has more tuples is refused before anything is built over it.
+
+    A diagram is checked and built once per shape (``_diagram``), keyed
+    on the document's label-domain pairs, ``max_size`` and the exact
+    tuples of its inner, junctions, outer, f and g; a repeat is the same
+    frozen ``UwdDiagram``.  The key is formed only when the five values
+    are lists, the labels strings and the legs' entries integers (never
+    ``true`` or ``1.0``), so no other value can equal one.  A miss, or a
+    value of another type, runs every check in order, so every error is
+    a first load's, naming its own diagram; no error is kept.  Each label
+    list is one context per label-domain pairs (``_context``), shared by
+    the diagrams and systems that carry it.
     """
     doc = _object(doc, "a diagram/system document")
     json_keys(doc, ("labels", "domains", "diagrams", "systems"), "the document")
@@ -626,22 +744,7 @@ def load_corpus(doc: dict, cap: int = 3, max_size: int | None = None) -> Corpus:
             size = json.dumps(domains[t])
             raise ValueError(f"domain of {t!r} must be a natural number, got {size}")
     types = TypeAssignment({t: domains[t] for t in labels})
-    checked: dict[tuple, LabelledFinSet] = {}
-
-    def labelled(labels, what: str) -> LabelledFinSet:
-        """``_labelled`` once per distinct label list of the document: a
-        list that passed is found again by its tuple.  Anything else is
-        checked as it comes: a value that is no list (the tuple of
-        ``"wv"`` is that of ``["w", "v"]``), or a list with an
-        unhashable entry."""
-        if type(labels) is list:
-            try:
-                return checked[tuple(labels)]
-            except (KeyError, TypeError):
-                pass
-        ctx = _labelled(labels, types, what)
-        checked[ctx.labels] = ctx
-        return ctx
+    pairs = tuple(types.domains.items())
 
     diagrams: dict[str, UwdDiagram] = {}
     for name, spec in _object(doc.get("diagrams", {}), "diagrams").items():
@@ -649,34 +752,19 @@ def load_corpus(doc: dict, cap: int = 3, max_size: int | None = None) -> Corpus:
         keys = ("inner", "junctions", "outer", "f", "g")
         json_keys(spec, keys, f"diagram {name}")
         _required(spec, keys, f"diagram {name}")
-        inner = labelled(spec["inner"], f"diagram {name}: inner")
-        junctions = labelled(spec["junctions"], f"diagram {name}: junctions")
-        outer = labelled(spec["outer"], f"diagram {name}: outer")
-        for side, ports in (("inner", inner), ("junctions", junctions), ("outer", outer)):
-            _check_size(ports, types, max_size, f"diagram {name}: {side}")
-        k, legs = junctions.base.size, []
-        for leg, side, ports in (("f", "inner", inner), ("g", "outer", outer)):
-            table = spec[leg]
-            if not isinstance(table, list) or any(type(j) is not int for j in table):
-                raise ValueError(
-                    f"diagram {name}: {leg} {json.dumps(table)} is not a list of junctions"
-                )
-            if len(table) != ports.base.size:
-                raise ValueError(
-                    f"diagram {name}: {leg} has length {len(table)}, not the "
-                    f"number of {side} ports ({ports.base.size})"
-                )
-            if table and (min(table) < 0 or max(table) >= k):
-                p, j = next((p, j) for p, j in enumerate(table) if not 0 <= j < k)
-                raise ValueError(
-                    f"diagram {name}: {leg} sends {side} port {p} to junction {j}, "
-                    f"outside the {k} junctions"
-                )
-            legs.append(FinFn(ports.base, junctions.base, tuple(table)))
+        values = [spec[key] for key in keys]
+        inner, junctions, outer, f, g = values
         try:
-            diagrams[name] = UwdDiagram(inner, junctions, outer, *legs)
-        except LabelClash as e:
-            raise LabelClash(f"diagram {name}: {e}") from None
+            if (
+                set(map(type, values)) == _LIST
+                and set(map(type, inner + junctions + outer)) <= _STR
+                and set(map(type, f + g)) <= _INT
+            ):
+                diagrams[name] = _diagram(pairs, max_size, *map(tuple, values))
+            else:
+                diagrams[name] = _check_diagram(pairs, max_size, *values)
+        except (ValueError, LabelClash) as e:
+            raise type(e)(f"diagram {name}: {e}") from None
 
     systems: dict[str, tuple[System, str]] = {}
     for name, spec in _object(doc.get("systems", {}), "systems").items():
@@ -684,11 +772,11 @@ def load_corpus(doc: dict, cap: int = 3, max_size: int | None = None) -> Corpus:
         keys = ("context", "semantics", "data")
         json_keys(spec, keys, f"system {name}")
         _required(spec, keys, f"system {name}")
-        ctx = labelled(spec["context"], f"system {name}: context")
-        _check_size(ctx, types, max_size, f"system {name}: context")
+        ctx, sizes = _labelled(spec["context"], pairs, f"system {name}: context")
+        _check_size(sizes, max_size, f"system {name}: context")
         semantics = spec["semantics"]
         data = spec["data"]
-        n = denote(ctx, types).size
+        n = prod(sizes)
         if semantics == "rel":
             if not isinstance(data, str) or not data or not set(data) <= _HEX:
                 raise ValueError(f"system {name}: data {data!r} is not a hex mask")

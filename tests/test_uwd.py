@@ -1,8 +1,13 @@
+import copy
+import importlib.util
 import itertools
 import json
 import operator
 import random
+import sys
 import warnings
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +16,9 @@ from doctrina.errors import BoundaryMismatch, ClassViolation, ContextMismatch, L
 from doctrina.finset import FinFn, FinSet, LabelledFinSet, surjection_triple, trivial_triple
 from doctrina.doctrine import Doctrine, powerset_doctrine, tropical_doctrine
 from doctrina.poskit import MonoPoset, chain, is_commutative_quantale, min_plus, power_poset
+from doctrina import uwd
 from doctrina.uwd import (
+    Step,
     System,
     TypeAssignment,
     UwdDiagram,
@@ -516,6 +523,59 @@ class TestFactorisedEvaluation:
         assert out.predicate == (bottom,) * 4
 
 
+class TestLazyContext:
+    """A tensor's context is built on first read, from its leaves; under
+    a doctrine that factorises, ``evaluate`` builds none."""
+
+    @staticmethod
+    def left_fold(d):
+        pair = LabelledFinSet.of("w", "v")
+        boxes = [System(pair, (1, 0, 1, 1, 1, 0)), System(LabelledFinSet.of("v"), (1, 0, 1)),
+                 System(pair, (0,) * 6), System(LabelledFinSet.of("w"), (1, 1))]
+        tree, nodes = boxes[0], []
+        for box in boxes[1:]:
+            tree = tensor_systems(tree, box, d, TYPES)
+            nodes.append(tree)
+        return tree, nodes
+
+    @staticmethod
+    def diagram(inner, table):
+        # onto junctions (w, v, v), the first and last exposed
+        junctions = LabelledFinSet.of("w", "v", "v")
+        inner = LabelledFinSet.of(*inner)
+        outer = LabelledFinSet.of("w", "v")
+        return UwdDiagram(
+            inner, junctions, outer,
+            FinFn(inner.base, junctions.base, table),
+            FinFn(outer.base, junctions.base, (0, 2)),
+        )
+
+    @pytest.mark.parametrize("d", [D_REL, D_TROP], ids=["relational", "min-plus"])
+    def test_inner_nodes_build_no_context(self, d):
+        tree, nodes = self.left_fold(d)
+        w = self.diagram(("w", "v", "v", "w", "v", "w"), (0, 1, 1, 0, 2, 0))
+        got = evaluate(w, tree, d, TYPES)
+        assert all("context" not in vars(node) for node in nodes)
+        # the root's context, read, is its leaves', and builds no other
+        assert tree.context == w.inner
+        assert all("context" not in vars(node) for node in nodes[:-1])
+        assert got.predicate == evaluate(w, System(w.inner, tree.predicate), d, TYPES).predicate
+
+    @pytest.mark.parametrize("inner", [
+        ("w", "v", "v", "w", "w", "w"),  # a label differs inside a leaf
+        ("w", "v", "v", "w", "v"),  # one port short
+        ("w", "v", "v", "w", "v", "w", "w"),  # one port over
+    ], ids=["label", "short", "long"])
+    def test_a_mismatch_names_the_context(self, inner):
+        tree, _ = self.left_fold(D_TROP)
+        w = self.diagram(inner, tuple({"w": 0, "v": 1}[lab] for lab in inner))
+        with pytest.raises(ContextMismatch) as exc:
+            evaluate(w, tree, D_TROP, TYPES)
+        assert str(exc.value) == (
+            f"system context {tree.context} is not the diagram's inner boundary"
+        )
+
+
 class BoxMembers:
     """The joint of binary boxes, by the box: an inner tuple is a member
     when each box holds its pair (``relational_oracle`` asks ``in``), and
@@ -626,6 +686,117 @@ class TestEliminationBeyondTheJoint:
         assert [len(s.fibres) for s in plan] == [27] * (k - 2) + [9]
 
 
+def reference_plan(tables, sizes, outer):
+    """``elimination_plan`` as first written, which recomputes every
+    hidden junction's union in every round: the plans the incremental
+    one must give, step for step."""
+
+    def onto(ports, union):
+        return reindex_map(
+            tuple(map(union.index, ports)),
+            tuple(sizes[j] for j in ports),
+            tuple(sizes[j] for j in union),
+        )
+
+    def step(used, union, ports):
+        return Step(
+            tuple(slot for slot, _ in used),
+            tuple(None if p == union else reader(onto(p, union)) for _, p in used),
+            None if ports == union else onto(ports, union).table,
+            prod(sizes[j] for j in ports),
+        )
+
+    factors = list(enumerate(tables))
+    touched = {j for t in tables for j in t}
+    hidden = sorted(touched.difference(outer))
+    steps = []
+
+    def union_at(j):
+        return tuple(dict.fromkeys(k for _, p in factors if j in p for k in p))
+
+    while hidden:
+        j = min(hidden, key=lambda j: prod(sizes[k] for k in union_at(j)))
+        hidden.remove(j)
+        union = union_at(j)
+        rest = tuple(k for k in union if k != j)
+        steps.append(step([f for f in factors if j in f[1]], union, rest))
+        factors = [f for f in factors if j not in f[1]]
+        factors.append((len(tables) + len(steps) - 1, rest))
+    empty = tuple(
+        j for j, n in enumerate(sizes) if n == 0 and j not in touched and j not in outer
+    )
+    steps.append(step(factors, tuple(dict.fromkeys(outer)) + empty, outer))
+    return tuple(steps)
+
+
+def load_evalstream():
+    """``perfbench/evalstream.py``, the eval-stream workload's query
+    generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "evalstream.py"
+    spec = importlib.util.spec_from_file_location("evalstream", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def evalstream_shapes(seed: int) -> set:
+    """The (tables, sizes, outer) of every query of the eval-stream
+    workload's 75-block stream for ``seed``, as ``evaluate`` hands them
+    to ``elimination_plan``."""
+    evalstream = load_evalstream()
+    shapes = set()
+    for q in evalstream.make_stream(seed, 75):
+        corpus = load_corpus(json.loads(q.doc), cap=evalstream.CAP)
+        if q.nested:
+            w = compose_diagrams(corpus.diagrams["host"], corpus.diagrams["fill"])
+        else:
+            w = corpus.diagrams["query"]
+        tables, start = [], 0
+        for b in range(len(q.boxes)):
+            end = start + corpus.systems[f"b{b}"][0].context.base.size
+            tables.append(w.f.table[start:end])
+            start = end
+        sizes = tuple(map(corpus.types.size, w.junctions.labels))
+        shapes.add((tuple(tables), sizes, w.g.table))
+    return shapes
+
+
+@st.composite
+def plan_shapes(draw):
+    """Up to 6 junctions of domain 0 to 3, up to 6 factors of up to 3
+    ports each (ports may repeat a junction), and up to 3 outer ports."""
+    k = draw(st.integers(1, 6))
+    sizes = tuple(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+    junction = st.integers(0, k - 1)
+    tables = tuple(
+        tuple(draw(st.lists(junction, max_size=3))) for _ in range(draw(st.integers(1, 6)))
+    )
+    return tables, sizes, tuple(draw(st.lists(junction, max_size=3)))
+
+
+class TestIncrementalPlan:
+    """``elimination_plan`` updates only the unions of the junctions an
+    elimination touches; its plans are the reference's, step for step."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_evalstream_shape(self, seed):
+        shapes = evalstream_shapes(seed)
+        assert len(shapes) > 100
+        for shape in shapes:
+            assert elimination_plan.__wrapped__(*shape) == reference_plan(*shape)
+
+    @pytest.mark.parametrize("outer", [(0, 47, 0), (0, 47), ()])
+    def test_the_48_path(self, outer):
+        shape = (tuple((b, b + 1) for b in range(47)), (3,) * 48, outer)
+        assert elimination_plan.__wrapped__(*shape) == reference_plan(*shape)
+
+    @given(shape=plan_shapes())
+    def test_random_shapes(self, shape):
+        assert elimination_plan.__wrapped__(*shape) == reference_plan(*shape)
+
+
 class TestReindexMemo:
     def test_leaves_of_two_diagrams_share_a_map(self):
         # the box on junctions (0, 1) has one port table and the same
@@ -683,6 +854,42 @@ class TestReindexMemo:
         values = (7, 8, 9)
         m = FinFn(FinSet(len(table)), FinSet(3), table)
         assert reader(m)(values) == tuple(values[i] for i in table)
+
+
+class TestShapeMemos:
+    def test_every_memo_is_bounded(self):
+        # no memo of ``uwd`` grows without bound
+        memos = {
+            name: fn for name, fn in vars(uwd).items()
+            if hasattr(fn, "cache_info") and fn.__module__ == uwd.__name__
+        }
+        assert set(memos) == {
+            "reindex_map", "reader", "elimination_plan", "compose_diagrams",
+            "_context", "_diagram",
+        }
+        for fn in memos.values():
+            assert fn.cache_parameters()["maxsize"] == uwd.REINDEX_MEMO
+
+    def test_a_repeated_nesting_runs_no_pushout(self, monkeypatch):
+        host = join_diagram()
+        fill = identity_diagram(host.inner)
+        compose_diagrams.cache_clear()
+        first = compose_diagrams(host, fill)
+        pushouts = []
+        monkeypatch.setattr(uwd, "pushout", lambda *a, **k: pushouts.append(a))
+        # equal diagrams, not the same objects, are the same key
+        assert compose_diagrams(join_diagram(), identity_diagram(host.inner)) is first
+        assert not pushouts
+        info = compose_diagrams.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_a_failed_nesting_is_not_kept(self):
+        w = join_diagram()
+        compose_diagrams.cache_clear()
+        for _ in range(2):
+            with pytest.raises(BoundaryMismatch):
+                compose_diagrams(w, w)
+        assert compose_diagrams.cache_info().currsize == 0
 
 
 def reindex_by_entry(ports, src, dst, types) -> FinFn:
@@ -974,6 +1181,81 @@ class TestFileFormat:
         inner = corpus.diagrams["d"].inner
         assert corpus.diagrams["d"].junctions is inner
         assert corpus.systems["x"][0].context is inner
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc["diagrams"]["d"].update(f=[0, True]),
+         "diagram d: f [0, true] is not a list of junctions"),
+        (lambda doc: doc["diagrams"]["d"].update(f=[0, 1.0]),
+         "diagram d: f [0, 1.0] is not a list of junctions"),
+        (lambda doc: doc["diagrams"]["d"].update(g=[True]),
+         "diagram d: g [true] is not a list of junctions"),
+        (lambda doc: doc["diagrams"]["d"].update(inner="wv"),
+         'diagram d: inner "wv" is not a list of labels'),
+        (lambda doc: doc["diagrams"]["d"].update(junctions="wv"),
+         'diagram d: junctions "wv" is not a list of labels'),
+        (lambda doc: doc["systems"]["x"].update(context="w"),
+         'system x: context "w" is not a list of labels'),
+        (lambda doc: doc["diagrams"].update(e=doc["diagrams"]["d"] | {"g": [0]}),
+         "diagram e: outer port 0 (v) on junction 0 (w)"),
+        (lambda doc: doc["domains"].update(v=4),
+         "diagram d: inner denotes more than 6 tuples, above the size guard; "
+         "rerun with --force"),
+    ], ids=["true-in-f", "float-in-f", "true-in-g", "string-inner", "string-junctions",
+            "string-context", "another-name", "other-domains"])
+    def test_a_loaded_diagram_is_no_key_for_a_bad_one(self, change, message):
+        # the memo key is exact: after the diagram has loaded, a value
+        # that equals or hashes like one of its own still fails, with the
+        # message of a first load
+        doc = self._named_doc()
+        first = load_corpus(copy.deepcopy(doc), max_size=6).diagrams["d"]
+        change(doc)
+        with pytest.raises((ValueError, LabelClash)) as exc:
+            load_corpus(doc, max_size=6)
+        assert str(exc.value) == message
+        # and a failure is not kept: it fails again, and the good diagram
+        # is still found
+        with pytest.raises((ValueError, LabelClash)):
+            load_corpus(doc, max_size=6)
+        assert load_corpus(self._named_doc(), max_size=6).diagrams["d"] is first
+
+    def test_the_size_guard_is_in_the_key(self):
+        doc = self._named_doc()
+        load_corpus(doc)
+        with pytest.raises(ValueError) as exc:
+            load_corpus(doc, max_size=5)
+        assert str(exc.value) == (
+            "diagram d: inner denotes more than 5 tuples, above the size guard; "
+            "rerun with --force"
+        )
+
+    def test_a_repeated_diagram_is_one_object(self):
+        first = load_corpus(self._named_doc())
+        again = load_corpus(self._named_doc())
+        assert again.diagrams["d"] is first.diagrams["d"]
+        assert again.systems["x"][0].context is first.systems["x"][0].context
+        # the same labels with other domains are another key, and another
+        # context
+        other = self._named_doc()
+        other["domains"] = {"w": 2, "v": 4}
+        corpus = load_corpus(other)
+        assert corpus.diagrams["d"] == first.diagrams["d"]
+        assert corpus.diagrams["d"] is not first.diagrams["d"]
+        assert corpus.diagrams["d"].inner is not first.diagrams["d"].inner
+        # and the label list is still one context within the document
+        assert corpus.diagrams["d"].junctions is corpus.diagrams["d"].inner
+
+    def test_a_diagram_is_kept_under_any_name(self):
+        doc = self._named_doc()
+        first = load_corpus(doc).diagrams["d"]
+        doc["diagrams"] = {"e": doc["diagrams"]["d"]}
+        assert load_corpus(doc).diagrams["e"] is first
+        # a failing one is named where it fails, each time
+        doc["diagrams"]["e"]["g"] = [0]
+        for name in ("e", "d", "e"):
+            doc["diagrams"] = {name: doc["diagrams"].popitem()[1]}
+            with pytest.raises(LabelClash) as exc:
+                load_corpus(doc)
+            assert str(exc.value) == f"diagram {name}: outer port 0 (v) on junction 0 (w)"
 
     def test_cost_array_length_checked(self):
         doc = {
